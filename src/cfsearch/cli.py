@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import yaml
@@ -40,6 +41,7 @@ from .network import SupernetWeights
 from .oracles import GanOracle
 from .pipeline import (
     joint_search_baseline,
+    prepare,
     run_pipeline,
     run_search,
     search_operators,
@@ -47,13 +49,12 @@ from .pipeline import (
 )
 from .reporting import report_pipeline, write_run_report
 from .space import (
-    ArchitectureGenome,
-    maximal_genome,
     genome_space_size,
+    maximal_genome,
     operator_specialization_count,
     spec_from_dict,
 )
-from .trainer import TrainConfig, make_dataset, pretrain_supernet
+from .trainer import pretrain_supernet
 from .util import as_rng, child_seed, format_float
 
 _TOP_LEVEL_KEYS = {"seed", "task", "dataset", "space", "train", "search", "evolution"}
@@ -96,27 +97,12 @@ def load_config(path: str | None = None, seed: int | None = None) -> dict:
     return cfg
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    try:
-        return TrainConfig(**cfg["train"])
-    except TypeError as exc:
-        raise ConfigError(f"bad train config: {exc}") from None
-
-
 def _prepared(cfg: dict, checkpoint: str | None = None):
-    """(spec, dataset, weights): pretrain fresh or load a checkpoint."""
-    seed = int(cfg["seed"])
-    spec = spec_from_dict(cfg["space"])
-    dataset = make_dataset(
-        cfg["task"],
-        int(cfg["dataset"]["samples"]),
-        float(cfg["dataset"]["val_fraction"]),
-        child_seed(seed, "dataset"),
-    )
+    """(spec, dataset, weights, pretrain result): pretrain fresh or load a checkpoint."""
+    spec, dataset, train_cfg = prepare(cfg)
     if checkpoint is not None:
-        weights = SupernetWeights.load(spec, checkpoint)
-        return spec, dataset, weights, None
-    result = pretrain_supernet(spec, dataset, _train_config(cfg), child_seed(seed, "pretrain"))
+        return spec, dataset, SupernetWeights.load(spec, checkpoint), None
+    result = pretrain_supernet(spec, dataset, train_cfg, child_seed(int(cfg["seed"]), "pretrain"))
     return spec, dataset, result.weights, result
 
 
@@ -157,10 +143,7 @@ def cmd_search_operator(args) -> int:
     print("# genome\tfitness\tparams\tflops")
     for rec in records:
         print(f"{rec.label}\t{format_float(rec.fitness)}\t{rec.params}\t{rec.flops}")
-    template = maximal_genome(spec, chosen)
-    g_optr = ArchitectureGenome(
-        chosen, best_ops, template.channel_assignment, template.recursion_assignment
-    )
+    g_optr = replace(maximal_genome(spec, chosen), operator_assignment=best_ops)
     if sampled:
         print(f"sampled specializations: {args.sample}")
     print(f"chosen operators: {g_optr.to_record()}")
@@ -255,7 +238,8 @@ def cmd_verify_fairness(args) -> int:
         for line in problems:
             print(f"violation: {line}")
         return 4
-    print(f"fair after {ledger.trials} epochs")
+    # ``trials`` counts path cycles; a fair ledger has one per path per epoch.
+    print(f"fair after {ledger.trials // len(ledger.generator_counts)} epochs")
     return 0
 
 

@@ -114,7 +114,6 @@ class RGTable:
     """
 
     rg: np.ndarray
-    rg_n: np.ndarray = field(default=None)  # type: ignore[assignment]
     p_select: np.ndarray = field(default=None)  # type: ignore[assignment]
     baseline: str = ""
     staleness: int = 0
@@ -151,14 +150,13 @@ def compute_rg(
 def normalize_rg(table: RGTable, epsilon: float = 1e-8) -> RGTable:
     """Shift each layer's gains to be positive and normalize to a pmf.
 
-    Per layer: ``rg_n = rg - min_j rg + epsilon`` guarantees strictly
+    Per layer: ``shifted = rg - min_j rg + epsilon`` guarantees strictly
     positive mass, then ``p_select`` divides by the per-layer sum.  A
     layer whose gains are all equal comes out uniform.
     """
     if not epsilon > 0:
         raise ConfigError(f"epsilon must be > 0, got {epsilon}")
     shifted = table.rg - table.rg.min(axis=0, keepdims=True) + epsilon
-    table.rg_n = shifted
     table.p_select = shifted / shifted.sum(axis=0, keepdims=True)
     return table
 

@@ -22,7 +22,7 @@ coin flip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -113,20 +113,32 @@ class FairnessLedger:
         self.trials += 1
 
     def violations(self) -> list[str]:
-        """Every failed fairness equality, as human-readable strings."""
+        """Every failed fairness equality, as human-readable strings.
+
+        A fair ledger has one count per path shared by every operator of
+        every layer, by the generator and by the matched discriminator;
+        that count is the same on every path, and the generator counts
+        sum to ``trials``.
+        """
         problems: list[str] = []
         for p, counts in enumerate(self.operator_counts):
-            for l in range(counts.shape[0]):
-                row = counts[l]
-                if not np.all(row == row[0]):
+            g, d = int(self.generator_counts[p]), int(self.discriminator_counts[p])
+            if counts.size == 0:
+                problems.append(f"path {p}: no operator rows")
+            for l, row in enumerate(counts.tolist()):
+                if len(set(row)) > 1:
+                    problems.append(f"path {p} layer {l}: operator counts {row} unequal")
+                if set(row) != {g}:
                     problems.append(
-                        f"path {p} layer {l}: operator counts {row.tolist()} unequal"
+                        f"path {p} layer {l}: operator counts {row} != generator updates {g}"
                     )
-        for p in range(len(self.generator_counts)):
-            g = int(self.generator_counts[p])
-            d = int(self.discriminator_counts[p])
             if g != d:
                 problems.append(f"path {p}: generator updates {g} != discriminator updates {d}")
+        generator = self.generator_counts.tolist()
+        if len(set(generator)) > 1:
+            problems.append(f"generator updates differ across paths: {generator}")
+        if sum(generator) != self.trials:
+            problems.append(f"generator updates sum to {sum(generator)}, not trials {self.trials}")
         return problems
 
     def is_fair(self) -> bool:
@@ -181,6 +193,9 @@ class FairnessLedger:
         if not path_rows:
             raise LedgerFormatError("ledger has no path rows")
         num_paths = max(path_rows) + 1
+        orphans = sorted({p for (p, _l, _m) in op_rows if p >= num_paths})
+        if orphans:
+            raise LedgerFormatError(f"ledger has op rows for paths {orphans} with no path row")
         operator_counts = []
         for p in range(num_paths):
             layers = [l for (pp, l, _m) in op_rows if pp == p]

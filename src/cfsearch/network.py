@@ -183,9 +183,19 @@ class SupernetWeights:
 
     @staticmethod
     def load(spec: SupernetSpec, path: str) -> "SupernetWeights":
-        """Read a checkpoint; the shape table must match ``spec`` exactly."""
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        """Read a checkpoint; the shape table must match ``spec`` exactly.
+
+        An unreadable, truncated or otherwise undecodable file raises
+        ``ConfigError`` naming ``path``.
+        """
+        try:
+            with open(path, "rb") as fh:
+                return SupernetWeights._decode(spec, path, fh.read())
+        except (OSError, struct.error, ValueError) as exc:
+            raise ConfigError(f"cannot load checkpoint {path}: {exc}") from exc
+
+    @staticmethod
+    def _decode(spec: SupernetSpec, path: str, blob: bytes) -> "SupernetWeights":
         if blob[:4] != CHECKPOINT_MAGIC:
             raise ConfigError(f"{path} is not a supernet checkpoint")
         version, count = struct.unpack_from("<II", blob, 4)
@@ -214,6 +224,8 @@ class SupernetWeights:
             data = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(dims)
             offset += 8 * size
             weights.tensors[name].data = data.astype(np.float64).copy()
+        if offset != len(blob):
+            raise ConfigError(f"checkpoint {path} has {len(blob) - offset} trailing bytes")
         return weights
 
 
@@ -276,7 +288,6 @@ class GeneratorView:
     operator_assignment: tuple[int, ...] | None
     channel_widths: tuple[int, ...]
     recursion_depths: tuple[int, ...]
-    selection_mode: str = "top_k"
 
     def __call__(self, x: Tensor) -> Tensor:
         spec = self.weights.spec
@@ -289,11 +300,6 @@ class GeneratorView:
                 f"got {x.data.shape}"
             )
         full = spec.max_width
-        pool = None
-        if self.selection_mode == "global_percentile":
-            pool = np.concatenate(
-                [g.data for g in self.weights.gamma_tensors(p)]
-            )
         h = _resample(x, path.resolution_schedule[0])
         stem_w = self.weights[f"g/p{p}/stem/w"]
         stem_b = self.weights[f"g/p{p}/stem/b"]
@@ -329,19 +335,15 @@ class GeneratorView:
             gamma = self.weights.gamma(p, l)
             h = channel_rms_norm(h) * gamma.reshape(1, full, 1)
             width = self.channel_widths[l]
-            if width < full or self.selection_mode != "top_k":
-                mask = active_channel_mask(
-                    gamma.data, width, mode=self.selection_mode, pool=pool
-                )
+            if width < full:
+                mask = active_channel_mask(gamma.data, width)
                 h = h * Tensor(mask.reshape(1, full, 1))
         head_w = self.weights[f"g/p{p}/head/w"]
         head_b = self.weights[f"g/p{p}/head/b"]
         return conv1d(h, head_w) + head_b.reshape(1, spec.input_channels, 1)
 
 
-def subnet_view(
-    weights: SupernetWeights, genome: ArchitectureGenome, selection_mode: str = "top_k"
-) -> GeneratorView:
+def subnet_view(weights: SupernetWeights, genome: ArchitectureGenome) -> GeneratorView:
     """View for one genome: its operators, widths, and recursion depths."""
     spec = weights.spec
     require_valid(spec, genome)
@@ -357,7 +359,6 @@ def subnet_view(
         operator_assignment=genome.operator_assignment,
         channel_widths=widths,
         recursion_depths=depths,
-        selection_mode=selection_mode,
     )
 
 
@@ -369,21 +370,6 @@ def mixed_view(weights: SupernetWeights, path_index: int) -> GeneratorView:
         weights=weights,
         path_index=path_index,
         operator_assignment=None,
-        channel_widths=tuple(spec.max_width for _ in path.layers),
-        recursion_depths=tuple(layer.recursion_choices[-1] for layer in path.layers),
-    )
-
-
-def single_operator_view(
-    weights: SupernetWeights, path_index: int, operator_assignment: tuple[int, ...]
-) -> GeneratorView:
-    """One operator per layer, maximal widths and depths; used in training."""
-    spec = weights.spec
-    path = spec.paths[path_index]
-    return GeneratorView(
-        weights=weights,
-        path_index=path_index,
-        operator_assignment=tuple(operator_assignment),
         channel_widths=tuple(spec.max_width for _ in path.layers),
         recursion_depths=tuple(layer.recursion_choices[-1] for layer in path.layers),
     )

@@ -15,14 +15,17 @@ All landscape rules produce strictly positive fitness, which keeps
 from __future__ import annotations
 
 import itertools
-import threading
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import trainer
 from .configs import default_toy_spec, evolution_bench_spec
 from .costs import CostReport, genome_cost, satisfies_constraints
-from .errors import ConfigError, InfeasibleError
+from .engine import Tensor
+from .errors import ConfigError, InfeasibleError, InvariantError
+from .network import mixed_view
 from .space import (
     ArchitectureGenome,
     SupernetSpec,
@@ -48,15 +51,15 @@ class FitnessOracle:
 
     ``genome_evaluations`` counts distinct genomes actually scored;
     ``path_evaluations`` counts distinct path-level scores.  Lookups that
-    hit the cache are free.  Thread-safe for the bounded parallelism of
-    stage evaluation.
+    hit the cache are free.  A non-finite score raises ``InvariantError``
+    before it is cached, so no stage ever ranks a NaN.  Not thread-safe:
+    the caches are plain dictionaries.
     """
 
     def __init__(self, spec: SupernetSpec):
         self.spec = spec
         self._genome_cache: dict[str, OracleResult] = {}
         self._path_cache: dict[int, float] = {}
-        self._lock = threading.Lock()
         self.lookups = 0
 
     @property
@@ -69,36 +72,28 @@ class FitnessOracle:
 
     def cached(self, genome: ArchitectureGenome) -> bool:
         """Whether ``evaluate`` would be a free cache hit."""
-        with self._lock:
-            return genome.to_record() in self._genome_cache
+        return genome.to_record() in self._genome_cache
 
     def cache_snapshot(self) -> list[tuple[str, OracleResult]]:
         """Cached (record, result) pairs in first-evaluation order."""
-        with self._lock:
-            return list(self._genome_cache.items())
+        return list(self._genome_cache.items())
 
     def evaluate(self, genome: ArchitectureGenome) -> OracleResult:
         key = genome.to_record()
-        with self._lock:
-            self.lookups += 1
-            hit = self._genome_cache.get(key)
-        if hit is not None:
-            return hit
-        result = OracleResult(
-            fitness=float(self._fitness(genome)), cost=self.cost(genome)
-        )
-        with self._lock:
-            self._genome_cache.setdefault(key, result)
-            return self._genome_cache[key]
+        self.lookups += 1
+        hit = self._genome_cache.get(key)
+        if hit is None:
+            fitness = _require_finite(self._fitness(genome), f"genome {key}")
+            hit = OracleResult(fitness=fitness, cost=self.cost(genome))
+            self._genome_cache[key] = hit
+        return hit
 
     def path_score(self, path_index: int) -> float:
-        with self._lock:
-            if path_index in self._path_cache:
-                return self._path_cache[path_index]
-        value = float(self._path_fitness(path_index))
-        with self._lock:
-            self._path_cache.setdefault(path_index, value)
-            return self._path_cache[path_index]
+        if path_index not in self._path_cache:
+            self._path_cache[path_index] = _require_finite(
+                self._path_fitness(path_index), f"path {path_index}"
+            )
+        return self._path_cache[path_index]
 
     def cost(self, genome: ArchitectureGenome) -> CostReport:
         return genome_cost(self.spec, genome)
@@ -108,6 +103,13 @@ class FitnessOracle:
 
     def _path_fitness(self, path_index: int) -> float:
         raise NotImplementedError
+
+
+def _require_finite(value: float, what: str) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise InvariantError(f"non-finite fitness {value!r} for {what}")
+    return value
 
 
 @dataclass
@@ -237,50 +239,32 @@ class TabularOracle(FitnessOracle):
             ) from None
 
     def _path_fitness(self, path_index: int) -> float:
-        spec = self.spec
-        path = spec.paths[path_index]
-        template = maximal_genome(spec, path_index)
-        values = []
-        for ops in itertools.product(
-            *(range(layer.num_operators) for layer in path.layers)
-        ):
-            g = ArchitectureGenome(
-                path_index, tuple(ops), template.channel_assignment,
-                template.recursion_assignment,
-            )
-            values.append(self.landscape.table[g.to_record()])
+        path = self.spec.paths[path_index]
+        widest = maximal_genome(self.spec, path_index)
+        values = [
+            self.landscape.table[replace(widest, operator_assignment=ops).to_record()]
+            for ops in itertools.product(*(range(layer.num_operators) for layer in path.layers))
+        ]
         return float(np.mean(values))
 
 
 class GanOracle(FitnessOracle):
     """Oracle over a pretrained supernet: weight-inherited evaluation."""
 
-    def __init__(self, weights, dataset, selection_mode: str = "top_k"):
+    def __init__(self, weights, dataset):
         super().__init__(weights.spec)
         self.weights = weights
         self.dataset = dataset
-        self.selection_mode = selection_mode
 
+    # ``trainer`` functions are looked up on the module at call time, so a
+    # wrapper installed on ``trainer`` (as the benchmark's tracer does)
+    # sees these calls.
     def _fitness(self, genome: ArchitectureGenome) -> float:
-        from .trainer import evaluate_genome
-
-        return evaluate_genome(
-            self.weights, genome, self.dataset, selection_mode=self.selection_mode
-        )
+        return trainer.evaluate_genome(self.weights, genome, self.dataset)
 
     def _path_fitness(self, path_index: int) -> float:
-        from .engine import Tensor
-        from .network import mixed_view
-        from .trainer import score_outputs
-
-        view = mixed_view(self.weights, path_index)
-        out = view(Tensor(self.dataset.val_x)).data
-        return score_outputs(out, self.dataset)
-
-
-def gan_fitness_adapter(weights, dataset, selection_mode: str = "top_k") -> GanOracle:
-    """Uniform oracle interface over a pretrained supernet."""
-    return GanOracle(weights, dataset, selection_mode=selection_mode)
+        out = mixed_view(self.weights, path_index)(Tensor(self.dataset.val_x)).data
+        return trainer.score_outputs(out, self.dataset)
 
 
 # -- exhaustive reference search --------------------------------------------

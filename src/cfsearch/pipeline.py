@@ -15,7 +15,7 @@ the quality yardstick and as the denominator of the cost comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -132,18 +132,13 @@ def search_operators(
             raise ConfigError("sampled operator search needs a random generator")
         specializations = sample_specializations(m, layers, sample_count, rng)
         sampled = True
-    template = maximal_genome(spec, path_index)
+    widest = maximal_genome(spec, path_index)
     records = []
     best_ops: tuple[int, ...] | None = None
     best_fitness = -np.inf
     for members in specializations:
         for assignment in members:
-            genome = ArchitectureGenome(
-                path_index,
-                assignment,
-                template.channel_assignment,
-                template.recursion_assignment,
-            )
+            genome = replace(widest, operator_assignment=assignment)
             result = oracle.evaluate(genome)
             records.append(
                 StageRecord(
@@ -187,13 +182,7 @@ def run_search(
     best_ops, op_records, sampled = search_operators(
         oracle, chosen_path, sample_count=operator_sample, rng=rng
     )
-    template = maximal_genome(oracle.spec, chosen_path)
-    g_optr = ArchitectureGenome(
-        chosen_path,
-        best_ops,
-        template.channel_assignment,
-        template.recursion_assignment,
-    )
+    g_optr = replace(maximal_genome(oracle.spec, chosen_path), operator_assignment=best_ops)
     trace.operator_records = tuple(op_records)
     trace.g_optr = g_optr.to_record()
     trace.oracle_calls[STAGE_OPERATOR] = len(op_records)
@@ -239,6 +228,22 @@ class PipelineResult:
     final_fitness: float
 
 
+def prepare(config: dict) -> tuple[SupernetSpec, ToyDataset, TrainConfig]:
+    """The search space, the seeded dataset and the training settings."""
+    spec = spec_from_dict(config["space"])
+    dataset = make_dataset(
+        config["task"],
+        int(config["dataset"]["samples"]),
+        float(config["dataset"]["val_fraction"]),
+        child_seed(int(config["seed"]), "dataset"),
+    )
+    try:
+        train_cfg = TrainConfig(**config["train"])
+    except TypeError as exc:
+        raise ConfigError(f"bad train section: {exc}") from None
+    return spec, dataset, train_cfg
+
+
 def run_pipeline(config: dict) -> PipelineResult:
     """Pretrain fairly, search coarse-to-fine, fine-tune the winner.
 
@@ -248,17 +253,7 @@ def run_pipeline(config: dict) -> PipelineResult:
     pretrained supernet survives unmodified for later inspection.
     """
     seed = int(config["seed"])
-    spec = spec_from_dict(config["space"])
-    dataset = make_dataset(
-        config["task"],
-        int(config["dataset"]["samples"]),
-        float(config["dataset"]["val_fraction"]),
-        child_seed(seed, "dataset"),
-    )
-    try:
-        train_cfg = TrainConfig(**config["train"])
-    except TypeError as exc:
-        raise ConfigError(f"bad train section: {exc}") from None
+    spec, dataset, train_cfg = prepare(config)
     pretrain = pretrain_supernet(spec, dataset, train_cfg, child_seed(seed, "pretrain"))
 
     oracle = GanOracle(pretrain.weights, dataset)

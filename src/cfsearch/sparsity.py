@@ -16,7 +16,7 @@ than a tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -105,31 +105,16 @@ def prox_step(bank: ScaleFactorBank, grads: Sequence[np.ndarray], t: int) -> Non
         gamma.data = np.asarray(prox_l1(inner, threshold), dtype=np.float64)
 
 
-def active_channel_mask(
-    gamma: np.ndarray, width: int, mode: str = "top_k", pool: np.ndarray | None = None
-) -> np.ndarray:
+def active_channel_mask(gamma: np.ndarray, width: int) -> np.ndarray:
     """Indicator of the channels a width-``width`` subnet keeps.
 
-    ``top_k`` (default): keep the ``width`` channels with largest |gamma|,
-    ties to the lowest index.  ``global_percentile``: keep channels whose
-    |gamma| clears the value at the matching percentile of ``pool`` (all
-    factors of the path); the per-layer count may then drift from
-    ``width``, which is the documented trade of that mode.
+    Keeps the ``width`` channels with largest |gamma|, ties to the lowest
+    index.
     """
     size = gamma.size
     if not 1 <= width <= size:
         raise ValueError(f"width {width} outside [1, {size}]")
-    if mode == "top_k":
-        order = np.argsort(-np.abs(gamma), kind="stable")
-        mask = np.zeros(size, dtype=np.float64)
-        mask[order[:width]] = 1.0
-        return mask
-    if mode == "global_percentile":
-        reference = np.abs(pool if pool is not None else gamma)
-        keep_fraction = width / size
-        cutoff = float(np.quantile(reference, 1.0 - keep_fraction))
-        mask = (np.abs(gamma) >= cutoff).astype(np.float64)
-        if not mask.any():
-            mask[int(np.argmax(np.abs(gamma)))] = 1.0
-        return mask
-    raise ValueError(f"unknown channel selection mode {mode!r}")
+    order = np.argsort(-np.abs(gamma), kind="stable")
+    mask = np.zeros(size, dtype=np.float64)
+    mask[order[:width]] = 1.0
+    return mask

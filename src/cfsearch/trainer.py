@@ -27,14 +27,8 @@ from .engine import Tensor, absolute, mean_all, softplus, square
 from .errors import ConfigError, NonFiniteLossError, ShapeError
 from .fairness import FairnessLedger, plan_epoch
 from .metrics import frechet_moment_distance, psnr
-from .network import (
-    DiscriminatorView,
-    SupernetWeights,
-    mixed_view,
-    single_operator_view,
-    subnet_view,
-)
-from .space import ArchitectureGenome, SupernetSpec
+from .network import DiscriminatorView, SupernetWeights, mixed_view, subnet_view
+from .space import ArchitectureGenome, SupernetSpec, maximal_genome
 from .sparsity import ScaleFactorBank, prox_step
 from .util import child_seed
 
@@ -321,14 +315,16 @@ def pretrain_supernet(
             bank = banks[p]
 
             # Accumulate generator gradients over one operator per layer
-            # per sub-network, covering every candidate exactly once.
+            # per sub-network, covering every candidate exactly once; each
+            # sub-network runs at maximal widths and depths.
             weights.zero_grad("g/")
             component_sums: dict[str, float] = {}
+            widest = maximal_genome(spec, p)
             for m in range(path.num_operators):
                 assignment = tuple(
                     plan.operator_orders[p][l][m] for l in range(path.num_layers)
                 )
-                gen = single_operator_view(weights, p, assignment)
+                gen = subnet_view(weights, replace(widest, operator_assignment=assignment))
                 out = gen(x)
                 bundle = total_loss(out, y, disc(out), bank, cfg)
                 _check_finite(
@@ -409,13 +405,10 @@ def score_outputs(out: np.ndarray, dataset: ToyDataset) -> float:
 
 
 def evaluate_genome(
-    weights: SupernetWeights,
-    genome: ArchitectureGenome,
-    dataset: ToyDataset,
-    selection_mode: str = "top_k",
+    weights: SupernetWeights, genome: ArchitectureGenome, dataset: ToyDataset
 ) -> float:
     """Fitness of a genome with inherited weights; inference only."""
-    gen = subnet_view(weights, genome, selection_mode=selection_mode)
+    gen = subnet_view(weights, genome)
     out = gen(Tensor(dataset.val_x)).data
     return score_outputs(out, dataset)
 

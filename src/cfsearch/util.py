@@ -1,18 +1,10 @@
-"""Small shared helpers: seed fan-out, RNG coercion, bounded parallelism."""
+"""Small shared helpers: seed fan-out, RNG coercion, float and file formats."""
 
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
-
-T = TypeVar("T")
-U = TypeVar("U")
-
-THREADS_ENV_VAR = "CFSEARCH_THREADS"
 
 
 def child_seed(root_seed: int, tag: str) -> int:
@@ -34,39 +26,6 @@ def as_rng(seed_or_rng: int | np.random.Generator | None) -> np.random.Generator
     if seed_or_rng is None:
         return np.random.default_rng()
     return np.random.default_rng(int(seed_or_rng))
-
-
-def thread_count() -> int:
-    """Evaluation parallelism cap, from the environment (default 1).
-
-    Invalid or non-positive values fall back to 1 rather than erroring:
-    the variable is an operational knob, not part of any result.
-    """
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def ordered_map(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
-    """Map ``fn`` over ``items``, preserving order.
-
-    Runs on a thread pool when the environment allows more than one
-    worker.  ``fn`` must be pure with respect to the result so that the
-    parallel and serial schedules agree element for element.
-    """
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def stable_choice(rng: np.random.Generator, options: Sequence[T]) -> T:
-    """Pick one element uniformly; explicit helper to keep call sites terse."""
-    return options[int(rng.integers(0, len(options)))]
 
 
 def format_float(x: float) -> str:

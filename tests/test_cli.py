@@ -2,12 +2,16 @@
 
 import json
 
+import numpy as np
 import pytest
 import yaml
 
 from cfsearch.cli import load_config, main
-from cfsearch.configs import default_config
+from cfsearch.configs import default_config, default_toy_spec
 from cfsearch.errors import ConfigError
+from cfsearch.fairness import FairnessLedger, plan_epoch, record_fair_epoch
+from cfsearch.network import SupernetWeights
+from cfsearch.space import spec_from_dict
 
 
 FAST_OVERLAY = {
@@ -203,3 +207,70 @@ def test_baseline_joint_prints_ratio(tmp_path, capsys):
 def test_no_subcommand_is_a_usage_error(capsys):
     code = main([])
     assert code == 2
+
+
+@pytest.fixture(scope="module")
+def pretrained(tmp_path_factory):
+    """(config path, checkpoint path) of one fast pretraining run."""
+    root = tmp_path_factory.mktemp("pretrained")
+    config = write_config(root)
+    assert main(["pretrain", "--config", config, "--out", str(root / "run")]) == 0
+    return config, root / "run" / "checkpoint.bin"
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [lambda b: b[:10], lambda b: b[:200], lambda b: b[:-8], lambda b: b + bytes(8)],
+    ids=["header", "table", "data", "trailing"],
+)
+def test_corrupt_checkpoint_exits_2(pretrained, tmp_path, capsys, cut):
+    config, checkpoint = pretrained
+    broken = tmp_path / "broken.bin"
+    broken.write_bytes(cut(checkpoint.read_bytes()))
+    assert main(["search-path", "--config", config, "--checkpoint", str(broken)]) == 2
+    assert f"checkpoint {broken}" in capsys.readouterr().err
+
+
+def test_missing_checkpoint_exits_2(tmp_path, capsys):
+    config, missing = write_config(tmp_path), tmp_path / "missing.bin"
+    assert main(["search-path", "--config", config, "--checkpoint", str(missing)]) == 2
+    assert f"cannot load checkpoint {missing}" in capsys.readouterr().err
+
+
+def test_non_finite_fitness_exits_4(pretrained, tmp_path, capsys):
+    config, checkpoint = pretrained
+    weights = SupernetWeights.load(spec_from_dict(load_config(config)["space"]), str(checkpoint))
+    weights["g/p0/head/w"].data[...] = np.nan
+    poisoned = tmp_path / "nan.bin"
+    weights.save(str(poisoned))
+    for command in ("search-path", "shrink"):
+        assert main([command, "--config", config, "--checkpoint", str(poisoned)]) == 4
+        captured = capsys.readouterr()
+        assert "non-finite fitness nan for path 0" in captured.err
+        assert "chosen" not in captured.out
+
+
+def test_verify_fairness_checks_the_whole_identity(tmp_path, capsys):
+    spec = default_toy_spec()
+    ledger = FairnessLedger.for_spec(spec)
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        record_fair_epoch(ledger, plan_epoch(spec, rng))
+    good = tmp_path / "good.txt"
+    good.write_text(ledger.dump())
+    assert main(["verify-fairness", str(good)]) == 0
+    assert "fair after 30 epochs" in capsys.readouterr().out
+
+    no_ops = tmp_path / "no_ops.txt"
+    no_ops.write_text(
+        "".join(f"{line}\n" for line in ledger.dump().splitlines() if not line.startswith("op "))
+    )
+    assert main(["verify-fairness", str(no_ops)]) == 4
+    assert "violation: path 0: no operator rows" in capsys.readouterr().out
+
+    for counts in ledger.operator_counts:
+        counts += 2
+    mismatch = tmp_path / "mismatch.txt"
+    mismatch.write_text(ledger.dump())
+    assert main(["verify-fairness", str(mismatch)]) == 4
+    assert "!= generator updates 30" in capsys.readouterr().out

@@ -73,6 +73,24 @@ def test_violation_messages_name_the_site():
     assert any("path 1 layer 0" in msg for msg in ledger.violations())
 
 
+def test_path_counts_must_agree_with_each_other_and_trials():
+    spec = build_spec(n_paths=2, n_layers=1, n_operators=2)
+    ledger = FairnessLedger.for_spec(spec)
+    record_fair_epoch(ledger, plan_epoch(spec, np.random.default_rng(0)))
+    assert ledger.is_fair()
+    ledger.operator_counts[1] += 1
+    ledger.generator_counts[1] += 1
+    ledger.discriminator_counts[1] += 1
+    problems = ledger.violations()
+    assert "generator updates differ across paths: [1, 2]" in problems
+    assert "generator updates sum to 3, not trials 2" in problems
+
+
+def test_ledger_load_rejects_orphan_operator_rows():
+    with pytest.raises(LedgerFormatError, match="paths \\[1\\]"):
+        FairnessLedger.load("trials 1\nop 0 0 0 1\nop 1 0 0 1\npath 0 1 1\n")
+
+
 def test_ledger_dump_load_round_trip():
     spec = build_spec(n_paths=2, n_layers=2, n_operators=2)
     ledger = FairnessLedger.for_spec(spec)

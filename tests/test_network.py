@@ -11,7 +11,6 @@ from cfsearch.network import (
     SupernetWeights,
     _group_mask,
     mixed_view,
-    single_operator_view,
     subnet_view,
 )
 from cfsearch.space import ArchitectureGenome, maximal_genome
@@ -161,7 +160,7 @@ def test_mixture_averages_single_operator_outputs():
     spec, weights = small_weights(n_operators=1)
     x = Tensor(np.random.default_rng(2).normal(size=(4, 1, 4)))
     mixture = mixed_view(weights, 0)(x)
-    single = single_operator_view(weights, 0, (0, 0))(x)
+    single = subnet_view(weights, maximal_genome(spec, 0))(x)
     assert np.array_equal(mixture.data, single.data)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cfsearch.configs import default_toy_spec, evolution_bench_spec
-from cfsearch.errors import ConfigError, InfeasibleError
+from cfsearch.errors import ConfigError, InfeasibleError, InvariantError
 from cfsearch.oracles import (
     LANDSCAPE_RULES,
     SHIPPED_LANDSCAPE_SEEDS,
@@ -217,3 +217,16 @@ def test_gan_oracle_agrees_with_direct_evaluation():
     assert oracle.genome_evaluations == 1
     assert oracle.path_score(0) == oracle.path_score(0)
     assert oracle.path_evaluations == 1
+
+
+def test_non_finite_fitness_is_rejected_before_caching():
+    landscape = build_landscape(landscape_spec(), "separable", seed=0)
+    genome = maximal_genome(landscape.spec, 0)
+    landscape.table[genome.to_record()] = float("nan")
+    oracle = TabularOracle(landscape)
+    with pytest.raises(InvariantError, match=f"genome {genome.to_record()}"):
+        oracle.evaluate(genome)
+    assert oracle.genome_evaluations == 0
+    with pytest.raises(InvariantError, match="path 0"):
+        oracle.path_score(0)
+    assert oracle.path_evaluations == 0

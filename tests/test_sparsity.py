@@ -121,11 +121,3 @@ def test_mask_width_bounds():
     with pytest.raises(ValueError):
         active_channel_mask(gamma, width=3)
     assert np.array_equal(active_channel_mask(gamma, width=2), [1, 1])
-
-
-def test_global_percentile_mask_uses_pool():
-    gamma = np.array([0.9, 0.8, 0.1, 0.05])
-    pool = np.concatenate([gamma, np.array([0.7, 0.6, 0.2, 0.15])])
-    mask = active_channel_mask(gamma, width=2, mode="global_percentile", pool=pool)
-    # Cutoff at the pool's 50th percentile keeps the two large factors.
-    assert np.array_equal(mask, [1, 1, 0, 0])
