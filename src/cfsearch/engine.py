@@ -107,9 +107,9 @@ class Tensor:
             if g is None:
                 continue
             if node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
+                # Backward closures may hand one array to several parents,
+                # so gradients are never accumulated in place.
+                node.grad = g.copy() if node.grad is None else node.grad + g
             if node._backward is None:
                 continue
             parent_grads = node._backward(g)
@@ -117,7 +117,7 @@ class Tensor:
                 if pg is None or not parent.requires_grad:
                     continue
                 if id(parent) in grads:
-                    grads[id(parent)] += pg
+                    grads[id(parent)] = grads[id(parent)] + pg
                 else:
                     grads[id(parent)] = pg
 

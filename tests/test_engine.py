@@ -162,6 +162,17 @@ def test_gradients_accumulate_until_cleared():
     assert x.grad is None
 
 
+def test_shared_inputs_get_independent_gradients():
+    # ``+`` hands one gradient array to both parents; accumulating into it
+    # in place once changed the gradient the other parent still had to read.
+    x = leaf((3,), 25)
+    y = leaf((3,), 26)
+    sum_all(((x + y) + x) + y).backward()
+    assert np.array_equal(x.grad, np.full(3, 2.0))
+    assert np.array_equal(y.grad, np.full(3, 2.0))
+    assert_grads_match(lambda: sum_all(square(((x + y) + x) + y)), [x, y])
+
+
 def test_detach_blocks_gradient():
     x = leaf((4,), 20)
     frozen = x.detach()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cfsearch.configs import default_toy_spec
-from cfsearch.engine import Tensor
+from cfsearch.engine import Tensor, finite_difference_gradient, mean_all, square
 from cfsearch.errors import ConfigError, ShapeError
 from cfsearch.network import (
     DiscriminatorView,
@@ -13,7 +13,7 @@ from cfsearch.network import (
     mixed_view,
     subnet_view,
 )
-from cfsearch.space import ArchitectureGenome, maximal_genome
+from cfsearch.space import ArchitectureGenome, maximal_genome, spec_from_dict
 
 from conftest import build_spec
 
@@ -190,3 +190,51 @@ def test_default_spec_views_run():
         assert np.all(np.isfinite(out.data))
         top = maximal_genome(spec, p)
         assert subnet_view(weights, top)(x).shape == (3, 2, 1)
+
+
+def assert_view_grads_match(weights, view, names, seed):
+    rng = np.random.default_rng(seed)
+    spec = weights.spec
+    shape = (3, spec.input_channels, spec.input_sites)
+    x = Tensor(rng.normal(size=shape))
+    y = Tensor(rng.normal(size=shape))
+
+    def loss():
+        return mean_all(square(view(x) - y))
+
+    weights.zero_grad("")
+    loss().backward()
+    for name in names:
+        tensor = weights[name]
+        fd = finite_difference_gradient(lambda: loss().item(), tensor)
+        scale = np.maximum(np.maximum(np.abs(tensor.grad), np.abs(fd)), 1.0)
+        worst = float((np.abs(tensor.grad - fd) / scale).max())
+        assert worst < 1e-6, f"{name}: gradient mismatch {worst:.3e}"
+
+
+def test_mixture_of_two_residual_blocks_has_exact_gradients():
+    # Both candidates add their own skip onto the same layer input.
+    spec = spec_from_dict(
+        {
+            "input_channels": 2,
+            "input_sites": 1,
+            "channel_choices": [2, 4],
+            "paths": [
+                {
+                    "resolution_schedule": [1, 1],
+                    "operators": [["shrink_res_block", "context_res_block"]] * 2,
+                }
+            ],
+        }
+    )
+    weights = SupernetWeights.create(spec, 11)
+    names = ["g/p0/stem/w", "g/p0/l0/gamma", "g/p0/l0/op0/u0/w", "g/p0/l1/op1/u1/w"]
+    assert_view_grads_match(weights, mixed_view(weights, 0), names, 12)
+
+
+def test_recursed_res_block_has_exact_gradients():
+    spec, weights = small_weights(seed=13, n_layers=1, recursions=(1, 2))
+    genome = ArchitectureGenome(0, (1,), (1,), (1,))
+    assert subnet_view(weights, genome).recursion_depths == (2,)
+    names = ["g/p0/stem/w", "g/p0/l0/gamma", "g/p0/l0/op1/u0/w", "g/p0/l0/op1/u1/w"]
+    assert_view_grads_match(weights, subnet_view(weights, genome), names, 14)
