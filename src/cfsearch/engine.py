@@ -2,14 +2,18 @@
 
 A ``Tensor`` wraps a numpy array; operations record a backward closure
 and their parents, and ``Tensor.backward()`` walks the graph in reverse
-topological order.  Gradients accumulate: a second backward pass, or a
-second use of the same tensor, adds into ``grad`` rather than replacing
-it, which is what the gradient-accumulation step of supernet training
-relies on.  Call ``zero_grad`` to reset.
+topological order.  Only leaves (tensors without a backward closure, such
+as weights) keep ``grad``; intermediate gradients are dropped once they
+have been passed on.  Gradients accumulate: a second backward pass, or a
+second use of the same tensor, adds into a leaf's ``grad`` rather than
+replacing it, which is what the gradient-accumulation step of supernet
+training relies on.  Call ``zero_grad`` to reset.
 
 Only the operations the toy networks need are implemented.  Everything
 is float64 and single-threaded per evaluation, so identical inputs give
-bit-identical outputs.
+bit-identical outputs within one numpy build and one version of this
+code.  Across numpy builds, or after a change to the order of the
+arithmetic here, results agree only to rounding.
 """
 
 from __future__ import annotations
@@ -106,20 +110,16 @@ class Tensor:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
-                # Backward closures may hand one array to several parents,
-                # so gradients are never accumulated in place.
-                node.grad = g.copy() if node.grad is None else node.grad + g
+            # Backward closures may hand one array to several parents, so
+            # gradients are never accumulated in place.
             if node._backward is None:
+                node.grad = g.copy() if node.grad is None else node.grad + g
                 continue
-            parent_grads = node._backward(g)
-            for parent, pg in zip(node._parents, parent_grads):
+            for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
                     continue
-                if id(parent) in grads:
-                    grads[id(parent)] = grads[id(parent)] + pg
-                else:
-                    grads[id(parent)] = pg
+                key = id(parent)
+                grads[key] = grads[key] + pg if key in grads else pg
 
     # -- arithmetic --------------------------------------------------------
 
@@ -234,11 +234,30 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
     )
 
 
+def _side_taps(kernel: int, sites: int) -> list[tuple[int, slice, slice]]:
+    """(tap, output sites, input sites) of every off-centre tap that sees data.
+
+    Tap ``k`` reads input site ``s + k - kernel // 2`` for output site ``s``;
+    a tap that reads only zero padding is left out.  The centre tap covers
+    every site and is not listed.
+    """
+    pad = kernel // 2
+    taps = []
+    for k in range(kernel):
+        shift = k - pad
+        if shift != 0 and abs(shift) < sites:
+            out = slice(max(0, -shift), sites - max(0, shift))
+            inp = slice(max(0, shift), sites + min(0, shift))
+            taps.append((k, out, inp))
+    return taps
+
+
 def conv1d(x: Tensor, w: Tensor) -> Tensor:
     """Same-length 1-D convolution.
 
     ``x`` is (batch, c_in, sites); ``w`` is (c_out, c_in, k) with odd k.
-    Input is zero padded by k // 2 on both sides.
+    Input is zero padded by k // 2 on both sides.  Each tap that sees data
+    is one matmul into the output.
     """
     kernel = w.data.shape[2]
     if kernel % 2 != 1:
@@ -248,18 +267,18 @@ def conv1d(x: Tensor, w: Tensor) -> Tensor:
             f"conv1d shape mismatch: input {x.data.shape} vs weight {w.data.shape}"
         )
     pad = kernel // 2
-    sites = x.data.shape[2]
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=2)
-    y = np.einsum("oik,bisk->bos", w.data, win, optimize=True)
+    taps = _side_taps(kernel, x.data.shape[2])
+    y = w.data[:, :, pad] @ x.data
+    for k, out, inp in taps:
+        y[:, :, out] += w.data[:, :, k] @ x.data[:, :, inp]
 
     def backward(g: Array):
-        gw = np.einsum("bos,bisk->oik", g, win, optimize=True)
-        spread = np.einsum("bos,oik->bisk", g, w.data, optimize=True)
-        gxp = np.zeros_like(xp)
-        for k in range(kernel):
-            gxp[:, :, k : k + sites] += spread[:, :, :, k]
-        gx = gxp[:, :, pad : pad + sites] if pad else gxp
+        gw = np.zeros_like(w.data)
+        gw[:, :, pad] = np.tensordot(g, x.data, axes=([0, 2], [0, 2]))
+        gx = w.data[:, :, pad].T @ g
+        for k, out, inp in taps:
+            gw[:, :, k] = np.tensordot(g[:, :, out], x.data[:, :, inp], axes=([0, 2], [0, 2]))
+            gx[:, :, inp] += w.data[:, :, k].T @ g[:, :, out]
         return gx, gw
 
     return Tensor._make(y, (x, w), backward)
@@ -275,18 +294,19 @@ def dwconv1d(x: Tensor, w: Tensor) -> Tensor:
             f"dwconv1d shape mismatch: input {x.data.shape} vs weight {w.data.shape}"
         )
     pad = kernel // 2
-    sites = x.data.shape[2]
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=2)
-    y = np.einsum("ck,bcsk->bcs", w.data, win, optimize=True)
+    taps = _side_taps(kernel, x.data.shape[2])
+    wk = w.data[:, :, None]  # (channels, k, 1): tap k broadcasts over sites
+    y = x.data * wk[:, pad]
+    for k, out, inp in taps:
+        y[:, :, out] += x.data[:, :, inp] * wk[:, k]
 
     def backward(g: Array):
-        gw = np.einsum("bcs,bcsk->ck", g, win, optimize=True)
-        spread = g[:, :, :, None] * w.data[None, :, None, :]
-        gxp = np.zeros_like(xp)
-        for k in range(kernel):
-            gxp[:, :, k : k + sites] += spread[:, :, :, k]
-        gx = gxp[:, :, pad : pad + sites] if pad else gxp
+        gw = np.zeros_like(w.data)
+        gw[:, pad] = (g * x.data).sum(axis=(0, 2))
+        gx = g * wk[:, pad]
+        for k, out, inp in taps:
+            gw[:, k] = (g[:, :, out] * x.data[:, :, inp]).sum(axis=(0, 2))
+            gx[:, :, inp] += g[:, :, out] * wk[:, k]
         return gx, gw
 
     return Tensor._make(y, (x, w), backward)

@@ -60,6 +60,7 @@ class FitnessOracle:
         self.spec = spec
         self._genome_cache: dict[str, OracleResult] = {}
         self._path_cache: dict[int, float] = {}
+        self._cost_cache: dict[str, CostReport] = {}
         self.lookups = 0
 
     @property
@@ -96,7 +97,16 @@ class FitnessOracle:
         return self._path_cache[path_index]
 
     def cost(self, genome: ArchitectureGenome) -> CostReport:
-        return genome_cost(self.spec, genome)
+        """``genome_cost``, memoized by genome record.
+
+        Only reports are cached, so an invalid genome raises ``GenomeError``
+        on every call.
+        """
+        key = genome.to_record()
+        report = self._cost_cache.get(key)
+        if report is None:
+            report = self._cost_cache[key] = genome_cost(self.spec, genome)
+        return report
 
     def _fitness(self, genome: ArchitectureGenome) -> float:
         raise NotImplementedError

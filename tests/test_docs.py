@@ -4,7 +4,11 @@ import argparse
 import pathlib
 import re
 
+import pytest
+
 from cfsearch import cli
+from cfsearch.configs import default_config
+from cfsearch.pipeline import run_pipeline
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -32,3 +36,16 @@ def test_readme_environment_variables_are_read_by_the_code():
     )
     for name in set(re.findall(r"\bCFSEARCH_[A-Z0-9_]+", README)):
         assert f'"{name}"' in source, name
+
+
+def test_readme_run_all_sample_is_what_a_default_run_prints():
+    sample = re.search(r"^\$ cfsearch run-all --out run/\n(.*?)^```", README, re.M | re.S)
+    shown = dict(line.split(": ", 1) for line in sample.group(1).splitlines() if ": " in line)
+    result = run_pipeline(default_config())
+    assert shown["chosen path"] == str(result.trace.chosen_path)
+    assert shown["operators"] == str(result.trace.g_optr)
+    assert shown["genome"] == result.genome.to_record()
+    assert shown["oracle calls"] == str(result.trace.total_oracle_calls)
+    # Fitness may move in the last digits with the numpy build.
+    assert float(shown["searched fitness"]) == pytest.approx(result.searched_fitness, rel=1e-9)
+    assert float(shown["fine-tuned fitness"]) == pytest.approx(result.final_fitness, rel=1e-9)

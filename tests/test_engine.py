@@ -76,9 +76,43 @@ def test_mean_axis_gradients():
     assert_grads_match(lambda: sum_all(square(mean_axis(x, axis=1))), [x])
 
 
-def test_conv1d_gradients():
-    x = leaf((2, 3, 6), 8)
-    w = leaf((4, 3, 3), 9, scale=0.5)
+# (sites, kernel): one site, taps that reach no site, several live taps, k = 1.
+CONV_SHAPES = [(1, 3), (2, 5), (4, 3), (6, 1)]
+
+
+def padded(x, pad):
+    out = np.zeros(x.shape[:2] + (x.shape[2] + 2 * pad,))
+    out[:, :, pad : pad + x.shape[2]] = x
+    return out
+
+
+def conv1d_reference(x, w):
+    """Zero-pad, then sum every tap at every output site."""
+    kernel = w.shape[2]
+    xp = padded(x, kernel // 2)
+    y = np.zeros((x.shape[0], w.shape[0], x.shape[2]))
+    for s in range(x.shape[2]):
+        for k in range(kernel):
+            y[:, :, s] += xp[:, :, s + k] @ w[:, :, k].T
+    return y
+
+
+def dwconv1d_reference(x, w):
+    kernel = w.shape[1]
+    xp = padded(x, kernel // 2)
+    y = np.zeros(x.shape)
+    for s in range(x.shape[2]):
+        for k in range(kernel):
+            y[:, :, s] += xp[:, :, s + k] * w[:, k]
+    return y
+
+
+@pytest.mark.parametrize("sites, kernel", CONV_SHAPES)
+def test_conv1d_gradients(sites, kernel):
+    x = leaf((2, 3, sites), 8)
+    w = leaf((4, 3, kernel), 9, scale=0.5)
+    expected = conv1d_reference(x.data, w.data)
+    assert np.allclose(conv1d(x, w).data, expected, rtol=1e-12, atol=1e-12)
     assert_grads_match(lambda: mean_all(square(conv1d(x, w))), [x, w])
 
 
@@ -90,9 +124,12 @@ def test_conv1d_single_site():
     assert_grads_match(lambda: sum_all(square(conv1d(x, w))), [x, w])
 
 
-def test_dwconv1d_gradients():
-    x = leaf((2, 4, 5), 12)
-    w = leaf((4, 3), 13, scale=0.5)
+@pytest.mark.parametrize("sites, kernel", CONV_SHAPES)
+def test_dwconv1d_gradients(sites, kernel):
+    x = leaf((2, 4, sites), 12)
+    w = leaf((4, kernel), 13, scale=0.5)
+    expected = dwconv1d_reference(x.data, w.data)
+    assert np.allclose(dwconv1d(x, w).data, expected, rtol=1e-12, atol=1e-12)
     assert_grads_match(lambda: mean_all(square(dwconv1d(x, w))), [x, w])
 
 

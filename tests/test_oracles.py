@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cfsearch.configs import default_toy_spec, evolution_bench_spec
-from cfsearch.errors import ConfigError, InfeasibleError, InvariantError
+from cfsearch import oracles
+from cfsearch.errors import ConfigError, GenomeError, InfeasibleError, InvariantError
 from cfsearch.oracles import (
     LANDSCAPE_RULES,
     SHIPPED_LANDSCAPE_SEEDS,
@@ -122,6 +123,29 @@ def test_oracle_cost_matches_cost_module():
     g = maximal_genome(spec, 0)
     assert oracle.cost(g).params == genome_cost(spec, g).params
     assert oracle.evaluate(g).cost.flops == genome_cost(spec, g).flops
+
+
+def test_oracle_cost_is_memoized_for_valid_genomes_only(monkeypatch):
+    spec = landscape_spec()
+    oracle = TabularOracle(build_landscape(spec, "separable", seed=1))
+    calls = []
+    real_cost = oracles.genome_cost
+
+    def counting_cost(spec, genome):
+        calls.append(genome.to_record())
+        return real_cost(spec, genome)
+
+    monkeypatch.setattr(oracles, "genome_cost", counting_cost)
+    g = maximal_genome(spec, 0)
+    first = oracle.cost(g)
+    assert oracle.cost(ArchitectureGenome(0, g.operator_assignment, g.channel_assignment)) is first
+    assert oracle.evaluate(g).cost is first
+    assert calls == [g.to_record()]
+    bad = ArchitectureGenome(0, (0, 0), (0, 9))
+    for _ in range(2):
+        with pytest.raises(GenomeError):
+            oracle.cost(bad)
+    assert calls == [g.to_record()] + [bad.to_record()] * 2
 
 
 def test_path_scores_average_operator_members():
