@@ -4,10 +4,17 @@ A ``Tensor`` wraps a numpy array; operations record a backward closure
 and their parents, and ``Tensor.backward()`` walks the graph in reverse
 topological order.  Only leaves (tensors without a backward closure, such
 as weights) keep ``grad``; intermediate gradients are dropped once they
-have been passed on.  Gradients accumulate: a second backward pass, or a
-second use of the same tensor, adds into a leaf's ``grad`` rather than
-replacing it, which is what the gradient-accumulation step of supernet
-training relies on.  Call ``zero_grad`` to reset.
+have been passed on.
+
+Since the walk costs Python time per node, each layer op is one node:
+``conv1d`` and ``dwconv1d`` add their optional bias into the output
+buffer, and ``channel_rms_norm`` normalizes, scales by ``gamma`` and
+applies the channel mask in one step.
+
+Gradients accumulate: a second backward pass, or a second use of the
+same tensor, adds into a leaf's ``grad`` rather than replacing it, which
+is what the gradient-accumulation step of supernet training relies on.
+Call ``zero_grad`` to reset.
 
 Only the operations the toy networks need are implemented.  Everything
 is float64 and single-threaded per evaluation, so identical inputs give
@@ -25,6 +32,8 @@ import numpy as np
 from .errors import ShapeError
 
 Array = np.ndarray
+
+_RMS_EPS = 1e-6
 
 
 def _sigmoid(x: Array) -> Array:
@@ -201,11 +210,6 @@ def square(x: Tensor) -> Tensor:
     return Tensor._make(x.data * x.data, (x,), lambda g: (g * 2.0 * x.data,))
 
 
-def rsqrt(x: Tensor) -> Tensor:
-    y = 1.0 / np.sqrt(x.data)
-    return Tensor._make(y, (x,), lambda g: (g * (-0.5) * y**3,))
-
-
 def mean_all(x: Tensor) -> Tensor:
     n = x.data.size
     return Tensor._make(
@@ -252,12 +256,20 @@ def _side_taps(kernel: int, sites: int) -> list[tuple[int, slice, slice]]:
     return taps
 
 
-def conv1d(x: Tensor, w: Tensor) -> Tensor:
-    """Same-length 1-D convolution.
+def _with_bias(y: Array, x: Tensor, w: Tensor, bias: Tensor | None, backward):
+    """One node for a conv, its bias added in place into the output."""
+    if bias is None:
+        return Tensor._make(y, (x, w), backward)
+    y += bias.data[:, None]
+    return Tensor._make(y, (x, w, bias), lambda g: (*backward(g), g.sum(axis=(0, 2))))
 
-    ``x`` is (batch, c_in, sites); ``w`` is (c_out, c_in, k) with odd k.
-    Input is zero padded by k // 2 on both sides.  Each tap that sees data
-    is one matmul into the output.
+
+def conv1d(x: Tensor, w: Tensor, *, bias: Tensor | None = None) -> Tensor:
+    """Same-length 1-D convolution, plus a per-output-channel ``bias``.
+
+    ``x`` is (batch, c_in, sites); ``w`` is (c_out, c_in, k) with odd k;
+    ``bias`` is (c_out,).  Input is zero padded by k // 2 on both sides.
+    Each tap that sees data is one matmul into the output.
     """
     kernel = w.data.shape[2]
     if kernel % 2 != 1:
@@ -281,11 +293,12 @@ def conv1d(x: Tensor, w: Tensor) -> Tensor:
             gx[:, :, inp] += w.data[:, :, k].T @ g[:, :, out]
         return gx, gw
 
-    return Tensor._make(y, (x, w), backward)
+    return _with_bias(y, x, w, bias, backward)
 
 
-def dwconv1d(x: Tensor, w: Tensor) -> Tensor:
-    """Channelwise 1-D convolution: ``w`` is (channels, k) with odd k."""
+def dwconv1d(x: Tensor, w: Tensor, *, bias: Tensor | None = None) -> Tensor:
+    """Channelwise 1-D convolution: ``w`` is (channels, k) with odd k,
+    ``bias`` is (channels,)."""
     kernel = w.data.shape[1]
     if kernel % 2 != 1:
         raise ShapeError(f"conv kernels must be odd, got {kernel}")
@@ -309,7 +322,7 @@ def dwconv1d(x: Tensor, w: Tensor) -> Tensor:
             gx[:, :, inp] += g[:, :, out] * wk[:, k]
         return gx, gw
 
-    return Tensor._make(y, (x, w), backward)
+    return _with_bias(y, x, w, bias, backward)
 
 
 def adapt_channels(x: Tensor, target: int) -> Tensor:
@@ -363,10 +376,34 @@ def downsample_mean(x: Tensor, factor: int) -> Tensor:
     return Tensor._make(y, (x,), backward)
 
 
-def channel_rms_norm(x: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize each site by the RMS over channels (composite op)."""
-    power = mean_axis(square(x), axis=1)
-    return x * rsqrt(power + eps)
+def channel_rms_norm(x: Tensor, gamma: Tensor, keep: Array | None = None) -> Tensor:
+    """``x * rsqrt(mean_c(x**2) + eps) * gamma``, times ``keep`` if given.
+
+    Normalizes each site by the RMS over channels, scales channel c by
+    ``gamma[c]`` and, when a 0/1 ``keep`` vector is given, zeroes the
+    channels it drops.  One graph node; forward and backward do the same
+    float operations in the same order as the chain of elementwise ops
+    they replace, so results are bit-identical to that chain.
+    """
+    channels = x.data.shape[1]
+    scale = gamma.data.reshape(1, channels, 1)
+    r = 1.0 / np.sqrt((x.data * x.data).mean(axis=1, keepdims=True) + _RMS_EPS)
+    normed = x.data * r
+    y = normed * scale
+    if keep is not None:
+        keep = keep.reshape(1, channels, 1)
+        y *= keep
+
+    def backward(g: Array):
+        if keep is not None:
+            g = g * keep
+        g_gamma = _unbroadcast(g * normed, scale.shape).reshape(gamma.data.shape)
+        g = g * scale
+        g_r = _unbroadcast(g * x.data, r.shape)
+        g_power = g_r * (-0.5) * r**3
+        return g * r + g_power / channels * 2.0 * x.data, g_gamma
+
+    return Tensor._make(y, (x, gamma), backward)
 
 
 def finite_difference_gradient(

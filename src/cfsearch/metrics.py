@@ -1,8 +1,8 @@
 """Distribution and signal metrics used to score sub-generators.
 
 ``frechet_moment_distance`` compares two sample sets through the first
-two moments: fit a Gaussian to each and take the squared Fréchet
-distance between them,
+two moments: fit a Gaussian to each (``gaussian_moments``) and take the
+squared Fréchet distance between them (``moment_distance``),
 
     |mu_a - mu_b|^2 + tr(Sig_a) + tr(Sig_b) - 2 tr((Sig_a^1/2 Sig_b Sig_a^1/2)^1/2).
 
@@ -33,18 +33,24 @@ def _sym_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (vectors * np.sqrt(values)) @ vectors.T
 
 
-def frechet_moment_distance(samples_a: np.ndarray, samples_b: np.ndarray) -> float:
-    """Squared Gaussian Fréchet distance between two (n, d) sample sets."""
-    a = np.asarray(samples_a, dtype=np.float64)
-    b = np.asarray(samples_b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError(f"need (n, d) sample sets with equal d, got {a.shape}, {b.shape}")
-    if a.shape[0] < 2 or b.shape[0] < 2:
+def gaussian_moments(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of an (n, d) sample set, n >= 2."""
+    a = np.asarray(samples, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"need an (n, d) sample set, got shape {a.shape}")
+    if a.shape[0] < 2:
         raise ValueError("need at least 2 samples per set to estimate covariance")
-    mu_a = a.mean(axis=0)
-    mu_b = b.mean(axis=0)
-    cov_a = np.cov(a, rowvar=False).reshape(a.shape[1], a.shape[1])
-    cov_b = np.cov(b, rowvar=False).reshape(b.shape[1], b.shape[1])
+    return a.mean(axis=0), np.cov(a, rowvar=False).reshape(a.shape[1], a.shape[1])
+
+
+def moment_distance(
+    moments_a: tuple[np.ndarray, np.ndarray], moments_b: tuple[np.ndarray, np.ndarray]
+) -> float:
+    """Squared Fréchet distance between two Gaussians given as (mean, covariance)."""
+    mu_a, cov_a = moments_a
+    mu_b, cov_b = moments_b
+    if mu_a.shape != mu_b.shape:
+        raise ValueError(f"need sample sets with equal d, got {mu_a.size} and {mu_b.size}")
     root_a = _sym_sqrt(cov_a)
     cross = _sym_sqrt(root_a @ cov_b @ root_a)
     value = float(
@@ -54,6 +60,11 @@ def frechet_moment_distance(samples_a: np.ndarray, samples_b: np.ndarray) -> flo
         - 2.0 * np.trace(cross)
     )
     return max(value, 0.0)
+
+
+def frechet_moment_distance(samples_a: np.ndarray, samples_b: np.ndarray) -> float:
+    """Squared Gaussian Fréchet distance between two (n, d) sample sets."""
+    return moment_distance(gaussian_moments(samples_a), gaussian_moments(samples_b))
 
 
 def psnr(output: np.ndarray, target: np.ndarray, peak: float = SIGNAL_PEAK) -> float:

@@ -63,6 +63,7 @@ class SupernetWeights:
         self.spec = spec
         self.tensors: "OrderedDict[str, Tensor]" = OrderedDict()
         self.group_masks: dict[str, np.ndarray] = {}
+        self._named: dict[tuple[str, bool], tuple[tuple[str, Tensor], ...]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -116,6 +117,7 @@ class SupernetWeights:
 
     def _add(self, name: str, data: np.ndarray) -> None:
         self.tensors[name] = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+        self._named.clear()
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -127,13 +129,17 @@ class SupernetWeights:
         path = self.spec.paths[path_index]
         return [self.gamma(path_index, l) for l in range(path.num_layers)]
 
-    def named(self, prefix: str, include_gamma: bool = True):
-        for name, tensor in self.tensors.items():
-            if not name.startswith(prefix):
-                continue
-            if not include_gamma and name.endswith("/gamma"):
-                continue
-            yield name, tensor
+    def named(self, prefix: str, include_gamma: bool = True) -> tuple[tuple[str, Tensor], ...]:
+        """(name, tensor) under ``prefix`` in declaration order, built once per prefix."""
+        key = (prefix, include_gamma)
+        found = self._named.get(key)
+        if found is None:
+            found = self._named[key] = tuple(
+                (name, tensor)
+                for name, tensor in self.tensors.items()
+                if name.startswith(prefix) and (include_gamma or not name.endswith("/gamma"))
+            )
+        return found
 
     # -- optimization ------------------------------------------------------
 
@@ -265,9 +271,9 @@ def _block_core(
         if unit.kind == "conv":
             mask = weights.group_masks.get(prefix + "w")
             kernel_w = w if mask is None else w * Tensor(mask)
-            h = conv1d(h, kernel_w) + b.reshape(1, b.data.size, 1)
+            h = conv1d(h, kernel_w, bias=b)
         else:
-            h = dwconv1d(h, w) + b.reshape(1, b.data.size, 1)
+            h = dwconv1d(h, w, bias=b)
         if i < last_transform:
             h = tanh(h)
     return h
@@ -303,7 +309,7 @@ class GeneratorView:
         h = _resample(x, path.resolution_schedule[0])
         stem_w = self.weights[f"g/p{p}/stem/w"]
         stem_b = self.weights[f"g/p{p}/stem/b"]
-        h = tanh(conv1d(h, stem_w) + stem_b.reshape(1, full, 1))
+        h = tanh(conv1d(h, stem_w, bias=stem_b))
         prev_scale = path.resolution_schedule[0]
         for l, layer in enumerate(path.layers):
             scale = path.resolution_schedule[l]
@@ -333,14 +339,12 @@ class GeneratorView:
                 h = h + block(h)
 
             gamma = self.weights.gamma(p, l)
-            h = channel_rms_norm(h) * gamma.reshape(1, full, 1)
             width = self.channel_widths[l]
-            if width < full:
-                mask = active_channel_mask(gamma.data, width)
-                h = h * Tensor(mask.reshape(1, full, 1))
+            keep = active_channel_mask(gamma.data, width) if width < full else None
+            h = channel_rms_norm(h, gamma, keep)
         head_w = self.weights[f"g/p{p}/head/w"]
         head_b = self.weights[f"g/p{p}/head/b"]
-        return conv1d(h, head_w) + head_b.reshape(1, spec.input_channels, 1)
+        return conv1d(h, head_w, bias=head_b)
 
 
 def subnet_view(weights: SupernetWeights, genome: ArchitectureGenome) -> GeneratorView:
@@ -389,12 +393,12 @@ class DiscriminatorView:
         width = disc.width
         w1 = self.weights[f"d/{d}/c1/w"]
         b1 = self.weights[f"d/{d}/c1/b"]
-        h = tanh(conv1d(y, w1) + b1.reshape(1, width, 1))
+        h = tanh(conv1d(y, w1, bias=b1))
         ratio = disc.resolution_schedule[-1] / disc.resolution_schedule[0]
         if ratio > 1 and h.data.shape[2] % int(ratio) == 0:
             h = downsample_mean(h, int(ratio))
         w2 = self.weights[f"d/{d}/c2/w"]
         b2 = self.weights[f"d/{d}/c2/b"]
-        h = tanh(conv1d(h, w2) + b2.reshape(1, width, 1))
+        h = tanh(conv1d(h, w2, bias=b2))
         pooled = engine.mean_axis(h, axis=2).reshape(h.data.shape[0], width)
         return pooled.matmul(self.weights[f"d/{d}/out/w"]) + self.weights[f"d/{d}/out/b"]

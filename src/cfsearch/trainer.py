@@ -19,6 +19,7 @@ optimization only through the proximal update.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from .engine import Tensor, absolute, mean_all, softplus, square
 from .errors import ConfigError, NonFiniteLossError, ShapeError
 from .fairness import FairnessLedger, plan_epoch
-from .metrics import frechet_moment_distance, psnr
+from .metrics import gaussian_moments, moment_distance, psnr
 from .network import DiscriminatorView, SupernetWeights, mixed_view, subnet_view
 from .space import ArchitectureGenome, SupernetSpec, maximal_genome
 from .sparsity import ScaleFactorBank, prox_step
@@ -89,6 +90,11 @@ class ToyDataset:
     @property
     def n_train(self) -> int:
         return self.train_x.shape[0]
+
+    @cached_property
+    def val_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and covariance of the flattened validation targets, made once."""
+        return gaussian_moments(self.val_y.reshape(self.val_y.shape[0], -1))
 
 
 def make_translation_dataset(
@@ -397,8 +403,7 @@ def score_outputs(out: np.ndarray, dataset: ToyDataset) -> float:
     """
     if dataset.task == TASK_TRANSLATION:
         flat_out = out.reshape(out.shape[0], -1)
-        flat_ref = dataset.val_y.reshape(dataset.val_y.shape[0], -1)
-        return -frechet_moment_distance(flat_out, flat_ref)
+        return -moment_distance(gaussian_moments(flat_out), dataset.val_moments)
     if dataset.task == TASK_SUPER_RESOLUTION:
         return psnr(out, dataset.val_y)
     raise ConfigError(f"unknown task {dataset.task!r}")

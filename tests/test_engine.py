@@ -78,6 +78,12 @@ def test_mean_axis_gradients():
 
 # (sites, kernel): one site, taps that reach no site, several live taps, k = 1.
 CONV_SHAPES = [(1, 3), (2, 5), (4, 3), (6, 1)]
+# Each shape without and with a bias.
+CONV_CASES = [
+    pytest.param(sites, kernel, with_bias, id=f"{sites}-{kernel}" + ("-bias" if with_bias else ""))
+    for sites, kernel in CONV_SHAPES
+    for with_bias in (False, True)
+]
 
 
 def padded(x, pad):
@@ -107,13 +113,23 @@ def dwconv1d_reference(x, w):
     return y
 
 
-@pytest.mark.parametrize("sites, kernel", CONV_SHAPES)
-def test_conv1d_gradients(sites, kernel):
+def bias_leaf(with_bias, channels, seed):
+    return leaf((channels,), seed, scale=0.5) if with_bias else None
+
+
+def plus_bias(y, bias):
+    return y if bias is None else y + bias.data[:, None]
+
+
+@pytest.mark.parametrize("sites, kernel, with_bias", CONV_CASES)
+def test_conv1d_gradients(sites, kernel, with_bias):
     x = leaf((2, 3, sites), 8)
     w = leaf((4, 3, kernel), 9, scale=0.5)
-    expected = conv1d_reference(x.data, w.data)
-    assert np.allclose(conv1d(x, w).data, expected, rtol=1e-12, atol=1e-12)
-    assert_grads_match(lambda: mean_all(square(conv1d(x, w))), [x, w])
+    b = bias_leaf(with_bias, 4, 27)
+    expected = plus_bias(conv1d_reference(x.data, w.data), b)
+    assert np.allclose(conv1d(x, w, bias=b).data, expected, rtol=1e-12, atol=1e-12)
+    leaves = [x, w] if b is None else [x, w, b]
+    assert_grads_match(lambda: mean_all(square(conv1d(x, w, bias=b))), leaves)
 
 
 def test_conv1d_single_site():
@@ -124,13 +140,25 @@ def test_conv1d_single_site():
     assert_grads_match(lambda: sum_all(square(conv1d(x, w))), [x, w])
 
 
-@pytest.mark.parametrize("sites, kernel", CONV_SHAPES)
-def test_dwconv1d_gradients(sites, kernel):
+@pytest.mark.parametrize("sites, kernel, with_bias", CONV_CASES)
+def test_dwconv1d_gradients(sites, kernel, with_bias):
     x = leaf((2, 4, sites), 12)
     w = leaf((4, kernel), 13, scale=0.5)
-    expected = dwconv1d_reference(x.data, w.data)
-    assert np.allclose(dwconv1d(x, w).data, expected, rtol=1e-12, atol=1e-12)
-    assert_grads_match(lambda: mean_all(square(dwconv1d(x, w))), [x, w])
+    b = bias_leaf(with_bias, 4, 28)
+    expected = plus_bias(dwconv1d_reference(x.data, w.data), b)
+    assert np.allclose(dwconv1d(x, w, bias=b).data, expected, rtol=1e-12, atol=1e-12)
+    leaves = [x, w] if b is None else [x, w, b]
+    assert_grads_match(lambda: mean_all(square(dwconv1d(x, w, bias=b))), leaves)
+
+
+def test_biased_conv_is_one_graph_node():
+    x = leaf((2, 3, 4), 29)
+    w = leaf((4, 3, 3), 30)
+    b = leaf((4,), 31)
+    assert conv1d(x, w, bias=b)._parents == (x, w, b)
+    dw = leaf((3, 3), 32)
+    c = leaf((3,), 33)
+    assert dwconv1d(x, dw, bias=c)._parents == (x, dw, c)
 
 
 def test_conv_shape_errors():
@@ -172,14 +200,50 @@ def test_resampling_gradients_and_shapes():
 
 def test_rms_norm_gradients():
     x = leaf((2, 4, 3), 16, offset=0.5)
-    assert_grads_match(lambda: mean_all(square(channel_rms_norm(x))), [x], tol=1e-5)
+    gamma = Tensor(np.linspace(0.5, 1.5, 4))
+    assert_grads_match(lambda: mean_all(square(channel_rms_norm(x, gamma))), [x], tol=1e-5)
 
 
 def test_rms_norm_normalizes_power():
     x = Tensor(np.random.default_rng(17).normal(size=(2, 8, 5)) * 3.0)
-    y = channel_rms_norm(x)
+    y = channel_rms_norm(x, Tensor(np.ones(8)))
     power = (y.data**2).mean(axis=1)
     assert np.allclose(power, 1.0, atol=1e-4)
+
+
+def rms_norm_reference(x, gamma, keep):
+    """The elementwise chain the fused op replaces, one float op at a time."""
+    power = (x * x).mean(axis=1, keepdims=True)
+    y = x * (1.0 / np.sqrt(power + 1e-6)) * gamma.reshape(1, -1, 1)
+    return y if keep is None else y * keep.reshape(1, -1, 1)
+
+
+KEEP = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("keep", [None, KEEP], ids=["all", "keep"])
+def test_fused_rms_norm_gradients(keep):
+    x = leaf((3, 5, 2), 35, offset=0.5)
+    gamma = leaf((5,), 36, offset=1.0, scale=0.3)
+    build = lambda: mean_all(square(channel_rms_norm(x, gamma, keep)))  # noqa: E731
+    assert_grads_match(build, [x, gamma], tol=1e-5)
+    if keep is not None:
+        assert np.all(gamma.grad[keep == 0.0] == 0.0)
+
+
+@pytest.mark.parametrize("keep", [None, KEEP], ids=["all", "keep"])
+@pytest.mark.parametrize("shape", [(2, 5, 1), (4, 5, 6)])
+def test_fused_rms_norm_forward_is_bit_identical_to_its_chain(shape, keep):
+    x = leaf(shape, 37, scale=2.0)
+    gamma = leaf((5,), 38)
+    expected = rms_norm_reference(x.data, gamma.data, keep)
+    assert np.array_equal(channel_rms_norm(x, gamma, keep).data, expected)
+
+
+def test_rms_norm_is_one_graph_node():
+    x = leaf((2, 5, 3), 39)
+    gamma = leaf((5,), 40)
+    assert channel_rms_norm(x, gamma, KEEP)._parents == (x, gamma)
 
 
 def test_backward_requires_scalar():
@@ -225,11 +289,12 @@ def test_whole_network_gradient_against_finite_differences():
     w1 = leaf((5, 3, 3), 22, scale=0.4)
     w2 = leaf((5, 3), 23, scale=0.4)
     gamma = leaf((5, 1), 24, offset=1.0, scale=0.1)
+    norm_gamma = leaf((5,), 34, offset=1.0, scale=0.1)
 
     def build():
-        h = channel_rms_norm(conv1d(x, w1))
+        h = channel_rms_norm(conv1d(x, w1), norm_gamma)
         h = tanh(dwconv1d(h, w2) * gamma)
         h = downsample_mean(upsample_repeat(h, 2), 2)
         return mean_all(square(adapt_channels(h, 4)))
 
-    assert_grads_match(build, [x, w1, w2, gamma], tol=1e-5)
+    assert_grads_match(build, [x, w1, w2, gamma, norm_gamma], tol=1e-5)

@@ -5,6 +5,7 @@ import pytest
 
 from cfsearch.engine import Tensor
 from cfsearch.errors import ConfigError, NonFiniteLossError
+from cfsearch.metrics import frechet_moment_distance
 from cfsearch.network import SupernetWeights
 from cfsearch.space import ArchitectureGenome
 from cfsearch.sparsity import ScaleFactorBank
@@ -151,6 +152,16 @@ def test_score_outputs_translation_and_sr():
     broken = ToyDataset("nope", ds.train_x, ds.train_y, ds.val_x, ds.val_y)
     with pytest.raises(ConfigError):
         score_outputs(ds.val_y, broken)
+
+
+def test_translation_score_reuses_the_validation_moments_bit_for_bit():
+    ds = quick_dataset()
+    out = ds.val_y * 0.9 + 0.05
+    flat = lambda a: a.reshape(a.shape[0], -1)  # noqa: E731
+    expected = -frechet_moment_distance(flat(out), flat(ds.val_y))
+    assert score_outputs(out, ds) == expected
+    assert ds.val_moments is ds.val_moments
+    assert score_outputs(out, ds) == expected
 
 
 def test_pretrain_is_fair_and_finite():
