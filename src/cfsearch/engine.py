@@ -1,10 +1,12 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 A ``Tensor`` wraps a numpy array; operations record a backward closure
-and their parents, and ``Tensor.backward()`` walks the graph in reverse
-topological order.  Only leaves (tensors without a backward closure, such
-as weights) keep ``grad``; intermediate gradients are dropped once they
-have been passed on.
+and their parents.  Every tensor is numbered when it is made, and a node
+is always made after its parents, so ``Tensor.backward()`` collects the
+nodes it can reach and visits them in descending creation order, which
+is a reverse topological order.  Only leaves (tensors without a backward
+closure, such as weights) keep ``grad``; intermediate gradients are
+dropped once they have been passed on.
 
 Since the walk costs Python time per node, each layer op is one node:
 ``conv1d`` and ``dwconv1d`` add their optional bias into the output
@@ -25,6 +27,8 @@ arithmetic here, results agree only to rounding.
 
 from __future__ import annotations
 
+from itertools import count
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,6 +38,11 @@ from .errors import ShapeError
 Array = np.ndarray
 
 _RMS_EPS = 1e-6
+
+# Every tensor takes the next number when it is made.  A node is made after
+# its parents, so descending numbers are a reverse topological order.
+_creation = count()
+_by_creation = attrgetter("_seq")
 
 
 def _sigmoid(x: Array) -> Array:
@@ -59,7 +68,7 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data: Array = np.asarray(data, dtype=np.float64)
@@ -67,6 +76,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[Array], Sequence[Array | None]] | None = None
+        self._seq = next(_creation)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -99,24 +109,16 @@ class Tensor:
         """Accumulate gradients of this scalar into every ancestor."""
         if self.data.size != 1:
             raise ShapeError(f"backward needs a scalar, got shape {self.data.shape}")
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
-                    stack.append((parent, False))
-        grads: dict[int, Array] = {id(self): np.ones_like(self.data)}
-        for node in reversed(order):
-            g = grads.pop(id(node), None)
+        nodes = {self}
+        work = [self]
+        while work:
+            for parent in work.pop()._parents:
+                if parent.requires_grad and parent not in nodes:
+                    nodes.add(parent)
+                    work.append(parent)
+        grads: dict[Tensor, Array] = {self: np.ones_like(self.data)}
+        for node in sorted(nodes, key=_by_creation, reverse=True):
+            g = grads.pop(node, None)
             if g is None:
                 continue
             # Backward closures may hand one array to several parents, so
@@ -127,8 +129,7 @@ class Tensor:
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
                     continue
-                key = id(parent)
-                grads[key] = grads[key] + pg if key in grads else pg
+                grads[parent] = grads[parent] + pg if parent in grads else pg
 
     # -- arithmetic --------------------------------------------------------
 
