@@ -225,8 +225,9 @@ KEEP = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
 def test_fused_rms_norm_gradients(keep):
     x = leaf((3, 5, 2), 35, offset=0.5)
     gamma = leaf((5,), 36, offset=1.0, scale=0.3)
-    build = lambda: mean_all(square(channel_rms_norm(x, gamma, keep)))  # noqa: E731
-    assert_grads_match(build, [x, gamma], tol=1e-5)
+    assert_grads_match(
+        lambda: mean_all(square(channel_rms_norm(x, gamma, keep))), [x, gamma], tol=1e-5
+    )
     if keep is not None:
         assert np.all(gamma.grad[keep == 0.0] == 0.0)
 

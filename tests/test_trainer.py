@@ -157,8 +157,8 @@ def test_score_outputs_translation_and_sr():
 def test_translation_score_reuses_the_validation_moments_bit_for_bit():
     ds = quick_dataset()
     out = ds.val_y * 0.9 + 0.05
-    flat = lambda a: a.reshape(a.shape[0], -1)  # noqa: E731
-    expected = -frechet_moment_distance(flat(out), flat(ds.val_y))
+    n = out.shape[0]
+    expected = -frechet_moment_distance(out.reshape(n, -1), ds.val_y.reshape(n, -1))
     assert score_outputs(out, ds) == expected
     assert ds.val_moments is ds.val_moments
     assert score_outputs(out, ds) == expected
