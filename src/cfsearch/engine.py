@@ -8,6 +8,15 @@ is a reverse topological order.  Only leaves (tensors without a backward
 closure, such as weights) keep ``grad``; intermediate gradients are
 dropped once they have been passed on.
 
+Which gradients are computed is fixed by the leaves' ``requires_grad``.
+An op reads it from its parents when the graph is built: a node exists
+only if some parent requires a gradient.  The backward closures of the
+costly ops (``conv1d``, ``dwconv1d`` and their bias, ``channel_rms_norm``,
+``matmul`` and ``*``) skip the gradient of any parent that does not
+require one, so freezing a tensor saves its gradient's arithmetic.
+``backward`` raises ``InvariantError`` on a loss with no trainable
+ancestor, which would otherwise train nothing without a word.
+
 Since the walk costs Python time per node, each layer op is one node:
 ``conv1d`` and ``dwconv1d`` add their optional bias into the output
 buffer, and ``channel_rms_norm`` normalizes, scales by ``gamma`` and
@@ -33,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import InvariantError, ShapeError
 
 Array = np.ndarray
 
@@ -45,7 +54,8 @@ _creation = count()
 _by_creation = attrgetter("_seq")
 
 
-def _sigmoid(x: Array) -> Array:
+def sigmoid(x: Array) -> Array:
+    """Logistic function of an array, stable for large |x|; softplus's slope."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -109,6 +119,8 @@ class Tensor:
         """Accumulate gradients of this scalar into every ancestor."""
         if self.data.size != 1:
             raise ShapeError(f"backward needs a scalar, got shape {self.data.shape}")
+        if not self.requires_grad:
+            raise InvariantError("backward on a loss with no trainable ancestor")
         nodes = {self}
         work = [self]
         while work:
@@ -167,8 +179,8 @@ class Tensor:
             a.data * b.data,
             (a, b),
             lambda g: (
-                _unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape),
+                _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None,
             ),
         )
 
@@ -179,7 +191,10 @@ class Tensor:
         return Tensor._make(
             a.data @ b.data,
             (a, b),
-            lambda g: (g @ b.data.T, a.data.T @ g),
+            lambda g: (
+                g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None,
+            ),
         )
 
     # -- shape ops ---------------------------------------------------------
@@ -200,7 +215,7 @@ def tanh(x: Tensor) -> Tensor:
 
 def softplus(x: Tensor) -> Tensor:
     y = np.logaddexp(0.0, x.data)
-    return Tensor._make(y, (x,), lambda g: (g * _sigmoid(x.data),))
+    return Tensor._make(y, (x,), lambda g: (g * sigmoid(x.data),))
 
 
 def absolute(x: Tensor) -> Tensor:
@@ -257,12 +272,27 @@ def _side_taps(kernel: int, sites: int) -> list[tuple[int, slice, slice]]:
     return taps
 
 
+def _tap_weight_grad(g: Array, x: Array) -> Array:
+    """Sum over batch and sites of g (batch, c_out, s) times x (batch, c_in, s).
+
+    One 2-D matmul; the same arithmetic as
+    ``np.tensordot(g, x, axes=([0, 2], [0, 2]))`` without its Python overhead.
+    """
+    return g.transpose(1, 0, 2).reshape(g.shape[1], -1) @ x.transpose(0, 2, 1).reshape(
+        -1, x.shape[1]
+    )
+
+
 def _with_bias(y: Array, x: Tensor, w: Tensor, bias: Tensor | None, backward):
     """One node for a conv, its bias added in place into the output."""
     if bias is None:
         return Tensor._make(y, (x, w), backward)
     y += bias.data[:, None]
-    return Tensor._make(y, (x, w, bias), lambda g: (*backward(g), g.sum(axis=(0, 2))))
+    return Tensor._make(
+        y,
+        (x, w, bias),
+        lambda g: (*backward(g), g.sum(axis=(0, 2)) if bias.requires_grad else None),
+    )
 
 
 def conv1d(x: Tensor, w: Tensor, *, bias: Tensor | None = None) -> Tensor:
@@ -286,12 +316,16 @@ def conv1d(x: Tensor, w: Tensor, *, bias: Tensor | None = None) -> Tensor:
         y[:, :, out] += w.data[:, :, k] @ x.data[:, :, inp]
 
     def backward(g: Array):
-        gw = np.zeros_like(w.data)
-        gw[:, :, pad] = np.tensordot(g, x.data, axes=([0, 2], [0, 2]))
-        gx = w.data[:, :, pad].T @ g
-        for k, out, inp in taps:
-            gw[:, :, k] = np.tensordot(g[:, :, out], x.data[:, :, inp], axes=([0, 2], [0, 2]))
-            gx[:, :, inp] += w.data[:, :, k].T @ g[:, :, out]
+        gx = gw = None
+        if w.requires_grad:
+            gw = np.zeros_like(w.data)
+            gw[:, :, pad] = _tap_weight_grad(g, x.data)
+            for k, out, inp in taps:
+                gw[:, :, k] = _tap_weight_grad(g[:, :, out], x.data[:, :, inp])
+        if x.requires_grad:
+            gx = w.data[:, :, pad].T @ g
+            for k, out, inp in taps:
+                gx[:, :, inp] += w.data[:, :, k].T @ g[:, :, out]
         return gx, gw
 
     return _with_bias(y, x, w, bias, backward)
@@ -315,12 +349,16 @@ def dwconv1d(x: Tensor, w: Tensor, *, bias: Tensor | None = None) -> Tensor:
         y[:, :, out] += x.data[:, :, inp] * wk[:, k]
 
     def backward(g: Array):
-        gw = np.zeros_like(w.data)
-        gw[:, pad] = (g * x.data).sum(axis=(0, 2))
-        gx = g * wk[:, pad]
-        for k, out, inp in taps:
-            gw[:, k] = (g[:, :, out] * x.data[:, :, inp]).sum(axis=(0, 2))
-            gx[:, :, inp] += g[:, :, out] * wk[:, k]
+        gx = gw = None
+        if w.requires_grad:
+            gw = np.zeros_like(w.data)
+            gw[:, pad] = (g * x.data).sum(axis=(0, 2))
+            for k, out, inp in taps:
+                gw[:, k] = (g[:, :, out] * x.data[:, :, inp]).sum(axis=(0, 2))
+        if x.requires_grad:
+            gx = g * wk[:, pad]
+            for k, out, inp in taps:
+                gx[:, :, inp] += g[:, :, out] * wk[:, k]
         return gx, gw
 
     return _with_bias(y, x, w, bias, backward)
@@ -396,13 +434,17 @@ def channel_rms_norm(x: Tensor, gamma: Tensor, keep: Array | None = None) -> Ten
         y *= keep
 
     def backward(g: Array):
+        gx = g_gamma = None
         if keep is not None:
             g = g * keep
-        g_gamma = _unbroadcast(g * normed, scale.shape).reshape(gamma.data.shape)
-        g = g * scale
-        g_r = _unbroadcast(g * x.data, r.shape)
-        g_power = g_r * (-0.5) * r**3
-        return g * r + g_power / channels * 2.0 * x.data, g_gamma
+        if gamma.requires_grad:
+            g_gamma = _unbroadcast(g * normed, scale.shape).reshape(gamma.data.shape)
+        if x.requires_grad:
+            g = g * scale
+            g_r = _unbroadcast(g * x.data, r.shape)
+            g_power = g_r * (-0.5) * r**3
+            gx = g * r + g_power / channels * 2.0 * x.data
+        return gx, g_gamma
 
     return Tensor._make(y, (x, gamma), backward)
 

@@ -26,8 +26,10 @@ from __future__ import annotations
 
 import struct
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -142,6 +144,25 @@ class SupernetWeights:
         return found
 
     # -- optimization ------------------------------------------------------
+
+    @contextmanager
+    def train_only(self, trainable: Iterable[Tensor]) -> Iterator[None]:
+        """Let only ``trainable`` record gradients inside the block.
+
+        Every other tensor is frozen, so graphs built inside the block
+        compute no gradient for it.  On exit, by an exception too, every
+        tensor requires a gradient again and holds none, so no gradient
+        outlives the step that computed it.
+        """
+        trainable = set(trainable)
+        for tensor in self.tensors.values():
+            tensor.requires_grad = tensor in trainable
+        try:
+            yield
+        finally:
+            for tensor in self.tensors.values():
+                tensor.requires_grad = True
+                tensor.grad = None
 
     def zero_grad(self, prefix: str = "") -> None:
         for _, tensor in self.named(prefix):

@@ -9,11 +9,21 @@ and finally takes one ascent-equivalent step on the matched
 discriminator.  The cycle structure is what makes the fairness ledger
 counts exact rather than statistical.
 
+Each step computes only the gradients it applies: inside
+``SupernetWeights.train_only``, the generator passes train the path's
+``g/p{p}/`` weights without its scale factors, the proximal pass trains
+the path's scale factors (``bank.gammas``) alone, and the discriminator
+step trains the matched ``d/{d}/`` weights alone.  Fine-tuning trains
+the same generator and discriminator sets.  Every other tensor is
+frozen during a step, so no backward pass computes a gradient that the
+step would discard.
+
 The training objective combines an adversarial term with reconstruction
 (mean absolute error), a perceptual proxy (squared distance between
 fixed random linear features), and an L1 sparsity value over the scale
 factors; the sparsity term is reported in the total but enters
-optimization only through the proximal update.
+optimization only through the proximal update.  The smooth part of the
+loss, and the discriminator's loss, are each one graph node.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .engine import Tensor, absolute, mean_all, softplus, square
+from .engine import Tensor, sigmoid
 from .errors import ConfigError, NonFiniteLossError, ShapeError
 from .fairness import FairnessLedger, plan_epoch
 from .metrics import gaussian_moments, moment_distance, psnr
@@ -197,33 +207,53 @@ def total_loss(
     bank: ScaleFactorBank,
     cfg: TrainConfig,
 ) -> LossBundle:
-    """Combined training loss for one generator forward pass."""
+    """Combined training loss for one generator forward pass.
+
+    ``smooth`` is one graph node over ``output`` and ``d_scores``; the
+    target is a constant.  Its forward and backward do the same float
+    operations in the same order as the chain of engine ops they replace,
+    ``mean(softplus(-d_scores)) + lambda_recon * mean(|output - target|)
+    + lambda_perceptual * mean((output @ P - target @ P)**2)`` with the
+    frozen projection ``P``, so results are bit-identical to that chain.
+    ``total`` adds the sparsity value and records no graph.
+    """
     if output.data.shape != target.data.shape:
         raise ShapeError(
             f"generator output {output.data.shape} does not match target "
             f"{target.data.shape}"
         )
-    adversarial = mean_all(softplus(-d_scores))
-    reconstruction = mean_all(absolute(output - target))
-    batch = output.data.shape[0]
-    dim = output.data.shape[1] * output.data.shape[2]
-    projection = Tensor(
-        perceptual_projection(dim, cfg.perceptual_features, cfg.perceptual_seed)
-    )
-    f_out = output.reshape(batch, dim).matmul(projection)
-    f_ref = target.reshape(batch, dim).matmul(projection)
-    perceptual = mean_all(square(f_out - f_ref))
-    smooth = (
-        adversarial
-        + cfg.lambda_recon * reconstruction
-        + cfg.lambda_perceptual * perceptual
-    )
+    out_shape = output.data.shape
+    batch = out_shape[0]
+    dim = out_shape[1] * out_shape[2]
+    projection = perceptual_projection(dim, cfg.perceptual_features, cfg.perceptual_seed)
+    neg_scores = -d_scores.data
+    adversarial = np.logaddexp(0.0, neg_scores).mean()
+    diff = output.data - target.data
+    reconstruction = np.abs(diff).mean()
+    features = output.data.reshape(batch, dim) @ projection
+    feature_diff = features - target.data.reshape(batch, dim) @ projection
+    perceptual = (feature_diff * feature_diff).mean()
+    smooth_value = (
+        adversarial + reconstruction * cfg.lambda_recon
+    ) + perceptual * cfg.lambda_perceptual
+
+    def backward(g: np.ndarray):
+        g_output = g_scores = None
+        if output.requires_grad:
+            g_features = g * cfg.lambda_perceptual / feature_diff.size * 2.0 * feature_diff
+            g_recon = g * cfg.lambda_recon / diff.size * np.sign(diff)
+            g_output = (g_features @ projection.T).reshape(out_shape) + g_recon
+        if d_scores.requires_grad:
+            g_scores = -(g / neg_scores.size * sigmoid(neg_scores))
+        return g_output, g_scores
+
+    smooth = Tensor._make(np.asarray(smooth_value), (output, d_scores), backward)
     sparsity_value = bank.l1_value()
-    total = smooth + cfg.lambda_sparsity * sparsity_value
+    total = Tensor(smooth_value + cfg.lambda_sparsity * sparsity_value)
     components = {
-        "gan": adversarial.item(),
-        "recon": reconstruction.item(),
-        "perceptual": perceptual.item(),
+        "gan": float(adversarial),
+        "recon": float(reconstruction),
+        "perceptual": float(perceptual),
         "sparsity": sparsity_value,
         "total": total.item(),
     }
@@ -237,8 +267,24 @@ def _check_finite(value: float, context: str, components: Mapping[str, float]) -
 
 
 def discriminator_loss(real_scores: Tensor, fake_scores: Tensor) -> Tensor:
-    """Descent form of the adversarial objective for the discriminator."""
-    return mean_all(softplus(-real_scores)) + mean_all(softplus(fake_scores))
+    """Descent form of the adversarial objective for the discriminator.
+
+    ``mean(softplus(-real_scores)) + mean(softplus(fake_scores))`` as one
+    graph node, bit-identical to that chain of engine ops.
+    """
+    neg_real = -real_scores.data
+    fake = fake_scores.data
+    value = np.logaddexp(0.0, neg_real).mean() + np.logaddexp(0.0, fake).mean()
+
+    def backward(g: np.ndarray):
+        g_real = g_fake = None
+        if real_scores.requires_grad:
+            g_real = -(g / neg_real.size * sigmoid(neg_real))
+        if fake_scores.requires_grad:
+            g_fake = g / fake.size * sigmoid(fake)
+        return g_real, g_fake
+
+    return Tensor._make(np.asarray(value), (real_scores, fake_scores), backward)
 
 
 # -- pretraining -------------------------------------------------------------
@@ -254,13 +300,9 @@ class PretrainResult:
 
 def gamma_zero_stats(weights: SupernetWeights) -> tuple[int, float]:
     """(count, fraction) of exactly-zero scale factors across all paths."""
-    total = 0
-    zeros = 0
-    for name, tensor in weights.tensors.items():
-        if name.endswith("/gamma"):
-            total += tensor.data.size
-            zeros += int(np.count_nonzero(tensor.data == 0.0))
-    return zeros, (zeros / total if total else 0.0)
+    gammas = [g for p in range(weights.spec.num_paths) for g in weights.gamma_tensors(p)]
+    zeros = sum(int(np.count_nonzero(g.data == 0.0)) for g in gammas)
+    return zeros, zeros / sum(g.data.size for g in gammas)
 
 
 def _validate_shapes(spec: SupernetSpec, dataset: ToyDataset, cfg: TrainConfig) -> None:
@@ -303,6 +345,7 @@ def pretrain_supernet(
         )
         for p in range(spec.num_paths)
     ]
+    gamma_count = sum(g.data.size for b in banks for g in b.gammas)
     ledger = FairnessLedger.for_spec(spec)
     rng_plan = np.random.default_rng(child_seed(seed, "schedule"))
     rng_data = np.random.default_rng(child_seed(seed, "batches"))
@@ -323,58 +366,57 @@ def pretrain_supernet(
             # Accumulate generator gradients over one operator per layer
             # per sub-network, covering every candidate exactly once; each
             # sub-network runs at maximal widths and depths.
-            weights.zero_grad("g/")
             component_sums: dict[str, float] = {}
             widest = maximal_genome(spec, p)
-            for m in range(path.num_operators):
-                assignment = tuple(
-                    plan.operator_orders[p][l][m] for l in range(path.num_layers)
-                )
-                gen = subnet_view(weights, replace(widest, operator_assignment=assignment))
-                out = gen(x)
-                bundle = total_loss(out, y, disc(out), bank, cfg)
-                _check_finite(
-                    bundle.components["total"],
-                    f"epoch {t} path {p} operators {assignment}",
-                    bundle.components,
-                )
-                bundle.smooth.backward()
-                for key, value in bundle.components.items():
-                    component_sums[key] = component_sums.get(key, 0.0) + value
-            weights.sgd_step(f"g/p{p}/", alpha, include_gamma=False)
+            generator = (t for _, t in weights.named(f"g/p{p}/", include_gamma=False))
+            with weights.train_only(generator):
+                for m in range(path.num_operators):
+                    assignment = tuple(
+                        plan.operator_orders[p][l][m] for l in range(path.num_layers)
+                    )
+                    gen = subnet_view(weights, replace(widest, operator_assignment=assignment))
+                    out = gen(x)
+                    bundle = total_loss(out, y, disc(out), bank, cfg)
+                    _check_finite(
+                        bundle.components["total"],
+                        f"epoch {t} path {p} operators {assignment}",
+                        bundle.components,
+                    )
+                    bundle.smooth.backward()
+                    for key, value in bundle.components.items():
+                        component_sums[key] = component_sums.get(key, 0.0) + value
+                weights.sgd_step(f"g/p{p}/", alpha, include_gamma=False)
             ledger.record_generator_cycle(p)
 
             # One proximal step on the scale factors, from the full-path
-            # mixture loss; incidental gradients from the passes above
-            # are cleared first.
-            weights.zero_grad("g/")
+            # mixture loss.
             mixed = mixed_view(weights, p)
-            out = mixed(x)
-            bundle = total_loss(out, y, disc(out), bank, cfg)
-            _check_finite(
-                bundle.components["total"], f"epoch {t} path {p} mixture", bundle.components
-            )
-            bundle.smooth.backward()
-            gamma_grads = [
-                g.grad if g.grad is not None else np.zeros_like(g.data)
-                for g in bank.gammas
-            ]
-            prox_step(bank, gamma_grads, t)
-            weights.zero_grad("g/")
+            with weights.train_only(bank.gammas):
+                out = mixed(x)
+                bundle = total_loss(out, y, disc(out), bank, cfg)
+                _check_finite(
+                    bundle.components["total"], f"epoch {t} path {p} mixture", bundle.components
+                )
+                bundle.smooth.backward()
+                gamma_grads = [
+                    g.grad if g.grad is not None else np.zeros_like(g.data)
+                    for g in bank.gammas
+                ]
+                prox_step(bank, gamma_grads, t)
 
             # Discriminator step on the refreshed mixture output.
-            weights.zero_grad(f"d/{d}/")
-            fake = mixed(x).detach()
-            d_value = discriminator_loss(disc(y), disc(fake))
-            _check_finite(
-                d_value.item(), f"epoch {t} path {p} discriminator", {"d_loss": d_value.item()}
-            )
-            d_value.backward()
-            weights.sgd_step(f"d/{d}/", alpha)
+            with weights.train_only(t for _, t in weights.named(f"d/{d}/")):
+                fake = mixed(x).detach()
+                d_value = discriminator_loss(disc(y), disc(fake))
+                _check_finite(
+                    d_value.item(), f"epoch {t} path {p} discriminator", {"d_loss": d_value.item()}
+                )
+                d_value.backward()
+                weights.sgd_step(f"d/{d}/", alpha)
             ledger.record_discriminator_update(p)
 
             n = path.num_operators
-            _, zero_frac = gamma_zero_stats(weights)
+            zero_frac = sum(b.zero_count() for b in banks) / gamma_count
             metrics.append(
                 {
                     "epoch": t,
@@ -443,24 +485,25 @@ def finetune_genome(
     )
     gen = subnet_view(weights, genome)
     disc = DiscriminatorView(weights, d)
+    generator = [t for _, t in weights.named(f"g/p{p}/", include_gamma=False)]
+    discriminator = [t for _, t in weights.named(f"d/{d}/")]
     rng_data = np.random.default_rng(child_seed(seed, "finetune"))
     rows: list[dict] = []
     for t in range(epochs):
         batch_idx = rng_data.choice(dataset.n_train, size=cfg.batch_size, replace=False)
         x = Tensor(dataset.train_x[batch_idx])
         y = Tensor(dataset.train_y[batch_idx])
-        weights.zero_grad("g/")
-        out = gen(x)
-        bundle = total_loss(out, y, disc(out), bank, cfg_ft)
-        _check_finite(bundle.components["total"], f"fine-tune epoch {t}", bundle.components)
-        bundle.smooth.backward()
-        weights.sgd_step(f"g/p{p}/", cfg.lr_weights * cfg.lr_decay**t)
-        weights.zero_grad("g/")
-        weights.zero_grad(f"d/{d}/")
-        fake = gen(x).detach()
-        d_value = discriminator_loss(disc(y), disc(fake))
-        d_value.backward()
-        weights.sgd_step(f"d/{d}/", cfg.lr_weights * cfg.lr_decay**t)
+        with weights.train_only(generator):
+            out = gen(x)
+            bundle = total_loss(out, y, disc(out), bank, cfg_ft)
+            _check_finite(bundle.components["total"], f"fine-tune epoch {t}", bundle.components)
+            bundle.smooth.backward()
+            weights.sgd_step(f"g/p{p}/", cfg.lr_weights * cfg.lr_decay**t)
+        with weights.train_only(discriminator):
+            fake = gen(x).detach()
+            d_value = discriminator_loss(disc(y), disc(fake))
+            d_value.backward()
+            weights.sgd_step(f"d/{d}/", cfg.lr_weights * cfg.lr_decay**t)
         rows.append(
             {"epoch": t, "loss_total": bundle.components["total"], "d_loss": d_value.item()}
         )

@@ -1,5 +1,7 @@
 """Reverse-mode gradients checked against central finite differences."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from cfsearch.engine import (
     tanh,
     upsample_repeat,
 )
-from cfsearch.errors import ShapeError
+from cfsearch.errors import InvariantError, ShapeError
 
 
 def assert_grads_match(build, tensors, tol=1e-6):
@@ -245,6 +247,83 @@ def test_rms_norm_is_one_graph_node():
     x = leaf((2, 5, 3), 39)
     gamma = leaf((5,), 40)
     assert channel_rms_norm(x, gamma, KEEP)._parents == (x, gamma)
+
+
+def conv1d_case(sites, kernel, with_bias):
+    x = leaf((2, 3, sites), 41)
+    w = leaf((4, 3, kernel), 42, scale=0.5)
+    if not with_bias:
+        return lambda: conv1d(x, w), [x, w]
+    b = leaf((4,), 43)
+    return lambda: conv1d(x, w, bias=b), [x, w, b]
+
+
+def dwconv1d_case(sites, kernel, with_bias):
+    x = leaf((2, 4, sites), 44)
+    w = leaf((4, kernel), 45, scale=0.5)
+    if not with_bias:
+        return lambda: dwconv1d(x, w), [x, w]
+    b = leaf((4,), 46)
+    return lambda: dwconv1d(x, w, bias=b), [x, w, b]
+
+
+def rms_norm_case(keep):
+    x = leaf((3, 5, 2), 47, offset=0.5)
+    gamma = leaf((5,), 48, offset=1.0, scale=0.3)
+    return lambda: channel_rms_norm(x, gamma, keep), [x, gamma]
+
+
+def matmul_case():
+    a = leaf((4, 3), 49)
+    b = leaf((3, 5), 50)
+    return lambda: a.matmul(b), [a, b]
+
+
+def mul_case():
+    a = leaf((3, 4), 51)
+    b = leaf((3, 1), 52)  # broadcast, so b's gradient is summed down
+    return lambda: a * b, [a, b]
+
+
+FREEZE_CASES = [
+    *(
+        pytest.param(op, case.values, id=f"{op.__name__}-{case.id}")
+        for op in (conv1d_case, dwconv1d_case)
+        for case in CONV_CASES
+    ),
+    pytest.param(rms_norm_case, (None,), id="rms_norm-all"),
+    pytest.param(rms_norm_case, (KEEP,), id="rms_norm-keep"),
+    pytest.param(matmul_case, (), id="matmul"),
+    pytest.param(mul_case, (), id="mul"),
+]
+
+
+@pytest.mark.parametrize("make, args", FREEZE_CASES)
+def test_frozen_parents_get_no_gradient_and_the_rest_are_unchanged(make, args):
+    build, parents = make(*args)
+    mean_all(square(build())).backward()
+    expected = [p.grad for p in parents]
+    for n in range(1, len(parents)):
+        for frozen in combinations(range(len(parents)), n):
+            for i, p in enumerate(parents):
+                p.grad = None
+                p.requires_grad = i not in frozen
+            mean_all(square(build())).backward()
+            for i, p in enumerate(parents):
+                if i in frozen:
+                    assert p.grad is None
+                else:
+                    assert np.array_equal(p.grad, expected[i])
+
+
+def test_backward_without_a_trainable_ancestor_raises():
+    with pytest.raises(InvariantError):
+        sum_all(Tensor(np.ones(3)) * 2.0).backward()
+    x = leaf((3,), 53)
+    x.requires_grad = False
+    with pytest.raises(InvariantError):
+        mean_all(square(x)).backward()
+    assert x.grad is None
 
 
 def test_backward_requires_scalar():

@@ -52,3 +52,28 @@ def test_benchmark_tracer_counts_the_layer_ops_and_restores_them():
     assert network.dwconv1d is engine.dwconv1d
     assert network.channel_rms_norm is engine.channel_rms_norm
     assert inspect.getattr_static(engine.Tensor, "_make") is make
+
+
+def test_benchmark_tracer_times_the_losses_and_backward_of_pretraining():
+    tracing = load_tracing()
+    spec, dataset, train_cfg = pipeline.prepare(cli.load_config(None))
+    cfg = replace(train_cfg, epochs=1)
+    originals = (trainer.total_loss, trainer.discriminator_loss, engine.Tensor.backward)
+
+    tracer = tracing.Tracer()
+    tracing.install_layer_spans(tracer)
+    try:
+        result = trainer.pretrain_supernet(spec, dataset, cfg, seed=0)
+    finally:
+        tracer.restore()
+
+    passes = sum(path.num_operators + 1 for path in spec.paths)
+    # One generator loss per sub-network and per mixture, one discriminator loss per path.
+    assert tracer.calls["trainer.loss"] == passes + spec.num_paths
+    assert tracer.calls["engine.backward"] == passes + spec.num_paths
+    assert tracer.seconds["trainer.loss"] > 0
+    assert tracer.seconds["engine.backward"] > 0
+    assert tracer.calls["trainer.pretrain"] == 1
+    assert tracer.counts["sparsity.zero_fraction.n"] == 1
+    assert result.ledger.is_fair()
+    assert (trainer.total_loss, trainer.discriminator_loss, engine.Tensor.backward) == originals

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from cfsearch.engine import Tensor
+from cfsearch.engine import (
+    Tensor,
+    absolute,
+    finite_difference_gradient,
+    mean_all,
+    softplus,
+    square,
+)
 from cfsearch.errors import ConfigError, NonFiniteLossError
 from cfsearch.metrics import frechet_moment_distance
 from cfsearch.network import SupernetWeights
@@ -131,6 +138,99 @@ def test_sparsity_component_scales_with_weight():
     )
 
 
+def total_loss_chain(output, target, d_scores, cfg):
+    """The smooth loss as the chain of engine ops that ``total_loss`` fuses."""
+    adversarial = mean_all(softplus(-d_scores))
+    reconstruction = mean_all(absolute(output - target))
+    batch = output.data.shape[0]
+    dim = output.data.shape[1] * output.data.shape[2]
+    projection = Tensor(
+        perceptual_projection(dim, cfg.perceptual_features, cfg.perceptual_seed)
+    )
+    f_out = output.reshape(batch, dim).matmul(projection)
+    f_ref = target.reshape(batch, dim).matmul(projection)
+    perceptual = mean_all(square(f_out - f_ref))
+    return (
+        adversarial
+        + cfg.lambda_recon * reconstruction
+        + cfg.lambda_perceptual * perceptual
+    )
+
+
+def discriminator_loss_chain(real_scores, fake_scores):
+    return mean_all(softplus(-real_scores)) + mean_all(softplus(fake_scores))
+
+
+def loss_inputs(seed, batch=5):
+    rng = np.random.default_rng(seed)
+    out = Tensor(rng.normal(size=(batch, 2, 3)), requires_grad=True)
+    target = Tensor(rng.normal(size=(batch, 2, 3)))
+    scores = Tensor(2.0 * rng.normal(size=(batch, 1)), requires_grad=True)
+    return out, target, scores
+
+
+# Several batch sizes and draws, because one reordered float operation
+# changes the last bit for only some inputs.
+BIT_CASES = pytest.mark.parametrize("seed, batch", [(s, 3 + s) for s in range(8)])
+
+
+def grads_of(loss, tensors):
+    for t in tensors:
+        t.grad = None
+    loss.backward()
+    return [t.grad for t in tensors]
+
+
+def assert_matches_finite_differences(fn, tensors):
+    for t, grad in zip(tensors, grads_of(fn(), tensors)):
+        fd = finite_difference_gradient(lambda: fn().item(), t)
+        scale = np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1.0)
+        assert np.max(np.abs(grad - fd) / scale) < 1e-6
+
+
+def test_total_loss_smooth_gradient_matches_finite_differences():
+    out, target, scores = loss_inputs(2)
+    bank = ScaleFactorBank.create([3, 3], learning_rate=0.01, sparsity_weight=1e-3)
+    cfg = quick_cfg()
+    assert_matches_finite_differences(
+        lambda: total_loss(out, target, scores, bank, cfg).smooth, [out, scores]
+    )
+
+
+@BIT_CASES
+def test_total_loss_is_one_node_bit_identical_to_its_chain(seed, batch):
+    out, target, scores = loss_inputs(seed, batch)
+    bank = ScaleFactorBank.create([3, 3], learning_rate=0.01, sparsity_weight=1e-3)
+    cfg = quick_cfg()
+    bundle = total_loss(out, target, scores, bank, cfg)
+    assert bundle.smooth._parents == (out, scores)
+    chain = total_loss_chain(out, target, scores, cfg)
+    assert np.array_equal(bundle.smooth.data, chain.data)
+    assert bundle.components["total"] == (chain + cfg.lambda_sparsity * bank.l1_value()).item()
+    for fused, expected in zip(
+        grads_of(bundle.smooth, [out, scores]), grads_of(chain, [out, scores])
+    ):
+        assert np.array_equal(fused, expected)
+
+
+def test_discriminator_loss_gradient_matches_finite_differences():
+    _, _, real = loss_inputs(4)
+    _, _, fake = loss_inputs(5)
+    assert_matches_finite_differences(lambda: discriminator_loss(real, fake), [real, fake])
+
+
+@BIT_CASES
+def test_discriminator_loss_is_one_node_bit_identical_to_its_chain(seed, batch):
+    _, _, real = loss_inputs(seed, batch)
+    _, _, fake = loss_inputs(seed + 100, batch + 1)
+    fused = discriminator_loss(real, fake)
+    assert fused._parents == (real, fake)
+    chain = discriminator_loss_chain(real, fake)
+    assert np.array_equal(fused.data, chain.data)
+    for got, expected in zip(grads_of(fused, [real, fake]), grads_of(chain, [real, fake])):
+        assert np.array_equal(got, expected)
+
+
 def test_discriminator_loss_prefers_separation():
     confident = discriminator_loss(
         Tensor(np.full((4, 1), 3.0)), Tensor(np.full((4, 1), -3.0))
@@ -256,3 +356,41 @@ def test_finetune_improves_or_moves_weights_in_place():
         if n.startswith("g/p0/")
     )
     assert moved and untouched
+
+
+def assert_trainable_without_gradients(weights):
+    for name, tensor in weights.tensors.items():
+        assert tensor.requires_grad, name
+        assert tensor.grad is None, name
+
+
+def test_training_leaves_every_tensor_trainable_without_gradients():
+    spec = translation_spec()
+    ds = quick_dataset()
+    pre = pretrain_supernet(spec, ds, quick_cfg(), seed=3)
+    assert_trainable_without_gradients(pre.weights)
+    finetune_genome(pre.weights, ArchitectureGenome(1, (0, 1), (1, 0)), ds, quick_cfg(), 2, 3)
+    assert_trainable_without_gradients(pre.weights)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_loss_leaves_every_tensor_trainable_without_gradients(monkeypatch):
+    created = []
+    create = SupernetWeights.create
+
+    def remember(spec, seed):
+        created.append(create(spec, seed))
+        return created[-1]
+
+    monkeypatch.setattr(SupernetWeights, "create", staticmethod(remember))
+    spec = translation_spec()
+    ds = quick_dataset()
+    with pytest.raises(NonFiniteLossError):
+        pretrain_supernet(spec, ds, quick_cfg(epochs=30, lr_weights=50.0), seed=0)
+    assert_trainable_without_gradients(created[0])
+
+    weights = created[0].clone()
+    weights[f"d/{spec.paths[0].matched_discriminator_path}/out/b"].data[:] = np.nan
+    with pytest.raises(NonFiniteLossError):
+        finetune_genome(weights, ArchitectureGenome(0, (0, 0), (1, 1)), ds, quick_cfg(), 2, 3)
+    assert_trainable_without_gradients(weights)
