@@ -137,14 +137,12 @@ def cmd_search_operator(args) -> int:
     oracle = GanOracle(weights, dataset)
     chosen, _ = search_path(oracle)
     rng = as_rng(child_seed(int(cfg["seed"]), "search"))
-    best_ops, records, sampled = search_operators(
-        oracle, chosen, sample_count=args.sample, rng=rng
-    )
+    best_ops, records = search_operators(oracle, chosen, sample_count=args.sample, rng=rng)
     print("# genome\tfitness\tparams\tflops")
     for rec in records:
         print(f"{rec.label}\t{format_float(rec.fitness)}\t{rec.params}\t{rec.flops}")
     g_optr = replace(maximal_genome(spec, chosen), operator_assignment=best_ops)
-    if sampled:
+    if args.sample is not None:
         print(f"sampled specializations: {args.sample}")
     print(f"chosen operators: {g_optr.to_record()}")
     return 0
@@ -152,9 +150,9 @@ def cmd_search_operator(args) -> int:
 
 def cmd_shrink(args) -> int:
     cfg = load_config(args.config, args.seed)
+    evo = EvoConfig.from_mapping(cfg["evolution"])
     _, dataset, weights, _ = _prepared(cfg, args.checkpoint)
     oracle = GanOracle(weights, dataset)
-    evo = EvoConfig.from_mapping(cfg["evolution"])
     genome, trace, shrink = run_search(
         oracle, evo, as_rng(child_seed(int(cfg["seed"]), "search"))
     )
@@ -202,8 +200,8 @@ def cmd_run_all(args) -> int:
 
 def cmd_baseline_joint(args) -> int:
     cfg = load_config(args.config, args.seed)
-    _, dataset, weights, _ = _prepared(cfg, args.checkpoint)
     evo = EvoConfig.from_mapping(cfg["evolution"])
+    _, dataset, weights, _ = _prepared(cfg, args.checkpoint)
 
     joint_oracle = GanOracle(weights, dataset)
     joint = joint_search_baseline(joint_oracle, evo.params_limit, evo.flops_limit)

@@ -53,28 +53,13 @@ class CostReport:
         return f"params={self.params} flops={self.flops} layers={rows}"
 
 
-def _width(tag: str, c_in: int, c_out: int) -> int:
-    if tag == "in":
-        return c_in
-    if tag == "out":
-        return c_out
-    if tag == "mid":
-        return max(1, -(-c_out // 2))  # ceil(c_out / 2)
-    raise ValueError(f"unknown width tag {tag!r}")
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def unit_cost(
     unit: UnitSpec, c_in: int, c_out: int, sites: int, include_affine: bool
 ) -> tuple[int, int]:
     """(params, flops) of one primitive unit at the given widths."""
-    src = _width(unit.src, c_in, c_out)
-    dst = _width(unit.dst, c_in, c_out)
+    src, dst = unit.widths(c_in, c_out)
     if unit.kind == "conv":
-        fan_in = _ceil_div(src, unit.groups)
+        fan_in = -(-src // unit.groups)  # ceil(src / groups)
         params = fan_in * dst * unit.kernel**2
         if include_affine:
             params += dst  # bias

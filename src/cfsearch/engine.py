@@ -25,7 +25,7 @@ applies the channel mask in one step.
 Gradients accumulate: a second backward pass, or a second use of the
 same tensor, adds into a leaf's ``grad`` rather than replacing it, which
 is what the gradient-accumulation step of supernet training relies on.
-Call ``zero_grad`` to reset.
+``SupernetWeights.train_only`` clears every gradient when a step ends.
 
 Only the operations the toy networks need are implemented.  Everything
 is float64 and single-threaded per evaluation, so identical inputs give
@@ -97,12 +97,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     # -- graph construction ------------------------------------------------
 

@@ -17,14 +17,14 @@ loop spends it on seeded random feasible probes instead of stalling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .costs import CostReport, satisfies_constraints
 from .errors import ConfigError, GenomeError, InfeasibleError
 from .oracles import FitnessOracle
-from .space import ArchitectureGenome, SupernetSpec, require_valid
+from .space import ArchitectureGenome, SupernetSpec, minimal_genome, require_valid
 from .util import as_rng
 
 MUTATION_DIRECTIONAL = "directional"
@@ -49,7 +49,9 @@ class EvoConfig:
     come from crossover among the elites, and ``population // 2`` from
     mutation of the elites, so ``elites <= population // 2`` must hold.
     ``eval_budget`` caps unique oracle evaluations for the whole stage,
-    including replacement-gain probes.
+    including replacement-gain probes.  ``seed`` seeds the stage only
+    when the caller passes no generator; every command passes one drawn
+    from the run's top-level seed, so a config file cannot set it.
     """
 
     population: int = 12
@@ -95,8 +97,9 @@ class EvoConfig:
 
     @staticmethod
     def from_mapping(raw: dict) -> "EvoConfig":
-        known = {f for f in EvoConfig.__dataclass_fields__}
-        unknown = sorted(set(raw) - known)
+        if "seed" in raw:
+            raise ConfigError("evolution.seed is not a config key; set the top-level seed")
+        unknown = sorted(set(raw) - set(EvoConfig.__dataclass_fields__))
         if unknown:
             raise ConfigError(f"unknown evolution config keys: {unknown}")
         return EvoConfig(**raw)
@@ -166,12 +169,7 @@ def _with_channel(
 ) -> ArchitectureGenome:
     channels = list(genome.channel_assignment)
     channels[layer] = choice
-    return ArchitectureGenome(
-        genome.path_index,
-        genome.operator_assignment,
-        tuple(channels),
-        genome.recursion_assignment,
-    )
+    return replace(genome, channel_assignment=tuple(channels))
 
 
 def _uniform_table(num_choices: int, num_layers: int, epsilon: float) -> RGTable:
@@ -227,12 +225,7 @@ def _maybe_redraw_recursion(
         return genome
     rec = list(genome.recursion_assignment)
     rec[layer] = int(rng.integers(len(choices)))
-    return ArchitectureGenome(
-        genome.path_index,
-        genome.operator_assignment,
-        genome.channel_assignment,
-        tuple(rec),
-    )
+    return replace(genome, recursion_assignment=tuple(rec))
 
 
 def crossover(
@@ -262,11 +255,8 @@ def crossover(
         source = parent_a if rng.integers(2) == 0 else parent_b
         channels.append(source.channel_assignment[l])
         recursions.append(source.recursion_assignment[l])
-    return ArchitectureGenome(
-        parent_a.path_index,
-        parent_a.operator_assignment,
-        tuple(channels),
-        tuple(recursions),
+    return replace(
+        parent_a, channel_assignment=tuple(channels), recursion_assignment=tuple(recursions)
     )
 
 
@@ -321,11 +311,9 @@ def shrink_channels(
     num_layers = path.num_layers
     num_choices = spec.num_channel_choices
 
-    fallback = ArchitectureGenome(
-        base_genome.path_index,
-        base_genome.operator_assignment,
-        tuple(0 for _ in range(num_layers)),
-        tuple(0 for _ in range(num_layers)),
+    fallback = replace(
+        minimal_genome(spec, base_genome.path_index),
+        operator_assignment=base_genome.operator_assignment,
     )
     _require_feasible_floor(oracle, fallback, cfg)
 
@@ -363,12 +351,7 @@ def shrink_channels(
         recursions = tuple(
             int(rng.integers(len(layer.recursion_choices))) for layer in path.layers
         )
-        return ArchitectureGenome(
-            base_genome.path_index,
-            base_genome.operator_assignment,
-            channels,
-            recursions,
-        )
+        return replace(base_genome, channel_assignment=channels, recursion_assignment=recursions)
 
     def draw_feasible(make) -> ArchitectureGenome:
         for _ in range(FEASIBLE_RETRY_LIMIT):

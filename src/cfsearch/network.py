@@ -44,10 +44,6 @@ CHECKPOINT_MAGIC = b"CFN1"
 CHECKPOINT_VERSION = 1
 
 
-def _mid_width(full: int) -> int:
-    return max(1, -(-full // 2))
-
-
 def _group_mask(dst: int, src: int, groups: int) -> np.ndarray:
     """Block-diagonal 0/1 mask over a (dst, src, 1) conv weight."""
     mask = np.zeros((dst, src, 1), dtype=np.float64)
@@ -98,8 +94,7 @@ class SupernetWeights:
                         if unit.kind == "residual":
                             continue
                         prefix = f"g/p{p}/l{l}/op{m}/u{u}/"
-                        src = _tag_width(unit.src, full)
-                        dst = _tag_width(unit.dst, full)
+                        src, dst = unit.widths(full, full)
                         if unit.kind == "conv":
                             conv_param(prefix + "w", dst, src, unit.kernel, unit.groups)
                         elif unit.kind == "dwconv":
@@ -163,10 +158,6 @@ class SupernetWeights:
             for tensor in self.tensors.values():
                 tensor.requires_grad = True
                 tensor.grad = None
-
-    def zero_grad(self, prefix: str = "") -> None:
-        for _, tensor in self.named(prefix):
-            tensor.zero_grad()
 
     def sgd_step(self, prefix: str, lr: float, include_gamma: bool = False) -> None:
         """Descend each gradient under ``prefix`` by ``lr`` and clear it."""
@@ -254,14 +245,6 @@ class SupernetWeights:
         if offset != len(blob):
             raise ConfigError(f"checkpoint {path} has {len(blob) - offset} trailing bytes")
         return weights
-
-
-def _tag_width(tag: str, full: int) -> int:
-    if tag in ("in", "out"):
-        return full
-    if tag == "mid":
-        return _mid_width(full)
-    raise ValueError(f"unknown width tag {tag!r}")
 
 
 # -- forward passes --------------------------------------------------------

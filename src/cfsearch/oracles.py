@@ -33,7 +33,6 @@ from .space import (
     genome_space_size,
     maximal_genome,
 )
-from .util import format_float
 
 LANDSCAPE_SIZE_CAP = 100_000
 
@@ -367,47 +366,3 @@ def shipped_landscape(name: str) -> TabularLandscape:
         f"deceptive, evolution_bench"
     )
 
-
-# -- landscape persistence ---------------------------------------------------
-
-
-def export_landscape(landscape: TabularLandscape, path: str) -> None:
-    """Write the table as tab-separated text: genome, fitness, params, flops."""
-    lines = [
-        f"# landscape v1\trule={landscape.rule}\tseed={landscape.seed}",
-        "# genome\tfitness\tparams\tflops",
-    ]
-    for genome in enumerate_genomes(landscape.spec):
-        record = genome.to_record()
-        cost = genome_cost(landscape.spec, genome)
-        lines.append(
-            f"{record}\t{format_float(landscape.table[record])}"
-            f"\t{cost.params}\t{cost.flops}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_landscape(spec: SupernetSpec, path: str) -> TabularLandscape:
-    """Read a landscape export back; rule and seed come from the header."""
-    rule = "random_seeded"
-    seed = 0
-    table: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("# landscape"):
-                for field in line.split("\t")[1:]:
-                    key, _, value = field.partition("=")
-                    if key == "rule":
-                        rule = value
-                    elif key == "seed":
-                        seed = int(value)
-                continue
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise ConfigError(f"bad landscape row: {line!r}")
-            table[parts[0]] = float(parts[1])
-    return TabularLandscape(spec=spec, rule=rule, seed=seed, table=table)

@@ -28,7 +28,6 @@ from .space import (
     ArchitectureGenome,
     SupernetSpec,
     enumerate_genomes,
-    enumerate_paths,
     enumerate_specializations,
     genome_space_size,
     maximal_genome,
@@ -70,7 +69,9 @@ class SearchTrace:
     specialization (M * N_o, even when members repeat across
     specializations), and the channel stage one per unique genome the
     evolutionary budget paid for.  Each stage's record list has exactly
-    that many rows.
+    that many rows.  ``g_optr`` is the operator stage's choice at full
+    width and ``g_channel`` the searched genome; ``run_search`` fills
+    every field before it returns the trace.
     """
 
     path_records: tuple[StageRecord, ...] = ()
@@ -79,11 +80,8 @@ class SearchTrace:
     chosen_path: int | None = None
     g_optr: str | None = None
     g_channel: str | None = None
-    g_star: str | None = None
     oracle_calls: dict[str, int] = field(default_factory=dict)
     evolution_history: tuple[GenerationRow, ...] = ()
-    sampled_operators: bool = False
-    incomplete: bool = True
 
     @property
     def total_oracle_calls(self) -> int:
@@ -97,7 +95,7 @@ def search_path(oracle: FitnessOracle) -> tuple[int, list[StageRecord]]:
     records = []
     best_path = None
     best_fitness = -np.inf
-    for p in enumerate_paths(oracle.spec):
+    for p in range(oracle.spec.num_paths):
         fitness = oracle.path_score(p)
         records.append(StageRecord(label=f"path:{p}", fitness=fitness))
         if best_path is None or fitness > best_fitness:
@@ -112,7 +110,7 @@ def search_operators(
     sample_count: int | None = None,
     rng: np.random.Generator | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[tuple[int, ...], list[StageRecord], bool]:
+) -> tuple[tuple[int, ...], list[StageRecord]]:
     """Stage 2: score every member of every specialization at full width.
 
     Specializations group the assignments into per-layer-disjoint M-sets
@@ -124,14 +122,12 @@ def search_operators(
     spec = oracle.spec
     path = spec.paths[path_index]
     m, layers = path.num_operators, path.num_layers
-    sampled = False
     if sample_count is None:
         specializations = enumerate_specializations(m, layers, cap)
     else:
         if rng is None:
             raise ConfigError("sampled operator search needs a random generator")
         specializations = sample_specializations(m, layers, sample_count, rng)
-        sampled = True
     widest = maximal_genome(spec, path_index)
     records = []
     best_ops: tuple[int, ...] | None = None
@@ -157,19 +153,19 @@ def search_operators(
                 best_ops = assignment
                 best_fitness = result.fitness
     assert best_ops is not None
-    return best_ops, records, sampled
+    return best_ops, records
 
 
 def run_search(
     oracle: FitnessOracle,
     evo_cfg: EvoConfig,
     rng: np.random.Generator | int | None = None,
-    operator_sample: int | None = None,
 ) -> tuple[ArchitectureGenome, SearchTrace, ShrinkResult]:
     """Stages 1 to 3 on one oracle; oracle-agnostic by design.
 
-    The same generator drives sampled operator search (when used) and
-    the evolutionary stage, so a single seed fixes the whole trace.
+    The path and operator stages are exhaustive and draw nothing; ``rng``
+    (``evo_cfg.seed`` when None) drives the evolutionary stage alone, so
+    a single seed fixes the whole trace.
     """
     rng = as_rng(rng if rng is not None else evo_cfg.seed)
     trace = SearchTrace()
@@ -179,14 +175,11 @@ def run_search(
     trace.chosen_path = chosen_path
     trace.oracle_calls[STAGE_PATH] = len(path_records)
 
-    best_ops, op_records, sampled = search_operators(
-        oracle, chosen_path, sample_count=operator_sample, rng=rng
-    )
+    best_ops, op_records = search_operators(oracle, chosen_path)
     g_optr = replace(maximal_genome(oracle.spec, chosen_path), operator_assignment=best_ops)
     trace.operator_records = tuple(op_records)
     trace.g_optr = g_optr.to_record()
     trace.oracle_calls[STAGE_OPERATOR] = len(op_records)
-    trace.sampled_operators = sampled
 
     known_before = len(oracle.cache_snapshot())
     shrink = shrink_channels(g_optr, oracle, evo_cfg, rng)
@@ -201,10 +194,8 @@ def run_search(
         for record, result in new_entries
     )
     trace.g_channel = shrink.best_genome.to_record()
-    trace.g_star = trace.g_channel
     trace.oracle_calls[STAGE_CHANNEL] = len(new_entries)
     trace.evolution_history = shrink.history
-    trace.incomplete = False
     return shrink.best_genome, trace, shrink
 
 
@@ -254,10 +245,10 @@ def run_pipeline(config: dict) -> PipelineResult:
     """
     seed = int(config["seed"])
     spec, dataset, train_cfg = prepare(config)
+    evo_cfg = EvoConfig.from_mapping(config["evolution"])
     pretrain = pretrain_supernet(spec, dataset, train_cfg, child_seed(seed, "pretrain"))
 
     oracle = GanOracle(pretrain.weights, dataset)
-    evo_cfg = EvoConfig.from_mapping(config["evolution"])
     genome, trace, shrink = run_search(
         oracle, evo_cfg, as_rng(child_seed(seed, "search"))
     )

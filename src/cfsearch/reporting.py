@@ -131,7 +131,7 @@ def format_trace(trace: SearchTrace) -> str:
     if trace.operator_records:
         lines.append(
             f"[stage operator] calls={len(trace.operator_records)}"
-            f" chosen={trace.g_optr} sampled={int(trace.sampled_operators)}"
+            f" chosen={trace.g_optr}"
         )
         lines.append("# genome\tfitness\tparams\tflops")
         for rec in trace.operator_records:
@@ -230,8 +230,6 @@ def write_run_report(
             "chosen_path": trace.chosen_path,
             "g_optr": trace.g_optr,
             "g_channel": trace.g_channel,
-            "g_star": trace.g_star,
-            "sampled_operators": trace.sampled_operators,
         }
     if evolution_history:
         emit_text("evolution.csv", _csv(EVOLUTION_COLUMNS, evolution_history))
@@ -283,7 +281,6 @@ def report_pipeline(
         finetuned_weights=result.finetuned_weights,
         finetune_metrics=result.finetune_metrics,
         final_fitness=result.final_fitness,
-        status="complete" if not result.trace.incomplete else "incomplete",
         created_at=created_at,
     )
 

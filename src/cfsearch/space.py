@@ -51,6 +51,11 @@ class UnitSpec:
     src: str = "in"
     dst: str = "out"
 
+    def widths(self, c_in: int, c_out: int) -> tuple[int, int]:
+        """(src, dst) channel counts inside a block mapping ``c_in`` to ``c_out``."""
+        sizes = {"in": c_in, "out": c_out, "mid": -(-c_out // 2)}
+        return sizes[self.src], sizes[self.dst]
+
 
 @dataclass(frozen=True)
 class OperatorKind:
@@ -367,11 +372,6 @@ def require_valid(spec: SupernetSpec, genome: ArchitectureGenome) -> None:
     verdict = validate_genome(spec, genome)
     if not verdict.ok:
         raise GenomeError(verdict.reason or "invalid genome")
-
-
-def enumerate_paths(spec: SupernetSpec) -> list[int]:
-    """Path indices in evaluation order."""
-    return list(range(spec.num_paths))
 
 
 def operator_specialization_count(num_operators: int, num_layers: int) -> int:

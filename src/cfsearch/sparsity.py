@@ -75,17 +75,8 @@ class ScaleFactorBank:
     def stepsize(self, t: int) -> float:
         return self.learning_rate * self.lr_decay**t
 
-    def zero_grad(self) -> None:
-        for g in self.gammas:
-            g.zero_grad()
-
     def l1_value(self) -> float:
         return float(sum(np.abs(g.data).sum() for g in self.gammas))
-
-    def zero_fraction(self) -> float:
-        total = sum(g.data.size for g in self.gammas)
-        zeros = sum(int(np.count_nonzero(g.data == 0.0)) for g in self.gammas)
-        return zeros / total if total else 0.0
 
     def zero_count(self) -> int:
         return sum(int(np.count_nonzero(g.data == 0.0)) for g in self.gammas)

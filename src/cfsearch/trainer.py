@@ -404,9 +404,10 @@ def pretrain_supernet(
                 ]
                 prox_step(bank, gamma_grads, t)
 
-            # Discriminator step on the refreshed mixture output.
+            # Discriminator step on the refreshed mixture output; the frozen
+            # generator gives ``fake`` no graph.
             with weights.train_only(t for _, t in weights.named(f"d/{d}/")):
-                fake = mixed(x).detach()
+                fake = mixed(x)
                 d_value = discriminator_loss(disc(y), disc(fake))
                 _check_finite(
                     d_value.item(), f"epoch {t} path {p} discriminator", {"d_loss": d_value.item()}
@@ -500,7 +501,7 @@ def finetune_genome(
             bundle.smooth.backward()
             weights.sgd_step(f"g/p{p}/", cfg.lr_weights * cfg.lr_decay**t)
         with weights.train_only(discriminator):
-            fake = gen(x).detach()
+            fake = gen(x)
             d_value = discriminator_loss(disc(y), disc(fake))
             d_value.backward()
             weights.sgd_step(f"d/{d}/", cfg.lr_weights * cfg.lr_decay**t)

@@ -249,7 +249,6 @@ def test_criterion_5_gradients(criterion):
                 return mean_all(square(out - y)) + mean_all(square(scores))
 
             loss = loss_value()
-            weights.zero_grad("")
             loss.backward()
             for tensor in weights.tensors.values():
                 if tensor.grad is None:

@@ -94,6 +94,15 @@ def test_bad_train_key_exits_2(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+def test_evolution_seed_key_exits_2(tmp_path, capsys):
+    # The search seed comes from the top-level seed; a nested one would be ignored.
+    overlay = json.loads(json.dumps(FAST_OVERLAY))
+    overlay["evolution"]["seed"] = 3
+    code = main(["run-all", "--config", write_config(tmp_path, overlay)])
+    assert code == 2
+    assert "top-level seed" in capsys.readouterr().err
+
+
 def test_infeasible_constraints_exit_3(tmp_path, capsys):
     overlay = json.loads(json.dumps(FAST_OVERLAY))
     overlay["evolution"]["params_limit"] = 1
@@ -160,6 +169,15 @@ def test_search_operator_prints_choice(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "chosen operators: path:" in out
     assert "# genome\tfitness\tparams\tflops" in out
+    assert "sampled specializations" not in out
+
+
+def test_search_operator_sample_prints_count(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["search-operator", "--config", config, "--sample", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "sampled specializations: 2" in out
+    assert "chosen operators: path:" in out
 
 
 def test_shrink_reports_costs(tmp_path, capsys):

@@ -1,14 +1,19 @@
 """The README and the CLI docstring document exactly what the code provides."""
 
 import argparse
+import dataclasses
 import pathlib
 import re
 
 import pytest
+import yaml
 
 from cfsearch import cli
 from cfsearch.configs import default_config
+from cfsearch.errors import ConfigError
+from cfsearch.evolution import EvoConfig
 from cfsearch.pipeline import run_pipeline
+from cfsearch.trainer import TrainConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -36,6 +41,33 @@ def test_readme_environment_variables_are_read_by_the_code():
     )
     for name in set(re.findall(r"\bCFSEARCH_[A-Z0-9_]+", README)):
         assert f'"{name}"' in source, name
+
+
+def accepted_evolution_keys() -> set[str]:
+    accepted = set()
+    for f in dataclasses.fields(EvoConfig):
+        try:
+            EvoConfig.from_mapping({f.name: getattr(EvoConfig(), f.name)})
+        except ConfigError:
+            continue
+        accepted.add(f.name)
+    return accepted
+
+
+def test_readme_config_block_lists_exactly_the_accepted_keys():
+    block = re.search(r"^```yaml\n(.*?)^```", README, re.M | re.S)
+    documented = yaml.safe_load(block.group(1))
+    assert set(documented) == cli._TOP_LEVEL_KEYS
+    assert set(documented["train"]) == {f.name for f in dataclasses.fields(TrainConfig)}
+    assert set(documented["evolution"]) == accepted_evolution_keys()
+    # The values shown are the defaults a run uses; the space is abridged.
+    defaults = default_config()
+    for key in ("seed", "task", "dataset", "search"):
+        assert documented[key] == defaults[key], key
+    assert TrainConfig(**documented["train"]) == TrainConfig(**defaults["train"])
+    assert EvoConfig.from_mapping(documented["evolution"]) == EvoConfig.from_mapping(
+        defaults["evolution"]
+    )
 
 
 def test_readme_run_all_sample_is_what_a_default_run_prints():

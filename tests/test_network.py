@@ -202,7 +202,6 @@ def assert_view_grads_match(weights, view, names, seed):
     def loss():
         return mean_all(square(view(x) - y))
 
-    weights.zero_grad("")
     loss().backward()
     for name in names:
         tensor = weights[name]

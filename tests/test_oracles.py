@@ -14,9 +14,7 @@ from cfsearch.oracles import (
     TabularOracle,
     build_landscape,
     exhaustive_optimum,
-    export_landscape,
     feasible_fitness_values,
-    load_landscape,
     shipped_landscape,
 )
 from cfsearch.space import (
@@ -204,15 +202,6 @@ def test_feasible_fitness_values_descending():
     assert values == sorted(values, reverse=True)
     fewer = feasible_fitness_values(scape, params_limit=300, flops_limit=10**9)
     assert len(fewer) < len(values)
-
-
-def test_export_import_round_trip(tmp_path):
-    spec = landscape_spec()
-    scape = build_landscape(spec, "random_seeded", seed=12)
-    path = tmp_path / "scape.tsv"
-    export_landscape(scape, str(path))
-    restored = load_landscape(spec, str(path))
-    assert restored.table == scape.table
 
 
 def test_shipped_landscapes():

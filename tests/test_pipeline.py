@@ -58,8 +58,7 @@ def test_operator_stage_scores_every_member_once_for_two_operators():
     spec = build_spec(n_paths=1, n_layers=2, n_operators=2, channels=(2, 3))
     scape = build_landscape(spec, "random_seeded", seed=14)
     oracle = TabularOracle(scape)
-    best_ops, records, sampled = search_operators(oracle, 0)
-    assert not sampled
+    best_ops, records = search_operators(oracle, 0)
     # 2 specializations of 2 members each: all 4 assignments, each once.
     assert len(records) == 2 * operator_specialization_count(2, 2)
     assert len({r.label for r in records}) == 4
@@ -77,7 +76,7 @@ def test_operator_stage_tie_breaks_lexicographically():
     spec = build_spec(n_paths=1, n_layers=2, n_operators=2, channels=(2, 3))
     table = {g.to_record(): 1.0 for g in enumerate_genomes(spec)}
     scape = TabularLandscape(spec=spec, rule="random_seeded", seed=0, table=table)
-    best_ops, _, _ = search_operators(TabularOracle(scape), 0)
+    best_ops, _ = search_operators(TabularOracle(scape), 0)
     assert best_ops == (0, 0)
 
 
@@ -86,10 +85,7 @@ def test_operator_stage_sampling_needs_rng():
     oracle = TabularOracle(build_landscape(spec, "random_seeded", seed=3))
     with pytest.raises(ConfigError):
         search_operators(oracle, 0, sample_count=1)
-    _, records, sampled = search_operators(
-        oracle, 0, sample_count=1, rng=np.random.default_rng(0)
-    )
-    assert sampled
+    _, records = search_operators(oracle, 0, sample_count=1, rng=np.random.default_rng(0))
     assert len(records) == 2  # one specialization of two members
 
 
@@ -103,8 +99,7 @@ def test_run_search_call_accounting():
     assert trace.oracle_calls["operator"] == 2 * operator_specialization_count(2, 2)
     assert trace.oracle_calls["channel"] == len(trace.channel_records)
     assert trace.total_oracle_calls == sum(trace.oracle_calls.values())
-    assert not trace.incomplete
-    assert trace.g_star == trace.g_channel == genome.to_record()
+    assert trace.g_channel == genome.to_record()
     assert trace.g_optr is not None
     # The channel stage count is the number of unique new evaluations.
     assert trace.oracle_calls["channel"] <= cfg.eval_budget
@@ -176,7 +171,7 @@ def fast_pipeline_config():
 def test_run_pipeline_end_to_end_smoke():
     config = fast_pipeline_config()
     result = run_pipeline(config)
-    assert result.genome.to_record() == result.trace.g_star
+    assert result.genome.to_record() == result.trace.g_channel
     assert np.isfinite(result.searched_fitness)
     assert np.isfinite(result.final_fitness)
     assert result.pretrain.ledger.is_fair()

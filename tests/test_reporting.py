@@ -40,7 +40,7 @@ def test_trace_format_sections():
     assert text.startswith("# search trace v1\n")
     assert f"[stage path] calls=2 chosen=path:{trace.chosen_path}" in text
     assert "[stage operator] calls=4" in text
-    assert "sampled=0" in text
+    assert f"chosen={trace.g_optr}\n" in text
     assert "[stage channel]" in text
     assert f"chosen={genome.to_record()}" in text
     assert text.rstrip().endswith(f"total calls: {trace.total_oracle_calls}")

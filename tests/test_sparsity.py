@@ -90,16 +90,11 @@ def test_prox_step_produces_exact_zeros():
     # inner = (0.0, 0.05, 1.5); threshold 0.5 -> (0, 0, 1.0).
     assert np.array_equal(bank.gammas[0].data, [0.0, 0.0, 1.0])
     assert bank.zero_count() == 2
-    assert bank.zero_fraction() == pytest.approx(2 / 3)
 
 
-def test_bank_l1_and_zero_grad():
+def test_bank_l1_value():
     bank = ScaleFactorBank.create([2, 2], learning_rate=0.1, sparsity_weight=0.0)
     assert bank.l1_value() == pytest.approx(4 * GAMMA_INIT)
-    for g in bank.gammas:
-        g.grad = np.ones_like(g.data)
-    bank.zero_grad()
-    assert all(g.grad is None for g in bank.gammas)
 
 
 def test_top_k_mask_keeps_largest_magnitudes():
