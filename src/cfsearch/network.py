@@ -283,6 +283,38 @@ def _block_core(
     return h
 
 
+class StageTrail:
+    """The stage outputs of the last forward a ``GeneratorView`` ran with it.
+
+    ``keys[i]`` is stage ``i``'s own key (see ``GeneratorView.stage_keys``)
+    and ``outputs[i]`` its output.  Stage ``i``'s output depends on the keys
+    of stages ``0..i`` together, so the outputs of a matching key prefix are
+    exactly what a fresh forward would recompute.  The trail also depends on
+    the input array and the weights object it was built on; it starts over
+    when either differs, compared by identity.  Weights changed in place are
+    not noticed, so a trail is only sound over fixed weights.
+    """
+
+    def __init__(self) -> None:
+        self.x: np.ndarray | None = None
+        self.weights: SupernetWeights | None = None
+        self.keys: list = []
+        self.outputs: list[Tensor] = []
+
+    def resume(self, x: Tensor, weights: SupernetWeights, keys: list) -> tuple[int, Tensor]:
+        """(stages reused, the last reused output or ``x``); drops the rest."""
+        n = 0
+        if self.x is x.data and self.weights is weights:
+            limit = min(len(self.outputs), len(keys))
+            while n < limit and self.keys[n] == keys[n]:
+                n += 1
+        else:
+            self.x, self.weights = x.data, weights
+        del self.outputs[n:]
+        self.keys = keys
+        return n, self.outputs[n - 1] if n else x
+
+
 @dataclass
 class GeneratorView:
     """A callable sub-generator borrowing supernet weights.
@@ -291,6 +323,13 @@ class GeneratorView:
     candidates per layer (the full-supernet form used for path scoring
     and for discriminator updates).  ``channel_widths`` are the active
     output widths per layer; the widest width skips masking entirely.
+
+    A forward runs 2L + 1 stages in order, then the head: the stem, then
+    per layer ``l`` its block core (the resample into the layer, the
+    operator block and its recursion passes) and its channel norm.  Each
+    stage's own key names the choices it adds: the stem's is the path, a
+    core's is ``(op_l, depth_l)`` and a norm's is ``width_l``.  A stage's
+    output depends on its own key and on the keys of every earlier stage.
     """
 
     weights: SupernetWeights
@@ -299,56 +338,80 @@ class GeneratorView:
     channel_widths: tuple[int, ...]
     recursion_depths: tuple[int, ...]
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def stage_keys(self) -> list:
+        """Each stage's own key, in stage order."""
+        ops = self.operator_assignment
+        keys: list = [self.path_index]
+        for l, width in enumerate(self.channel_widths):
+            keys.append((None if ops is None else ops[l], self.recursion_depths[l]))
+            keys.append(width)
+        return keys
+
+    def __call__(self, x: Tensor, trail: StageTrail | None = None) -> Tensor:
+        """Run the generator on ``x``.
+
+        With a ``trail``, the forward resumes after the longest stage
+        prefix whose keys match the trail's, and records the stages it
+        runs there.  Without one, every stage runs.
+        """
         spec = self.weights.spec
         p = self.path_index
-        path = spec.paths[p]
         expected = (spec.input_channels, spec.input_sites)
         if x.data.ndim != 3 or (x.data.shape[1], x.data.shape[2]) != expected:
             raise ShapeError(
                 f"generator input must be (batch, {expected[0]}, {expected[1]}), "
                 f"got {x.data.shape}"
             )
-        full = spec.max_width
-        h = _resample(x, path.resolution_schedule[0])
-        stem_w = self.weights[f"g/p{p}/stem/w"]
-        stem_b = self.weights[f"g/p{p}/stem/b"]
-        h = tanh(conv1d(h, stem_w, bias=stem_b))
-        prev_scale = path.resolution_schedule[0]
-        for l, layer in enumerate(path.layers):
-            scale = path.resolution_schedule[l]
-            if l > 0:
-                h = _resample(h, scale / prev_scale)
-            prev_scale = scale
-
-            if self.operator_assignment is None:
-                candidates = range(layer.num_operators)
-            else:
-                candidates = (self.operator_assignment[l],)
-
-            def block(inp: Tensor) -> Tensor:
-                parts = [
-                    _block_core(self.weights, p, l, m, layer.operator_candidates[m].units, inp)
-                    for m in candidates
-                ]
-                out = parts[0]
-                for part in parts[1:]:
-                    out = out + part
-                if len(parts) > 1:
-                    out = out * (1.0 / len(parts))
-                return out
-
-            h = block(h)
-            for _ in range(self.recursion_depths[l] - 1):
-                h = h + block(h)
-
-            gamma = self.weights.gamma(p, l)
-            width = self.channel_widths[l]
-            keep = active_channel_mask(gamma.data, width) if width < full else None
-            h = channel_rms_norm(h, gamma, keep)
+        start, h = (0, x) if trail is None else trail.resume(x, self.weights, self.stage_keys())
+        for stage in range(start, 2 * len(self.channel_widths) + 1):
+            h = self._stage(stage, h)
+            if trail is not None:
+                trail.outputs.append(h)
         head_w = self.weights[f"g/p{p}/head/w"]
         head_b = self.weights[f"g/p{p}/head/b"]
         return conv1d(h, head_w, bias=head_b)
+
+    def _stage(self, stage: int, h: Tensor) -> Tensor:
+        """Stage ``stage`` of the forward applied to the previous stage's output."""
+        p = self.path_index
+        path = self.weights.spec.paths[p]
+        schedule = path.resolution_schedule
+        if stage == 0:
+            h = _resample(h, schedule[0])
+            stem_w = self.weights[f"g/p{p}/stem/w"]
+            stem_b = self.weights[f"g/p{p}/stem/b"]
+            return tanh(conv1d(h, stem_w, bias=stem_b))
+        l, is_norm = divmod(stage - 1, 2)
+        if is_norm:
+            gamma = self.weights.gamma(p, l)
+            width = self.channel_widths[l]
+            full = self.weights.spec.max_width
+            keep = active_channel_mask(gamma.data, width) if width < full else None
+            return channel_rms_norm(h, gamma, keep)
+        if l > 0:
+            h = _resample(h, schedule[l] / schedule[l - 1])
+        layer = path.layers[l]
+        if self.operator_assignment is None:
+            candidates = range(layer.num_operators)
+        else:
+            candidates = (self.operator_assignment[l],)
+
+        def block(inp: Tensor) -> Tensor:
+            parts = [
+                _block_core(self.weights, p, l, m, layer.operator_candidates[m].units, inp)
+                for m in candidates
+            ]
+            out = parts[0]
+            for part in parts[1:]:
+                out = out + part
+            if len(parts) > 1:
+                out = out * (1.0 / len(parts))
+            return out
+
+        h = block(h)
+        for _ in range(self.recursion_depths[l] - 1):
+            h = h + block(h)
+        return h
 
 
 def subnet_view(weights: SupernetWeights, genome: ArchitectureGenome) -> GeneratorView:

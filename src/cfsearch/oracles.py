@@ -25,7 +25,7 @@ from .configs import default_toy_spec, evolution_bench_spec
 from .costs import CostReport, genome_cost, satisfies_constraints
 from .engine import Tensor
 from .errors import ConfigError, InfeasibleError, InvariantError
-from .network import mixed_view
+from .network import StageTrail, mixed_view
 from .space import (
     ArchitectureGenome,
     SupernetSpec,
@@ -258,18 +258,27 @@ class TabularOracle(FitnessOracle):
 
 
 class GanOracle(FitnessOracle):
-    """Oracle over a pretrained supernet: weight-inherited evaluation."""
+    """Oracle over a pretrained supernet: weight-inherited evaluation.
+
+    The oracle assumes its weights stay fixed: the fitness cache keeps a
+    genome's score, and a ``StageTrail`` keeps the stage outputs of the
+    last genome scored, so that each miss runs only the stages in which
+    its genome differs from that one.  Consecutive genomes in canonical
+    order share all but their last layer.  Scores are bit-identical to a
+    trail-free ``trainer.evaluate_genome``.  Path scores use no trail.
+    """
 
     def __init__(self, weights, dataset):
         super().__init__(weights.spec)
         self.weights = weights
         self.dataset = dataset
+        self._trail = StageTrail()
 
     # ``trainer`` functions are looked up on the module at call time, so a
     # wrapper installed on ``trainer`` (as the benchmark's tracer does)
     # sees these calls.
     def _fitness(self, genome: ArchitectureGenome) -> float:
-        return trainer.evaluate_genome(self.weights, genome, self.dataset)
+        return trainer.evaluate_genome(self.weights, genome, self.dataset, self._trail)
 
     def _path_fitness(self, path_index: int) -> float:
         out = mixed_view(self.weights, path_index)(Tensor(self.dataset.val_x)).data

@@ -38,7 +38,7 @@ from .engine import Tensor, sigmoid
 from .errors import ConfigError, NonFiniteLossError, ShapeError
 from .fairness import FairnessLedger, plan_epoch
 from .metrics import gaussian_moments, moment_distance, psnr
-from .network import DiscriminatorView, SupernetWeights, mixed_view, subnet_view
+from .network import DiscriminatorView, StageTrail, SupernetWeights, mixed_view, subnet_view
 from .space import ArchitectureGenome, SupernetSpec, maximal_genome
 from .sparsity import ScaleFactorBank, prox_step
 from .util import child_seed
@@ -453,11 +453,18 @@ def score_outputs(out: np.ndarray, dataset: ToyDataset) -> float:
 
 
 def evaluate_genome(
-    weights: SupernetWeights, genome: ArchitectureGenome, dataset: ToyDataset
+    weights: SupernetWeights,
+    genome: ArchitectureGenome,
+    dataset: ToyDataset,
+    trail: StageTrail | None = None,
 ) -> float:
-    """Fitness of a genome with inherited weights; inference only."""
+    """Fitness of a genome with inherited weights; inference only.
+
+    A ``trail`` lets the forward resume from the stages this genome
+    shares with the last one evaluated with it (see ``StageTrail``).
+    """
     gen = subnet_view(weights, genome)
-    out = gen(Tensor(dataset.val_x)).data
+    out = gen(Tensor(dataset.val_x), trail).data
     return score_outputs(out, dataset)
 
 

@@ -17,13 +17,23 @@ from cfsearch.oracles import (
     feasible_fitness_values,
     shipped_landscape,
 )
+from cfsearch.engine import Tensor
+from cfsearch.network import StageTrail, SupernetWeights, subnet_view
 from cfsearch.space import (
     ArchitectureGenome,
     enumerate_genomes,
     genome_space_size,
     maximal_genome,
+    spec_from_dict,
 )
-from cfsearch.trainer import TASK_TRANSLATION, TrainConfig, evaluate_genome, make_dataset, pretrain_supernet
+from cfsearch.trainer import (
+    TASK_SUPER_RESOLUTION,
+    TASK_TRANSLATION,
+    TrainConfig,
+    evaluate_genome,
+    make_dataset,
+    pretrain_supernet,
+)
 
 from conftest import build_spec
 
@@ -243,3 +253,72 @@ def test_non_finite_fitness_is_rejected_before_caching():
     with pytest.raises(InvariantError, match="path 0"):
         oracle.path_score(0)
     assert oracle.path_evaluations == 0
+
+
+def trail_case(task):
+    """A small supernet with spread scale factors, and a dataset for ``task``."""
+    if task == TASK_TRANSLATION:
+        spec = build_spec(
+            n_paths=2, n_layers=2, channels=(2, 3), recursions=(1, 2),
+            input_sites=1, input_channels=2,
+        )
+    else:  # resamples into each layer: 4 sites in, 8 after layer 0, 16 out
+        spec = spec_from_dict(
+            {
+                "input_channels": 1,
+                "input_sites": 4,
+                "channel_choices": [2, 3],
+                "paths": [
+                    {
+                        "resolution_schedule": [2, 4],
+                        "operators": [["conv3x3", "dws_block"]] * 2,
+                        "recursion_choices": [[1, 2]] * 2,
+                    }
+                ],
+            }
+        )
+    weights = SupernetWeights.create(spec, seed=3)
+    rng = np.random.default_rng(4)
+    for p in range(spec.num_paths):
+        for gamma in weights.gamma_tensors(p):
+            gamma.data = rng.uniform(0.1, 1.0, size=gamma.data.shape)
+    return weights, make_dataset(task, samples=16, val_fraction=0.5, seed=1)
+
+
+@pytest.mark.parametrize("task", [TASK_TRANSLATION, TASK_SUPER_RESOLUTION])
+def test_gan_oracle_trail_is_bit_identical_in_any_order(task):
+    weights, ds = trail_case(task)
+    genomes = list(enumerate_genomes(weights.spec))
+    plain = {g.to_record(): evaluate_genome(weights, g, ds) for g in genomes}
+    shuffled = [genomes[i] for i in np.random.default_rng(5).permutation(len(genomes))]
+    for order in (genomes, genomes[::-1], shuffled):
+        oracle = GanOracle(weights, ds)
+        assert [oracle.evaluate(g).fitness for g in order] == [
+            plain[g.to_record()] for g in order
+        ]
+    # Re-scoring: an earlier genome after a later one, and one genome twice.
+    trail = StageTrail()
+    for g in (genomes[0], genomes[-1], genomes[0], genomes[0]):
+        assert evaluate_genome(weights, g, ds, trail) == plain[g.to_record()]
+
+
+def test_trail_starts_over_on_other_inputs_or_weights():
+    weights, ds = trail_case(TASK_TRANSLATION)
+    genome = maximal_genome(weights.spec, 0)
+    view = subnet_view(weights, genome)
+    trail = StageTrail()
+    view(Tensor(ds.val_x), trail)
+    assert trail.resume(Tensor(ds.val_x), weights, view.stage_keys())[0] == len(trail.keys)
+
+    other_x = Tensor(ds.val_x * 0.5)
+    assert np.array_equal(view(other_x, trail).data, view(other_x).data)
+    assert trail.x is other_x.data
+
+    other_weights = weights.clone()
+    for tensor in other_weights.tensors.values():
+        tensor.data = tensor.data * 1.5
+    other_view = subnet_view(other_weights, genome)
+    x = Tensor(ds.val_x)
+    assert trail.resume(x, other_weights, other_view.stage_keys())[0] == 0
+    assert np.array_equal(other_view(x, trail).data, other_view(x).data)
+    assert evaluate_genome(weights, genome, ds, trail) == evaluate_genome(weights, genome, ds)

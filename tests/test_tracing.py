@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` measures layers by replacing names such as
 ``network.conv1d`` with wrappers that call ``conv_name(*args)`` on the
 positional arguments only.  A renamed layer op, or a bias passed
-positionally, would leave its per-layer metrics silently at zero.
+positionally, would leave its per-layer metrics silently at zero.  A joint
+sweep must still show one generator forward per genome.
 """
 
 import importlib.util
@@ -13,7 +14,10 @@ from pathlib import Path
 
 from cfsearch import cli, engine, network, pipeline, trainer
 from cfsearch.network import SupernetWeights
-from cfsearch.space import maximal_genome
+from cfsearch.oracles import GanOracle
+from cfsearch.space import enumerate_genomes, maximal_genome
+
+from conftest import build_spec
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -77,3 +81,28 @@ def test_benchmark_tracer_times_the_losses_and_backward_of_pretraining():
     assert tracer.counts["sparsity.zero_fraction.n"] == 1
     assert result.ledger.is_fair()
     assert (trainer.total_loss, trainer.discriminator_loss, engine.Tensor.backward) == originals
+
+
+def test_benchmark_tracer_sees_one_forward_per_genome_of_a_joint_sweep():
+    spec = build_spec(n_layers=2, recursions=(1, 2), input_sites=1, input_channels=2)
+    dataset = trainer.make_dataset(trainer.TASK_TRANSLATION, samples=16, val_fraction=0.5, seed=1)
+    weights = SupernetWeights.create(spec, seed=0)
+    genomes = list(enumerate_genomes(spec))
+    tracing = load_tracing()
+
+    def traced(sweep):
+        tracer = tracing.Tracer()
+        tracing.install_layer_spans(tracer)
+        try:
+            sweep()
+        finally:
+            tracer.restore()
+        return tracer
+
+    joint = traced(lambda: pipeline.joint_search_baseline(GanOracle(weights, dataset)))
+    plain = traced(lambda: [trainer.evaluate_genome(weights, g, dataset) for g in genomes])
+
+    for name in ("trainer.evaluate", "oracles.miss", "network.generator"):
+        assert joint.calls[name] == len(genomes)
+    convs = ("engine.conv1d", "engine.pointwise")
+    assert sum(joint.calls[n] for n in convs) < sum(plain.calls[n] for n in convs)
