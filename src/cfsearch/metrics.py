@@ -4,10 +4,13 @@
 two moments: fit a Gaussian to each (``gaussian_moments``) and take the
 squared Fréchet distance between them (``moment_distance``),
 
-    |mu_a - mu_b|^2 + tr(Sig_a) + tr(Sig_b) - 2 tr((Sig_a^1/2 Sig_b Sig_a^1/2)^1/2).
+    |mu_a - mu_b|^2 + tr(Sig_a) + tr(Sig_b) - 2 tr((Sig_b^1/2 Sig_a Sig_b^1/2)^1/2).
 
-The matrix square roots run over symmetric eigendecompositions with
-eigenvalues clipped at zero, so the result is deterministic, real, and
+``covariance_root`` takes Sig_b^1/2 from a symmetric eigendecomposition,
+so a fixed reference set pays for it once.  The last trace is the sum of
+the square roots of the eigenvalues of Sig_b^1/2 Sig_a Sig_b^1/2
+(symmetrized against rounding), which needs no eigenvectors.  Eigenvalues
+are clipped at zero throughout, so the result is deterministic, real, and
 exactly 0.0 for identical sets up to rounding.
 
 ``psnr`` is the usual peak signal-to-noise ratio over a fixed peak; a
@@ -27,8 +30,9 @@ SIGNAL_PEAK = 2.0
 PSNR_CAP = 300.0
 
 
-def _sym_sqrt(matrix: np.ndarray) -> np.ndarray:
-    values, vectors = np.linalg.eigh((matrix + matrix.T) / 2.0)
+def covariance_root(cov: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a covariance, eigenvalues clipped at zero."""
+    values, vectors = np.linalg.eigh((cov + cov.T) / 2.0)
     values = np.clip(values, 0.0, None)
     return (vectors * np.sqrt(values)) @ vectors.T
 
@@ -40,24 +44,34 @@ def gaussian_moments(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"need an (n, d) sample set, got shape {a.shape}")
     if a.shape[0] < 2:
         raise ValueError("need at least 2 samples per set to estimate covariance")
-    return a.mean(axis=0), np.cov(a, rowvar=False).reshape(a.shape[1], a.shape[1])
+    mean = a.mean(axis=0)
+    centred = a - mean
+    return mean, (centred.T @ centred) / (a.shape[0] - 1)
 
 
 def moment_distance(
-    moments_a: tuple[np.ndarray, np.ndarray], moments_b: tuple[np.ndarray, np.ndarray]
+    moments_a: tuple[np.ndarray, np.ndarray],
+    moments_b: tuple[np.ndarray, np.ndarray],
+    root_b: np.ndarray | None = None,
 ) -> float:
-    """Squared Fréchet distance between two Gaussians given as (mean, covariance)."""
+    """Squared Fréchet distance between two Gaussians given as (mean, covariance).
+
+    ``root_b`` is ``covariance_root`` of the second covariance, if the
+    caller keeps it; otherwise it is computed here.
+    """
     mu_a, cov_a = moments_a
     mu_b, cov_b = moments_b
     if mu_a.shape != mu_b.shape:
         raise ValueError(f"need sample sets with equal d, got {mu_a.size} and {mu_b.size}")
-    root_a = _sym_sqrt(cov_a)
-    cross = _sym_sqrt(root_a @ cov_b @ root_a)
+    if root_b is None:
+        root_b = covariance_root(cov_b)
+    m = root_b @ cov_a @ root_b
+    cross = np.clip(np.linalg.eigvalsh((m + m.T) / 2.0), 0.0, None)
     value = float(
         np.sum((mu_a - mu_b) ** 2)
         + np.trace(cov_a)
         + np.trace(cov_b)
-        - 2.0 * np.trace(cross)
+        - 2.0 * np.sum(np.sqrt(cross))
     )
     return max(value, 0.0)
 
