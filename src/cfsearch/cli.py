@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import yaml
 
-from .configs import default_config
+from .configs import config_number, default_config
 from .errors import (
     CfSearchError,
     ConfigError,
@@ -93,7 +93,8 @@ def load_config(path: str | None = None, seed: int | None = None) -> dict:
             cfg["space"] = user.pop("space")
         cfg = _merge(cfg, user)
     if seed is not None:
-        cfg["seed"] = int(seed)
+        cfg["seed"] = seed
+    cfg["seed"] = config_number(cfg["seed"], int, "seed")
     return cfg
 
 

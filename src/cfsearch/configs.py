@@ -11,8 +11,9 @@ isolation.
 from __future__ import annotations
 
 import copy
-from typing import Mapping
+from typing import Callable, Mapping
 
+from .errors import ConfigError
 from .space import SupernetSpec, spec_from_dict
 
 DEFAULT_CONFIG: Mapping = {
@@ -86,6 +87,15 @@ EVOLUTION_BENCH_SPEC: Mapping = {
         }
     ],
 }
+
+
+def config_number(value, kind: Callable[[object], float], key: str):
+    """``kind(value)`` for a config value, or a ``ConfigError`` naming ``key``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
 
 
 def default_config() -> dict:

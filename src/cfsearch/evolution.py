@@ -17,6 +17,7 @@ loop spends it on seeded random feasible probes instead of stalling.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,6 +67,12 @@ class EvoConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("population", "elites", "generations", "eval_budget"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("params_limit", "flops_limit", "epsilon"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.population < 2 or self.population % 2 != 0:
             raise ConfigError(
                 f"population must be even and >= 2, got {self.population}"

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .configs import config_number
 from .costs import satisfies_constraints
 from .errors import ConfigError, InfeasibleError
 from .evolution import EvoConfig, GenerationRow, ShrinkResult, shrink_channels
@@ -224,8 +225,8 @@ def prepare(config: dict) -> tuple[SupernetSpec, ToyDataset, TrainConfig]:
     spec = spec_from_dict(config["space"])
     dataset = make_dataset(
         config["task"],
-        int(config["dataset"]["samples"]),
-        float(config["dataset"]["val_fraction"]),
+        config_number(config["dataset"]["samples"], int, "dataset.samples"),
+        config_number(config["dataset"]["val_fraction"], float, "dataset.val_fraction"),
         child_seed(int(config["seed"]), "dataset"),
     )
     try:
@@ -244,6 +245,9 @@ def run_pipeline(config: dict) -> PipelineResult:
     pretrained supernet survives unmodified for later inspection.
     """
     seed = int(config["seed"])
+    finetune_epochs = config_number(
+        config["search"]["finetune_epochs"], int, "search.finetune_epochs"
+    )
     spec, dataset, train_cfg = prepare(config)
     evo_cfg = EvoConfig.from_mapping(config["evolution"])
     pretrain = pretrain_supernet(spec, dataset, train_cfg, child_seed(seed, "pretrain"))
@@ -260,7 +264,7 @@ def run_pipeline(config: dict) -> PipelineResult:
         genome,
         dataset,
         train_cfg,
-        int(config["search"]["finetune_epochs"]),
+        finetune_epochs,
         child_seed(seed, "finetune"),
     )
     final_fitness = evaluate_genome(finetuned, genome, dataset)

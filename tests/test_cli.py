@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from cfsearch import pipeline
 from cfsearch.cli import load_config, main
 from cfsearch.configs import default_config, default_toy_spec
 from cfsearch.errors import ConfigError
@@ -101,6 +102,36 @@ def test_evolution_seed_key_exits_2(tmp_path, capsys):
     code = main(["run-all", "--config", write_config(tmp_path, overlay)])
     assert code == 2
     assert "top-level seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("evolution", "generations", None),
+        ("dataset", "samples", "abc"),
+        ("dataset", "val_fraction", "lots"),
+        (None, "seed", "abc"),
+        ("search", "finetune_epochs", "x"),
+    ],
+)
+def test_malformed_config_value_exits_2_before_pretraining(
+    tmp_path, capsys, monkeypatch, section, key, value
+):
+    overlay = json.loads(json.dumps(FAST_OVERLAY))
+    if section is None:
+        overlay[key] = value
+    else:
+        overlay[section][key] = value
+
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("pretraining ran before the config was read")
+
+    monkeypatch.setattr(pipeline, "pretrain_supernet", no_pretraining)
+    code = main(["run-all", "--config", write_config(tmp_path, overlay)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and key in err
+    assert "Traceback" not in err
 
 
 def test_infeasible_constraints_exit_3(tmp_path, capsys):
