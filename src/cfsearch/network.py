@@ -287,19 +287,20 @@ class StageTrail:
     """The stage outputs of the last forward a ``GeneratorView`` ran with it.
 
     ``keys[i]`` is stage ``i``'s own key (see ``GeneratorView.stage_keys``)
-    and ``outputs[i]`` its output.  Stage ``i``'s output depends on the keys
-    of stages ``0..i`` together, so the outputs of a matching key prefix are
-    exactly what a fresh forward would recompute.  The trail also depends on
-    the input array and the weights object it was built on; it starts over
-    when either differs, compared by identity.  Weights changed in place are
-    not noticed, so a trail is only sound over fixed weights.
+    and ``outputs[i]`` its output array, kept without its graph.  Stage
+    ``i``'s output depends on the keys of stages ``0..i`` together, so the
+    outputs of a matching key prefix are exactly what a fresh forward would
+    recompute.  The trail also depends on the input array and the weights
+    object it was built on; it starts over when either differs, compared
+    by identity.  Weights changed in place are not noticed, so a trail is
+    only sound over fixed weights.
     """
 
     def __init__(self) -> None:
         self.x: np.ndarray | None = None
         self.weights: SupernetWeights | None = None
         self.keys: list = []
-        self.outputs: list[Tensor] = []
+        self.outputs: list[np.ndarray] = []
 
     def resume(self, x: Tensor, weights: SupernetWeights, keys: list) -> tuple[int, Tensor]:
         """(stages reused, the last reused output or ``x``); drops the rest."""
@@ -312,7 +313,7 @@ class StageTrail:
             self.x, self.weights = x.data, weights
         del self.outputs[n:]
         self.keys = keys
-        return n, self.outputs[n - 1] if n else x
+        return n, Tensor(self.outputs[n - 1]) if n else x
 
 
 @dataclass
@@ -366,7 +367,7 @@ class GeneratorView:
         for stage in range(start, 2 * len(self.channel_widths) + 1):
             h = self._stage(stage, h)
             if trail is not None:
-                trail.outputs.append(h)
+                trail.outputs.append(h.data)
         head_w = self.weights[f"g/p{p}/head/w"]
         head_b = self.weights[f"g/p{p}/head/b"]
         return conv1d(h, head_w, bias=head_b)
