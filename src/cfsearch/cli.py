@@ -87,6 +87,9 @@ def load_config(path: str | None = None, seed: int | None = None) -> dict:
         unknown = sorted(set(user) - _TOP_LEVEL_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
+        for key, value in user.items():
+            if isinstance(cfg[key], dict) and not isinstance(value, dict):
+                raise ConfigError(f"config section {key} must be a mapping, got {value!r}")
         if "space" in user:
             # A space is a unit: partial overrides of paths would splice
             # incompatible layer lists, so it replaces wholesale.

@@ -112,6 +112,8 @@ def test_evolution_seed_key_exits_2(tmp_path, capsys):
         ("dataset", "val_fraction", "lots"),
         (None, "seed", "abc"),
         ("search", "finetune_epochs", "x"),
+        (None, "dataset", 5),
+        (None, "search", None),
     ],
 )
 def test_malformed_config_value_exits_2_before_pretraining(
