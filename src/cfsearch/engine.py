@@ -19,8 +19,13 @@ ancestor, which would otherwise train nothing without a word.
 
 Since the walk costs Python time per node, each layer op is one node:
 ``conv1d`` and ``dwconv1d`` add their optional bias into the output
-buffer, and ``channel_rms_norm`` normalizes, scales by ``gamma`` and
-applies the channel mask in one step.
+buffer, then, on request, apply ``tanh`` and add a residual ``skip`` in
+place; ``channel_rms_norm`` normalizes, scales by ``gamma`` and applies
+the channel mask in one step; ``mixture_mean`` sums a list of tensors
+and scales the sum by one over its length; and ``pooled_linear`` is a
+site mean, a matmul and a bias add.  Each fused op does the same float
+operations in the same order as the chain of engine ops it replaces, so
+its forward and gradients are bit-identical to that chain.
 
 Gradients accumulate: a second backward pass, or a second use of the
 same tensor, adds into a leaf's ``grad`` rather than replacing it, which
@@ -36,6 +41,7 @@ arithmetic here, results agree only to rounding.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import count
 from operator import attrgetter
 from typing import Callable, Sequence
@@ -55,13 +61,19 @@ _by_creation = attrgetter("_seq")
 
 
 def sigmoid(x: Array) -> Array:
-    """Logistic function of an array, stable for large |x|; softplus's slope."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function of an array, stable for large |x|; softplus's slope.
+
+    ``1 / (1 + exp(-x))`` where x >= 0 and ``exp(x) / (1 + exp(x))``
+    elsewhere, from one ``exp(-|x|)``.
+    """
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def mean(a: Array) -> Array:
+    """Mean of every element: the arithmetic of ``a.mean()``, with less overhead."""
+    return np.add.reduce(a, axis=None) / a.size
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -102,11 +114,20 @@ class Tensor:
 
     @staticmethod
     def _make(data: Array, parents: tuple["Tensor", ...], backward) -> "Tensor":
-        needs = any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=needs)
-        if needs:
-            out._parents = parents
-            out._backward = backward
+        """A node over ``parents``; ``data`` must already be a float64 array."""
+        out = Tensor.__new__(Tensor)
+        out.data = data
+        out.grad = None
+        out._seq = next(_creation)
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward
+                return out
+        out.requires_grad = False
+        out._parents = ()
+        out._backward = None
         return out
 
     def backward(self) -> None:
@@ -223,7 +244,7 @@ def square(x: Tensor) -> Tensor:
 def mean_all(x: Tensor) -> Tensor:
     n = x.data.size
     return Tensor._make(
-        np.asarray(x.data.mean()),
+        np.asarray(mean(x.data)),
         (x,),
         lambda g: (np.broadcast_to(g / n, x.data.shape).copy(),),
     )
@@ -240,7 +261,7 @@ def sum_all(x: Tensor) -> Tensor:
 def mean_axis(x: Tensor, axis: int) -> Tensor:
     """Mean along one axis, keeping it as size 1."""
     n = x.data.shape[axis]
-    y = x.data.mean(axis=axis, keepdims=True)
+    y = np.add.reduce(x.data, axis=axis, keepdims=True) / n
     return Tensor._make(
         y,
         (x,),
@@ -248,7 +269,8 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
     )
 
 
-def _side_taps(kernel: int, sites: int) -> list[tuple[int, slice, slice]]:
+@lru_cache(maxsize=64)
+def _side_taps(kernel: int, sites: int) -> tuple[tuple[int, slice, slice], ...]:
     """(tap, output sites, input sites) of every off-centre tap that sees data.
 
     Tap ``k`` reads input site ``s + k - kernel // 2`` for output site ``s``;
@@ -263,7 +285,7 @@ def _side_taps(kernel: int, sites: int) -> list[tuple[int, slice, slice]]:
             out = slice(max(0, -shift), sites - max(0, shift))
             inp = slice(max(0, shift), sites + min(0, shift))
             taps.append((k, out, inp))
-    return taps
+    return tuple(taps)
 
 
 def _tap_weight_grad(g: Array, x: Array) -> Array:
@@ -277,24 +299,62 @@ def _tap_weight_grad(g: Array, x: Array) -> Array:
     )
 
 
-def _with_bias(y: Array, x: Tensor, w: Tensor, bias: Tensor | None, backward):
-    """One node for a conv, its bias added in place into the output."""
-    if bias is None:
-        return Tensor._make(y, (x, w), backward)
-    y += bias.data[:, None]
-    return Tensor._make(
-        y,
-        (x, w, bias),
-        lambda g: (*backward(g), g.sum(axis=(0, 2)) if bias.requires_grad else None),
-    )
+def _conv_node(
+    y: Array,
+    x: Tensor,
+    w: Tensor,
+    backward,
+    bias: Tensor | None,
+    tanh: bool,
+    skip: Tensor | None,
+) -> Tensor:
+    """One node for a conv's output ``y``: plus ``bias``, then ``tanh``, then ``skip``.
+
+    Each step works in place on ``y``, except that the ``tanh`` output is
+    kept apart when a ``skip`` follows, since its gradient needs it.
+    """
+    parents = [x, w]
+    if bias is not None:
+        y += bias.data[:, None]
+        parents.append(bias)
+    act = np.tanh(y, out=y) if tanh else None
+    if skip is not None:
+        if act is None:
+            y += skip.data
+        else:
+            y = act + skip.data
+        parents.append(skip)
+
+    def node_backward(g: Array):
+        g_skip = g
+        if act is not None:
+            g = g * (1.0 - act * act)
+        grads = list(backward(g))
+        if bias is not None:
+            grads.append(g.sum(axis=(0, 2)) if bias.requires_grad else None)
+        if skip is not None:
+            grads.append(g_skip)
+        return grads
+
+    return Tensor._make(y, tuple(parents), node_backward)
 
 
-def conv1d(x: Tensor, w: Tensor, *, bias: Tensor | None = None) -> Tensor:
+def conv1d(
+    x: Tensor,
+    w: Tensor,
+    *,
+    bias: Tensor | None = None,
+    tanh: bool = False,
+    skip: Tensor | None = None,
+) -> Tensor:
     """Same-length 1-D convolution, plus a per-output-channel ``bias``.
 
     ``x`` is (batch, c_in, sites); ``w`` is (c_out, c_in, k) with odd k;
     ``bias`` is (c_out,).  Input is zero padded by k // 2 on both sides.
-    Each tap that sees data is one matmul into the output.
+    Each tap that sees data is one matmul into the output.  With ``tanh``
+    the biased output goes through ``tanh``, and a ``skip`` of the
+    output's shape is added last: one node, bit-identical to
+    ``tanh(conv1d(x, w, bias=bias)) + skip``.
     """
     kernel = w.data.shape[2]
     if kernel % 2 != 1:
@@ -322,12 +382,19 @@ def conv1d(x: Tensor, w: Tensor, *, bias: Tensor | None = None) -> Tensor:
                 gx[:, :, inp] += w.data[:, :, k].T @ g[:, :, out]
         return gx, gw
 
-    return _with_bias(y, x, w, bias, backward)
+    return _conv_node(y, x, w, backward, bias, tanh, skip)
 
 
-def dwconv1d(x: Tensor, w: Tensor, *, bias: Tensor | None = None) -> Tensor:
+def dwconv1d(
+    x: Tensor,
+    w: Tensor,
+    *,
+    bias: Tensor | None = None,
+    tanh: bool = False,
+    skip: Tensor | None = None,
+) -> Tensor:
     """Channelwise 1-D convolution: ``w`` is (channels, k) with odd k,
-    ``bias`` is (channels,)."""
+    ``bias`` is (channels,); ``tanh`` and ``skip`` as for ``conv1d``."""
     kernel = w.data.shape[1]
     if kernel % 2 != 1:
         raise ShapeError(f"conv kernels must be odd, got {kernel}")
@@ -355,7 +422,52 @@ def dwconv1d(x: Tensor, w: Tensor, *, bias: Tensor | None = None) -> Tensor:
                 gx[:, :, inp] += g[:, :, out] * wk[:, k]
         return gx, gw
 
-    return _with_bias(y, x, w, bias, backward)
+    return _conv_node(y, x, w, backward, bias, tanh, skip)
+
+
+def mixture_mean(parts: Sequence[Tensor]) -> Tensor:
+    """The mean of same-shape tensors, as one node.
+
+    Bit-identical to ``(parts[0] + parts[1] + ...) * (1.0 / len(parts))``;
+    one part is returned as it is.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    y = parts[0].data + parts[1].data
+    for part in parts[2:]:
+        y += part.data
+    scale = 1.0 / len(parts)
+    y *= scale
+
+    def backward(g: Array):
+        share = g * scale
+        return [share] * len(parts)
+
+    return Tensor._make(y, tuple(parts), backward)
+
+
+def pooled_linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """Site mean of ``x`` (batch, channels, sites), times ``w`` (channels, out), plus ``bias``.
+
+    One node, bit-identical to
+    ``mean_axis(x, 2).reshape(batch, channels).matmul(w) + bias``.
+    """
+    batch, channels, sites = x.data.shape
+    pooled = (np.add.reduce(x.data, axis=2, keepdims=True) / sites).reshape(batch, channels)
+    y = pooled @ w.data + bias.data
+
+    def backward(g: Array):
+        gx = gw = g_bias = None
+        if x.requires_grad:
+            g_pooled = (g @ w.data.T).reshape(batch, channels, 1)
+            gx = np.broadcast_to(g_pooled / sites, x.data.shape).copy()
+        if w.requires_grad:
+            gw = pooled.T @ g
+        if bias.requires_grad:
+            g_bias = _unbroadcast(g, bias.data.shape)
+        return gx, gw, g_bias
+
+    return Tensor._make(y, (x, w, bias), backward)
 
 
 def adapt_channels(x: Tensor, target: int) -> Tensor:
@@ -401,7 +513,7 @@ def downsample_mean(x: Tensor, factor: int) -> Tensor:
     b, c, s = x.data.shape
     if s % factor != 0:
         raise ShapeError(f"cannot pool {s} sites by factor {factor}")
-    y = x.data.reshape(b, c, s // factor, factor).mean(axis=3)
+    y = np.add.reduce(x.data.reshape(b, c, s // factor, factor), axis=3) / factor
 
     def backward(g: Array):
         return (np.repeat(g, factor, axis=2) / factor,)
@@ -420,7 +532,8 @@ def channel_rms_norm(x: Tensor, gamma: Tensor, keep: Array | None = None) -> Ten
     """
     channels = x.data.shape[1]
     scale = gamma.data.reshape(1, channels, 1)
-    r = 1.0 / np.sqrt((x.data * x.data).mean(axis=1, keepdims=True) + _RMS_EPS)
+    power = np.add.reduce(x.data * x.data, axis=1, keepdims=True) / channels
+    r = 1.0 / np.sqrt(power + _RMS_EPS)
     normed = x.data * r
     y = normed * scale
     if keep is not None:

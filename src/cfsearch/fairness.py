@@ -36,6 +36,9 @@ from .util import as_rng
 # the caller gets a float from the log-gamma form.
 EXACT_PROBABILITY_LIMIT = 500
 
+# Ledger counts and indices are stored as int64.
+_FIELD_LIMIT = 2**63
+
 
 @dataclass
 class EpochPlan:
@@ -169,23 +172,37 @@ class FairnessLedger:
 
     @staticmethod
     def load(text: str) -> "FairnessLedger":
+        """Parse ``dump``'s form; a malformed ledger raises ``LedgerFormatError``.
+
+        Every field is an integer in [0, 2**63).  The largest path index
+        may not exceed the number of path rows, nor may a path's grid of
+        (largest layer + 1) * (largest operator + 1) cells exceed its
+        number of op rows, so the arrays built are never larger than the
+        text that asked for them.
+        """
         trials = 0
         op_rows: dict[tuple[int, int, int], int] = {}
         path_rows: dict[int, tuple[int, int]] = {}
+        where: dict[tuple[int, ...], str] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
             try:
+                values = [int(v) for v in parts[1:]]
+                if any(not 0 <= v < _FIELD_LIMIT for v in values):
+                    raise ValueError("field outside [0, 2**63)")
                 if parts[0] == "trials" and len(parts) == 2:
-                    trials = int(parts[1])
+                    trials = values[0]
                 elif parts[0] == "op" and len(parts) == 5:
-                    p, l, m, c = (int(v) for v in parts[1:])
+                    p, l, m, c = values
                     op_rows[(p, l, m)] = c
+                    where[(p, l, m)] = f"ledger line {lineno}: {raw!r}"
                 elif parts[0] == "path" and len(parts) == 4:
-                    p, g, d = (int(v) for v in parts[1:])
+                    p, g, d = values
                     path_rows[p] = (g, d)
+                    where[(p,)] = f"ledger line {lineno}: {raw!r}"
                 else:
                     raise ValueError("unrecognized row")
             except (ValueError, IndexError) as exc:
@@ -193,19 +210,28 @@ class FairnessLedger:
         if not path_rows:
             raise LedgerFormatError("ledger has no path rows")
         num_paths = max(path_rows) + 1
+        if num_paths > len(path_rows):
+            raise LedgerFormatError(
+                f"{where[(num_paths - 1,)]}: path index {num_paths - 1} "
+                f"but {len(path_rows)} path rows"
+            )
         orphans = sorted({p for (p, _l, _m) in op_rows if p >= num_paths})
         if orphans:
             raise LedgerFormatError(f"ledger has op rows for paths {orphans} with no path row")
         operator_counts = []
         for p in range(num_paths):
-            layers = [l for (pp, l, _m) in op_rows if pp == p]
-            n_layers = (max(layers) + 1) if layers else 0
-            ops = [m for (pp, _l, m) in op_rows if pp == p]
-            n_ops = (max(ops) + 1) if ops else 0
+            keys = [key for key in op_rows if key[0] == p]
+            n_layers = max((l for _p, l, _m in keys), default=-1) + 1
+            n_ops = max((m for _p, _l, m in keys), default=-1) + 1
+            if n_layers * n_ops > len(keys):
+                widest = max(keys, key=lambda key: max(key[1], key[2]))
+                raise LedgerFormatError(
+                    f"{where[widest]}: path {p} needs a {n_layers} x {n_ops} grid "
+                    f"but has {len(keys)} op rows"
+                )
             grid = np.zeros((n_layers, n_ops), dtype=np.int64)
-            for (pp, l, m), c in op_rows.items():
-                if pp == p:
-                    grid[l, m] = c
+            for _p, l, m in keys:
+                grid[l, m] = op_rows[(p, l, m)]
             operator_counts.append(grid)
         generator_counts = np.zeros(num_paths, dtype=np.int64)
         discriminator_counts = np.zeros(num_paths, dtype=np.int64)

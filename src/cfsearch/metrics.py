@@ -90,5 +90,5 @@ def psnr(output: np.ndarray, target: np.ndarray, peak: float = SIGNAL_PEAK) -> f
     mse = float(np.mean((out - ref) ** 2))
     if mse <= 0.0:
         return PSNR_CAP
-    value = 10.0 * np.log10(peak * peak / mse)
+    value = float(10.0 * np.log10(peak * peak / mse))
     return min(value, PSNR_CAP)

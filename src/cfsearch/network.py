@@ -20,6 +20,13 @@ Block cores are dense 1-D analogues of the registered operator kinds:
 Recursion applies the same block again on its own output (weights
 shared), adding each pass residually; a layer ends with a channel-RMS
 normalization scaled by its factor vector.
+
+Each conv is one graph node together with its bias, the ``tanh`` that
+follows it (after the stem, after both discriminator convs and after
+every block transform but the last) and, on a block's last transform,
+the block's residual skip.  A mixed layer's average over its candidates
+is one ``mixture_mean`` node, and the discriminator's site mean, linear
+map and bias are one ``pooled_linear`` node.
 """
 
 from __future__ import annotations
@@ -33,11 +40,10 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import engine
 from .engine import Tensor, adapt_channels, conv1d, downsample_mean, dwconv1d
-from .engine import channel_rms_norm, tanh, upsample_repeat
+from .engine import channel_rms_norm, mixture_mean, pooled_linear, upsample_repeat
 from .errors import ConfigError, ShapeError
-from .space import ArchitectureGenome, SupernetSpec, UnitSpec, require_valid
+from .space import ArchitectureGenome, SupernetSpec, require_valid
 from .sparsity import GAMMA_INIT, active_channel_mask
 
 CHECKPOINT_MAGIC = b"CFN1"
@@ -62,6 +68,7 @@ class SupernetWeights:
         self.tensors: "OrderedDict[str, Tensor]" = OrderedDict()
         self.group_masks: dict[str, np.ndarray] = {}
         self._named: dict[tuple[str, bool], tuple[tuple[str, Tensor], ...]] = {}
+        self._plans: dict[tuple[int, int, int], tuple] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -115,6 +122,7 @@ class SupernetWeights:
     def _add(self, name: str, data: np.ndarray) -> None:
         self.tensors[name] = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
         self._named.clear()
+        self._plans.clear()
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -137,6 +145,38 @@ class SupernetWeights:
                 if name.startswith(prefix) and (include_gamma or not name.endswith("/gamma"))
             )
         return found
+
+    def block_plan(self, p: int, l: int, m: int) -> tuple:
+        """The transform units of operator ``m`` at layer ``l`` of path ``p``, built once.
+
+        One entry per conv or dwconv unit, in order: (is a dense conv,
+        weight, bias, group mask as a constant tensor or None, tanh after
+        it, residual skip after it).  A residual unit always follows a
+        transform, whose entry takes it as its skip.
+        """
+        key = (p, l, m)
+        plan = self._plans.get(key)
+        if plan is None:
+            units = self.spec.paths[p].layers[l].operator_candidates[m].units
+            last = max(i for i, unit in enumerate(units) if unit.kind != "residual")
+            steps = []
+            for i, unit in enumerate(units):
+                if unit.kind == "residual":
+                    continue
+                prefix = f"g/p{p}/l{l}/op{m}/u{i}/"
+                mask = self.group_masks.get(prefix + "w")
+                steps.append(
+                    (
+                        unit.kind == "conv",
+                        self.tensors[prefix + "w"],
+                        self.tensors[prefix + "b"],
+                        None if mask is None else Tensor(mask),
+                        i < last,
+                        i + 1 < len(units) and units[i + 1].kind == "residual",
+                    )
+                )
+            plan = self._plans[key] = tuple(steps)
+        return plan
 
     # -- optimization ------------------------------------------------------
 
@@ -258,28 +298,16 @@ def _resample(x: Tensor, ratio: Fraction) -> Tensor:
     return downsample_mean(x, int(1 / ratio))
 
 
-def _block_core(
-    weights: SupernetWeights, p: int, l: int, m: int, units: tuple[UnitSpec, ...], x: Tensor
-) -> Tensor:
+def _block_core(weights: SupernetWeights, p: int, l: int, m: int, x: Tensor) -> Tensor:
     """Run one operator block (without normalization) on full-width input."""
-    transform_indices = [i for i, u in enumerate(units) if u.kind != "residual"]
-    last_transform = transform_indices[-1]
     h = x
-    for i, unit in enumerate(units):
-        if unit.kind == "residual":
-            h = h + adapt_channels(x, h.data.shape[1])
-            continue
-        prefix = f"g/p{p}/l{l}/op{m}/u{i}/"
-        w = weights[prefix + "w"]
-        b = weights[prefix + "b"]
-        if unit.kind == "conv":
-            mask = weights.group_masks.get(prefix + "w")
-            kernel_w = w if mask is None else w * Tensor(mask)
-            h = conv1d(h, kernel_w, bias=b)
+    for dense, w, b, mask, tanh, residual in weights.block_plan(p, l, m):
+        skip = adapt_channels(x, w.data.shape[0]) if residual else None
+        if dense:
+            kernel_w = w if mask is None else w * mask
+            h = conv1d(h, kernel_w, bias=b, tanh=tanh, skip=skip)
         else:
-            h = dwconv1d(h, w, bias=b)
-        if i < last_transform:
-            h = tanh(h)
+            h = dwconv1d(h, w, bias=b, tanh=tanh, skip=skip)
     return h
 
 
@@ -314,6 +342,10 @@ class StageTrail:
         del self.outputs[n:]
         self.keys = keys
         return n, Tensor(self.outputs[n - 1]) if n else x
+
+    def cut(self, stages: int) -> None:
+        """Keep only the first ``stages`` outputs, so a resumed forward runs the rest."""
+        del self.outputs[stages:]
 
 
 @dataclass
@@ -381,7 +413,7 @@ class GeneratorView:
             h = _resample(h, schedule[0])
             stem_w = self.weights[f"g/p{p}/stem/w"]
             stem_b = self.weights[f"g/p{p}/stem/b"]
-            return tanh(conv1d(h, stem_w, bias=stem_b))
+            return conv1d(h, stem_w, bias=stem_b, tanh=True)
         l, is_norm = divmod(stage - 1, 2)
         if is_norm:
             gamma = self.weights.gamma(p, l)
@@ -398,16 +430,7 @@ class GeneratorView:
             candidates = (self.operator_assignment[l],)
 
         def block(inp: Tensor) -> Tensor:
-            parts = [
-                _block_core(self.weights, p, l, m, layer.operator_candidates[m].units, inp)
-                for m in candidates
-            ]
-            out = parts[0]
-            for part in parts[1:]:
-                out = out + part
-            if len(parts) > 1:
-                out = out * (1.0 / len(parts))
-            return out
+            return mixture_mean([_block_core(self.weights, p, l, m, inp) for m in candidates])
 
         h = block(h)
         for _ in range(self.recursion_depths[l] - 1):
@@ -458,15 +481,13 @@ class DiscriminatorView:
         spec = self.weights.spec
         d = self.disc_index
         disc = spec.discriminators[d]
-        width = disc.width
         w1 = self.weights[f"d/{d}/c1/w"]
         b1 = self.weights[f"d/{d}/c1/b"]
-        h = tanh(conv1d(y, w1, bias=b1))
+        h = conv1d(y, w1, bias=b1, tanh=True)
         ratio = disc.resolution_schedule[-1] / disc.resolution_schedule[0]
         if ratio > 1 and h.data.shape[2] % int(ratio) == 0:
             h = downsample_mean(h, int(ratio))
         w2 = self.weights[f"d/{d}/c2/w"]
         b2 = self.weights[f"d/{d}/c2/b"]
-        h = tanh(conv1d(h, w2, bias=b2))
-        pooled = engine.mean_axis(h, axis=2).reshape(h.data.shape[0], width)
-        return pooled.matmul(self.weights[f"d/{d}/out/w"]) + self.weights[f"d/{d}/out/b"]
+        h = conv1d(h, w2, bias=b2, tanh=True)
+        return pooled_linear(h, self.weights[f"d/{d}/out/w"], self.weights[f"d/{d}/out/b"])

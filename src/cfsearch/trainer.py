@@ -34,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .engine import Tensor, sigmoid
+from .engine import Tensor, mean, sigmoid
 from .errors import ConfigError, NonFiniteLossError, ShapeError
 from .fairness import FairnessLedger, plan_epoch
 from .metrics import covariance_root, gaussian_moments, moment_distance, psnr
@@ -232,12 +232,12 @@ def total_loss(
     dim = out_shape[1] * out_shape[2]
     projection = perceptual_projection(dim, cfg.perceptual_features, cfg.perceptual_seed)
     neg_scores = -d_scores.data
-    adversarial = np.logaddexp(0.0, neg_scores).mean()
+    adversarial = mean(np.logaddexp(0.0, neg_scores))
     diff = output.data - target.data
-    reconstruction = np.abs(diff).mean()
+    reconstruction = mean(np.abs(diff))
     features = output.data.reshape(batch, dim) @ projection
     feature_diff = features - target.data.reshape(batch, dim) @ projection
-    perceptual = (feature_diff * feature_diff).mean()
+    perceptual = mean(feature_diff * feature_diff)
     smooth_value = (
         adversarial + reconstruction * cfg.lambda_recon
     ) + perceptual * cfg.lambda_perceptual
@@ -279,7 +279,7 @@ def discriminator_loss(real_scores: Tensor, fake_scores: Tensor) -> Tensor:
     """
     neg_real = -real_scores.data
     fake = fake_scores.data
-    value = np.logaddexp(0.0, neg_real).mean() + np.logaddexp(0.0, fake).mean()
+    value = mean(np.logaddexp(0.0, neg_real)) + mean(np.logaddexp(0.0, fake))
 
     def backward(g: np.ndarray):
         g_real = g_fake = None
@@ -396,8 +396,9 @@ def pretrain_supernet(
             # One proximal step on the scale factors, from the full-path
             # mixture loss.
             mixed = mixed_view(weights, p)
+            trail = StageTrail()
             with weights.train_only(bank.gammas):
-                out = mixed(x)
+                out = mixed(x, trail)
                 bundle = total_loss(out, y, disc(out), bank, cfg)
                 _check_finite(
                     bundle.components["total"], f"epoch {t} path {p} mixture", bundle.components
@@ -410,9 +411,12 @@ def pretrain_supernet(
                 prox_step(bank, gamma_grads, t)
 
             # Discriminator step on the refreshed mixture output; the frozen
-            # generator gives ``fake`` no graph.
+            # generator gives ``fake`` no graph.  The proximal step moved only
+            # the scale factors, which first enter at layer 0's norm, so the
+            # forward resumes after the stem and layer 0's block core.
+            trail.cut(2)
             with weights.train_only(t for _, t in weights.named(f"d/{d}/")):
-                fake = mixed(x)
+                fake = mixed(x, trail)
                 d_value = discriminator_loss(disc(y), disc(fake))
                 _check_finite(
                     d_value.item(), f"epoch {t} path {p} discriminator", {"d_loss": d_value.item()}

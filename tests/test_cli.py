@@ -325,3 +325,26 @@ def test_verify_fairness_checks_the_whole_identity(tmp_path, capsys):
     mismatch.write_text(ledger.dump())
     assert main(["verify-fairness", str(mismatch)]) == 4
     assert "!= generator updates 30" in capsys.readouterr().out
+
+
+GOOD_LEDGER = "# fairness ledger v1\ntrials 2\nop 0 0 0 2\nop 0 0 1 2\npath 0 2 2\n"
+
+
+@pytest.mark.parametrize(
+    "lineno, row",
+    [
+        (5, "path -1 2 2"),
+        (3, "op 0 -1 0 2"),
+        (4, "op 0 0 1 99999999999999999999999"),
+        (5, "path 999999999 2 2"),
+        (4, "op 0 99999 99999 2"),
+    ],
+    ids=["negative-path", "negative-layer", "count-overflow", "path-past-rows", "grid-past-rows"],
+)
+def test_malformed_ledger_exits_2_naming_the_line(tmp_path, capsys, lineno, row):
+    lines = GOOD_LEDGER.splitlines()
+    lines[lineno - 1] = row
+    ledger = tmp_path / "ledger.txt"
+    ledger.write_text("\n".join(lines) + "\n")
+    assert main(["verify-fairness", str(ledger)]) == 2
+    assert f"ledger line {lineno}: {row!r}" in capsys.readouterr().err

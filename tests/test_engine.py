@@ -16,6 +16,8 @@ from cfsearch.engine import (
     finite_difference_gradient,
     mean_all,
     mean_axis,
+    mixture_mean,
+    pooled_linear,
     softplus,
     square,
     sum_all,
@@ -370,3 +372,113 @@ def test_whole_network_gradient_against_finite_differences():
         return mean_all(square(adapt_channels(h, 4)))
 
     assert_grads_match(build, [x, w1, w2, gamma, norm_gamma], tol=1e-5)
+
+
+# Fused ops against the chains of engine ops they replace, at 1 site and at 5.
+FUSED_SITES = [1, 5]
+
+
+def conv_chain_case(sites, act, with_skip, depthwise=False):
+    x = leaf((2, 4, sites), 60)
+    w = leaf((4, 3), 61, scale=0.5) if depthwise else leaf((5, 4, 3), 61, scale=0.5)
+    out_channels = w.data.shape[0]
+    b = leaf((out_channels,), 62)
+    s = leaf((2, out_channels, sites), 63) if with_skip else None
+    op = dwconv1d if depthwise else conv1d
+
+    def chain():
+        h = op(x, w, bias=b)
+        if act:
+            h = tanh(h)
+        return h if s is None else h + s
+
+    leaves = [x, w, b] if s is None else [x, w, b, s]
+    return (lambda: op(x, w, bias=b, tanh=act, skip=s)), chain, leaves
+
+
+def mixture_chain_case(sites, n):
+    parts = [leaf((2, 4, sites), 64 + i) for i in range(n)]
+
+    def chain():
+        out = parts[0]
+        for part in parts[1:]:
+            out = out + part
+        return out * (1.0 / n)
+
+    return (lambda: mixture_mean(parts)), chain, parts
+
+
+def pooled_chain_case(sites):
+    h = leaf((3, 4, sites), 70)
+    w = leaf((4, 1), 71)
+    b = leaf((1,), 72)
+
+    def chain():
+        return mean_axis(h, axis=2).reshape(3, 4).matmul(w) + b
+
+    return (lambda: pooled_linear(h, w, b)), chain, [h, w, b]
+
+
+FUSED_CASES = [
+    *(
+        pytest.param(
+            conv_chain_case, (sites, act, with_skip, depthwise),
+            id=f"{'dw' if depthwise else ''}conv-{sites}"
+            + ("-tanh" if act else "") + ("-skip" if with_skip else ""),
+        )
+        for depthwise in (False, True)
+        for sites in FUSED_SITES
+        for act, with_skip in ((True, False), (False, True), (True, True))
+    ),
+    *(
+        pytest.param(mixture_chain_case, (sites, n), id=f"mixture-{sites}-{n}")
+        for sites in FUSED_SITES
+        for n in (2, 3)
+    ),
+    *(pytest.param(pooled_chain_case, (sites,), id=f"pooled-{sites}") for sites in FUSED_SITES),
+]
+
+
+def outputs_and_grads(build, leaves, probe):
+    for t in leaves:
+        t.grad = None
+    out = build()
+    sum_all(out * probe).backward()
+    return out.data, [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("make, args", FUSED_CASES)
+def test_fused_op_is_bit_identical_to_its_chain_with_any_parents_frozen(make, args):
+    fused, chain, leaves = make(*args)
+    probe = Tensor(np.random.default_rng(73).normal(size=chain().shape))
+    for n in range(len(leaves)):
+        for frozen in combinations(range(len(leaves)), n):
+            for i, t in enumerate(leaves):
+                t.requires_grad = i not in frozen
+            out, grads = outputs_and_grads(fused, leaves, probe)
+            expected_out, expected_grads = outputs_and_grads(chain, leaves, probe)
+            assert np.array_equal(out, expected_out)
+            for i, (g, expected) in enumerate(zip(grads, expected_grads)):
+                if i in frozen:
+                    assert g is None
+                else:
+                    assert np.array_equal(g, expected)
+
+
+def test_fused_ops_are_one_graph_node():
+    x = leaf((2, 3, 4), 74)
+    w = leaf((4, 3, 3), 75)
+    b = leaf((4,), 76)
+    s = leaf((2, 4, 4), 77)
+    assert conv1d(x, w, bias=b, tanh=True, skip=s)._parents == (x, w, b, s)
+    assert conv1d(x, w, tanh=True)._parents == (x, w)
+    dw = leaf((3, 3), 78)
+    c = leaf((3,), 79)
+    t = leaf((2, 3, 4), 80)
+    assert dwconv1d(x, dw, bias=c, tanh=True, skip=t)._parents == (x, dw, c, t)
+    parts = [leaf((2, 3, 4), 81 + i) for i in range(3)]
+    assert mixture_mean(parts)._parents == tuple(parts)
+    assert mixture_mean(parts[:1]) is parts[0]
+    head_w = leaf((3, 1), 84)
+    head_b = leaf((1,), 85)
+    assert pooled_linear(x, head_w, head_b)._parents == (x, head_w, head_b)

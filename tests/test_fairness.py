@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from cfsearch.errors import LedgerFormatError
+from cfsearch.errors import CfSearchError, LedgerFormatError
 from cfsearch.fairness import (
     EXACT_PROBABILITY_LIMIT,
     FairnessLedger,
@@ -170,3 +171,24 @@ def test_monte_carlo_agrees_with_exact():
     p = float(uniform_equal_probability(m, t))
     sigma = np.sqrt(p * (1 - p) / trials)
     assert abs(p_hat - p) < 3 * sigma
+
+
+# Ledger-shaped rows with small, negative and int64-overflowing fields, plus junk.
+_INDEX = st.integers(-2, 5)
+_COUNT = st.one_of(st.integers(-2, 5), st.sampled_from([2**63 - 1, 2**63, 10**23]))
+_LEDGER_ROW = st.one_of(
+    st.builds("trials {}".format, _COUNT),
+    st.builds("op {} {} {} {}".format, _INDEX, _INDEX, _INDEX, _COUNT),
+    st.builds("path {} {} {}".format, _INDEX, _COUNT, _COUNT),
+    st.text(max_size=12),
+)
+
+
+@given(st.one_of(st.text(), st.lists(_LEDGER_ROW, max_size=10).map("\n".join)))
+def test_ledger_load_raises_only_package_errors(text):
+    try:
+        ledger = FairnessLedger.load(text)
+    except CfSearchError:
+        return
+    ledger.violations()
+    assert FairnessLedger.load(ledger.dump()).dump() == ledger.dump()

@@ -81,3 +81,9 @@ def test_signal_peak_matches_data_range():
     # Generator outputs live in (-1, 1) after tanh, so the advertised peak
     # covers the full swing.
     assert SIGNAL_PEAK == 2.0
+
+
+def test_psnr_returns_a_python_float():
+    target = np.zeros((2, 1, 4))
+    assert type(psnr(target + 0.5, target)) is float
+    assert type(psnr(target, target)) is float

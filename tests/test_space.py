@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from cfsearch.errors import ConfigError, EnumerationTooLargeError, GenomeError
+from cfsearch.errors import CfSearchError, ConfigError, EnumerationTooLargeError, GenomeError
 from cfsearch.space import (
     ArchitectureGenome,
     enumerate_genomes,
@@ -214,3 +214,22 @@ def test_record_round_trip_property(path, ops, ch, rec):
 @given(st.integers(1, 4), st.integers(1, 4))
 def test_count_formula_property(m, l):
     assert operator_specialization_count(m, l) == math.factorial(m) ** (l - 1)
+
+
+_RECORD_FIELD = st.builds(
+    "{}:{}".format,
+    st.sampled_from(["path", "ops", "ch", "rec", "x"]),
+    st.one_of(
+        st.text(max_size=8),
+        st.lists(st.integers(-3, 10**30).map(str), max_size=4).map(",".join),
+    ),
+)
+
+
+@given(st.one_of(st.text(), st.lists(_RECORD_FIELD, max_size=6).map(";".join)))
+def test_genome_record_parser_raises_only_package_errors(record):
+    try:
+        genome = ArchitectureGenome.from_record(record)
+    except CfSearchError:
+        return
+    assert ArchitectureGenome.from_record(genome.to_record()) == genome

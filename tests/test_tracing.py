@@ -106,3 +106,32 @@ def test_benchmark_tracer_sees_one_forward_per_genome_of_a_joint_sweep():
         assert joint.calls[name] == len(genomes)
     convs = ("engine.conv1d", "engine.pointwise")
     assert sum(joint.calls[n] for n in convs) < sum(plain.calls[n] for n in convs)
+
+
+def test_a_fresh_tracer_sees_every_conv_of_a_second_pass():
+    # A per-weights cache that kept the ``conv1d`` it found on its first
+    # pass would keep calling that pass's wrapper, or the unwrapped op.
+    tracing = load_tracing()
+    spec, dataset, _ = pipeline.prepare(cli.load_config(None))
+    weights = SupernetWeights.create(spec, seed=0)
+    x = engine.Tensor(dataset.val_x)
+
+    def forward():
+        for p in range(spec.num_paths):
+            out = network.mixed_view(weights, p)(x)
+            network.DiscriminatorView(weights, spec.paths[p].matched_discriminator_path)(out)
+
+    def traced():
+        tracer = tracing.Tracer()
+        tracing.install_layer_spans(tracer)
+        try:
+            forward()
+        finally:
+            tracer.restore()
+        return tracer
+
+    first = traced()
+    forward()
+    second = traced()
+    for name in ("engine.conv1d", "engine.pointwise", "engine.dwconv1d"):
+        assert second.calls[name] == first.calls[name] > 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cfsearch import trainer
 from cfsearch.engine import (
     Tensor,
     absolute,
@@ -13,9 +14,9 @@ from cfsearch.engine import (
 )
 from cfsearch.errors import ConfigError, NonFiniteLossError
 from cfsearch.metrics import frechet_moment_distance
-from cfsearch.network import SupernetWeights
-from cfsearch.space import ArchitectureGenome
-from cfsearch.sparsity import ScaleFactorBank
+from cfsearch.network import DiscriminatorView, StageTrail, SupernetWeights, mixed_view
+from cfsearch.space import ArchitectureGenome, spec_from_dict
+from cfsearch.sparsity import ScaleFactorBank, prox_step
 from cfsearch.trainer import (
     TASK_SUPER_RESOLUTION,
     TASK_TRANSLATION,
@@ -394,3 +395,60 @@ def test_a_non_finite_loss_leaves_every_tensor_trainable_without_gradients(monke
     with pytest.raises(NonFiniteLossError):
         finetune_genome(weights, ArchitectureGenome(0, (0, 0), (1, 1)), ds, quick_cfg(), 2, 3)
     assert_trainable_without_gradients(weights)
+
+
+def resampling_spec():
+    """Residual and depthwise blocks, recursed, with 4 sites in, 8 after layer 0, 16 out."""
+    return spec_from_dict(
+        {
+            "input_channels": 1,
+            "input_sites": 4,
+            "channel_choices": [2, 3],
+            "paths": [
+                {
+                    "resolution_schedule": [2, 4],
+                    "operators": [["res_block", "dws_block"]] * 2,
+                    "recursion_choices": [[1, 2]] * 2,
+                }
+            ],
+        }
+    )
+
+
+@pytest.mark.parametrize("task", [TASK_TRANSLATION, TASK_SUPER_RESOLUTION])
+def test_mixed_forward_resumed_after_the_proximal_step_is_bit_identical(task):
+    spec = translation_spec() if task == TASK_TRANSLATION else resampling_spec()
+    ds = make_dataset(task, samples=24, val_fraction=0.25, seed=2)
+    weights = SupernetWeights.create(spec, seed=5)
+    x, y = Tensor(ds.train_x[:4]), Tensor(ds.train_y[:4])
+    cfg = quick_cfg()
+    bank = ScaleFactorBank(weights.gamma_tensors(0), cfg.lr_gamma, cfg.lambda_sparsity)
+    mixed = mixed_view(weights, 0)
+    disc = DiscriminatorView(weights, spec.paths[0].matched_discriminator_path)
+    trail = StageTrail()
+    with weights.train_only(bank.gammas):
+        before = mixed(x, trail)
+        total_loss(before, y, disc(before), bank, cfg).smooth.backward()
+        prox_step(bank, [g.grad for g in bank.gammas], 0)
+    stem, core = trail.outputs[:2]
+    trail.cut(2)
+    resumed = mixed(x, trail)
+    assert trail.outputs[0] is stem and trail.outputs[1] is core
+    assert np.array_equal(resumed.data, mixed(x).data)
+    assert not np.array_equal(resumed.data, before.data)
+
+
+def test_pretraining_resumes_the_discriminator_forward_bit_for_bit(monkeypatch):
+    spec = translation_spec()
+    ds = quick_dataset()
+    resumed = pretrain_supernet(spec, ds, quick_cfg(), seed=4)
+
+    class RecomputingTrail(StageTrail):
+        def cut(self, stages):
+            super().cut(0)
+
+    monkeypatch.setattr(trainer, "StageTrail", RecomputingTrail)
+    recomputed = pretrain_supernet(spec, ds, quick_cfg(), seed=4)
+    for name, tensor in resumed.weights.tensors.items():
+        assert np.array_equal(tensor.data, recomputed.weights.tensors[name].data)
+    assert resumed.metrics == recomputed.metrics
