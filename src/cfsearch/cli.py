@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import yaml
 
-from .configs import config_number, default_config
+from .configs import default_config
 from .errors import (
     CfSearchError,
     ConfigError,
@@ -55,7 +55,7 @@ from .space import (
     spec_from_dict,
 )
 from .trainer import pretrain_supernet
-from .util import as_rng, child_seed, format_float
+from .util import as_rng, child_seed, config_number, format_float
 
 _TOP_LEVEL_KEYS = {"seed", "task", "dataset", "space", "train", "search", "evolution"}
 

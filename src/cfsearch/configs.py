@@ -11,9 +11,8 @@ isolation.
 from __future__ import annotations
 
 import copy
-from typing import Callable, Mapping
+from typing import Mapping
 
-from .errors import ConfigError
 from .space import SupernetSpec, spec_from_dict
 
 DEFAULT_CONFIG: Mapping = {
@@ -87,15 +86,6 @@ EVOLUTION_BENCH_SPEC: Mapping = {
         }
     ],
 }
-
-
-def config_number(value, kind: Callable[[object], float], key: str):
-    """``kind(value)`` for a config value, or a ``ConfigError`` naming ``key``."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
 
 
 def default_config() -> dict:

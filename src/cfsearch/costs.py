@@ -17,6 +17,12 @@ Accounting covers the searchable layers only.  The fixed input stem and
 output head are deliberately outside the report so that per-layer rows
 sum exactly to the totals and so that doubling every searched width
 scales weight parameters and conv FLOPs by exactly 4.
+
+A layer's row depends only on plain ints: (path, layer, operator index,
+c_in, c_out, depth, include_affine).  ``genome_cost`` looks each row up in
+the spec's own table, ``SupernetSpec.cost_rows``, and computes it there on
+first use, so the table lives exactly as long as its spec and a few
+hundred rows serve every genome of a space.
 """
 
 from __future__ import annotations
@@ -110,28 +116,54 @@ def genome_cost(
     schedule applied to ``spec.input_sites``.  ``include_affine`` counts
     biases and normalization scales; switch it off for pure weight
     accounting.
+
+    The genome is validated on every call; its layer rows come from
+    ``spec.cost_rows`` (see the module docstring).
     """
     verdict = validate_genome(spec, genome)
     if not verdict.ok:
         raise GenomeError(f"cannot cost invalid genome: {verdict.reason}")
-    path = spec.paths[genome.path_index]
+    p = genome.path_index
+    layers = spec.paths[p].layers
+    channels = spec.channel_choices
+    table = spec.cost_rows
+    affine = bool(include_affine)
     rows: list[LayerCost] = []
-    total_params = 0
-    total_flops = 0
-    prev_width = spec.channel_choices[genome.channel_assignment[0]]
-    for l, layer in enumerate(path.layers):
-        width = spec.channel_choices[genome.channel_assignment[l]]
-        op = layer.operator_candidates[genome.operator_assignment[l]]
-        depth = layer.recursion_choices[genome.recursion_assignment[l]]
-        sites = spec.sites(genome.path_index, l)
-        params, flops = operator_cost(op, prev_width, width, sites, depth, include_affine)
-        if include_affine:
-            params += width  # normalization scale vector
-        rows.append(LayerCost(layer=l, params=params, flops=flops))
-        total_params += params
-        total_flops += flops
+    prev_width = channels[genome.channel_assignment[0]]
+    for l, (m, c, r) in enumerate(
+        zip(genome.operator_assignment, genome.channel_assignment, genome.recursion_assignment)
+    ):
+        width = channels[c]
+        key = (p, l, m, prev_width, width, layers[l].recursion_choices[r], affine)
+        row = table.get(key)
+        if row is None:
+            row = table[key] = _layer_cost(spec, *key)
+        rows.append(row)
         prev_width = width
-    return CostReport(params=total_params, flops=total_flops, per_layer=tuple(rows))
+    return CostReport(
+        params=sum(row.params for row in rows),
+        flops=sum(row.flops for row in rows),
+        per_layer=tuple(rows),
+    )
+
+
+def _layer_cost(
+    spec: SupernetSpec,
+    path_index: int,
+    layer: int,
+    operator: int,
+    c_in: int,
+    c_out: int,
+    depth: int,
+    include_affine: bool,
+) -> LayerCost:
+    """Cost row of one layer running ``operator`` ``depth`` times from ``c_in`` to ``c_out``."""
+    op = spec.paths[path_index].layers[layer].operator_candidates[operator]
+    sites = spec.sites(path_index, layer)
+    params, flops = operator_cost(op, c_in, c_out, sites, depth, include_affine)
+    if include_affine:
+        params += c_out  # normalization scale vector
+    return LayerCost(layer=layer, params=params, flops=flops)
 
 
 def satisfies_constraints(report: CostReport, params_limit: int, flops_limit: int) -> bool:

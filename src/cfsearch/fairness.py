@@ -174,7 +174,8 @@ class FairnessLedger:
     def load(text: str) -> "FairnessLedger":
         """Parse ``dump``'s form; a malformed ledger raises ``LedgerFormatError``.
 
-        Every field is an integer in [0, 2**63).  The largest path index
+        Every field is an integer in [0, 2**63), and no ``trials``, ``op p
+        l m`` or ``path p`` row may appear twice.  The largest path index
         may not exceed the number of path rows, nor may a path's grid of
         (largest layer + 1) * (largest operator + 1) cells exceed its
         number of op rows, so the arrays built are never larger than the
@@ -183,30 +184,33 @@ class FairnessLedger:
         trials = 0
         op_rows: dict[tuple[int, int, int], int] = {}
         path_rows: dict[int, tuple[int, int]] = {}
-        where: dict[tuple[int, ...], str] = {}
+        where: dict[tuple, str] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
+            here = f"ledger line {lineno}: {raw!r}"
             try:
                 values = [int(v) for v in parts[1:]]
                 if any(not 0 <= v < _FIELD_LIMIT for v in values):
                     raise ValueError("field outside [0, 2**63)")
                 if parts[0] == "trials" and len(parts) == 2:
+                    key: tuple = ("trials",)
                     trials = values[0]
                 elif parts[0] == "op" and len(parts) == 5:
-                    p, l, m, c = values
-                    op_rows[(p, l, m)] = c
-                    where[(p, l, m)] = f"ledger line {lineno}: {raw!r}"
+                    key = tuple(values[:3])
+                    op_rows[key] = values[3]
                 elif parts[0] == "path" and len(parts) == 4:
-                    p, g, d = values
-                    path_rows[p] = (g, d)
-                    where[(p,)] = f"ledger line {lineno}: {raw!r}"
+                    key = (values[0],)
+                    path_rows[values[0]] = (values[1], values[2])
                 else:
                     raise ValueError("unrecognized row")
             except (ValueError, IndexError) as exc:
-                raise LedgerFormatError(f"ledger line {lineno}: {raw!r}") from exc
+                raise LedgerFormatError(here) from exc
+            if key in where:
+                raise LedgerFormatError(f"{here} repeats {where[key]}")
+            where[key] = here
         if not path_rows:
             raise LedgerFormatError("ledger has no path rows")
         num_paths = max(path_rows) + 1

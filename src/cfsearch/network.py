@@ -35,7 +35,6 @@ import struct
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -290,12 +289,14 @@ class SupernetWeights:
 # -- forward passes --------------------------------------------------------
 
 
-def _resample(x: Tensor, ratio: Fraction) -> Tensor:
-    if ratio == 1:
-        return x
-    if ratio > 1:
-        return upsample_repeat(x, int(ratio))
-    return downsample_mean(x, int(1 / ratio))
+def _resample(x: Tensor, factors: tuple[int, int]) -> Tensor:
+    """``x`` repeated ``up`` times or averaged over ``down`` sites; one factor is 1."""
+    up, down = factors
+    if up > 1:
+        return upsample_repeat(x, up)
+    if down > 1:
+        return downsample_mean(x, down)
+    return x
 
 
 def _block_core(weights: SupernetWeights, p: int, l: int, m: int, x: Tensor) -> Tensor:
@@ -407,10 +408,9 @@ class GeneratorView:
     def _stage(self, stage: int, h: Tensor) -> Tensor:
         """Stage ``stage`` of the forward applied to the previous stage's output."""
         p = self.path_index
-        path = self.weights.spec.paths[p]
-        schedule = path.resolution_schedule
+        spec = self.weights.spec
         if stage == 0:
-            h = _resample(h, schedule[0])
+            h = _resample(h, spec.resampling[p][0])
             stem_w = self.weights[f"g/p{p}/stem/w"]
             stem_b = self.weights[f"g/p{p}/stem/b"]
             return conv1d(h, stem_w, bias=stem_b, tanh=True)
@@ -418,12 +418,12 @@ class GeneratorView:
         if is_norm:
             gamma = self.weights.gamma(p, l)
             width = self.channel_widths[l]
-            full = self.weights.spec.max_width
+            full = spec.max_width
             keep = active_channel_mask(gamma.data, width) if width < full else None
             return channel_rms_norm(h, gamma, keep)
         if l > 0:
-            h = _resample(h, schedule[l] / schedule[l - 1])
-        layer = path.layers[l]
+            h = _resample(h, spec.resampling[p][l])
+        layer = spec.paths[p].layers[l]
         if self.operator_assignment is None:
             candidates = range(layer.num_operators)
         else:
@@ -484,9 +484,8 @@ class DiscriminatorView:
         w1 = self.weights[f"d/{d}/c1/w"]
         b1 = self.weights[f"d/{d}/c1/b"]
         h = conv1d(y, w1, bias=b1, tanh=True)
-        ratio = disc.resolution_schedule[-1] / disc.resolution_schedule[0]
-        if ratio > 1 and h.data.shape[2] % int(ratio) == 0:
-            h = downsample_mean(h, int(ratio))
+        if disc.pool > 1 and h.data.shape[2] % disc.pool == 0:
+            h = downsample_mean(h, disc.pool)
         w2 = self.weights[f"d/{d}/c2/w"]
         b2 = self.weights[f"d/{d}/c2/b"]
         h = conv1d(h, w2, bias=b2, tanh=True)

@@ -2,11 +2,14 @@
 with known structure, and the adapter over trained supernets.
 
 Every search stage talks to a ``FitnessOracle``: genome in, (fitness,
-cost) out, with results cached by genome record so accounting can
-distinguish lookups from actual evaluations.  Tabular landscapes store a
-fitness for every genome of a small spec and exist so that search
-behavior can be verified against exhaustively known optima; the GAN
-adapter scores genomes on a pretrained supernet by weight inheritance.
+cost) out, with results cached by genome so accounting can distinguish
+lookups from actual evaluations.  The caches are keyed by the
+``ArchitectureGenome`` itself, a frozen dataclass of int tuples, so a
+lookup hashes four small tuples and formats no record string.  Tabular
+landscapes store a fitness for every genome of a small spec and exist so
+that search behavior can be verified against exhaustively known optima;
+the GAN adapter scores genomes on a pretrained supernet by weight
+inheritance.  ``TabularLandscape`` tables stay keyed by genome record.
 
 All landscape rules produce strictly positive fitness, which keeps
 "within x percent of the optimum" statements meaningful.
@@ -57,9 +60,9 @@ class FitnessOracle:
 
     def __init__(self, spec: SupernetSpec):
         self.spec = spec
-        self._genome_cache: dict[str, OracleResult] = {}
+        self._genome_cache: dict[ArchitectureGenome, OracleResult] = {}
         self._path_cache: dict[int, float] = {}
-        self._cost_cache: dict[str, CostReport] = {}
+        self._cost_cache: dict[ArchitectureGenome, CostReport] = {}
         self.lookups = 0
 
     @property
@@ -72,20 +75,20 @@ class FitnessOracle:
 
     def cached(self, genome: ArchitectureGenome) -> bool:
         """Whether ``evaluate`` would be a free cache hit."""
-        return genome.to_record() in self._genome_cache
+        return genome in self._genome_cache
 
-    def cache_snapshot(self) -> list[tuple[str, OracleResult]]:
-        """Cached (record, result) pairs in first-evaluation order."""
-        return list(self._genome_cache.items())
+    def cache_snapshot(self, start: int = 0) -> list[tuple[str, OracleResult]]:
+        """Cached (record, result) pairs in first-evaluation order, from the ``start``-th on."""
+        entries = itertools.islice(self._genome_cache.items(), start, None)
+        return [(genome.to_record(), result) for genome, result in entries]
 
     def evaluate(self, genome: ArchitectureGenome) -> OracleResult:
-        key = genome.to_record()
         self.lookups += 1
-        hit = self._genome_cache.get(key)
+        hit = self._genome_cache.get(genome)
         if hit is None:
-            fitness = _require_finite(self._fitness(genome), f"genome {key}")
+            fitness = _require_finite(self._fitness(genome), genome)
             hit = OracleResult(fitness=fitness, cost=self.cost(genome))
-            self._genome_cache[key] = hit
+            self._genome_cache[genome] = hit
         return hit
 
     def path_score(self, path_index: int) -> float:
@@ -96,15 +99,14 @@ class FitnessOracle:
         return self._path_cache[path_index]
 
     def cost(self, genome: ArchitectureGenome) -> CostReport:
-        """``genome_cost``, memoized by genome record.
+        """``genome_cost``, memoized by genome.
 
         Only reports are cached, so an invalid genome raises ``GenomeError``
         on every call.
         """
-        key = genome.to_record()
-        report = self._cost_cache.get(key)
+        report = self._cost_cache.get(genome)
         if report is None:
-            report = self._cost_cache[key] = genome_cost(self.spec, genome)
+            report = self._cost_cache[genome] = genome_cost(self.spec, genome)
         return report
 
     def _fitness(self, genome: ArchitectureGenome) -> float:
@@ -114,9 +116,12 @@ class FitnessOracle:
         raise NotImplementedError
 
 
-def _require_finite(value: float, what: str) -> float:
+def _require_finite(value: float, what: ArchitectureGenome | str) -> float:
+    """``value`` as a float; a genome's record is formatted only when this raises."""
     value = float(value)
     if not math.isfinite(value):
+        if isinstance(what, ArchitectureGenome):
+            what = f"genome {what.to_record()}"
         raise InvariantError(f"non-finite fitness {value!r} for {what}")
     return value
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .configs import config_number
 from .costs import satisfies_constraints
 from .errors import ConfigError, InfeasibleError
 from .evolution import EvoConfig, GenerationRow, ShrinkResult, shrink_channels
@@ -44,7 +43,7 @@ from .trainer import (
     make_dataset,
     pretrain_supernet,
 )
-from .util import as_rng, child_seed
+from .util import as_rng, child_seed, config_number
 
 STAGE_PATH = "path"
 STAGE_OPERATOR = "operator"
@@ -182,9 +181,9 @@ def run_search(
     trace.g_optr = g_optr.to_record()
     trace.oracle_calls[STAGE_OPERATOR] = len(op_records)
 
-    known_before = len(oracle.cache_snapshot())
+    known_before = oracle.genome_evaluations
     shrink = shrink_channels(g_optr, oracle, evo_cfg, rng)
-    new_entries = oracle.cache_snapshot()[known_before:]
+    new_entries = oracle.cache_snapshot(known_before)
     trace.channel_records = tuple(
         StageRecord(
             label=record,

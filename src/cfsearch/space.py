@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .errors import ConfigError, EnumerationTooLargeError, GenomeError
+from .util import config_number
 
 # Exhaustive specialization enumeration refuses to build more than this
 # many candidate tuples unless the caller raises the cap explicitly.
@@ -188,10 +190,25 @@ class PathSpec:
 
 @dataclass(frozen=True)
 class DiscriminatorSpec:
-    """A discriminator topology.  Not searched; fixed width, fixed schedule."""
+    """A discriminator topology.  Not searched; fixed width, fixed schedule.
+
+    ``pool`` is derived: the factor by which the discriminator averages
+    sites after its first conv, its last scale over its first when that
+    exceeds 1, and 1 otherwise.
+    """
 
     resolution_schedule: tuple[Fraction, ...]
     width: int = 8
+    pool: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        schedule = self.resolution_schedule
+        if not schedule:
+            raise ConfigError("discriminator resolution_schedule must not be empty")
+        if self.width < 1:
+            raise ConfigError(f"discriminator width must be positive, got {self.width}")
+        ratio = schedule[-1] / schedule[0]
+        object.__setattr__(self, "pool", int(ratio) if ratio > 1 else 1)
 
 
 def _is_power_of_two_fraction(x: Fraction) -> bool:
@@ -203,13 +220,27 @@ def _is_power_of_two_fraction(x: Fraction) -> bool:
 
 @dataclass(frozen=True)
 class SupernetSpec:
-    """The whole search space: paths, channel ladder, discriminators."""
+    """The whole search space: paths, channel ladder, discriminators.
+
+    Three fields are derived and left out of comparisons.
+    ``layer_sites[p][l]`` is the site count of layer ``l``'s output on path
+    ``p``.  ``resampling[p][l]`` is the (up, down) factor pair, one of them
+    1, that takes the previous layer's extent (the input's, for ``l`` = 0)
+    to it.  ``cost_rows`` is the table of per-layer cost rows that
+    ``costs.genome_cost`` fills on first use, so it lives as long as the
+    spec.
+    """
 
     paths: tuple[PathSpec, ...]
     channel_choices: tuple[int, ...]
     discriminators: tuple[DiscriminatorSpec, ...]
     input_channels: int = 1
     input_sites: int = 1
+    layer_sites: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    resampling: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    cost_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.paths:
@@ -240,6 +271,14 @@ class SupernetSpec:
                         f"path {p}: scale {scale} does not divide input_sites "
                         f"{self.input_sites} into whole sites"
                     )
+        sites, resampling = [], []
+        for path in self.paths:
+            schedule = path.resolution_schedule
+            ratios = [now / before for before, now in zip((Fraction(1),) + schedule, schedule)]
+            sites.append(tuple(int(scale * self.input_sites) for scale in schedule))
+            resampling.append(tuple((r.numerator, r.denominator) for r in ratios))
+        object.__setattr__(self, "layer_sites", tuple(sites))
+        object.__setattr__(self, "resampling", tuple(resampling))
 
     @property
     def num_paths(self) -> int:
@@ -255,8 +294,7 @@ class SupernetSpec:
 
     def sites(self, path_index: int, layer: int) -> int:
         """Spatial site count of a layer's output."""
-        scale = self.paths[path_index].resolution_schedule[layer]
-        return int(scale * self.input_sites)
+        return self.layer_sites[path_index][layer]
 
 
 @dataclass(frozen=True)
@@ -324,6 +362,9 @@ class ValidationResult:
     reason: str | None = None
 
 
+_VALID = ValidationResult(True, None)
+
+
 def validate_genome(spec: SupernetSpec, genome: ArchitectureGenome) -> ValidationResult:
     """Check a genome against a spec; reports the first violated constraint.
 
@@ -346,26 +387,20 @@ def validate_genome(spec: SupernetSpec, genome: ArchitectureGenome) -> Validatio
             return ValidationResult(
                 False, f"{name} length {len(assignment)} != layer count {length}"
             )
+    layers = path.layers
     for l, idx in enumerate(genome.operator_assignment):
-        if not 0 <= idx < path.layers[l].num_operators:
-            return ValidationResult(
-                False,
-                f"operator index {idx} at layer {l} outside "
-                f"[0, {path.layers[l].num_operators})",
-            )
-    for l, idx in enumerate(genome.channel_assignment):
-        if not 0 <= idx < spec.num_channel_choices:
-            return ValidationResult(
-                False,
-                f"channel index {idx} at layer {l} outside [0, {spec.num_channel_choices})",
-            )
-    for l, idx in enumerate(genome.recursion_assignment):
-        n = len(path.layers[l].recursion_choices)
+        n = len(layers[l].operator_candidates)
         if not 0 <= idx < n:
-            return ValidationResult(
-                False, f"recursion index {idx} at layer {l} outside [0, {n})"
-            )
-    return ValidationResult(True, None)
+            return ValidationResult(False, f"operator index {idx} at layer {l} outside [0, {n})")
+    n = len(spec.channel_choices)
+    for l, idx in enumerate(genome.channel_assignment):
+        if not 0 <= idx < n:
+            return ValidationResult(False, f"channel index {idx} at layer {l} outside [0, {n})")
+    for l, idx in enumerate(genome.recursion_assignment):
+        n = len(layers[l].recursion_choices)
+        if not 0 <= idx < n:
+            return ValidationResult(False, f"recursion index {idx} at layer {l} outside [0, {n})")
+    return _VALID
 
 
 def require_valid(spec: SupernetSpec, genome: ArchitectureGenome) -> None:
@@ -518,13 +553,41 @@ def minimal_genome(spec: SupernetSpec, path_index: int) -> ArchitectureGenome:
 # -- configuration loading ---------------------------------------------------
 
 
-def _parse_scale(raw) -> Fraction:
+# A scale written as text: an integer, a ratio of integers or a decimal.
+# Exponents are refused, so that no text can ask for a huge power of ten.
+_SCALE_TEXT = re.compile(r"\s*[+-]?(\d+(/\d+)?|\d*\.\d+)\s*")
+
+
+def _parse_scale(raw, key: str) -> Fraction:
+    number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    if not (number or isinstance(raw, str) and _SCALE_TEXT.fullmatch(raw)):
+        raise ConfigError(f"{key}: bad resolution scale {raw!r}")
     try:
-        if isinstance(raw, str):
-            return Fraction(raw)
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad resolution scale {raw!r}") from exc
+        scale = Fraction(raw)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"{key}: bad resolution scale {raw!r}") from exc
+    if scale <= 0:
+        raise ConfigError(f"{key}: resolution scale {raw!r} is not positive")
+    return scale
+
+
+def _entries(value, key: str) -> Sequence:
+    """``value`` if it is a list, else a ``ConfigError`` naming ``key``."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Sequence):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _section(value, key: str) -> Mapping:
+    """``value`` if it is a mapping, else a ``ConfigError`` naming ``key``."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{key} must be a mapping, got {value!r}")
+    return value
+
+
+def _schedule(raw: Mapping, key: str) -> tuple[Fraction, ...]:
+    key = f"{key}.resolution_schedule"
+    return tuple(_parse_scale(s, key) for s in _entries(raw["resolution_schedule"], key))
 
 
 def spec_from_dict(cfg: Mapping) -> SupernetSpec:
@@ -548,44 +611,48 @@ def spec_from_dict(cfg: Mapping) -> SupernetSpec:
     path is derived with an identical schedule and the matching is the
     identity.  When discriminators are given but a path has no explicit
     ``matched_discriminator``, the path is matched to the lowest-index
-    discriminator with an equal resolution schedule.
+    discriminator with an equal resolution schedule.  A malformed value
+    raises ``ConfigError`` naming its key, such as ``paths[0].operators``.
     """
     if not isinstance(cfg, Mapping):
         raise ConfigError("spec section must be a mapping")
-    try:
-        raw_paths = cfg["paths"]
-        raw_channels = cfg["channel_choices"]
-    except KeyError as exc:
-        raise ConfigError(f"spec section missing required key {exc.args[0]!r}") from None
-    if not isinstance(raw_paths, Sequence) or isinstance(raw_paths, (str, bytes)):
-        raise ConfigError("spec 'paths' must be a list")
+    for key in ("paths", "channel_choices"):
+        if key not in cfg:
+            raise ConfigError(f"spec section missing required key {key!r}")
 
     parsed_paths = []
-    for p, raw_path in enumerate(raw_paths):
+    for p, raw_path in enumerate(_entries(cfg["paths"], "paths")):
+        where = f"paths[{p}]"
+        _section(raw_path, where)
         if "operators" not in raw_path or "resolution_schedule" not in raw_path:
             raise ConfigError(
                 f"path {p} needs 'operators' and 'resolution_schedule' entries"
             )
-        op_rows = raw_path["operators"]
-        schedule = tuple(_parse_scale(s) for s in raw_path["resolution_schedule"])
+        op_rows = _entries(raw_path["operators"], f"{where}.operators")
+        schedule = _schedule(raw_path, where)
         rec_rows = raw_path.get("recursion_choices")
+        if rec_rows is not None:
+            if len(_entries(rec_rows, f"{where}.recursion_choices")) != len(op_rows):
+                raise ConfigError(
+                    f"{where}.recursion_choices has {len(rec_rows)} rows "
+                    f"for {len(op_rows)} layers"
+                )
         layers = []
         for l, row in enumerate(op_rows):
-            if isinstance(row, str):
-                raise ConfigError(f"path {p} layer {l}: operators must be a list of names")
-            kinds = tuple(operator_kind(name) for name in row)
+            names = _entries(row, f"{where}.operators[{l}]")
+            if not all(isinstance(name, str) for name in names):
+                raise ConfigError(f"{where}.operators[{l}] must name operators, got {row!r}")
+            kinds = tuple(operator_kind(name) for name in names)
             if rec_rows is not None:
-                rec = tuple(int(r) for r in rec_rows[l])
+                key = f"{where}.recursion_choices[{l}]"
+                rec = tuple(config_number(r, int, key) for r in _entries(rec_rows[l], key))
             else:
                 rec = (1,)
             layers.append(LayerSpec(kinds, rec))
-        parsed_paths.append(
-            {
-                "layers": tuple(layers),
-                "schedule": schedule,
-                "matched": raw_path.get("matched_discriminator"),
-            }
-        )
+        matched = raw_path.get("matched_discriminator")
+        if matched is not None:
+            matched = config_number(matched, int, f"{where}.matched_discriminator")
+        parsed_paths.append({"layers": tuple(layers), "schedule": schedule, "matched": matched})
 
     raw_discs = cfg.get("discriminators")
     if raw_discs is None:
@@ -596,13 +663,18 @@ def spec_from_dict(cfg: Mapping) -> SupernetSpec:
             if parsed["matched"] is None:
                 parsed["matched"] = p
     else:
-        discriminators = tuple(
-            DiscriminatorSpec(
-                resolution_schedule=tuple(_parse_scale(s) for s in d["resolution_schedule"]),
-                width=int(d.get("width", 8)),
+        discriminators = []
+        for d, raw_disc in enumerate(_entries(raw_discs, "discriminators")):
+            where = f"discriminators[{d}]"
+            if "resolution_schedule" not in _section(raw_disc, where):
+                raise ConfigError(f"{where} needs a 'resolution_schedule' entry")
+            discriminators.append(
+                DiscriminatorSpec(
+                    resolution_schedule=_schedule(raw_disc, where),
+                    width=config_number(raw_disc.get("width", 8), int, f"{where}.width"),
+                )
             )
-            for d in raw_discs
-        )
+        discriminators = tuple(discriminators)
         for p, parsed in enumerate(parsed_paths):
             if parsed["matched"] is None:
                 matches = [
@@ -620,16 +692,19 @@ def spec_from_dict(cfg: Mapping) -> SupernetSpec:
         PathSpec(
             layers=parsed["layers"],
             resolution_schedule=parsed["schedule"],
-            matched_discriminator_path=int(parsed["matched"]),
+            matched_discriminator_path=parsed["matched"],
         )
         for parsed in parsed_paths
     )
     return SupernetSpec(
         paths=paths,
-        channel_choices=tuple(int(c) for c in raw_channels),
+        channel_choices=tuple(
+            config_number(c, int, "channel_choices")
+            for c in _entries(cfg["channel_choices"], "channel_choices")
+        ),
         discriminators=discriminators,
-        input_channels=int(cfg.get("input_channels", 1)),
-        input_sites=int(cfg.get("input_sites", 1)),
+        input_channels=config_number(cfg.get("input_channels", 1), int, "input_channels"),
+        input_sites=config_number(cfg.get("input_sites", 1), int, "input_sites"),
     )
 
 

@@ -318,8 +318,8 @@ def _validate_shapes(spec: SupernetSpec, dataset: ToyDataset, cfg: TrainConfig) 
             f"({spec.input_channels}, {spec.input_sites})"
         )
     target_sites = dataset.train_y.shape[2]
-    for p, path in enumerate(spec.paths):
-        out_sites = int(path.resolution_schedule[-1] * spec.input_sites)
+    for p, sites in enumerate(spec.layer_sites):
+        out_sites = sites[-1]
         if out_sites != target_sites:
             raise ConfigError(
                 f"path {p} produces {out_sites} sites but targets have {target_sites}"

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+from typing import Callable
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 def child_seed(root_seed: int, tag: str) -> int:
@@ -39,3 +42,12 @@ def sha256_file(path: str) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def config_number(value, kind: Callable[[object], float], key: str):
+    """``kind(value)`` for a config value, or a ``ConfigError`` naming ``key``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from None

@@ -1,6 +1,10 @@
 """Shared helpers: compact search spaces, kept tiny so the suite stays fast."""
 
-from cfsearch.space import SupernetSpec, spec_from_dict
+from pathlib import Path
+
+from cfsearch.space import SupernetSpec, load_spec, spec_from_dict
+
+SUPER_RESOLUTION_YAML = Path(__file__).resolve().parents[1] / "perfbench" / "super_resolution.yaml"
 
 OPERATOR_POOL = ["conv3x3", "res_block", "dws_block", "context_res_block"]
 
@@ -44,3 +48,29 @@ def build_spec(
             n_paths, n_layers, n_operators, channels, recursions, input_sites, input_channels
         )
     )
+
+
+def super_resolution_spec() -> SupernetSpec:
+    """The space of the benchmark's super-resolution config: 4 sites in, 16 out."""
+    return load_spec(str(SUPER_RESOLUTION_YAML))
+
+
+def recursion_spec_dict() -> dict:
+    """Two paths with recursion choices, ``group_res_block``, and down- and upsampling."""
+    return {
+        "input_channels": 1,
+        "input_sites": 4,
+        "channel_choices": [2, 3, 5],
+        "paths": [
+            {
+                "resolution_schedule": [1, "1/2", 1],
+                "operators": [["group_res_block", "shrink_res_block"]] * 3,
+                "recursion_choices": [[1, 2], [1], [1, 3]],
+            },
+            {
+                "resolution_schedule": [4, 1],
+                "operators": [["dws_block", "group_res_block"]] * 2,
+                "recursion_choices": [[2, 3]] * 2,
+            },
+        ],
+    }

@@ -348,3 +348,64 @@ def test_malformed_ledger_exits_2_naming_the_line(tmp_path, capsys, lineno, row)
     ledger.write_text("\n".join(lines) + "\n")
     assert main(["verify-fairness", str(ledger)]) == 2
     assert f"ledger line {lineno}: {row!r}" in capsys.readouterr().err
+
+
+def set_space_value(space, where, value):
+    """Replace the value that the key path ``where`` names inside ``space``."""
+    *parents, last = where
+    for key in parents:
+        space = space[key]
+    space[last] = value
+
+
+@pytest.mark.parametrize(
+    "where, value, key",
+    [
+        (("paths",), [5], "paths"),
+        (("paths", 0, "operators"), 7, "operators"),
+        (("channel_choices",), "abc", "channel_choices"),
+        (("input_sites",), "abc", "input_sites"),
+        (("paths", 0, "recursion_choices"), [["x"]], "recursion_choices"),
+        (("discriminators",), [5], "discriminators"),
+    ],
+    ids=["path-entry", "operators", "channel_choices", "input_sites", "recursion", "discriminator"],
+)
+def test_malformed_space_value_exits_2_naming_the_key(tmp_path, capsys, where, value, key):
+    overlay = json.loads(json.dumps(FAST_OVERLAY))
+    overlay["space"] = default_config()["space"]
+    set_space_value(overlay["space"], where, value)
+    config = write_config(tmp_path, overlay)
+    code = main(["search-path", "--config", config, "--checkpoint", str(tmp_path / "none.bin")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and key in err
+    assert "Traceback" not in err
+
+
+def test_repeated_ledger_row_exits_2_naming_both_lines(tmp_path, capsys):
+    spec = default_toy_spec()
+    ledger = FairnessLedger.for_spec(spec)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        record_fair_epoch(ledger, plan_epoch(spec, rng))
+    lines = ledger.dump().splitlines()
+    fair = lines[2]
+    assert fair.startswith("op ")
+    tampered = fair.rsplit(" ", 1)[0] + f" {int(fair.rsplit(' ', 1)[1]) + 5}"
+    lines[2] = tampered
+    path = tmp_path / "ledger.txt"
+
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify-fairness", str(path)]) == 4
+    capsys.readouterr()
+
+    path.write_text("\n".join(lines + [fair]) + "\n")
+    assert main(["verify-fairness", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"ledger line {len(lines) + 1}: {fair!r}" in err
+    assert f"ledger line 3: {tampered!r}" in err
+
+    for repeated in ("trials 3", lines[-1]):
+        path.write_text("\n".join([*ledger.dump().splitlines(), repeated]) + "\n")
+        assert main(["verify-fairness", str(path)]) == 2
+        assert f"ledger line {len(lines) + 1}: {repeated!r}" in capsys.readouterr().err

@@ -2,11 +2,25 @@
 
 import pytest
 
-from cfsearch.costs import genome_cost, operator_cost, satisfies_constraints, unit_cost
+from cfsearch.configs import default_toy_spec
+from cfsearch.costs import (
+    CostReport,
+    LayerCost,
+    genome_cost,
+    operator_cost,
+    satisfies_constraints,
+    unit_cost,
+)
 from cfsearch.errors import GenomeError
-from cfsearch.space import ArchitectureGenome, UnitSpec, operator_kind
+from cfsearch.space import (
+    ArchitectureGenome,
+    UnitSpec,
+    enumerate_genomes,
+    operator_kind,
+    spec_from_dict,
+)
 
-from conftest import build_spec
+from conftest import build_spec, recursion_spec_dict, super_resolution_spec
 
 
 def test_conv_unit_frozen_example():
@@ -104,3 +118,65 @@ def test_cost_report_record_format():
     record = report.to_record()
     assert str(report.params) in record
     assert str(report.flops) in record
+
+
+def table_free_cost(spec, genome, include_affine):
+    """``genome_cost`` as it was before cost rows: every unit costed, sites from Fractions."""
+    path = spec.paths[genome.path_index]
+    rows = []
+    prev_width = spec.channel_choices[genome.channel_assignment[0]]
+    for l, layer in enumerate(path.layers):
+        width = spec.channel_choices[genome.channel_assignment[l]]
+        op = layer.operator_candidates[genome.operator_assignment[l]]
+        depth = layer.recursion_choices[genome.recursion_assignment[l]]
+        sites = int(path.resolution_schedule[l] * spec.input_sites)
+        params, flops = operator_cost(op, prev_width, width, sites, depth, include_affine)
+        if include_affine:
+            params += width
+        rows.append(LayerCost(layer=l, params=params, flops=flops))
+        prev_width = width
+    return CostReport(
+        params=sum(r.params for r in rows), flops=sum(r.flops for r in rows), per_layer=tuple(rows)
+    )
+
+
+COST_SPECS = {
+    "default": default_toy_spec,
+    "super_resolution": super_resolution_spec,
+    "recursion": lambda: spec_from_dict(recursion_spec_dict()),
+}
+
+
+@pytest.mark.parametrize("name", list(COST_SPECS))
+def test_cost_rows_equal_a_table_free_computation_for_every_genome(name):
+    spec = COST_SPECS[name]()
+    genomes = list(enumerate_genomes(spec))
+    assert not spec.cost_rows
+    for include_affine in (True, False):
+        for genome in genomes:
+            expected = table_free_cost(spec, genome, include_affine)
+            assert genome_cost(spec, genome, include_affine) == expected
+            assert genome_cost(spec, genome, include_affine=include_affine) == expected
+    rows = spec.cost_rows
+    assert 0 < len(rows) < len(genomes)
+    for key, row in rows.items():
+        assert len(key) == 7 and all(type(v) in (int, bool) for v in key)
+        assert row.layer == key[1]
+    # A second spec built from the same description starts with its own table.
+    assert COST_SPECS[name]() == spec and not COST_SPECS[name]().cost_rows
+
+
+def test_cost_rows_are_keyed_by_widths_not_by_channel_index():
+    narrow = build_spec(channels=(2, 3))
+    wide = build_spec(channels=(4, 6))
+    genome = ArchitectureGenome(0, (0, 1), (0, 1))
+    assert genome_cost(narrow, genome) == table_free_cost(narrow, genome, True)
+    assert genome_cost(wide, genome) == table_free_cost(wide, genome, True)
+    assert genome_cost(wide, genome).params > genome_cost(narrow, genome).params
+
+
+def test_invalid_genome_raises_even_after_its_rows_are_cached():
+    spec = build_spec()
+    genome_cost(spec, ArchitectureGenome(0, (0, 0), (0, 0)))
+    with pytest.raises(GenomeError):
+        genome_cost(spec, ArchitectureGenome(0, (0, 2), (0, 0)))

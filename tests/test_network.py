@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cfsearch.configs import default_toy_spec
 from cfsearch.engine import Tensor, finite_difference_gradient, mean_all, square
-from cfsearch.errors import ConfigError, ShapeError
+from cfsearch.errors import CfSearchError, ConfigError, ShapeError
 from cfsearch.network import (
+    CHECKPOINT_MAGIC,
     DiscriminatorView,
     SupernetWeights,
     _group_mask,
@@ -237,3 +239,41 @@ def test_recursed_res_block_has_exact_gradients():
     assert subnet_view(weights, genome).recursion_depths == (2,)
     names = ["g/p0/stem/w", "g/p0/l0/gamma", "g/p0/l0/op1/u0/w", "g/p0/l0/op1/u1/w"]
     assert_view_grads_match(weights, subnet_view(weights, genome), names, 14)
+
+
+@pytest.fixture(scope="module")
+def real_checkpoint(tmp_path_factory):
+    """(spec, checkpoint bytes, header length, a file to write candidates to)."""
+    spec = build_spec(recursions=(1, 2))
+    weights = SupernetWeights.create(spec, seed=0)
+    root = tmp_path_factory.mktemp("checkpoint")
+    weights.save(str(root / "real.bin"))
+    blob = (root / "real.bin").read_bytes()
+    header = len(blob) - 8 * sum(t.data.size for t in weights.tensors.values())
+    return spec, blob, header, root / "candidate.bin"
+
+
+def load_or_package_error(spec, path, blob) -> None:
+    path.write_bytes(blob)
+    try:
+        SupernetWeights.load(spec, str(path))
+    except CfSearchError:
+        pass
+
+
+@given(st.one_of(st.binary(max_size=64), st.binary(max_size=64).map(CHECKPOINT_MAGIC.__add__)))
+def test_checkpoint_load_raises_only_package_errors_for_any_bytes(real_checkpoint, blob):
+    spec, _, _, path = real_checkpoint
+    load_or_package_error(spec, path, blob)
+
+
+@given(st.data())
+def test_checkpoint_load_raises_only_package_errors_when_cut_or_changed(real_checkpoint, data):
+    spec, blob, header, path = real_checkpoint
+    if data.draw(st.booleans()):
+        candidate = blob[: data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        # Mostly the header, where a byte decides what the rest of the file means.
+        at = data.draw(st.integers(0, header - 1) | st.integers(0, len(blob) - 1))
+        candidate = blob[:at] + bytes([data.draw(st.integers(0, 255))]) + blob[at + 1 :]
+    load_or_package_error(spec, path, candidate)

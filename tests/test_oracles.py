@@ -1,5 +1,7 @@
 """Fitness oracles: tabular landscapes, caching, exhaustive baselines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -322,3 +324,61 @@ def test_trail_starts_over_on_other_inputs_or_weights():
     assert trail.resume(x, other_weights, other_view.stage_keys())[0] == 0
     assert np.array_equal(other_view(x, trail).data, other_view(x).data)
     assert evaluate_genome(weights, genome, ds, trail) == evaluate_genome(weights, genome, ds)
+
+
+class ConstantOracle(oracles.FitnessOracle):
+    """Scores every genome with one value, so a test can set it to NaN."""
+
+    def __init__(self, spec, value=1.0):
+        super().__init__(spec)
+        self.value = value
+
+    def _fitness(self, genome):
+        return self.value
+
+
+def test_equal_genomes_built_separately_share_one_cache_entry():
+    spec = landscape_spec()
+    oracle = TabularOracle(build_landscape(spec, "random_seeded", seed=1))
+    first = ArchitectureGenome(0, (0, 1), (1, 2), ())
+    other = ArchitectureGenome(1, (1, 1), (0, 2))
+    same = [
+        ArchitectureGenome(0, (0, 1), (1, 2)),
+        ArchitectureGenome(0, (0, 1), (1, 2), (0, 0)),
+        ArchitectureGenome.from_record(first.to_record()),
+        replace(maximal_genome(spec, 0), operator_assignment=(0, 1), channel_assignment=(1, 2)),
+    ]
+    result = oracle.evaluate(first)
+    oracle.evaluate(other)
+    for genome in same:
+        assert genome is not first and oracle.cached(genome)
+        assert oracle.evaluate(genome) is result
+        assert oracle.cost(genome) is result.cost
+    assert oracle.genome_evaluations == 2
+    assert oracle.lookups == 2 + len(same)
+    snapshot = oracle.cache_snapshot()
+    assert [record for record, _ in snapshot] == [first.to_record(), other.to_record()]
+    assert oracle.cache_snapshot(1) == snapshot[1:]
+    assert oracle.cache_snapshot(2) == []
+
+
+def test_oracle_formats_a_record_only_to_report_a_non_finite_fitness(monkeypatch):
+    spec = landscape_spec()
+    genome, poisoned = ArchitectureGenome(0, (0, 1), (1, 2)), ArchitectureGenome(0, (1, 1), (1, 2))
+    message = f"non-finite fitness nan for genome {poisoned.to_record()}"
+    formatted = []
+    to_record = ArchitectureGenome.to_record
+    monkeypatch.setattr(
+        ArchitectureGenome, "to_record", lambda g: formatted.append(g) or to_record(g)
+    )
+    oracle = ConstantOracle(spec)
+    oracle.evaluate(genome)
+    oracle.evaluate(genome)
+    oracle.cost(ArchitectureGenome(1, (0, 0), (0, 0)))
+    assert formatted == []
+
+    oracle.value = float("nan")
+    with pytest.raises(InvariantError, match=message):
+        oracle.evaluate(replace(poisoned, recursion_assignment=(0, 0)))
+    assert formatted == [poisoned]
+    assert not oracle.cached(poisoned)

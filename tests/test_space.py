@@ -1,6 +1,8 @@
 """Search-space enumeration, genome encoding, and specialization counting."""
 
+import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,11 +18,12 @@ from cfsearch.space import (
     operator_specialization_count,
     require_valid,
     sample_specializations,
+    spec_from_dict,
     validate_genome,
 )
 from cfsearch.configs import default_toy_spec
 
-from conftest import build_spec
+from conftest import build_spec, recursion_spec_dict, super_resolution_spec
 
 import numpy as np
 
@@ -233,3 +236,106 @@ def test_genome_record_parser_raises_only_package_errors(record):
     except CfSearchError:
         return
     assert ArchitectureGenome.from_record(genome.to_record()) == genome
+
+
+GEOMETRY_SPECS = {
+    "default": default_toy_spec,
+    "super_resolution": super_resolution_spec,
+    "resampling": lambda: spec_from_dict(recursion_spec_dict()),
+}
+
+
+@pytest.mark.parametrize("name", list(GEOMETRY_SPECS))
+def test_integer_geometry_equals_the_fraction_derived_values(name):
+    spec = GEOMETRY_SPECS[name]()
+    for p, path in enumerate(spec.paths):
+        schedule = path.resolution_schedule
+        assert len(spec.layer_sites[p]) == len(spec.resampling[p]) == path.num_layers
+        for l, scale in enumerate(schedule):
+            sites = spec.sites(p, l)
+            assert type(sites) is int and sites == scale * spec.input_sites
+            up, down = spec.resampling[p][l]
+            assert type(up) is int and type(down) is int and min(up, down) == 1
+            assert Fraction(up, down) == scale / (schedule[l - 1] if l else 1)
+    for disc in spec.discriminators:
+        ratio = disc.resolution_schedule[-1] / disc.resolution_schedule[0]
+        assert disc.pool == (int(ratio) if ratio > 1 else 1)
+
+
+def test_derived_fields_leave_spec_equality_alone():
+    a, b = default_toy_spec(), default_toy_spec()
+    a.cost_rows[(0,)] = "filled"
+    assert a == b and hash(a) == hash(b)
+    assert not b.cost_rows
+
+
+@pytest.mark.parametrize(
+    "scale", ["3/0", float("inf"), float("nan"), "1e999999999", True, None, [1], "x", 0, "-2"]
+)
+def test_bad_resolution_scale_is_a_config_error_naming_the_key(scale):
+    cfg = recursion_spec_dict()
+    cfg["paths"][1]["resolution_schedule"] = [scale, 1]
+    with pytest.raises(ConfigError, match=r"paths\[1\]\.resolution_schedule: "):
+        spec_from_dict(cfg)
+
+
+_SPEC_KEY = st.sampled_from(
+    [
+        "paths", "channel_choices", "discriminators", "input_sites", "input_channels",
+        "resolution_schedule", "operators", "recursion_choices", "matched_discriminator",
+        "width",
+    ]
+)
+_SPEC_LEAF = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 20),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(["conv3x3", "res_block", "1/2", "2", "0", "-1", "1e9", "0.5", "3/0"]),
+)
+_SPEC_VALUE = st.recursive(
+    _SPEC_LEAF,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_SPEC_KEY, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def _parses_or_raises_a_package_error(cfg) -> None:
+    try:
+        spec = spec_from_dict(cfg)
+    except CfSearchError:
+        return
+    for p, path in enumerate(spec.paths):
+        assert all(type(s) is int and s > 0 for s in spec.layer_sites[p])
+        assert len(spec.resampling[p]) == path.num_layers
+
+
+def _key_paths(value, prefix=()):
+    """The key path of every value nested inside ``value``."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, inner in items:
+        yield prefix + (key,)
+        if isinstance(inner, (dict, list)):
+            yield from _key_paths(inner, prefix + (key,))
+
+
+@given(st.dictionaries(_SPEC_KEY, _SPEC_VALUE, max_size=6))
+def test_spec_parser_raises_only_package_errors(cfg):
+    _parses_or_raises_a_package_error(cfg)
+
+
+@given(st.data())
+def test_spec_parser_raises_only_package_errors_for_one_value_replaced(data):
+    cfg = json.loads(json.dumps(recursion_spec_dict()))
+    cfg["paths"][0]["matched_discriminator"] = 0
+    cfg["discriminators"] = [
+        {"resolution_schedule": [1, "1/2", 1], "width": 4},
+        {"resolution_schedule": [4, 1]},
+    ]
+    *parents, last = data.draw(st.sampled_from(list(_key_paths(cfg))))
+    target = cfg
+    for key in parents:
+        target = target[key]
+    target[last] = data.draw(_SPEC_VALUE)
+    _parses_or_raises_a_package_error(cfg)
