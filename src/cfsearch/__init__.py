@@ -25,7 +25,6 @@ from .oracles import (
     TabularLandscape,
     TabularOracle,
     build_landscape,
-    exhaustive_optimum,
     shipped_landscape,
 )
 from .pipeline import (
@@ -79,7 +78,6 @@ __all__ = [
     "enumerate_specializations",
     "evaluate_genome",
     "evolution_bench_spec",
-    "exhaustive_optimum",
     "genome_cost",
     "joint_search_baseline",
     "load_spec",

@@ -7,7 +7,8 @@ Subcommands mirror the pipeline stages:
 * ``search-operator``   stages 1-2
 * ``shrink``            stages 1-3 (evolutionary channel search)
 * ``run-all``           full pipeline including fine-tune, full report
-* ``baseline-joint``    exhaustive joint search and the cost comparison
+* ``baseline-joint``    exhaustive joint search, the cost comparison, and the
+                        staged genome's feasible percentile and optimality gap
 * ``verify-fairness``   check a dumped ledger for the exact equalities
 * ``enumerate``         specialization and search-space counting
 * ``analyze-uniform``   equal-usage probability of uniform sampling
@@ -215,16 +216,16 @@ def cmd_baseline_joint(args) -> int:
         search_oracle, evo, as_rng(child_seed(int(cfg["seed"]), "search"))
     )
     ratio = joint.evaluations / trace.total_oracle_calls
+    staged = search_oracle.evaluate(genome).fitness
     print(f"joint optimum: {joint.genome.to_record()}")
     print(f"joint fitness: {format_float(joint.fitness)}")
     print(f"joint evaluations: {joint.evaluations}")
     print(f"coarse-to-fine genome: {genome.to_record()}")
-    print(
-        f"coarse-to-fine fitness: "
-        f"{format_float(search_oracle.evaluate(genome).fitness)}"
-    )
+    print(f"coarse-to-fine fitness: {format_float(staged)}")
     print(f"coarse-to-fine evaluations: {trace.total_oracle_calls}")
     print(f"evaluation ratio: {format_float(ratio)}")
+    print(f"coarse-to-fine percentile: {format_float(joint.percentile(staged))}")
+    print(f"coarse-to-fine gap: {format_float(joint.gap(staged))}")
     return 0
 
 

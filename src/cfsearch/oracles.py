@@ -7,9 +7,11 @@ lookups from actual evaluations.  The caches are keyed by the
 ``ArchitectureGenome`` itself, a frozen dataclass of int tuples, so a
 lookup hashes four small tuples and formats no record string.  Tabular
 landscapes store a fitness for every genome of a small spec and exist so
-that search behavior can be verified against exhaustively known optima;
-the GAN adapter scores genomes on a pretrained supernet by weight
-inheritance.  ``TabularLandscape`` tables stay keyed by genome record.
+that search behavior can be verified against exhaustively known optima:
+``pipeline.joint_search_baseline`` on a ``TabularOracle`` is the one
+exhaustive scan.  The GAN adapter scores genomes on a pretrained supernet
+by weight inheritance.  ``TabularLandscape`` tables stay keyed by genome
+record.
 
 All landscape rules produce strictly positive fitness, which keeps
 "within x percent of the optimum" statements meaningful.
@@ -25,9 +27,9 @@ import numpy as np
 
 from . import trainer
 from .configs import default_toy_spec, evolution_bench_spec
-from .costs import CostReport, genome_cost, satisfies_constraints
+from .costs import CostReport, genome_cost
 from .engine import Tensor
-from .errors import ConfigError, InfeasibleError, InvariantError
+from .errors import ConfigError, InvariantError
 from .network import StageTrail, mixed_view
 from .space import (
     ArchitectureGenome,
@@ -38,8 +40,6 @@ from .space import (
 )
 
 LANDSCAPE_SIZE_CAP = 100_000
-
-NO_LIMIT = 10**18
 
 
 @dataclass(frozen=True)
@@ -288,68 +288,6 @@ class GanOracle(FitnessOracle):
     def _path_fitness(self, path_index: int) -> float:
         out = mixed_view(self.weights, path_index)(Tensor(self.dataset.val_x)).data
         return trainer.score_outputs(out, self.dataset)
-
-
-# -- exhaustive reference search --------------------------------------------
-
-
-@dataclass(frozen=True)
-class OptimumResult:
-    genome: ArchitectureGenome
-    fitness: float
-    cost: CostReport
-
-
-def exhaustive_optimum(
-    landscape: TabularLandscape,
-    params_limit: int = NO_LIMIT,
-    flops_limit: int = NO_LIMIT,
-) -> OptimumResult:
-    """Scan the whole table for the best feasible genome.
-
-    Iterates genomes in canonical order and keeps the first maximum, so
-    ties resolve to the lexicographically smallest genome.  When nothing
-    is feasible, reports which constraint is impossible to satisfy (or
-    that only their combination is).
-    """
-    best: OptimumResult | None = None
-    any_params_ok = False
-    any_flops_ok = False
-    for genome in enumerate_genomes(landscape.spec):
-        cost = genome_cost(landscape.spec, genome)
-        params_ok = cost.params < params_limit
-        flops_ok = cost.flops < flops_limit
-        any_params_ok = any_params_ok or params_ok
-        any_flops_ok = any_flops_ok or flops_ok
-        if not (params_ok and flops_ok):
-            continue
-        fitness = landscape.fitness(genome)
-        if best is None or fitness > best.fitness:
-            best = OptimumResult(genome=genome, fitness=fitness, cost=cost)
-    if best is None:
-        if not any_params_ok:
-            tightest = f"params limit {params_limit}"
-        elif not any_flops_ok:
-            tightest = f"flops limit {flops_limit}"
-        else:
-            tightest = (
-                f"joint constraint (params < {params_limit}, flops < {flops_limit})"
-            )
-        raise InfeasibleError(f"no genome satisfies the {tightest}")
-    return best
-
-
-def feasible_fitness_values(
-    landscape: TabularLandscape, params_limit: int, flops_limit: int
-) -> list[float]:
-    """Fitness of every feasible genome, descending."""
-    values = []
-    for genome in enumerate_genomes(landscape.spec):
-        cost = genome_cost(landscape.spec, genome)
-        if satisfies_constraints(cost, params_limit, flops_limit):
-            values.append(landscape.fitness(genome))
-    values.sort(reverse=True)
-    return values
 
 
 # -- shipped instances -------------------------------------------------------

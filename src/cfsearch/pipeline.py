@@ -8,9 +8,11 @@ decision before the next begins, which turns the product-sized joint
 space into a sum of three small stages; the trace records every score
 so the cost claim is checkable by counting.
 
-``joint_search_baseline`` is the brute-force reference: it evaluates the
-entire genome space and returns the constrained argmax, serving both as
-the quality yardstick and as the denominator of the cost comparison.
+``joint_search_baseline`` is the brute-force reference and the only
+exhaustive scan: it evaluates the entire genome space and returns the
+constrained argmax with the feasible ranking, serving both as the quality
+yardstick (the staged genome's percentile and gap) and as the denominator
+of the cost comparison.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .costs import satisfies_constraints
 from .errors import ConfigError, InfeasibleError
 from .evolution import EvoConfig, GenerationRow, ShrinkResult, shrink_channels
-from .oracles import FitnessOracle, GanOracle, OracleResult
+from .oracles import FitnessOracle, GanOracle
 from .space import (
     DEFAULT_ENUMERATION_CAP,
     ArchitectureGenome,
@@ -287,10 +288,24 @@ def run_pipeline(config: dict) -> PipelineResult:
 
 @dataclass(frozen=True)
 class JointResult:
+    """The feasible argmax and the fitness of every feasible genome.
+
+    ``feasible`` is descending.  ``percentile(f)`` is the share of
+    feasible genomes whose fitness is at most ``f``, so the optimum gets
+    1.0 and the worst feasible genome ``1 / len(feasible)``.
+    ``gap(f)`` is ``fitness - f``, the optimum's lead over ``f``.
+    """
+
     genome: ArchitectureGenome
     fitness: float
-    result: OracleResult
     evaluations: int
+    feasible: tuple[float, ...]
+
+    def percentile(self, f: float) -> float:
+        return sum(value <= f for value in self.feasible) / len(self.feasible)
+
+    def gap(self, f: float) -> float:
+        return self.fitness - f
 
 
 def joint_search_baseline(
@@ -299,34 +314,46 @@ def joint_search_baseline(
     flops_limit: float = float("inf"),
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> JointResult:
-    """Evaluate every genome; return the feasible argmax.
+    """Evaluate every genome; return the feasible ranking.
 
     The ground truth the coarse-to-fine result is judged against, and
     the product-count denominator of the search-cost comparison.  Scans
     in canonical order and keeps the first maximum, so ties resolve to
-    the lexicographically smallest genome.
+    the lexicographically smallest genome.  Limits are strict, as in
+    ``satisfies_constraints``.  When nothing is feasible, the error names
+    the limit no genome meets, or the joint constraint if each limit
+    alone is met.
     """
     size = genome_space_size(oracle.spec)
     if size > cap:
         raise ConfigError(
             f"joint search over {size} genomes exceeds the cap {cap}"
         )
-    best: tuple[ArchitectureGenome, OracleResult] | None = None
-    count = 0
+    best: tuple[ArchitectureGenome, float] | None = None
+    feasible = []
+    any_params_ok = any_flops_ok = False
     for genome in enumerate_genomes(oracle.spec):
         result = oracle.evaluate(genome)
-        count += 1
-        if not satisfies_constraints(result.cost, params_limit, flops_limit):
+        params_ok = result.cost.params < params_limit
+        flops_ok = result.cost.flops < flops_limit
+        any_params_ok = any_params_ok or params_ok
+        any_flops_ok = any_flops_ok or flops_ok
+        if not (params_ok and flops_ok):
             continue
-        if best is None or result.fitness > best[1].fitness:
-            best = (genome, result)
+        feasible.append(result.fitness)
+        if best is None or result.fitness > best[1]:
+            best = (genome, result.fitness)
     if best is None:
-        raise InfeasibleError(
-            f"no genome satisfies params < {params_limit} and flops < {flops_limit}"
-        )
+        if not any_params_ok:
+            tightest = f"params limit {params_limit}"
+        elif not any_flops_ok:
+            tightest = f"flops limit {flops_limit}"
+        else:
+            tightest = (
+                f"joint constraint (params < {params_limit}, flops < {flops_limit})"
+            )
+        raise InfeasibleError(f"no genome satisfies the {tightest}")
+    feasible.sort(reverse=True)
     return JointResult(
-        genome=best[0],
-        fitness=best[1].fitness,
-        result=best[1],
-        evaluations=count,
+        genome=best[0], fitness=best[1], evaluations=size, feasible=tuple(feasible)
     )

@@ -28,6 +28,8 @@ loss, and the discriminator's loss, are each one graph node.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping
@@ -74,17 +76,26 @@ class TrainConfig:
     perceptual_seed: int = PERCEPTUAL_SEED
 
     def __post_init__(self) -> None:
+        for name in ("epochs", "batch_size", "perceptual_features", "perceptual_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"train.{name} must be an integer, got {value!r}")
+        for name in ("lambda_recon", "lambda_perceptual", "lambda_sparsity",
+                     "lr_weights", "lr_gamma", "lr_decay"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ConfigError(f"train.{name} must be a finite number, got {value!r}")
         if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+            raise ConfigError(f"train.epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
         for name in ("lambda_recon", "lambda_perceptual", "lambda_sparsity"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+                raise ConfigError(f"train.{name} must be >= 0")
         if self.lr_weights <= 0 or self.lr_gamma <= 0 or not 0 < self.lr_decay <= 1:
             raise ConfigError("learning rates must be positive, decay in (0, 1]")
         if self.perceptual_features < 1:
-            raise ConfigError("perceptual_features must be >= 1")
+            raise ConfigError("train.perceptual_features must be >= 1")
 
 
 @dataclass

@@ -36,7 +36,6 @@ from cfsearch.network import DiscriminatorView, SupernetWeights, subnet_view
 from cfsearch.oracles import (
     GanOracle,
     TabularOracle,
-    feasible_fitness_values,
     shipped_landscape,
 )
 from cfsearch.pipeline import joint_search_baseline, run_pipeline, run_search
@@ -280,9 +279,9 @@ def test_criterion_6_evolution(criterion):
         budget = (bench.size() * 20) // 100
         base = maximal_genome(bench.spec, 0)
 
-        feasible = feasible_fitness_values(
-            bench, BENCH_PARAMS_LIMIT, BENCH_FLOPS_LIMIT
-        )
+        feasible = joint_search_baseline(
+            TabularOracle(bench), BENCH_PARAMS_LIMIT, BENCH_FLOPS_LIMIT
+        ).feasible
         top_count = max(1, -(-len(feasible) // 100))
         threshold = feasible[top_count - 1]
 

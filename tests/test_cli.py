@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from cfsearch import pipeline
+from cfsearch import cli, pipeline
 from cfsearch.cli import load_config, main
 from cfsearch.configs import default_config, default_toy_spec
 from cfsearch.errors import ConfigError
@@ -136,6 +136,33 @@ def test_malformed_config_value_exits_2_before_pretraining(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("epochs", 2.5),
+        ("batch_size", 2.5),
+        ("perceptual_features", 2.5),
+        ("perceptual_seed", 2.5),
+        ("epochs", "abc"),
+        ("lambda_recon", float("nan")),
+        ("lr_weights", float("inf")),
+    ],
+)
+def test_malformed_train_value_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, key, value):
+    overlay = json.loads(json.dumps(FAST_OVERLAY))
+    overlay["train"][key] = value
+
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("pretraining ran before the config was read")
+
+    monkeypatch.setattr(cli, "pretrain_supernet", no_pretraining)
+    code = main(["pretrain", "--config", write_config(tmp_path, overlay)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and f"train.{key}" in err
+    assert "Traceback" not in err
+
+
 def test_infeasible_constraints_exit_3(tmp_path, capsys):
     overlay = json.loads(json.dumps(FAST_OVERLAY))
     overlay["evolution"]["params_limit"] = 1
@@ -253,6 +280,9 @@ def test_baseline_joint_prints_ratio(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "evaluation ratio:" in out
     assert "joint" in out
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert 0 < float(lines["coarse-to-fine percentile"]) <= 1
+    assert float(lines["coarse-to-fine gap"]) >= 0
 
 
 def test_no_subcommand_is_a_usage_error(capsys):

@@ -16,7 +16,8 @@ from cfsearch.evolution import (
     normalize_rg,
     shrink_channels,
 )
-from cfsearch.oracles import TabularOracle, build_landscape, exhaustive_optimum, shipped_landscape
+from cfsearch.oracles import TabularOracle, build_landscape, shipped_landscape
+from cfsearch.pipeline import joint_search_baseline
 from cfsearch.space import ArchitectureGenome, genome_space_size
 
 from conftest import build_spec
@@ -287,6 +288,6 @@ def test_shrink_finds_constrained_optimum_on_small_space():
     base = ArchitectureGenome(0, (0, 0), (1, 1))
     cfg = EvoConfig(population=4, elites=1, generations=6, eval_budget=10, seed=2)
     result = shrink_channels(base, oracle, cfg)
-    best = exhaustive_optimum(scape)
+    best = joint_search_baseline(TabularOracle(scape))
     assert result.best_genome == best.genome
     assert result.best_fitness == pytest.approx(best.fitness)

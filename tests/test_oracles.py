@@ -1,4 +1,4 @@
-"""Fitness oracles: tabular landscapes, caching, exhaustive baselines."""
+"""Fitness oracles: tabular landscapes, caching, the exhaustive scan on them."""
 
 from dataclasses import replace
 
@@ -15,10 +15,9 @@ from cfsearch.oracles import (
     TabularLandscape,
     TabularOracle,
     build_landscape,
-    exhaustive_optimum,
-    feasible_fitness_values,
     shipped_landscape,
 )
+from cfsearch.pipeline import joint_search_baseline
 from cfsearch.engine import Tensor
 from cfsearch.network import StageTrail, SupernetWeights, subnet_view
 from cfsearch.space import (
@@ -37,7 +36,7 @@ from cfsearch.trainer import (
     pretrain_supernet,
 )
 
-from conftest import build_spec
+from conftest import build_spec, recursion_spec_dict
 
 
 def landscape_spec():
@@ -64,7 +63,7 @@ def test_unknown_rule_rejected():
 def test_separable_optimum_composes_dimension_argmaxes():
     spec = landscape_spec()
     scape = build_landscape(spec, "separable", seed=9)
-    best = exhaustive_optimum(scape)
+    best = joint_search_baseline(TabularOracle(scape))
     g = best.genome
     # Improving any single coordinate away from the argmax cannot help.
     for l in range(2):
@@ -178,41 +177,49 @@ def test_path_scores_average_operator_members():
     assert oracle.path_evaluations == 1
 
 
-def test_exhaustive_optimum_first_max_tie_break():
+def test_joint_baseline_first_max_tie_break():
     spec = build_spec(n_paths=1, n_layers=1, n_operators=2, channels=(2, 3))
     genomes = list(enumerate_genomes(spec))
     table = {g.to_record(): 1.0 for g in genomes}
     scape = TabularLandscape(spec=spec, rule="random_seeded", seed=0, table=table)
-    best = exhaustive_optimum(scape)
+    best = joint_search_baseline(TabularOracle(scape))
     assert best.genome == genomes[0]
     assert best.genome.sort_key() == min(g.sort_key() for g in genomes)
 
 
-def test_exhaustive_optimum_respects_constraints():
+def test_joint_baseline_cost_limits_bind():
     spec = landscape_spec()
     scape = build_landscape(spec, "separable", seed=2)
-    free = exhaustive_optimum(scape)
-    capped = exhaustive_optimum(scape, params_limit=free.cost.params, flops_limit=10**9)
-    assert capped.cost.params < free.cost.params
+    oracle = TabularOracle(scape)
+    free = joint_search_baseline(oracle)
+    free_params = oracle.cost(free.genome).params
+    capped = joint_search_baseline(oracle, params_limit=free_params, flops_limit=10**9)
+    assert oracle.cost(capped.genome).params < free_params
     assert capped.fitness <= free.fitness
 
 
 def test_infeasible_constraints_name_the_culprit():
     spec = landscape_spec()
-    scape = build_landscape(spec, "separable", seed=2)
+    oracle = TabularOracle(build_landscape(spec, "separable", seed=2))
     with pytest.raises(InfeasibleError, match="params limit"):
-        exhaustive_optimum(scape, params_limit=1)
+        joint_search_baseline(oracle, params_limit=1)
     with pytest.raises(InfeasibleError, match="flops limit"):
-        exhaustive_optimum(scape, flops_limit=1)
+        joint_search_baseline(oracle, flops_limit=1)
+    # Path 1 holds the fewest params and path 0 the fewest flops, so each
+    # limit alone is met and only their combination is not.
+    spec = spec_from_dict(recursion_spec_dict())
+    oracle = TabularOracle(build_landscape(spec, "random_seeded", seed=2))
+    with pytest.raises(InfeasibleError, match="joint constraint"):
+        joint_search_baseline(oracle, params_limit=57, flops_limit=741)
 
 
-def test_feasible_fitness_values_descending():
+def test_joint_baseline_feasible_values_descending():
     spec = landscape_spec()
-    scape = build_landscape(spec, "random_seeded", seed=3)
-    values = feasible_fitness_values(scape, params_limit=10**9, flops_limit=10**9)
-    assert len(values) == scape.size()
-    assert values == sorted(values, reverse=True)
-    fewer = feasible_fitness_values(scape, params_limit=300, flops_limit=10**9)
+    oracle = TabularOracle(build_landscape(spec, "random_seeded", seed=3))
+    values = joint_search_baseline(oracle, params_limit=10**9, flops_limit=10**9).feasible
+    assert len(values) == oracle.landscape.size()
+    assert list(values) == sorted(values, reverse=True)
+    fewer = joint_search_baseline(oracle, params_limit=300, flops_limit=10**9).feasible
     assert len(fewer) < len(values)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cfsearch.configs import default_config
+from cfsearch.costs import genome_cost
 from cfsearch.errors import ConfigError, InfeasibleError
 from cfsearch.evolution import EvoConfig
 from cfsearch.oracles import (
@@ -11,7 +12,7 @@ from cfsearch.oracles import (
     TabularLandscape,
     TabularOracle,
     build_landscape,
-    exhaustive_optimum,
+    shipped_landscape,
 )
 from cfsearch.pipeline import (
     joint_search_baseline,
@@ -112,7 +113,7 @@ def test_run_search_finds_separable_optimum():
     oracle = TabularOracle(scape)
     cfg = EvoConfig(population=6, elites=2, generations=10, eval_budget=30, seed=4)
     genome, trace, _ = run_search(oracle, cfg)
-    best = exhaustive_optimum(scape)
+    best = joint_search_baseline(TabularOracle(scape))
     # Separable landscapes make coordinate-wise search exact, and the small
     # space gives the channel stage room to finish the job.
     assert scape.fitness(genome) == pytest.approx(best.fitness)
@@ -142,9 +143,88 @@ def test_joint_baseline_scans_everything():
     joint = joint_search_baseline(oracle)
     assert joint.evaluations == genome_space_size(spec) == 32
     assert oracle.genome_evaluations == 32
-    best = exhaustive_optimum(scape)
-    assert joint.genome == best.genome
-    assert joint.fitness == pytest.approx(best.fitness)
+    assert (joint.genome, joint.fitness, joint.feasible) == brute_force_ranking(
+        scape, float("inf"), float("inf")
+    )
+
+
+def brute_force_ranking(scape, params_limit, flops_limit):
+    """The scan's result by a plain loop: (genome, fitness, feasible), or its error text."""
+    costs = [(g, genome_cost(scape.spec, g)) for g in enumerate_genomes(scape.spec)]
+    feasible = [g for g, c in costs if c.params < params_limit and c.flops < flops_limit]
+    if feasible:
+        best = max(feasible, key=scape.fitness)
+        ranking = tuple(sorted(map(scape.fitness, feasible), reverse=True))
+        return best, scape.fitness(best), ranking
+    if all(c.params >= params_limit for _, c in costs):
+        return f"no genome satisfies the params limit {params_limit}"
+    if all(c.flops >= flops_limit for _, c in costs):
+        return f"no genome satisfies the flops limit {flops_limit}"
+    joint = f"joint constraint (params < {params_limit}, flops < {flops_limit})"
+    return f"no genome satisfies the {joint}"
+
+
+# Each limit is picked from the sorted distinct costs of its axis.  All but
+# "above-median" and "none" sit on some genome's cost, which a strict
+# limit excludes; nothing is strictly below "min".
+LIMIT_PICKS = {
+    "min": lambda values: values[0],
+    "second": lambda values: values[1],
+    "median": lambda values: values[len(values) // 2],
+    "above-median": lambda values: values[len(values) // 2] + 1,
+    "none": lambda values: float("inf"),
+}
+LIMIT_PAIRS = [
+    ("min", "none"),
+    ("none", "min"),
+    ("min", "min"),
+    ("second", "none"),
+    ("median", "median"),
+    ("above-median", "median"),
+    ("median", "above-median"),
+    ("none", "none"),
+]
+
+
+@pytest.mark.parametrize("name", ["separable", "monotone_plateau", "deceptive", "evolution_bench"])
+@pytest.mark.parametrize(
+    "params_pick, flops_pick", LIMIT_PAIRS, ids=[f"{p}-{f}" for p, f in LIMIT_PAIRS]
+)
+def test_joint_baseline_matches_a_brute_force_scan(name, params_pick, flops_pick):
+    scape = shipped_landscape(name)
+    costs = [genome_cost(scape.spec, g) for g in enumerate_genomes(scape.spec)]
+    params_limit = LIMIT_PICKS[params_pick](sorted({c.params for c in costs}))
+    flops_limit = LIMIT_PICKS[flops_pick](sorted({c.flops for c in costs}))
+    expected = brute_force_ranking(scape, params_limit, flops_limit)
+    oracle = TabularOracle(scape)
+    if isinstance(expected, str):
+        with pytest.raises(InfeasibleError) as caught:
+            joint_search_baseline(oracle, params_limit, flops_limit)
+        assert str(caught.value) == expected
+    else:
+        joint = joint_search_baseline(oracle, params_limit, flops_limit)
+        assert (joint.genome, joint.fitness, joint.feasible) == expected
+
+
+def test_percentile_and_gap_rank_against_the_feasible_genomes():
+    spec = build_spec(n_paths=1, n_layers=1, n_operators=2, channels=(2, 3))
+    records = [g.to_record() for g in enumerate_genomes(spec)]
+
+    def ranking(*values):
+        table = dict(zip(records, values, strict=True))
+        scape = TabularLandscape(spec, "random_seeded", 0, table)
+        return joint_search_baseline(TabularOracle(scape))
+
+    joint = ranking(0.5, 2.0, 0.25, 1.0)
+    assert joint.feasible == (2.0, 1.0, 0.5, 0.25)
+    assert joint.percentile(joint.fitness) == 1.0
+    assert joint.gap(joint.fitness) == 0.0
+    assert joint.percentile(0.25) == 1 / len(joint.feasible)
+    assert joint.gap(0.25) == 1.75
+    # Ties count as "at most": both 1.0 genomes and the 0.5 one are at most 1.0.
+    tied = ranking(1.0, 2.0, 0.5, 1.0)
+    assert tied.percentile(1.0) == 3 / 4
+    assert tied.percentile(0.5) == 1 / 4
 
 
 def test_joint_baseline_respects_cap_and_constraints():
