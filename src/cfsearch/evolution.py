@@ -68,11 +68,13 @@ class EvoConfig:
 
     def __post_init__(self) -> None:
         for name in ("population", "elites", "generations", "eval_budget"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("params_limit", "flops_limit", "epsilon"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if self.population < 2 or self.population % 2 != 0:
             raise ConfigError(
                 f"population must be even and >= 2, got {self.population}"
@@ -176,7 +178,9 @@ def _with_channel(
 ) -> ArchitectureGenome:
     channels = list(genome.channel_assignment)
     channels[layer] = choice
-    return replace(genome, channel_assignment=tuple(channels))
+    return ArchitectureGenome(
+        genome.path_index, genome.operator_assignment, tuple(channels), genome.recursion_assignment
+    )
 
 
 def _uniform_table(num_choices: int, num_layers: int, epsilon: float) -> RGTable:
@@ -196,16 +200,16 @@ def mutate_directional(
     The new channel index is drawn from the table's per-layer
     distribution; when the layer searches recursion depth too, its depth
     is redrawn uniformly alongside.  All other genes are copied, so the
-    child differs from the parent in at most one layer.
+    child differs from the parent in at most one layer.  Every index is
+    drawn in range, so a valid parent, and a table with one row per
+    channel choice, give a valid child.
     """
     path = spec.paths[parent.path_index]
     layer = int(rng.integers(path.num_layers))
     probs = table.p_select[:, layer]
     choice = int(rng.choice(len(probs), p=probs))
     child = _with_channel(parent, layer, choice)
-    child = _maybe_redraw_recursion(child, layer, spec, rng)
-    require_valid(spec, child)
-    return child
+    return _maybe_redraw_recursion(child, layer, spec, rng)
 
 
 def mutate_random(
@@ -216,9 +220,7 @@ def mutate_random(
     layer = int(rng.integers(path.num_layers))
     choice = int(rng.integers(spec.num_channel_choices))
     child = _with_channel(parent, layer, choice)
-    child = _maybe_redraw_recursion(child, layer, spec, rng)
-    require_valid(spec, child)
-    return child
+    return _maybe_redraw_recursion(child, layer, spec, rng)
 
 
 def _maybe_redraw_recursion(
@@ -232,7 +234,9 @@ def _maybe_redraw_recursion(
         return genome
     rec = list(genome.recursion_assignment)
     rec[layer] = int(rng.integers(len(choices)))
-    return replace(genome, recursion_assignment=tuple(rec))
+    return ArchitectureGenome(
+        genome.path_index, genome.operator_assignment, genome.channel_assignment, tuple(rec)
+    )
 
 
 def crossover(
@@ -262,8 +266,8 @@ def crossover(
         source = parent_a if rng.integers(2) == 0 else parent_b
         channels.append(source.channel_assignment[l])
         recursions.append(source.recursion_assignment[l])
-    return replace(
-        parent_a, channel_assignment=tuple(channels), recursion_assignment=tuple(recursions)
+    return ArchitectureGenome(
+        parent_a.path_index, parent_a.operator_assignment, tuple(channels), tuple(recursions)
     )
 
 
@@ -358,7 +362,9 @@ def shrink_channels(
         recursions = tuple(
             int(rng.integers(len(layer.recursion_choices))) for layer in path.layers
         )
-        return replace(base_genome, channel_assignment=channels, recursion_assignment=recursions)
+        return ArchitectureGenome(
+            base_genome.path_index, base_genome.operator_assignment, channels, recursions
+        )
 
     def draw_feasible(make) -> ArchitectureGenome:
         for _ in range(FEASIBLE_RETRY_LIMIT):

@@ -44,7 +44,7 @@ def gaussian_moments(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"need an (n, d) sample set, got shape {a.shape}")
     if a.shape[0] < 2:
         raise ValueError("need at least 2 samples per set to estimate covariance")
-    mean = a.mean(axis=0)
+    mean = np.add.reduce(a, 0) / a.shape[0]
     centred = a - mean
     return mean, (centred.T @ centred) / (a.shape[0] - 1)
 
@@ -66,12 +66,12 @@ def moment_distance(
     if root_b is None:
         root_b = covariance_root(cov_b)
     m = root_b @ cov_a @ root_b
-    cross = np.clip(np.linalg.eigvalsh((m + m.T) / 2.0), 0.0, None)
+    cross = np.linalg.eigvalsh((m + m.T) / 2.0).clip(0.0)
     value = float(
-        np.sum((mu_a - mu_b) ** 2)
-        + np.trace(cov_a)
-        + np.trace(cov_b)
-        - 2.0 * np.sum(np.sqrt(cross))
+        np.add.reduce((mu_a - mu_b) ** 2)
+        + cov_a.trace()
+        + cov_b.trace()
+        - 2.0 * np.add.reduce(np.sqrt(cross))
     )
     return max(value, 0.0)
 

@@ -312,41 +312,83 @@ def _block_core(weights: SupernetWeights, p: int, l: int, m: int, x: Tensor) -> 
     return h
 
 
-class StageTrail:
-    """The stage outputs of the last forward a ``GeneratorView`` ran with it.
+# Bytes of stage outputs a ``StageTrail`` keeps beyond the last forward's
+# chain.  The channel stage mostly scores one-layer edits of a few elites,
+# so a miss often shares a long prefix with a genome scored some calls
+# before the last.  512 KiB holds 85 translation stage outputs at batch 64
+# (6 KiB each).  Over 8 default searches it ran 1,152 convs, as many as
+# 1 MiB did, against 1,264 at 256 KiB and 2,024 with the last chain only.
+# It holds about 5 super-resolution outputs at 16 sites (96 KiB each).
+TRAIL_BUDGET_BYTES = 512 * 1024
 
-    ``keys[i]`` is stage ``i``'s own key (see ``GeneratorView.stage_keys``)
-    and ``outputs[i]`` its output array, kept without its graph.  Stage
-    ``i``'s output depends on the keys of stages ``0..i`` together, so the
-    outputs of a matching key prefix are exactly what a fresh forward would
-    recompute.  The trail also depends on the input array and the weights
-    object it was built on; it starts over when either differs, compared
-    by identity.  Weights changed in place are not noticed, so a trail is
-    only sound over fixed weights.
+
+class StageTrail:
+    """Stage outputs of recent forwards a ``GeneratorView`` ran with it.
+
+    Stage ``i``'s output depends on the keys of stages ``0..i`` together
+    (see ``GeneratorView.stage_keys``), so the output stored for a key
+    prefix is what a fresh forward with that prefix would recompute.
+    ``entries`` maps (the parent entry's number, or 0, and the stage's own
+    key) to (the entry's number, its depth in stages, its output array
+    without its graph).  A forward resumes after the longest stored prefix
+    of its keys and stores every stage it runs; ``keys`` and ``chain`` are
+    its stage keys and the entry keys of its stages.
+
+    Beyond the last forward's chain, the store keeps at most
+    ``TRAIL_BUDGET_BYTES`` of outputs, evicting the least recently used
+    entry first.  A forward marks its chain used deepest entry first, so
+    no entry is evicted before its children and every entry stays
+    reachable.  The store starts over when the input array or the weights
+    object differs, compared by identity.  Weights changed in place are
+    not noticed, so a trail is only sound over fixed weights, unless a
+    ``cut`` first drops every stage the change affects.
     """
 
     def __init__(self) -> None:
         self.x: np.ndarray | None = None
         self.weights: SupernetWeights | None = None
         self.keys: list = []
-        self.outputs: list[np.ndarray] = []
+        self.entries: "OrderedDict[tuple, tuple[int, int, np.ndarray]]" = OrderedDict()
+        self.chain: list[tuple] = []
+        self.nbytes = 0
+        self._numbered = 0
 
     def resume(self, x: Tensor, weights: SupernetWeights, keys: list) -> tuple[int, Tensor]:
-        """(stages reused, the last reused output or ``x``); drops the rest."""
-        n = 0
-        if self.x is x.data and self.weights is weights:
-            limit = min(len(self.outputs), len(keys))
-            while n < limit and self.keys[n] == keys[n]:
-                n += 1
-        else:
+        """(stages reused, the last reused output or ``x``) for a forward with ``keys``."""
+        if self.x is not x.data or self.weights is not weights:
             self.x, self.weights = x.data, weights
-        del self.outputs[n:]
-        self.keys = keys
-        return n, Tensor(self.outputs[n - 1]) if n else x
+            self.entries.clear()
+            self.nbytes = 0
+        self.keys, self.chain = keys, []
+        found = None
+        parent = 0
+        for key in keys:
+            entry = self.entries.get((parent, key))
+            if entry is None:
+                break
+            self.chain.append((parent, key))
+            found, parent = entry, entry[0]
+        return len(self.chain), x if found is None else Tensor(found[2])
+
+    def store(self, outputs: list[np.ndarray]) -> None:
+        """Store the outputs of the stages the resumed forward ran, then evict."""
+        entries, chain = self.entries, self.chain
+        parent = entries[chain[-1]][0] if chain else 0
+        for output in outputs:
+            key = (parent, self.keys[len(chain)])
+            self._numbered = parent = self._numbered + 1
+            entries[key] = (parent, len(chain) + 1, output)
+            chain.append(key)
+            self.nbytes += output.nbytes
+        for key in reversed(chain):
+            entries.move_to_end(key)
+        while self.nbytes > TRAIL_BUDGET_BYTES and len(entries) > len(chain):
+            self.nbytes -= entries.popitem(last=False)[1][2].nbytes
 
     def cut(self, stages: int) -> None:
-        """Keep only the first ``stages`` outputs, so a resumed forward runs the rest."""
-        del self.outputs[stages:]
+        """Forget every entry deeper than ``stages``, so a resumed forward runs the rest."""
+        for key in [key for key, entry in self.entries.items() if entry[1] > stages]:
+            self.nbytes -= self.entries.pop(key)[2].nbytes
 
 
 @dataclass
@@ -385,8 +427,8 @@ class GeneratorView:
         """Run the generator on ``x``.
 
         With a ``trail``, the forward resumes after the longest stage
-        prefix whose keys match the trail's, and records the stages it
-        runs there.  Without one, every stage runs.
+        prefix the trail stores, and stores the stages it runs there.
+        Without one, every stage runs.
         """
         spec = self.weights.spec
         p = self.path_index
@@ -397,10 +439,12 @@ class GeneratorView:
                 f"got {x.data.shape}"
             )
         start, h = (0, x) if trail is None else trail.resume(x, self.weights, self.stage_keys())
+        ran = []
         for stage in range(start, 2 * len(self.channel_widths) + 1):
             h = self._stage(stage, h)
-            if trail is not None:
-                trail.outputs.append(h.data)
+            ran.append(h.data)
+        if trail is not None:
+            trail.store(ran)
         head_w = self.weights[f"g/p{p}/head/w"]
         head_b = self.weights[f"g/p{p}/head/b"]
         return conv1d(h, head_w, bias=head_b)

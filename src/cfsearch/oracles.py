@@ -266,10 +266,12 @@ class GanOracle(FitnessOracle):
     """Oracle over a pretrained supernet: weight-inherited evaluation.
 
     The oracle assumes its weights stay fixed: the fitness cache keeps a
-    genome's score, and a ``StageTrail`` keeps the stage outputs of the
-    last genome scored, so that each miss runs only the stages in which
-    its genome differs from that one.  Consecutive genomes in canonical
-    order share all but their last layer.  Scores are bit-identical to a
+    genome's score, and a ``StageTrail`` keeps the stage outputs of
+    recently scored genomes, so that each miss runs only the stages after
+    the longest stage prefix it shares with one of them.  Consecutive
+    genomes in canonical order share all but their last layer, and the
+    channel stage's one-layer edits share all stages before the edited
+    layer with the elite they came from.  Scores are bit-identical to a
     trail-free ``trainer.evaluate_genome``.  Path scores use no trail.
     """
 

@@ -78,12 +78,14 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for name in ("epochs", "batch_size", "perceptual_features", "perceptual_seed"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ConfigError(f"train.{name} must be an integer, got {value!r}")
         for name in ("lambda_recon", "lambda_perceptual", "lambda_sparsity",
                      "lr_weights", "lr_gamma", "lr_decay"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and math.isfinite(value)
+            ):
                 raise ConfigError(f"train.{name} must be a finite number, got {value!r}")
         if self.epochs < 1:
             raise ConfigError(f"train.epochs must be >= 1, got {self.epochs}")
@@ -482,8 +484,8 @@ def evaluate_genome(
 ) -> float:
     """Fitness of a genome with inherited weights; inference only.
 
-    A ``trail`` lets the forward resume from the stages this genome
-    shares with the last one evaluated with it (see ``StageTrail``).
+    A ``trail`` lets the forward resume from the longest stage prefix
+    this genome shares with genomes evaluated with it (see ``StageTrail``).
     """
     gen = subnet_view(weights, genome)
     out = gen(Tensor(dataset.val_x), trail).data

@@ -45,9 +45,17 @@ def sha256_file(path: str) -> str:
 
 
 def config_number(value, kind: Callable[[object], float], key: str):
-    """``kind(value)`` for a config value, or a ``ConfigError`` naming ``key``."""
+    """``kind(value)`` for a config value, or a ``ConfigError`` naming ``key``.
+
+    A boolean is refused, and so is a fraction where ``kind`` is ``int``,
+    which would otherwise truncate.
+    """
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
+        number = None
+    fraction = kind is int and isinstance(value, float) and number != value
+    if number is None or isinstance(value, bool) or fraction:
         what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return number

@@ -114,6 +114,10 @@ def test_evolution_seed_key_exits_2(tmp_path, capsys):
         ("search", "finetune_epochs", "x"),
         (None, "dataset", 5),
         (None, "search", None),
+        ("train", "epochs", True),
+        (None, "seed", 7.9),
+        ("search", "finetune_epochs", True),
+        ("evolution", "generations", True),
     ],
 )
 def test_malformed_config_value_exits_2_before_pretraining(

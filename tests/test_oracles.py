@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cfsearch.configs import default_toy_spec, evolution_bench_spec
-from cfsearch import oracles
+from cfsearch import network, oracles
 from cfsearch.errors import ConfigError, GenomeError, InfeasibleError, InvariantError
 from cfsearch.oracles import (
     LANDSCAPE_RULES,
@@ -331,6 +331,71 @@ def test_trail_starts_over_on_other_inputs_or_weights():
     assert trail.resume(x, other_weights, other_view.stage_keys())[0] == 0
     assert np.array_equal(other_view(x, trail).data, other_view(x).data)
     assert evaluate_genome(weights, genome, ds, trail) == evaluate_genome(weights, genome, ds)
+
+
+def count_stage_calls(monkeypatch):
+    """Counts of the convs (stem, block and head) and norms the generator runs."""
+    counts = {"conv1d": 0, "channel_rms_norm": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(network, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(network, name, counted)
+    return counts
+
+
+def test_trail_resumes_from_a_genome_scored_before_the_last(monkeypatch):
+    weights, ds = trail_case(TASK_TRANSLATION)
+    a = maximal_genome(weights.spec, 0)
+    b = maximal_genome(weights.spec, 1)
+    a_edited = replace(a, channel_assignment=(1, 0))  # shares all but layer 1's norm with a
+    oracle = GanOracle(weights, ds)
+    oracle.evaluate(a)
+    oracle.evaluate(b)
+    counts = count_stage_calls(monkeypatch)
+    fitness = oracle.evaluate(a_edited).fitness
+    assert counts == {"conv1d": 1, "channel_rms_norm": 1}  # the head and layer 1's norm
+    monkeypatch.undo()
+    assert fitness == evaluate_genome(weights, a_edited, ds)
+
+
+def chain_bytes(trail):
+    return sum(trail.entries[key][2].nbytes for key in trail.chain)
+
+
+@pytest.mark.parametrize("budget, evicts", [(network.TRAIL_BUDGET_BYTES, False), (32 * 1024, True)])
+def test_trail_holds_its_budget_and_keeps_every_entry_reachable(monkeypatch, budget, evicts):
+    monkeypatch.setattr(network, "TRAIL_BUDGET_BYTES", budget)
+    weights, ds = trail_case(TASK_SUPER_RESOLUTION)
+    genomes = list(enumerate_genomes(weights.spec))
+    order = [genomes[i] for i in np.random.default_rng(6).permutation(len(genomes))]
+    trail = StageTrail()
+    prefixes = set()
+    evicted = False
+    for g in genomes + order:
+        assert evaluate_genome(weights, g, ds, trail) == evaluate_genome(weights, g, ds)
+        outputs = [output for _, _, output in trail.entries.values()]
+        assert trail.nbytes == sum(output.nbytes for output in outputs)
+        assert trail.nbytes <= budget + chain_bytes(trail)
+        numbers = {number for number, _, _ in trail.entries.values()}
+        assert {parent for parent, _ in trail.entries} <= numbers | {0}
+        prefixes.update(tuple(trail.keys[: i + 1]) for i in range(len(trail.keys)))
+        evicted = evicted or len(trail.entries) < len(prefixes)
+    assert evicted == evicts
+
+
+def test_trail_cut_drops_deeper_entries():
+    weights, ds = trail_case(TASK_TRANSLATION)
+    genomes = list(enumerate_genomes(weights.spec))[:6]
+    trail = StageTrail()
+    for g in genomes:
+        evaluate_genome(weights, g, ds, trail)
+    trail.cut(2)
+    assert trail.entries and all(depth <= 2 for _, depth, _ in trail.entries.values())
+    assert trail.nbytes == sum(output.nbytes for _, _, output in trail.entries.values())
+    view = subnet_view(weights, genomes[-1])
+    assert trail.resume(Tensor(ds.val_x), weights, view.stage_keys())[0] == 2
+    assert evaluate_genome(weights, genomes[0], ds, trail) == evaluate_genome(weights, genomes[0], ds)
 
 
 class ConstantOracle(oracles.FitnessOracle):

@@ -430,10 +430,11 @@ def test_mixed_forward_resumed_after_the_proximal_step_is_bit_identical(task):
         before = mixed(x, trail)
         total_loss(before, y, disc(before), bank, cfg).smooth.backward()
         prox_step(bank, [g.grad for g in bank.gammas], 0)
-    stem, core = trail.outputs[:2]
+    stem, core = (trail.entries[key][2] for key in trail.chain[:2])
     trail.cut(2)
     resumed = mixed(x, trail)
-    assert trail.outputs[0] is stem and trail.outputs[1] is core
+    stored = [trail.entries[key][2] for key in trail.chain[:2]]
+    assert stored[0] is stem and stored[1] is core
     assert np.array_equal(resumed.data, mixed(x).data)
     assert not np.array_equal(resumed.data, before.data)
 
