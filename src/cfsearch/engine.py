@@ -136,27 +136,32 @@ class Tensor:
             raise ShapeError(f"backward needs a scalar, got shape {self.data.shape}")
         if not self.requires_grad:
             raise InvariantError("backward on a loss with no trainable ancestor")
-        nodes = {self}
-        work = [self]
+        # Only interior nodes need an order; a leaf's pending gradient is
+        # complete once every interior node has run, whatever the leaf order.
+        seen = {self}
+        interior = [self] if self._backward is not None else []
+        work = list(interior)
         while work:
             for parent in work.pop()._parents:
-                if parent.requires_grad and parent not in nodes:
-                    nodes.add(parent)
-                    work.append(parent)
-        grads: dict[Tensor, Array] = {self: np.ones_like(self.data)}
-        for node in sorted(nodes, key=_by_creation, reverse=True):
+                if parent.requires_grad and parent not in seen:
+                    seen.add(parent)
+                    if parent._backward is not None:
+                        interior.append(parent)
+                        work.append(parent)
+        interior.sort(key=_by_creation, reverse=True)
+        grads: dict[Tensor, Array] = {self: np.ones(self.data.shape)}
+        for node in interior:
             g = grads.pop(node, None)
             if g is None:
                 continue
             # Backward closures may hand one array to several parents, so
             # gradients are never accumulated in place.
-            if node._backward is None:
-                node.grad = g.copy() if node.grad is None else node.grad + g
-                continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
                     continue
                 grads[parent] = grads[parent] + pg if parent in grads else pg
+        for leaf, g in grads.items():
+            leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
 
     # -- arithmetic --------------------------------------------------------
 
@@ -331,7 +336,7 @@ def _conv_node(
             g = g * (1.0 - act * act)
         grads = list(backward(g))
         if bias is not None:
-            grads.append(g.sum(axis=(0, 2)) if bias.requires_grad else None)
+            grads.append(np.add.reduce(g, axis=(0, 2)) if bias.requires_grad else None)
         if skip is not None:
             grads.append(g_skip)
         return grads
@@ -372,7 +377,7 @@ def conv1d(
     def backward(g: Array):
         gx = gw = None
         if w.requires_grad:
-            gw = np.zeros_like(w.data)
+            gw = np.zeros(w.data.shape)
             gw[:, :, pad] = _tap_weight_grad(g, x.data)
             for k, out, inp in taps:
                 gw[:, :, k] = _tap_weight_grad(g[:, :, out], x.data[:, :, inp])
@@ -412,10 +417,10 @@ def dwconv1d(
     def backward(g: Array):
         gx = gw = None
         if w.requires_grad:
-            gw = np.zeros_like(w.data)
-            gw[:, pad] = (g * x.data).sum(axis=(0, 2))
+            gw = np.zeros(w.data.shape)
+            gw[:, pad] = np.add.reduce(g * x.data, axis=(0, 2))
             for k, out, inp in taps:
-                gw[:, k] = (g[:, :, out] * x.data[:, :, inp]).sum(axis=(0, 2))
+                gw[:, k] = np.add.reduce(g[:, :, out] * x.data[:, :, inp], axis=(0, 2))
         if x.requires_grad:
             gx = g * wk[:, pad]
             for k, out, inp in taps:
@@ -460,11 +465,12 @@ def pooled_linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         gx = gw = g_bias = None
         if x.requires_grad:
             g_pooled = (g @ w.data.T).reshape(batch, channels, 1)
-            gx = np.broadcast_to(g_pooled / sites, x.data.shape).copy()
+            gx = np.empty(x.data.shape)
+            gx[...] = g_pooled / sites
         if w.requires_grad:
             gw = pooled.T @ g
         if bias.requires_grad:
-            g_bias = _unbroadcast(g, bias.data.shape)
+            g_bias = np.add.reduce(g, axis=0)
         return gx, gw, g_bias
 
     return Tensor._make(y, (x, w, bias), backward)
@@ -545,10 +551,10 @@ def channel_rms_norm(x: Tensor, gamma: Tensor, keep: Array | None = None) -> Ten
         if keep is not None:
             g = g * keep
         if gamma.requires_grad:
-            g_gamma = _unbroadcast(g * normed, scale.shape).reshape(gamma.data.shape)
+            g_gamma = np.add.reduce(g * normed, axis=(0, 2)).reshape(gamma.data.shape)
         if x.requires_grad:
             g = g * scale
-            g_r = _unbroadcast(g * x.data, r.shape)
+            g_r = np.add.reduce(g * x.data, axis=1, keepdims=True)
             g_power = g_r * (-0.5) * r**3
             gx = g * r + g_power / channels * 2.0 * x.data
         return gx, g_gamma

@@ -186,12 +186,14 @@ class SupernetWeights:
         Every other tensor is frozen, so graphs built inside the block
         compute no gradient for it.  On exit, by an exception too, every
         tensor requires a gradient again and holds none, so no gradient
-        outlives the step that computed it.
+        outlives the step that computed it.  ``trainable`` must hold
+        tensors of these weights only.
         """
-        trainable = set(trainable)
-        for tensor in self.tensors.values():
-            tensor.requires_grad = tensor in trainable
         try:
+            for tensor in self.tensors.values():
+                tensor.requires_grad = False
+            for tensor in trainable:
+                tensor.requires_grad = True
             yield
         finally:
             for tensor in self.tensors.values():

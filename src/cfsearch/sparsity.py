@@ -76,7 +76,7 @@ class ScaleFactorBank:
         return self.learning_rate * self.lr_decay**t
 
     def l1_value(self) -> float:
-        return float(sum(np.abs(g.data).sum() for g in self.gammas))
+        return float(sum(np.add.reduce(np.abs(g.data), axis=None) for g in self.gammas))
 
     def zero_count(self) -> int:
         return sum(int(np.count_nonzero(g.data == 0.0)) for g in self.gammas)
