@@ -3,10 +3,11 @@
 A ``Tensor`` wraps a numpy array; operations record a backward closure
 and their parents.  Every tensor is numbered when it is made, and a node
 is always made after its parents, so ``Tensor.backward()`` collects the
-nodes it can reach and visits them in descending creation order, which
-is a reverse topological order.  Only leaves (tensors without a backward
-closure, such as weights) keep ``grad``; intermediate gradients are
-dropped once they have been passed on.
+interior nodes it can reach and visits them in descending creation order,
+which is a reverse topological order.  Only leaves (tensors without a
+backward closure, such as weights) keep ``grad``: each leaf's gradient is
+added once the walk is done, and intermediate gradients are dropped once
+they have been passed on.
 
 Which gradients are computed is fixed by the leaves' ``requires_grad``.
 An op reads it from its parents when the graph is built: a node exists
@@ -32,10 +33,14 @@ same tensor, adds into a leaf's ``grad`` rather than replacing it, which
 is what the gradient-accumulation step of supernet training relies on.
 ``SupernetWeights.train_only`` clears every gradient when a step ends.
 
+``conv1d`` is plain 2-D matmuls in each direction, which numpy hands to
+BLAS.  A multi-site conv's output is a view of site-major memory, and
+every op accepts any memory layout.
+
 Only the operations the toy networks need are implemented.  Everything
 is float64 and single-threaded per evaluation, so identical inputs give
-bit-identical outputs within one numpy build and one version of this
-code.  Across numpy builds, or after a change to the order of the
+bit-identical outputs within one numpy and BLAS build and one version of
+this code.  Across builds, or after a change to the order of the
 arithmetic here, results agree only to rounding.
 """
 
@@ -293,15 +298,21 @@ def _side_taps(kernel: int, sites: int) -> tuple[tuple[int, slice, slice], ...]:
     return tuple(taps)
 
 
-def _tap_weight_grad(g: Array, x: Array) -> Array:
-    """Sum over batch and sites of g (batch, c_out, s) times x (batch, c_in, s).
+def _columns(x: Array, kernel: int) -> Array:
+    """The (channels * k, sites * batch) columns of ``x`` (batch, channels, sites).
 
-    One 2-D matmul; the same arithmetic as
-    ``np.tensordot(g, x, axes=([0, 2], [0, 2]))`` without its Python overhead.
+    Row ``c * k + t`` holds channel ``c`` as tap ``t`` reads it, site-major,
+    and zero where the tap reads padding; so ``w.reshape(c_out, c_in * k)``
+    times the columns is the convolution, in (c_out, sites * batch) order.
+    Site-major rows make each tap's shift one block copy per channel.
     """
-    return g.transpose(1, 0, 2).reshape(g.shape[1], -1) @ x.transpose(0, 2, 1).reshape(
-        -1, x.shape[1]
-    )
+    batch, channels, sites = x.shape
+    xt = x.transpose(1, 2, 0)
+    cols = np.zeros((channels, kernel, sites, batch))
+    cols[:, kernel // 2] = xt
+    for k, out, inp in _side_taps(kernel, sites):
+        cols[:, k, out] = xt[:, inp]
+    return cols.reshape(channels * kernel, sites * batch)
 
 
 def _conv_node(
@@ -356,9 +367,17 @@ def conv1d(
 
     ``x`` is (batch, c_in, sites); ``w`` is (c_out, c_in, k) with odd k;
     ``bias`` is (c_out,).  Input is zero padded by k // 2 on both sides.
-    Each tap that sees data is one matmul into the output.  With ``tanh``
-    the biased output goes through ``tanh``, and a ``skip`` of the
-    output's shape is added last: one node, bit-identical to
+    Each direction is made of plain 2-D matmuls.  On one site only the
+    centre tap sees data, so the forward is (batch, c_in) times the centre
+    tap's weights, and the output stays batch-major.  On more sites the
+    forward is one matmul of the flattened weights with the input's
+    columns (see ``_columns``), and the output is a (batch, c_out, sites)
+    view of the (c_out, sites * batch) product.  The backward is two
+    matmuls: the output gradient times the input's columns, which it
+    builds again only when ``w`` needs a gradient, so no graph keeps
+    them; and the flipped kernel times the output gradient's columns.
+    With ``tanh`` the biased output goes through ``tanh``, and a ``skip``
+    of the output's shape is added last: one node, bit-identical to
     ``tanh(conv1d(x, w, bias=bias)) + skip``.
     """
     kernel = w.data.shape[2]
@@ -369,22 +388,38 @@ def conv1d(
             f"conv1d shape mismatch: input {x.data.shape} vs weight {w.data.shape}"
         )
     pad = kernel // 2
-    taps = _side_taps(kernel, x.data.shape[2])
-    y = w.data[:, :, pad] @ x.data
-    for k, out, inp in taps:
-        y[:, :, out] += w.data[:, :, k] @ x.data[:, :, inp]
+    batch, c_in, sites = x.data.shape
+    c_out = w.data.shape[0]
+    if sites == 1:
+        x2 = x.data.reshape(batch, c_in)
+        y = (x2 @ w.data[:, :, pad].T).reshape(batch, c_out, 1)
+
+        def backward(g: Array):
+            gx = gw = None
+            g2 = g.reshape(batch, c_out)
+            if w.requires_grad:
+                gw = np.zeros(w.data.shape)
+                gw[:, :, pad] = g2.T @ x2
+            if x.requires_grad:
+                gx = (g2 @ w.data[:, :, pad]).reshape(batch, c_in, 1)
+            return gx, gw
+
+        return _conv_node(y, x, w, backward, bias, tanh, skip)
+
+    y = w.data.reshape(c_out, c_in * kernel) @ _columns(x.data, kernel)
+    y = y.reshape(c_out, sites, batch).transpose(2, 0, 1)
 
     def backward(g: Array):
         gx = gw = None
         if w.requires_grad:
-            gw = np.zeros(w.data.shape)
-            gw[:, :, pad] = _tap_weight_grad(g, x.data)
-            for k, out, inp in taps:
-                gw[:, :, k] = _tap_weight_grad(g[:, :, out], x.data[:, :, inp])
+            g2 = g.transpose(1, 2, 0).reshape(c_out, sites * batch)
+            gw = (g2 @ _columns(x.data, kernel).T).reshape(w.data.shape)
         if x.requires_grad:
-            gx = w.data[:, :, pad].T @ g
-            for k, out, inp in taps:
-                gx[:, :, inp] += w.data[:, :, k].T @ g[:, :, out]
+            # The input's gradient is g convolved with the flipped kernel,
+            # its input and output channels swapped.
+            flipped = w.data[:, :, ::-1].transpose(1, 0, 2).reshape(c_in, c_out * kernel)
+            gx = flipped @ _columns(g, kernel)
+            gx = gx.reshape(c_in, sites, batch).transpose(2, 0, 1)
         return gx, gw
 
     return _conv_node(y, x, w, backward, bias, tanh, skip)

@@ -70,37 +70,37 @@ class EvoConfig:
         for name in ("population", "elites", "generations", "eval_budget"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+                raise ConfigError(f"evolution.{name} must be an integer, got {value!r}")
         for name in ("params_limit", "flops_limit", "epsilon"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
+                raise ConfigError(f"evolution.{name} must be a number, got {value!r}")
         if self.population < 2 or self.population % 2 != 0:
             raise ConfigError(
-                f"population must be even and >= 2, got {self.population}"
+                f"evolution.population must be even and >= 2, got {self.population}"
             )
         if not 1 <= self.elites <= self.population // 2:
             raise ConfigError(
-                f"elites must be in [1, population // 2] = "
+                f"evolution.elites must be in [1, population // 2] = "
                 f"[1, {self.population // 2}], got {self.elites}"
             )
         if self.generations < 1:
-            raise ConfigError(f"generations must be >= 1, got {self.generations}")
+            raise ConfigError(f"evolution.generations must be >= 1, got {self.generations}")
         if self.eval_budget < 1:
-            raise ConfigError(f"eval_budget must be >= 1, got {self.eval_budget}")
+            raise ConfigError(f"evolution.eval_budget must be >= 1, got {self.eval_budget}")
         if not self.params_limit > 0:
-            raise ConfigError(f"params_limit must be > 0, got {self.params_limit}")
+            raise ConfigError(f"evolution.params_limit must be > 0, got {self.params_limit}")
         if not self.flops_limit > 0:
-            raise ConfigError(f"flops_limit must be > 0, got {self.flops_limit}")
+            raise ConfigError(f"evolution.flops_limit must be > 0, got {self.flops_limit}")
         if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+            raise ConfigError(f"evolution.epsilon must be > 0, got {self.epsilon}")
         if self.mutation not in MUTATION_MODES:
             raise ConfigError(
-                f"mutation must be one of {MUTATION_MODES}, got {self.mutation!r}"
+                f"evolution.mutation must be one of {MUTATION_MODES}, got {self.mutation!r}"
             )
         if self.rg_refresh not in RG_REFRESH_MODES:
             raise ConfigError(
-                f"rg_refresh must be one of {RG_REFRESH_MODES}, "
+                f"evolution.rg_refresh must be one of {RG_REFRESH_MODES}, "
                 f"got {self.rg_refresh!r}"
             )
 

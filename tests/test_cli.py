@@ -140,6 +140,23 @@ def test_malformed_config_value_exits_2_before_pretraining(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value", [("population", 5), ("generations", True)])
+def test_malformed_evolution_value_exits_2_naming_the_key(
+    tmp_path, capsys, monkeypatch, key, value
+):
+    overlay = json.loads(json.dumps(FAST_OVERLAY))
+    overlay["evolution"][key] = value
+
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("pretraining ran before the config was read")
+
+    monkeypatch.setattr(pipeline, "pretrain_supernet", no_pretraining)
+    code = main(["run-all", "--config", write_config(tmp_path, overlay)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and f"evolution.{key}" in err
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

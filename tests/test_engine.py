@@ -1,5 +1,6 @@
 """Reverse-mode gradients checked against central finite differences."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -142,6 +143,127 @@ def test_conv1d_single_site():
     y = conv1d(x, w)
     assert y.shape == (2, 2, 1)
     assert_grads_match(lambda: sum_all(square(conv1d(x, w))), [x, w])
+
+
+def conv1d_reference_grads(x, w, g):
+    """Gradients of ``sum(conv1d_reference(x, w) * g)``, tap by tap and site by site."""
+    kernel, sites = w.shape[2], x.shape[2]
+    xp = padded(x, kernel // 2)
+    gxp = np.zeros(xp.shape)
+    gw = np.zeros(w.shape)
+    for s in range(sites):
+        for k in range(kernel):
+            gw[:, :, k] += g[:, :, s].T @ xp[:, :, s + k]
+            gxp[:, :, s + k] += g[:, :, s] @ w[:, :, k]
+    return gxp[:, :, kernel // 2 : kernel // 2 + sites], gw
+
+
+def assert_close(actual, expected, tol=1e-12):
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert np.max(np.abs(actual - expected)) <= tol * scale
+
+
+# The workloads' conv shapes: (batch, sites, kernel), 12 channels in and out,
+# plus a 5-tap kernel on 2 sites, whose outer taps read only padding.
+REAL_CONV_SHAPES = [
+    (batch, sites, kernel)
+    for batch in (16, 64)
+    for sites in (1, 4, 8, 16)
+    for kernel in (1, 3)
+] + [(16, 2, 5)]
+
+
+@pytest.mark.parametrize(
+    "batch, sites, kernel", REAL_CONV_SHAPES, ids=[f"{b}-{s}-{k}" for b, s, k in REAL_CONV_SHAPES]
+)
+def test_conv1d_matches_its_reference_at_real_shapes_with_any_parents_frozen(batch, sites, kernel):
+    x = leaf((batch, 12, sites), 90)
+    w = leaf((12, 12, kernel), 91, scale=0.3)
+    b = leaf((12,), 92)
+    skip = leaf((batch, 12, sites), 93)
+    probe = np.random.default_rng(94).normal(size=(batch, 12, sites))
+    act = np.tanh(conv1d_reference(x.data, w.data) + b.data[:, None])
+    g = probe * (1.0 - act * act)
+    gx, gw = conv1d_reference_grads(x.data, w.data, g)
+    expected = [gx, gw, g.sum(axis=(0, 2)), probe]
+    leaves = [x, w, b, skip]
+    for n in range(len(leaves)):
+        for frozen in combinations(range(len(leaves)), n):
+            for i, t in enumerate(leaves):
+                t.requires_grad = i not in frozen
+                t.grad = None
+            y = conv1d(x, w, bias=b, tanh=True, skip=skip)
+            assert_close(y.data, act + skip.data)
+            sum_all(y * Tensor(probe)).backward()
+            for i, t in enumerate(leaves):
+                if i in frozen:
+                    assert t.grad is None
+                else:
+                    assert_close(t.grad, expected[i])
+
+
+@pytest.mark.parametrize("sites, kernel", [(1, 3), (2, 5), (1, 5)])
+def test_conv1d_taps_that_read_only_padding_get_a_zero_weight_gradient(sites, kernel):
+    x = leaf((16, 12, sites), 95)
+    w = leaf((12, 12, kernel), 96)
+    mean_all(square(conv1d(x, w))).backward()
+    live = {kernel // 2 + shift for shift in range(1 - sites, sites)}
+    for k in range(kernel):
+        if k not in live:
+            assert np.all(w.grad[:, :, k] == 0.0)
+        else:
+            assert np.any(w.grad[:, :, k] != 0.0)
+
+
+def strided_views(batch, channels, sites, seed):
+    """The same values as a channel-major view, a site-major view and a batch slice."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(batch, channels, sites))
+    return [
+        np.ascontiguousarray(base.transpose(1, 0, 2)).transpose(1, 0, 2),
+        np.ascontiguousarray(base.transpose(1, 2, 0)).transpose(2, 0, 1),
+        np.repeat(base, 2, axis=0)[::2],
+    ]
+
+
+@pytest.mark.parametrize("sites, kernel", [(1, 3), (4, 3), (16, 3), (8, 1)])
+def test_conv1d_of_a_view_is_bit_identical_to_the_conv_of_its_copy(sites, kernel):
+    w = leaf((12, 12, kernel), 97, scale=0.3)
+    b = leaf((12,), 98)
+    probe = Tensor(np.random.default_rng(99).normal(size=(16, 12, sites)))
+
+    def run(data):
+        x = Tensor(data, requires_grad=True)
+        w.grad = b.grad = None
+        y = conv1d(x, w, bias=b, tanh=True)
+        sum_all(y * probe).backward()
+        return [y.data, x.grad, w.grad, b.grad]
+
+    for view in strided_views(16, 12, sites, 100):
+        assert not view.flags.c_contiguous
+        for got, expected in zip(run(view), run(view.copy())):
+            assert np.array_equal(got, expected)
+
+
+def test_conv1d_forward_keeps_its_output_not_its_columns():
+    # Sweeps evaluate with trainable weights, so whatever a forward keeps for
+    # its backward is held by every graph; the columns are rebuilt instead.
+    x = leaf((64, 12, 16), 101)
+    w = leaf((12, 12, 3), 102)
+    b = leaf((12,), 103)
+    conv1d(x, w, bias=b)  # fill any per-shape caches first
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = conv1d(x, w, bias=b)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    columns_bytes = 12 * 3 * 64 * 16 * 8
+    assert y.data.nbytes <= held < 1.25 * y.data.nbytes < columns_bytes
 
 
 @pytest.mark.parametrize("sites, kernel, with_bias", CONV_CASES)
