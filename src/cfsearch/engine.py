@@ -26,7 +26,10 @@ the channel mask in one step; ``mixture_mean`` sums a list of tensors
 and scales the sum by one over its length; and ``pooled_linear`` is a
 site mean, a matmul and a bias add.  Each fused op does the same float
 operations in the same order as the chain of engine ops it replaces, so
-its forward and gradients are bit-identical to that chain.
+its forward and gradients are bit-identical to that chain.  Every op
+treats batch rows independently, so ``concat_rows`` can stack the inputs
+of several passes into one batch, whose backward hands each input its
+own rows of the gradient.
 
 Gradients accumulate: a second backward pass, or a second use of the
 same tensor, adds into a leaf's ``grad`` rather than replacing it, which
@@ -482,6 +485,24 @@ def mixture_mean(parts: Sequence[Tensor]) -> Tensor:
     def backward(g: Array):
         share = g * scale
         return [share] * len(parts)
+
+    return Tensor._make(y, tuple(parts), backward)
+
+
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """``parts`` stacked along the batch axis, as one node.
+
+    Each part's gradient is its own rows of the output's gradient, a view.
+    """
+    y = np.concatenate([part.data for part in parts])
+    bounds = []
+    start = 0
+    for part in parts:
+        bounds.append((start, start + part.data.shape[0]))
+        start = bounds[-1][1]
+
+    def backward(g: Array):
+        return [g[lo:hi] for lo, hi in bounds]
 
     return Tensor._make(y, tuple(parts), backward)
 

@@ -26,7 +26,8 @@ follows it (after the stem, after both discriminator convs and after
 every block transform but the last) and, on a block's last transform,
 the block's residual skip.  A mixed layer's average over its candidates
 is one ``mixture_mean`` node, and the discriminator's site mean, linear
-map and bias are one ``pooled_linear`` node.
+map and bias are one ``pooled_linear`` node.  ``stacked_forward`` runs
+several views of one path as one batch that shares the stem and the head.
 """
 
 from __future__ import annotations
@@ -35,13 +36,13 @@ import struct
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .engine import Tensor, adapt_channels, conv1d, downsample_mean, dwconv1d
-from .engine import channel_rms_norm, mixture_mean, pooled_linear, upsample_repeat
-from .errors import ConfigError, ShapeError
+from .engine import channel_rms_norm, concat_rows, mixture_mean, pooled_linear, upsample_repeat
+from .errors import ConfigError, InvariantError, ShapeError
 from .space import ArchitectureGenome, SupernetSpec, require_valid
 from .sparsity import GAMMA_INIT, active_channel_mask
 
@@ -432,14 +433,7 @@ class GeneratorView:
         prefix the trail stores, and stores the stages it runs there.
         Without one, every stage runs.
         """
-        spec = self.weights.spec
-        p = self.path_index
-        expected = (spec.input_channels, spec.input_sites)
-        if x.data.ndim != 3 or (x.data.shape[1], x.data.shape[2]) != expected:
-            raise ShapeError(
-                f"generator input must be (batch, {expected[0]}, {expected[1]}), "
-                f"got {x.data.shape}"
-            )
+        self._check_input(x)
         start, h = (0, x) if trail is None else trail.resume(x, self.weights, self.stage_keys())
         ran = []
         for stage in range(start, 2 * len(self.channel_widths) + 1):
@@ -447,9 +441,20 @@ class GeneratorView:
             ran.append(h.data)
         if trail is not None:
             trail.store(ran)
-        head_w = self.weights[f"g/p{p}/head/w"]
-        head_b = self.weights[f"g/p{p}/head/b"]
-        return conv1d(h, head_w, bias=head_b)
+        return self._head(h)
+
+    def _check_input(self, x: Tensor) -> None:
+        spec = self.weights.spec
+        expected = (spec.input_channels, spec.input_sites)
+        if x.data.ndim != 3 or (x.data.shape[1], x.data.shape[2]) != expected:
+            raise ShapeError(
+                f"generator input must be (batch, {expected[0]}, {expected[1]}), "
+                f"got {x.data.shape}"
+            )
+
+    def _head(self, h: Tensor) -> Tensor:
+        p = self.path_index
+        return conv1d(h, self.weights[f"g/p{p}/head/w"], bias=self.weights[f"g/p{p}/head/b"])
 
     def _stage(self, stage: int, h: Tensor) -> Tensor:
         """Stage ``stage`` of the forward applied to the previous stage's output."""
@@ -482,6 +487,28 @@ class GeneratorView:
         for _ in range(self.recursion_depths[l] - 1):
             h = h + block(h)
         return h
+
+
+def stacked_forward(views: Sequence[GeneratorView], x: Tensor) -> Tensor:
+    """``concat_rows([view(x) for view in views])``, with one stem and one head.
+
+    The views must share their weights and path.  The stem reads only
+    the path's weights and ``x``, so its one output feeds every view's
+    layers, and the head runs once over the stacked rows: rows
+    ``m * batch`` to ``(m + 1) * batch`` are the output of ``views[m]``.
+    """
+    first = views[0]
+    if any(v.weights is not first.weights or v.path_index != first.path_index for v in views):
+        raise InvariantError("stacked views must share their weights and path")
+    first._check_input(x)
+    stem = first._stage(0, x)
+    outputs = []
+    for view in views:
+        h = stem
+        for stage in range(1, 2 * len(view.channel_widths) + 1):
+            h = view._stage(stage, h)
+        outputs.append(h)
+    return first._head(concat_rows(outputs))
 
 
 def subnet_view(weights: SupernetWeights, genome: ArchitectureGenome) -> GeneratorView:

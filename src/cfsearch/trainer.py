@@ -1,13 +1,22 @@
 """Adversarial supernet pretraining with a fair schedule, plus evaluation.
 
 One epoch works through every path in a random order.  A path's cycle
-accumulates gradients over M single-operator sub-networks (one per
-candidate, drawn as a per-layer permutation so each candidate trains
-exactly once), applies a single generator descent step, then updates the
-path's channel scale factors by one proximal step on the smooth loss,
-and finally takes one ascent-equivalent step on the matched
-discriminator.  The cycle structure is what makes the fairness ledger
-counts exact rather than statistical.
+sums gradients over M single-operator sub-networks (one per candidate,
+drawn as a per-layer permutation so each candidate trains exactly once),
+applies a single generator descent step, then updates the path's channel
+scale factors by one proximal step on the smooth loss, and finally takes
+one ascent-equivalent step on the matched discriminator.  The cycle
+structure is what makes the fairness ledger counts exact rather than
+statistical.
+
+The M sub-networks run as one stacked pass: the path's stem runs once,
+each sub-network runs its own layers on the stem's output, and their
+outputs are stacked along the batch for one head, one frozen
+discriminator, one loss node and one backward walk.  The loss is the sum
+of the M sub-networks' losses, each with its own batch's sizes, so the
+step applies what M separate passes would accumulate, up to rounding.
+The discriminator step likewise scores real and fake samples stacked in
+one batch.
 
 Each step computes only the gradients it applies: inside
 ``SupernetWeights.train_only``, the generator passes train the path's
@@ -40,7 +49,8 @@ from .engine import Tensor, mean, sigmoid
 from .errors import ConfigError, NonFiniteLossError, ShapeError
 from .fairness import FairnessLedger, plan_epoch
 from .metrics import covariance_root, gaussian_moments, moment_distance, psnr
-from .network import DiscriminatorView, StageTrail, SupernetWeights, mixed_view, subnet_view
+from .network import DiscriminatorView, StageTrail, SupernetWeights, mixed_view
+from .network import stacked_forward, subnet_view
 from .space import ArchitectureGenome, SupernetSpec, maximal_genome
 from .sparsity import ScaleFactorBank, prox_step
 from .util import child_seed
@@ -210,12 +220,14 @@ class LossBundle:
     ``smooth`` omits the sparsity term: the L1 penalty is handled exactly
     by the proximal update, so gradients flow only through the smooth
     terms.  ``total`` includes it for reporting and is what the loss
-    value means.
+    value means.  ``blocks`` holds each block's components and
+    ``components`` their sums over the blocks.
     """
 
     total: Tensor
     smooth: Tensor
     components: dict[str, float]
+    blocks: list[dict[str, float]]
 
 
 def total_loss(
@@ -225,57 +237,83 @@ def total_loss(
     bank: ScaleFactorBank,
     cfg: TrainConfig,
 ) -> LossBundle:
-    """Combined training loss for one generator forward pass.
+    """Combined training loss of one or more generator outputs for ``target``.
+
+    ``output`` stacks blocks of ``target``'s rows along the batch, one per
+    generator, and ``d_scores`` scores each output row.  The loss is the
+    sum of the blocks' losses, each computed with the block's own sizes as
+    if it ran alone, so each row's gradient is what a separate pass gives.
 
     ``smooth`` is one graph node over ``output`` and ``d_scores``; the
-    target is a constant.  Its forward and backward do the same float
-    operations in the same order as the chain of engine ops they replace,
-    ``mean(softplus(-d_scores)) + lambda_recon * mean(|output - target|)
-    + lambda_perceptual * mean((output @ P - target @ P)**2)`` with the
-    frozen projection ``P``, so results are bit-identical to that chain.
-    ``total`` adds the sparsity value and records no graph.
+    target is a constant.  On one block its forward and backward do the
+    same float operations in the same order as the chain of engine ops
+    they replace, ``mean(softplus(-d_scores)) + lambda_recon *
+    mean(|output - target|) + lambda_perceptual * mean((output @ P -
+    target @ P)**2)`` with the frozen projection ``P``, so results are
+    bit-identical to that chain.  ``total`` adds the sparsity value once
+    per block and records no graph.
     """
-    if output.data.shape != target.data.shape:
+    out_shape = output.data.shape
+    batch = target.data.shape[0]
+    if out_shape[1:] != target.data.shape[1:] or out_shape[0] % batch:
         raise ShapeError(
-            f"generator output {output.data.shape} does not match target "
+            f"generator output {out_shape} does not stack blocks of target "
             f"{target.data.shape}"
         )
-    out_shape = output.data.shape
-    batch = out_shape[0]
+    blocks = out_shape[0] // batch
     dim = out_shape[1] * out_shape[2]
     projection = perceptual_projection(dim, cfg.perceptual_features, cfg.perceptual_seed)
-    neg_scores = -d_scores.data
-    adversarial = mean(np.logaddexp(0.0, neg_scores))
-    diff = output.data - target.data
-    reconstruction = mean(np.abs(diff))
-    features = output.data.reshape(batch, dim) @ projection
-    feature_diff = features - target.data.reshape(batch, dim) @ projection
-    perceptual = mean(feature_diff * feature_diff)
-    smooth_value = (
-        adversarial + reconstruction * cfg.lambda_recon
-    ) + perceptual * cfg.lambda_perceptual
+    neg_scores = -d_scores.data.reshape(blocks, batch, -1)
+    softplus = np.logaddexp(0.0, neg_scores)
+    diff = output.data.reshape(blocks, *target.data.shape) - target.data
+    abs_diff = np.abs(diff)
+    features = output.data.reshape(blocks * batch, dim) @ projection
+    feature_diff = features.reshape(blocks, batch, -1) - target.data.reshape(batch, dim) @ projection
+    squared = feature_diff * feature_diff
+    sparsity_value = bank.l1_value()
+    smooth_values = []
+    block_components = []
+    for m in range(blocks):
+        adversarial = mean(softplus[m])
+        reconstruction = mean(abs_diff[m])
+        perceptual = mean(squared[m])
+        smooth_m = (
+            adversarial + reconstruction * cfg.lambda_recon
+        ) + perceptual * cfg.lambda_perceptual
+        smooth_values.append(smooth_m)
+        block_components.append(
+            {
+                "gan": float(adversarial),
+                "recon": float(reconstruction),
+                "perceptual": float(perceptual),
+                "sparsity": sparsity_value,
+                "total": float(smooth_m + cfg.lambda_sparsity * sparsity_value),
+            }
+        )
+    smooth_value = sum(smooth_values)
 
     def backward(g: np.ndarray):
         g_output = g_scores = None
         if output.requires_grad:
-            g_features = g * cfg.lambda_perceptual / feature_diff.size * 2.0 * feature_diff
-            g_recon = g * cfg.lambda_recon / diff.size * np.sign(diff)
-            g_output = (g_features @ projection.T).reshape(out_shape) + g_recon
+            g_features = g * cfg.lambda_perceptual / squared[0].size * 2.0 * feature_diff
+            g_recon = g * cfg.lambda_recon / abs_diff[0].size * np.sign(diff)
+            g_output = (g_features.reshape(blocks * batch, -1) @ projection.T).reshape(
+                out_shape
+            ) + g_recon.reshape(out_shape)
         if d_scores.requires_grad:
-            g_scores = -(g / neg_scores.size * sigmoid(neg_scores))
+            g_scores = -(g / softplus[0].size * sigmoid(neg_scores)).reshape(d_scores.data.shape)
         return g_output, g_scores
 
     smooth = Tensor._make(np.asarray(smooth_value), (output, d_scores), backward)
-    sparsity_value = bank.l1_value()
-    total = Tensor(smooth_value + cfg.lambda_sparsity * sparsity_value)
     components = {
-        "gan": float(adversarial),
-        "recon": float(reconstruction),
-        "perceptual": float(perceptual),
-        "sparsity": sparsity_value,
-        "total": total.item(),
+        key: sum(c[key] for c in block_components) for key in block_components[0]
     }
-    return LossBundle(total=total, smooth=smooth, components=components)
+    return LossBundle(
+        total=Tensor(components["total"]),
+        smooth=smooth,
+        components=components,
+        blocks=block_components,
+    )
 
 
 def _check_finite(value: float, context: str, components: Mapping[str, float]) -> None:
@@ -284,25 +322,31 @@ def _check_finite(value: float, context: str, components: Mapping[str, float]) -
         raise NonFiniteLossError(f"non-finite loss during {context}: {detail}")
 
 
-def discriminator_loss(real_scores: Tensor, fake_scores: Tensor) -> Tensor:
+def discriminator_loss(scores: Tensor, real_rows: int) -> Tensor:
     """Descent form of the adversarial objective for the discriminator.
 
-    ``mean(softplus(-real_scores)) + mean(softplus(fake_scores))`` as one
-    graph node, bit-identical to that chain of engine ops.
+    ``scores`` stacks the scores of ``real_rows`` real samples over those
+    of the fake ones.  ``mean(softplus(-real_scores)) +
+    mean(softplus(fake_scores))`` as one graph node, bit-identical to that
+    chain of engine ops on the two parts.
     """
-    neg_real = -real_scores.data
-    fake = fake_scores.data
+    neg_real = -scores.data[:real_rows]
+    fake = scores.data[real_rows:]
     value = mean(np.logaddexp(0.0, neg_real)) + mean(np.logaddexp(0.0, fake))
 
     def backward(g: np.ndarray):
-        g_real = g_fake = None
-        if real_scores.requires_grad:
-            g_real = -(g / neg_real.size * sigmoid(neg_real))
-        if fake_scores.requires_grad:
-            g_fake = g / fake.size * sigmoid(fake)
-        return g_real, g_fake
+        g_scores = np.empty(scores.data.shape)
+        g_scores[:real_rows] = -(g / neg_real.size * sigmoid(neg_real))
+        g_scores[real_rows:] = g / fake.size * sigmoid(fake)
+        return (g_scores,)
 
-    return Tensor._make(np.asarray(value), (real_scores, fake_scores), backward)
+    return Tensor._make(np.asarray(value), (scores,), backward)
+
+
+def _discriminator_value(disc: DiscriminatorView, real: Tensor, fake: Tensor) -> Tensor:
+    """``discriminator_loss`` of ``disc`` on constant real and fake samples, in one pass."""
+    scores = disc(Tensor(np.concatenate([real.data, fake.data])))
+    return discriminator_loss(scores, real.data.shape[0])
 
 
 # -- pretraining -------------------------------------------------------------
@@ -381,28 +425,29 @@ def pretrain_supernet(
             disc = DiscriminatorView(weights, d)
             bank = banks[p]
 
-            # Accumulate generator gradients over one operator per layer
-            # per sub-network, covering every candidate exactly once; each
-            # sub-network runs at maximal widths and depths.
-            component_sums: dict[str, float] = {}
+            # Train every candidate exactly once: sub-network m runs operator
+            # m of each layer's permutation, at maximal widths and depths.
+            # The sub-networks share one stem and are stacked for the head,
+            # the frozen discriminator, the loss and one backward walk; the
+            # loss sums theirs, so the step applies the sum of their gradients.
+            assignments = [
+                tuple(plan.operator_orders[p][l][m] for l in range(path.num_layers))
+                for m in range(path.num_operators)
+            ]
             widest = maximal_genome(spec, p)
+            views = [
+                subnet_view(weights, replace(widest, operator_assignment=assignment))
+                for assignment in assignments
+            ]
             generator = (t for _, t in weights.named(f"g/p{p}/", include_gamma=False))
             with weights.train_only(generator):
-                for m in range(path.num_operators):
-                    assignment = tuple(
-                        plan.operator_orders[p][l][m] for l in range(path.num_layers)
-                    )
-                    gen = subnet_view(weights, replace(widest, operator_assignment=assignment))
-                    out = gen(x)
-                    bundle = total_loss(out, y, disc(out), bank, cfg)
+                out = stacked_forward(views, x)
+                cycle = total_loss(out, y, disc(out), bank, cfg)
+                for assignment, block in zip(assignments, cycle.blocks):
                     _check_finite(
-                        bundle.components["total"],
-                        f"epoch {t} path {p} operators {assignment}",
-                        bundle.components,
+                        block["total"], f"epoch {t} path {p} operators {assignment}", block
                     )
-                    bundle.smooth.backward()
-                    for key, value in bundle.components.items():
-                        component_sums[key] = component_sums.get(key, 0.0) + value
+                cycle.smooth.backward()
                 weights.sgd_step(f"g/p{p}/", alpha, include_gamma=False)
             ledger.record_generator_cycle(p)
 
@@ -430,7 +475,7 @@ def pretrain_supernet(
             trail.cut(2)
             with weights.train_only(t for _, t in weights.named(f"d/{d}/")):
                 fake = mixed(x, trail)
-                d_value = discriminator_loss(disc(y), disc(fake))
+                d_value = _discriminator_value(disc, y, fake)
                 _check_finite(
                     d_value.item(), f"epoch {t} path {p} discriminator", {"d_loss": d_value.item()}
                 )
@@ -438,17 +483,17 @@ def pretrain_supernet(
                 weights.sgd_step(f"d/{d}/", alpha)
             ledger.record_discriminator_update(p)
 
-            n = path.num_operators
+            n = len(cycle.blocks)
             zero_frac = sum(b.zero_count() for b in banks) / gamma_count
             metrics.append(
                 {
                     "epoch": t,
                     "path": p,
-                    "loss_total": component_sums["total"] / n,
-                    "loss_gan": component_sums["gan"] / n,
-                    "loss_recon": component_sums["recon"] / n,
-                    "loss_perceptual": component_sums["perceptual"] / n,
-                    "loss_sparsity": component_sums["sparsity"] / n,
+                    "loss_total": cycle.components["total"] / n,
+                    "loss_gan": cycle.components["gan"] / n,
+                    "loss_recon": cycle.components["recon"] / n,
+                    "loss_perceptual": cycle.components["perceptual"] / n,
+                    "loss_sparsity": cycle.components["sparsity"] / n,
                     "d_loss": d_value.item(),
                     "gamma_zero_fraction": zero_frac,
                 }
@@ -533,7 +578,7 @@ def finetune_genome(
             weights.sgd_step(f"g/p{p}/", cfg.lr_weights * cfg.lr_decay**t)
         with weights.train_only(discriminator):
             fake = gen(x)
-            d_value = discriminator_loss(disc(y), disc(fake))
+            d_value = _discriminator_value(disc, y, fake)
             d_value.backward()
             weights.sgd_step(f"d/{d}/", cfg.lr_weights * cfg.lr_decay**t)
         rows.append(

@@ -11,6 +11,7 @@ from cfsearch.engine import (
     absolute,
     adapt_channels,
     channel_rms_norm,
+    concat_rows,
     conv1d,
     downsample_mean,
     dwconv1d,
@@ -604,3 +605,23 @@ def test_fused_ops_are_one_graph_node():
     head_w = leaf((3, 1), 84)
     head_b = leaf((1,), 85)
     assert pooled_linear(x, head_w, head_b)._parents == (x, head_w, head_b)
+
+
+def test_concat_rows_is_bit_identical_to_slicing():
+    rng = np.random.default_rng(3)
+    site_major = rng.normal(size=(3, 4, 5))  # (channels, sites, batch) in memory
+    parts = [
+        leaf((2, 3, 4), 1),
+        Tensor(site_major.transpose(2, 0, 1), requires_grad=True),
+        Tensor(rng.normal(size=(1, 3, 4))),
+    ]
+    stacked = concat_rows(parts)
+    assert stacked._parents == tuple(parts)
+    upstream = rng.normal(size=stacked.data.shape)
+    sum_all(stacked * Tensor(upstream)).backward()
+    rows = [(0, 2), (2, 7), (7, 8)]
+    for part, (lo, hi) in zip(parts, rows):
+        assert np.array_equal(stacked.data[lo:hi], part.data)
+    for part, (lo, hi) in zip(parts[:2], rows):
+        assert np.array_equal(part.grad, upstream[lo:hi])
+    assert parts[2].grad is None

@@ -71,10 +71,10 @@ def test_benchmark_tracer_times_the_losses_and_backward_of_pretraining():
     finally:
         tracer.restore()
 
-    passes = sum(path.num_operators + 1 for path in spec.paths)
-    # One generator loss per sub-network and per mixture, one discriminator loss per path.
-    assert tracer.calls["trainer.loss"] == passes + spec.num_paths
-    assert tracer.calls["engine.backward"] == passes + spec.num_paths
+    # Per path: one loss over the stacked sub-networks, one over the mixture and
+    # one discriminator loss, each with its own backward walk.
+    assert tracer.calls["trainer.loss"] == 3 * spec.num_paths
+    assert tracer.calls["engine.backward"] == 3 * spec.num_paths
     assert tracer.seconds["trainer.loss"] > 0
     assert tracer.seconds["engine.backward"] > 0
     assert tracer.calls["trainer.pretrain"] == 1

@@ -1,9 +1,11 @@
 """Adversarial training loop: losses, fair pretraining, fine-tuning."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cfsearch import trainer
+from cfsearch import cli, engine, pipeline, trainer
 from cfsearch.engine import (
     Tensor,
     absolute,
@@ -12,10 +14,11 @@ from cfsearch.engine import (
     softplus,
     square,
 )
-from cfsearch.errors import ConfigError, NonFiniteLossError
+from cfsearch.errors import ConfigError, InvariantError, NonFiniteLossError, ShapeError
 from cfsearch.metrics import frechet_moment_distance
 from cfsearch.network import DiscriminatorView, StageTrail, SupernetWeights, mixed_view
-from cfsearch.space import ArchitectureGenome, spec_from_dict
+from cfsearch.network import stacked_forward, subnet_view
+from cfsearch.space import ArchitectureGenome, maximal_genome, spec_from_dict
 from cfsearch.sparsity import ScaleFactorBank, prox_step
 from cfsearch.trainer import (
     TASK_SUPER_RESOLUTION,
@@ -214,31 +217,36 @@ def test_total_loss_is_one_node_bit_identical_to_its_chain(seed, batch):
         assert np.array_equal(fused, expected)
 
 
+def stacked(real, fake):
+    """Real scores stacked over fake ones, as one trainable tensor."""
+    return Tensor(np.concatenate([real.data, fake.data]), requires_grad=True)
+
+
 def test_discriminator_loss_gradient_matches_finite_differences():
     _, _, real = loss_inputs(4)
     _, _, fake = loss_inputs(5)
-    assert_matches_finite_differences(lambda: discriminator_loss(real, fake), [real, fake])
+    scores = stacked(real, fake)
+    rows = real.data.shape[0]
+    assert_matches_finite_differences(lambda: discriminator_loss(scores, rows), [scores])
 
 
 @BIT_CASES
 def test_discriminator_loss_is_one_node_bit_identical_to_its_chain(seed, batch):
     _, _, real = loss_inputs(seed, batch)
     _, _, fake = loss_inputs(seed + 100, batch + 1)
-    fused = discriminator_loss(real, fake)
-    assert fused._parents == (real, fake)
+    scores = stacked(real, fake)
+    fused = discriminator_loss(scores, batch)
+    assert fused._parents == (scores,)
     chain = discriminator_loss_chain(real, fake)
     assert np.array_equal(fused.data, chain.data)
-    for got, expected in zip(grads_of(fused, [real, fake]), grads_of(chain, [real, fake])):
-        assert np.array_equal(got, expected)
+    (got,) = grads_of(fused, [scores])
+    assert np.array_equal(got, np.concatenate(grads_of(chain, [real, fake])))
 
 
 def test_discriminator_loss_prefers_separation():
-    confident = discriminator_loss(
-        Tensor(np.full((4, 1), 3.0)), Tensor(np.full((4, 1), -3.0))
-    )
-    confused = discriminator_loss(
-        Tensor(np.full((4, 1), -3.0)), Tensor(np.full((4, 1), 3.0))
-    )
+    high, low = Tensor(np.full((4, 1), 3.0)), Tensor(np.full((4, 1), -3.0))
+    confident = discriminator_loss(stacked(high, low), 4)
+    confused = discriminator_loss(stacked(low, high), 4)
     assert confident.item() < confused.item()
 
 
@@ -453,3 +461,128 @@ def test_pretraining_resumes_the_discriminator_forward_bit_for_bit(monkeypatch):
     for name, tensor in resumed.weights.tensors.items():
         assert np.array_equal(tensor.data, recomputed.weights.tensors[name].data)
     assert resumed.metrics == recomputed.metrics
+
+
+def assert_relatively_close(actual, expected, tol=1e-12):
+    scale = max(np.max(np.abs(expected)), 1e-300)
+    assert np.max(np.abs(np.asarray(actual) - expected)) <= tol * scale
+
+
+def fair_cycle_views(weights, p):
+    """One sub-network per operator; layer l of sub-network m runs operator (m + l) mod M."""
+    spec = weights.spec
+    path = spec.paths[p]
+    widest = maximal_genome(spec, p)
+    return [
+        subnet_view(
+            weights,
+            replace(
+                widest,
+                operator_assignment=tuple(
+                    (m + l) % path.num_operators for l in range(path.num_layers)
+                ),
+            ),
+        )
+        for m in range(path.num_operators)
+    ]
+
+
+@pytest.mark.parametrize("task", [TASK_TRANSLATION, TASK_SUPER_RESOLUTION])
+def test_stacked_fair_cycle_matches_separate_sub_network_passes(task):
+    spec = translation_spec() if task == TASK_TRANSLATION else resampling_spec()
+    ds = make_dataset(task, samples=24, val_fraction=0.25, seed=2)
+    weights = SupernetWeights.create(spec, seed=5)
+    x, y = Tensor(ds.train_x[:4]), Tensor(ds.train_y[:4])
+    cfg = quick_cfg()
+    p = 0
+    bank = ScaleFactorBank(weights.gamma_tensors(p), cfg.lr_gamma, cfg.lambda_sparsity)
+    disc = DiscriminatorView(weights, spec.paths[p].matched_discriminator_path)
+    views = fair_cycle_views(weights, p)
+    generator = weights.named(f"g/p{p}/", include_gamma=False)
+
+    def gradients():
+        return {name: t.grad.copy() for name, t in generator if t.grad is not None}
+
+    with weights.train_only(t for _, t in generator):
+        out = stacked_forward(views, x)
+        stacked = total_loss(out, y, disc(out), bank, cfg)
+        stacked.smooth.backward()
+        stacked_grads = gradients()
+    outputs, blocks = [], []
+    with weights.train_only(t for _, t in generator):
+        for view in views:
+            outputs.append(view(x))
+            bundle = total_loss(outputs[-1], y, disc(outputs[-1]), bank, cfg)
+            bundle.smooth.backward()
+            blocks.append(bundle.components)
+        separate_grads = gradients()
+
+    assert_relatively_close(out.data, np.concatenate([o.data for o in outputs]))
+    assert len(stacked.blocks) == len(views)
+    for got, expected in zip(stacked.blocks, blocks):
+        assert set(got) == set(expected)
+        for key in expected:
+            assert_relatively_close(got[key], expected[key])
+    for key in stacked.components:
+        assert stacked.components[key] == sum(block[key] for block in stacked.blocks)
+    # Every generator weight of the path, stem and head included, got a gradient.
+    assert set(stacked_grads) == set(separate_grads) == {name for name, _ in generator}
+    for name, grad in separate_grads.items():
+        assert_relatively_close(stacked_grads[name], grad)
+
+
+def test_total_loss_refuses_output_that_does_not_stack_target_blocks():
+    out, target, scores = loss_inputs(0, batch=5)
+    bank = ScaleFactorBank.create([3, 3], learning_rate=0.01, sparsity_weight=1e-3)
+    rows = Tensor(np.concatenate([out.data, out.data[:3]]))
+    with pytest.raises(ShapeError):
+        total_loss(rows, target, Tensor(np.zeros((8, 1))), bank, quick_cfg())
+
+
+def test_stacked_forward_refuses_views_of_different_paths():
+    spec = translation_spec()
+    weights = SupernetWeights.create(spec, seed=0)
+    views = [mixed_view(weights, 0), mixed_view(weights, 1)]
+    with pytest.raises(InvariantError):
+        stacked_forward(views, Tensor(np.zeros((2, 2, 1))))
+
+
+@pytest.mark.parametrize("task", [TASK_TRANSLATION, TASK_SUPER_RESOLUTION])
+def test_discriminator_step_scores_real_and_fake_in_one_pass_like_two(task):
+    spec = translation_spec() if task == TASK_TRANSLATION else resampling_spec()
+    ds = make_dataset(task, samples=24, val_fraction=0.25, seed=2)
+    weights = SupernetWeights.create(spec, seed=5)
+    x, y = Tensor(ds.train_x[:4]), Tensor(ds.train_y[:4])
+    d = spec.paths[0].matched_discriminator_path
+    disc = DiscriminatorView(weights, d)
+    discriminator = weights.named(f"d/{d}/")
+
+    def step(loss):
+        with weights.train_only(t for _, t in discriminator):
+            fake = mixed_view(weights, 0)(x)
+            value = loss(fake)
+            value.backward()
+            return value.item(), {name: t.grad.copy() for name, t in discriminator}
+
+    stacked_value, stacked_grads = step(lambda fake: trainer._discriminator_value(disc, y, fake))
+    value, grads = step(lambda fake: discriminator_loss_chain(disc(y), disc(fake)))
+    assert_relatively_close(stacked_value, value)
+    for name, grad in grads.items():
+        assert_relatively_close(stacked_grads[name], grad)
+
+
+def test_a_default_pretraining_epoch_walks_backward_three_times_per_path(monkeypatch):
+    spec, dataset, train_cfg = pipeline.prepare(cli.load_config(None))
+    walks = []
+    backward = engine.Tensor.backward
+
+    def counted(self):
+        walks.append(self)
+        backward(self)
+
+    monkeypatch.setattr(engine.Tensor, "backward", counted)
+    result = pretrain_supernet(spec, dataset, replace(train_cfg, epochs=1), seed=0)
+    # The stacked sub-networks, the mixture and the discriminator.
+    assert len(walks) == 3 * spec.num_paths
+    assert result.ledger.is_fair()
+    assert len(result.metrics) == spec.num_paths
