@@ -37,8 +37,13 @@ is what the gradient-accumulation step of supernet training relies on.
 ``SupernetWeights.train_only`` clears every gradient when a step ends.
 
 ``conv1d`` is plain 2-D matmuls in each direction, which numpy hands to
-BLAS.  A multi-site conv's output is a view of site-major memory, and
-every op accepts any memory layout.
+BLAS.  A multi-site conv's output is a view of site-major memory, and so
+are the outputs and input gradients of ``upsample_repeat`` and
+``downsample_mean`` and the output of a multi-site ``concat_rows``.  So
+the skip adds, mixture sums and bias-gradient reductions that follow
+them combine arrays of one layout, and a pointwise conv reads a
+site-major input's columns without a copy.  Every op accepts any memory
+layout.
 
 Only the operations the toy networks need are implemented.  Everything
 is float64 and single-threaded per evaluation, so identical inputs give
@@ -307,10 +312,13 @@ def _columns(x: Array, kernel: int) -> Array:
     Row ``c * k + t`` holds channel ``c`` as tap ``t`` reads it, site-major,
     and zero where the tap reads padding; so ``w.reshape(c_out, c_in * k)``
     times the columns is the convolution, in (c_out, sites * batch) order.
-    Site-major rows make each tap's shift one block copy per channel.
+    Site-major rows make each tap's shift one block copy per channel.  For
+    k = 1 the columns are ``x`` itself, a view when ``x`` is site-major.
     """
     batch, channels, sites = x.shape
     xt = x.transpose(1, 2, 0)
+    if kernel == 1:
+        return xt.reshape(channels, sites * batch)
     cols = np.zeros((channels, kernel, sites, batch))
     cols[:, kernel // 2] = xt
     for k, out, inp in _side_taps(kernel, sites):
@@ -493,8 +501,13 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     """``parts`` stacked along the batch axis, as one node.
 
     Each part's gradient is its own rows of the output's gradient, a view.
+    Multi-site parts are stacked in site-major memory, like a conv's output.
     """
-    y = np.concatenate([part.data for part in parts])
+    if parts[0].data.shape[2] == 1:
+        y = np.concatenate([part.data for part in parts])
+    else:
+        y = np.concatenate([part.data.transpose(1, 2, 0) for part in parts], axis=2)
+        y = y.transpose(2, 0, 1)
     bounds = []
     start = 0
     for part in parts:
@@ -556,29 +569,40 @@ def adapt_channels(x: Tensor, target: int) -> Tensor:
 
 
 def upsample_repeat(x: Tensor, factor: int) -> Tensor:
-    """Repeat each site ``factor`` times along the last axis."""
+    """Repeat each site ``factor`` times along the last axis.
+
+    Works on the (channels, sites, batch) view in both directions, so the
+    output and the input's gradient are views of site-major memory.
+    """
     if factor == 1:
         return x
-    y = np.repeat(x.data, factor, axis=2)
+    y = np.repeat(x.data.transpose(1, 2, 0), factor, axis=1).transpose(2, 0, 1)
 
     def backward(g: Array):
         b, c, s = x.data.shape
-        return (g.reshape(b, c, s, factor).sum(axis=3),)
+        gt = g.transpose(1, 2, 0).reshape(c, s, factor, b)
+        return (np.add.reduce(gt, axis=2).transpose(2, 0, 1),)
 
     return Tensor._make(y, (x,), backward)
 
 
 def downsample_mean(x: Tensor, factor: int) -> Tensor:
-    """Average pool along the last axis by an exact ``factor``."""
+    """Average pool along the last axis by an exact ``factor``.
+
+    Works on the (channels, sites, batch) view in both directions, like
+    ``upsample_repeat``.
+    """
     if factor == 1:
         return x
     b, c, s = x.data.shape
     if s % factor != 0:
         raise ShapeError(f"cannot pool {s} sites by factor {factor}")
-    y = np.add.reduce(x.data.reshape(b, c, s // factor, factor), axis=3) / factor
+    xt = x.data.transpose(1, 2, 0).reshape(c, s // factor, factor, b)
+    y = (np.add.reduce(xt, axis=2) / factor).transpose(2, 0, 1)
 
     def backward(g: Array):
-        return (np.repeat(g, factor, axis=2) / factor,)
+        gt = np.repeat(g.transpose(1, 2, 0), factor, axis=1) / factor
+        return (gt.transpose(2, 0, 1),)
 
     return Tensor._make(y, (x,), backward)
 

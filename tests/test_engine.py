@@ -8,6 +8,7 @@ import pytest
 
 from cfsearch.engine import (
     Tensor,
+    _columns,
     absolute,
     adapt_channels,
     channel_rms_norm,
@@ -625,3 +626,36 @@ def test_concat_rows_is_bit_identical_to_slicing():
     for part, (lo, hi) in zip(parts[:2], rows):
         assert np.array_equal(part.grad, upstream[lo:hi])
     assert parts[2].grad is None
+
+
+def site_major(a):
+    return a.transpose(1, 2, 0).flags.c_contiguous
+
+
+@pytest.mark.parametrize("factor", [2, 4])
+def test_resampling_keeps_site_major_memory_and_matches_the_reference(factor):
+    x = leaf((16, 12, 4), 100)
+    up = upsample_repeat(x, factor)
+    down = downsample_mean(up, factor)
+    assert site_major(up.data) and site_major(down.data)
+    g = np.random.default_rng(101).normal(size=(12, 4 * factor, 16)).transpose(2, 0, 1)
+    assert site_major(up._backward(g)[0])
+    assert site_major(down._backward(g[:, :, :4])[0])
+    # A pointwise conv reads a site-major input's columns without a copy.
+    assert np.shares_memory(_columns(up.data, 1), up.data)
+
+    w3 = leaf((12, 12, 3), 102, scale=0.3)
+    w1 = leaf((12, 12, 1), 103, scale=0.3)
+    probe = np.random.default_rng(104).normal(size=(16, 12, 4))
+    y = downsample_mean(conv1d(conv1d(upsample_repeat(x, factor), w3), w1), factor)
+    sum_all(y * Tensor(probe)).backward()
+
+    u = np.repeat(x.data, factor, axis=2)
+    h = conv1d_reference(u, w3.data)
+    o = conv1d_reference(h, w1.data)
+    assert_close(y.data, o.reshape(16, 12, 4, factor).mean(axis=3))
+    g_h, g_w1 = conv1d_reference_grads(h, w1.data, np.repeat(probe, factor, axis=2) / factor)
+    g_u, g_w3 = conv1d_reference_grads(u, w3.data, g_h)
+    assert_close(w1.grad, g_w1)
+    assert_close(w3.grad, g_w3)
+    assert_close(x.grad, g_u.reshape(16, 12, 4, factor).sum(axis=3))
