@@ -248,6 +248,8 @@ def run_pipeline(config: dict) -> PipelineResult:
     finetune_epochs = config_number(
         config["search"]["finetune_epochs"], int, "search.finetune_epochs"
     )
+    if finetune_epochs < 0:
+        raise ConfigError(f"search.finetune_epochs must be >= 0, got {finetune_epochs}")
     spec, dataset, train_cfg = prepare(config)
     evo_cfg = EvoConfig.from_mapping(config["evolution"])
     pretrain = pretrain_supernet(spec, dataset, train_cfg, child_seed(seed, "pretrain"))

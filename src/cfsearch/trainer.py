@@ -108,6 +108,8 @@ class TrainConfig:
             raise ConfigError("learning rates must be positive, decay in (0, 1]")
         if self.perceptual_features < 1:
             raise ConfigError("train.perceptual_features must be >= 1")
+        if self.perceptual_seed < 0:
+            raise ConfigError(f"train.perceptual_seed must be >= 0, got {self.perceptual_seed}")
 
 
 @dataclass
@@ -190,6 +192,8 @@ def make_super_resolution_dataset(
 
 
 def make_dataset(task: str, samples: int, val_fraction: float, seed: int) -> ToyDataset:
+    if not 0 < val_fraction < 1:
+        raise ConfigError(f"dataset.val_fraction must be in (0, 1), got {val_fraction}")
     if task == TASK_TRANSLATION:
         return make_translation_dataset(samples, val_fraction, seed)
     if task == TASK_SUPER_RESOLUTION:

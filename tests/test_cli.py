@@ -118,6 +118,9 @@ def test_evolution_seed_key_exits_2(tmp_path, capsys):
         (None, "seed", 7.9),
         ("search", "finetune_epochs", True),
         ("evolution", "generations", True),
+        ("train", "perceptual_seed", -3),
+        ("dataset", "val_fraction", -0.5),
+        ("search", "finetune_epochs", -1),
     ],
 )
 def test_malformed_config_value_exits_2_before_pretraining(
