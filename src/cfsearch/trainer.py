@@ -272,7 +272,8 @@ def total_loss(
     diff = output.data.reshape(blocks, *target.data.shape) - target.data
     abs_diff = np.abs(diff)
     features = output.data.reshape(blocks * batch, dim) @ projection
-    feature_diff = features.reshape(blocks, batch, -1) - target.data.reshape(batch, dim) @ projection
+    target_features = target.data.reshape(batch, dim) @ projection
+    feature_diff = features.reshape(blocks, batch, -1) - target_features
     squared = feature_diff * feature_diff
     sparsity_value = bank.l1_value()
     smooth_values = []
