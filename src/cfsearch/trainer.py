@@ -430,11 +430,8 @@ def pretrain_supernet(
             disc = DiscriminatorView(weights, d)
             bank = banks[p]
 
-            # Train every candidate exactly once: sub-network m runs operator
-            # m of each layer's permutation, at maximal widths and depths.
-            # The sub-networks share one stem and are stacked for the head,
-            # the frozen discriminator, the loss and one backward walk; the
-            # loss sums theirs, so the step applies the sum of their gradients.
+            # Sub-network m runs operator m of each layer's permutation, at
+            # maximal widths and depths; all M run as one stacked pass.
             assignments = [
                 tuple(plan.operator_orders[p][l][m] for l in range(path.num_layers))
                 for m in range(path.num_operators)
