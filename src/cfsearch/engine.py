@@ -26,10 +26,10 @@ the channel mask in one step; ``mixture_mean`` sums a list of tensors
 and scales the sum by one over its length; and ``pooled_linear`` is a
 site mean, a matmul and a bias add.  Each fused op does the same float
 operations in the same order as the chain of engine ops it replaces, so
-its forward and gradients are bit-identical to that chain.  Every op
-treats batch rows independently, so ``concat_rows`` can stack the inputs
-of several passes into one batch, whose backward hands each input its
-own rows of the gradient.
+its forward and gradients are bit-identical to that chain.  The layer
+ops treat batch rows independently, so ``concat_rows`` can stack the
+inputs of several passes into one batch, whose backward hands each input
+its own rows of the gradient.
 
 Gradients accumulate: a second backward pass, or a second use of the
 same tensor, adds into a leaf's ``grad`` rather than replacing it, which
@@ -55,7 +55,7 @@ arithmetic here, results agree only to rounding.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import count
+from itertools import accumulate, count
 from operator import attrgetter
 from typing import Callable, Sequence
 
@@ -508,14 +508,10 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     else:
         y = np.concatenate([part.data.transpose(1, 2, 0) for part in parts], axis=2)
         y = y.transpose(2, 0, 1)
-    bounds = []
-    start = 0
-    for part in parts:
-        bounds.append((start, start + part.data.shape[0]))
-        start = bounds[-1][1]
+    edges = [0, *accumulate(part.data.shape[0] for part in parts)]
 
     def backward(g: Array):
-        return [g[lo:hi] for lo, hi in bounds]
+        return [g[lo:hi] for lo, hi in zip(edges, edges[1:])]
 
     return Tensor._make(y, tuple(parts), backward)
 
