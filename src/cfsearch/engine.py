@@ -32,8 +32,9 @@ inputs of several passes into one batch, whose backward hands each input
 its own rows of the gradient.
 
 Gradients accumulate: a second backward pass, or a second use of the
-same tensor, adds into a leaf's ``grad`` rather than replacing it, which
-is what the gradient-accumulation step of supernet training relies on.
+same tensor, adds into a leaf's ``grad`` rather than replacing it.  A
+fair cycle's stacked pass relies on the second: the shared stem's output
+gets the sum of every sub-network's gradient.
 ``SupernetWeights.train_only`` clears every gradient when a step ends.
 
 ``conv1d`` is plain 2-D matmuls in each direction, which numpy hands to
