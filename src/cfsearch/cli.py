@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import yaml
 
-from .configs import default_config
+from .configs import CONFIG_KEYS, SECTIONS, config_value, default_config, section_values
 from .errors import (
     CfSearchError,
     ConfigError,
@@ -56,22 +56,15 @@ from .space import (
     spec_from_dict,
 )
 from .trainer import pretrain_supernet
-from .util import as_rng, child_seed, config_number, format_float
-
-_TOP_LEVEL_KEYS = {"seed", "task", "dataset", "space", "train", "search", "evolution"}
-
-
-def _merge(base, override):
-    if isinstance(base, dict) and isinstance(override, dict):
-        merged = dict(base)
-        for key, value in override.items():
-            merged[key] = _merge(base.get(key), value) if key in base else value
-        return merged
-    return override
+from .util import as_rng, child_seed, format_float
 
 
 def load_config(path: str | None = None, seed: int | None = None) -> dict:
-    """The default config with a YAML file and a seed override merged in."""
+    """The default config with a YAML file and a seed override merged in.
+
+    Each flat value is checked against ``CONFIG_KEYS``, which refuses any
+    key it does not list; ``spec_from_dict`` checks the space.
+    """
     cfg = default_config()
     if path is not None:
         try:
@@ -85,20 +78,19 @@ def load_config(path: str | None = None, seed: int | None = None) -> dict:
             user = {}
         if not isinstance(user, dict):
             raise ConfigError(f"config {path} must be a mapping at top level")
-        unknown = sorted(set(user) - _TOP_LEVEL_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {unknown}")
         for key, value in user.items():
-            if isinstance(cfg[key], dict) and not isinstance(value, dict):
-                raise ConfigError(f"config section {key} must be a mapping, got {value!r}")
-        if "space" in user:
-            # A space is a unit: partial overrides of paths would splice
-            # incompatible layer lists, so it replaces wholesale.
-            cfg["space"] = user.pop("space")
-        cfg = _merge(cfg, user)
+            if key == "space":
+                # A space is a unit: partial overrides of paths would splice
+                # incompatible layer lists, so it replaces wholesale.
+                cfg["space"] = value
+            elif key in SECTIONS:
+                cfg[key].update(section_values(key, value))
+            elif key in CONFIG_KEYS and "." not in key:
+                cfg[key] = config_value(key, value)
+            else:
+                raise ConfigError(f"unknown config key {key}")
     if seed is not None:
-        cfg["seed"] = seed
-    cfg["seed"] = config_number(cfg["seed"], int, "seed")
+        cfg["seed"] = config_value("seed", seed)
     return cfg
 
 

@@ -17,24 +17,17 @@ loop spends it on seeded random feasible probes instead of stalling.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .configs import CONFIG_KEYS, MUTATION_DIRECTIONAL, RG_REFRESH_ON_ELITE_CHANGE, check_fields
+from .configs import MUTATION_RANDOM, RG_REFRESH_ONCE  # noqa: F401  (re-exported)
+from .configs import config_value, section_values
 from .costs import CostReport, satisfies_constraints
 from .errors import ConfigError, GenomeError, InfeasibleError
 from .oracles import FitnessOracle
 from .space import ArchitectureGenome, SupernetSpec, minimal_genome, require_valid
-from .util import as_rng
-
-MUTATION_DIRECTIONAL = "directional"
-MUTATION_RANDOM = "random"
-MUTATION_MODES = (MUTATION_DIRECTIONAL, MUTATION_RANDOM)
-
-RG_REFRESH_ON_ELITE_CHANGE = "on_elite_change"
-RG_REFRESH_ONCE = "once"
-RG_REFRESH_MODES = (RG_REFRESH_ON_ELITE_CHANGE, RG_REFRESH_ONCE)
 
 # Attempts at drawing a feasible candidate before falling back to the
 # narrowest configuration.
@@ -50,68 +43,31 @@ class EvoConfig:
     come from crossover among the elites, and ``population // 2`` from
     mutation of the elites, so ``elites <= population // 2`` must hold.
     ``eval_budget`` caps unique oracle evaluations for the whole stage,
-    including replacement-gain probes.  ``seed`` seeds the stage only
-    when the caller passes no generator; every command passes one drawn
-    from the run's top-level seed, so a config file cannot set it.
+    including replacement-gain probes.  Each field's type, range and
+    default are its row of ``configs.CONFIG_KEYS``.
     """
 
-    population: int = 12
-    elites: int = 4
-    generations: int = 40
-    eval_budget: int = 40
-    params_limit: float = float("inf")
-    flops_limit: float = float("inf")
-    epsilon: float = 1e-8
-    mutation: str = MUTATION_DIRECTIONAL
-    rg_refresh: str = RG_REFRESH_ON_ELITE_CHANGE
-    seed: int | None = None
+    population: int = CONFIG_KEYS["evolution.population"].default
+    elites: int = CONFIG_KEYS["evolution.elites"].default
+    generations: int = CONFIG_KEYS["evolution.generations"].default
+    eval_budget: int = CONFIG_KEYS["evolution.eval_budget"].default
+    params_limit: float = CONFIG_KEYS["evolution.params_limit"].default
+    flops_limit: float = CONFIG_KEYS["evolution.flops_limit"].default
+    epsilon: float = CONFIG_KEYS["evolution.epsilon"].default
+    mutation: str = CONFIG_KEYS["evolution.mutation"].default
+    rg_refresh: str = CONFIG_KEYS["evolution.rg_refresh"].default
 
     def __post_init__(self) -> None:
-        for name in ("population", "elites", "generations", "eval_budget"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"evolution.{name} must be an integer, got {value!r}")
-        for name in ("params_limit", "flops_limit", "epsilon"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ConfigError(f"evolution.{name} must be a number, got {value!r}")
-        if self.population < 2 or self.population % 2 != 0:
+        check_fields(self, "evolution")
+        if self.elites > self.population // 2:
             raise ConfigError(
-                f"evolution.population must be even and >= 2, got {self.population}"
-            )
-        if not 1 <= self.elites <= self.population // 2:
-            raise ConfigError(
-                f"evolution.elites must be in [1, population // 2] = "
-                f"[1, {self.population // 2}], got {self.elites}"
-            )
-        if self.generations < 1:
-            raise ConfigError(f"evolution.generations must be >= 1, got {self.generations}")
-        if self.eval_budget < 1:
-            raise ConfigError(f"evolution.eval_budget must be >= 1, got {self.eval_budget}")
-        if not self.params_limit > 0:
-            raise ConfigError(f"evolution.params_limit must be > 0, got {self.params_limit}")
-        if not self.flops_limit > 0:
-            raise ConfigError(f"evolution.flops_limit must be > 0, got {self.flops_limit}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"evolution.epsilon must be > 0, got {self.epsilon}")
-        if self.mutation not in MUTATION_MODES:
-            raise ConfigError(
-                f"evolution.mutation must be one of {MUTATION_MODES}, got {self.mutation!r}"
-            )
-        if self.rg_refresh not in RG_REFRESH_MODES:
-            raise ConfigError(
-                f"evolution.rg_refresh must be one of {RG_REFRESH_MODES}, "
-                f"got {self.rg_refresh!r}"
+                f"evolution.elites must be at most evolution.population // 2 = "
+                f"{self.population // 2}, got {self.elites}"
             )
 
     @staticmethod
     def from_mapping(raw: dict) -> "EvoConfig":
-        if "seed" in raw:
-            raise ConfigError("evolution.seed is not a config key; set the top-level seed")
-        unknown = sorted(set(raw) - set(EvoConfig.__dataclass_fields__))
-        if unknown:
-            raise ConfigError(f"unknown evolution config keys: {unknown}")
-        return EvoConfig(**raw)
+        return EvoConfig(**section_values("evolution", raw))
 
 
 @dataclass
@@ -132,7 +88,9 @@ class RGTable:
 
 
 def compute_rg(
-    baseline: ArchitectureGenome, oracle: FitnessOracle, epsilon: float = 1e-8
+    baseline: ArchitectureGenome,
+    oracle: FitnessOracle,
+    epsilon: float = CONFIG_KEYS["evolution.epsilon"].default,
 ) -> RGTable:
     """Measure the gain of every single-layer channel replacement.
 
@@ -159,15 +117,16 @@ def compute_rg(
     return normalize_rg(table, epsilon)
 
 
-def normalize_rg(table: RGTable, epsilon: float = 1e-8) -> RGTable:
+def normalize_rg(
+    table: RGTable, epsilon: float = CONFIG_KEYS["evolution.epsilon"].default
+) -> RGTable:
     """Shift each layer's gains to be positive and normalize to a pmf.
 
     Per layer: ``shifted = rg - min_j rg + epsilon`` guarantees strictly
     positive mass, then ``p_select`` divides by the per-layer sum.  A
     layer whose gains are all equal comes out uniform.
     """
-    if not epsilon > 0:
-        raise ConfigError(f"epsilon must be > 0, got {epsilon}")
+    epsilon = config_value("evolution.epsilon", epsilon)
     shifted = table.rg - table.rg.min(axis=0, keepdims=True) + epsilon
     table.p_select = shifted / shifted.sum(axis=0, keepdims=True)
     return table
@@ -300,7 +259,7 @@ def shrink_channels(
     base_genome: ArchitectureGenome,
     oracle: FitnessOracle,
     cfg: EvoConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> ShrinkResult:
     """Search channel widths and recursion depths under cost constraints.
 
@@ -316,8 +275,6 @@ def shrink_channels(
     """
     spec = oracle.spec
     require_valid(spec, base_genome)
-    if rng is None:
-        rng = as_rng(cfg.seed)
     path = spec.paths[base_genome.path_index]
     num_layers = path.num_layers
     num_choices = spec.num_channel_choices

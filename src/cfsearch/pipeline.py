@@ -44,7 +44,7 @@ from .trainer import (
     make_dataset,
     pretrain_supernet,
 )
-from .util import as_rng, child_seed, config_number
+from .util import as_rng, child_seed
 
 STAGE_PATH = "path"
 STAGE_OPERATOR = "operator"
@@ -160,15 +160,14 @@ def search_operators(
 def run_search(
     oracle: FitnessOracle,
     evo_cfg: EvoConfig,
-    rng: np.random.Generator | int | None = None,
+    rng: np.random.Generator,
 ) -> tuple[ArchitectureGenome, SearchTrace, ShrinkResult]:
     """Stages 1 to 3 on one oracle; oracle-agnostic by design.
 
     The path and operator stages are exhaustive and draw nothing; ``rng``
-    (``evo_cfg.seed`` when None) drives the evolutionary stage alone, so
-    a single seed fixes the whole trace.
+    drives the evolutionary stage alone, so a single seed fixes the whole
+    trace.
     """
-    rng = as_rng(rng if rng is not None else evo_cfg.seed)
     trace = SearchTrace()
 
     chosen_path, path_records = search_path(oracle)
@@ -225,15 +224,11 @@ def prepare(config: dict) -> tuple[SupernetSpec, ToyDataset, TrainConfig]:
     spec = spec_from_dict(config["space"])
     dataset = make_dataset(
         config["task"],
-        config_number(config["dataset"]["samples"], int, "dataset.samples"),
-        config_number(config["dataset"]["val_fraction"], float, "dataset.val_fraction"),
+        config["dataset"]["samples"],
+        config["dataset"]["val_fraction"],
         child_seed(int(config["seed"]), "dataset"),
     )
-    try:
-        train_cfg = TrainConfig(**config["train"])
-    except TypeError as exc:
-        raise ConfigError(f"bad train section: {exc}") from None
-    return spec, dataset, train_cfg
+    return spec, dataset, TrainConfig(**config["train"])
 
 
 def run_pipeline(config: dict) -> PipelineResult:
@@ -245,11 +240,6 @@ def run_pipeline(config: dict) -> PipelineResult:
     pretrained supernet survives unmodified for later inspection.
     """
     seed = int(config["seed"])
-    finetune_epochs = config_number(
-        config["search"]["finetune_epochs"], int, "search.finetune_epochs"
-    )
-    if finetune_epochs < 0:
-        raise ConfigError(f"search.finetune_epochs must be >= 0, got {finetune_epochs}")
     spec, dataset, train_cfg = prepare(config)
     evo_cfg = EvoConfig.from_mapping(config["evolution"])
     pretrain = pretrain_supernet(spec, dataset, train_cfg, child_seed(seed, "pretrain"))
@@ -266,7 +256,7 @@ def run_pipeline(config: dict) -> PipelineResult:
         genome,
         dataset,
         train_cfg,
-        finetune_epochs,
+        config["search"]["finetune_epochs"],
         child_seed(seed, "finetune"),
     )
     final_fitness = evaluate_genome(finetuned, genome, dataset)

@@ -37,14 +37,13 @@ loss, and the discriminator's loss, are each one graph node.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
+from .configs import CONFIG_KEYS, TASK_SUPER_RESOLUTION, TASK_TRANSLATION, check_fields
 from .engine import Tensor, mean, sigmoid
 from .errors import ConfigError, NonFiniteLossError, ShapeError
 from .fairness import FairnessLedger, plan_epoch
@@ -55,61 +54,24 @@ from .space import ArchitectureGenome, SupernetSpec, maximal_genome
 from .sparsity import ScaleFactorBank, prox_step
 from .util import child_seed
 
-TASK_TRANSLATION = "translation"
-TASK_SUPER_RESOLUTION = "super_resolution"
-
-# Default seed of the frozen perceptual projection; independent of the
-# run seed so the feature map is a fixed measuring stick, not a sample.
-PERCEPTUAL_SEED = 90210
-
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of supernet pretraining.
+    """Hyperparameters of supernet pretraining: the ``train`` rows of ``CONFIG_KEYS``."""
 
-    The loss weights default to the combination that worked across the
-    toy tasks: reconstruction 10, perceptual 100, sparsity 1e-3.
-    ``lr_weights`` is the descent stepsize for network weights and
-    ``lr_gamma`` the proximal stepsize for scale factors; both decay by
-    ``lr_decay`` per epoch.
-    """
-
-    epochs: int
-    batch_size: int = 8
-    lambda_recon: float = 10.0
-    lambda_perceptual: float = 100.0
-    lambda_sparsity: float = 1e-3
-    lr_weights: float = 0.001
-    lr_gamma: float = 0.002
-    lr_decay: float = 1.0
-    perceptual_features: int = 16
-    perceptual_seed: int = PERCEPTUAL_SEED
+    epochs: int = CONFIG_KEYS["train.epochs"].default
+    batch_size: int = CONFIG_KEYS["train.batch_size"].default
+    lambda_recon: float = CONFIG_KEYS["train.lambda_recon"].default
+    lambda_perceptual: float = CONFIG_KEYS["train.lambda_perceptual"].default
+    lambda_sparsity: float = CONFIG_KEYS["train.lambda_sparsity"].default
+    lr_weights: float = CONFIG_KEYS["train.lr_weights"].default
+    lr_gamma: float = CONFIG_KEYS["train.lr_gamma"].default
+    lr_decay: float = CONFIG_KEYS["train.lr_decay"].default
+    perceptual_features: int = CONFIG_KEYS["train.perceptual_features"].default
+    perceptual_seed: int = CONFIG_KEYS["train.perceptual_seed"].default
 
     def __post_init__(self) -> None:
-        for name in ("epochs", "batch_size", "perceptual_features", "perceptual_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"train.{name} must be an integer, got {value!r}")
-        for name in ("lambda_recon", "lambda_perceptual", "lambda_sparsity",
-                     "lr_weights", "lr_gamma", "lr_decay"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                isinstance(value, numbers.Real) and math.isfinite(value)
-            ):
-                raise ConfigError(f"train.{name} must be a finite number, got {value!r}")
-        if self.epochs < 1:
-            raise ConfigError(f"train.epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
-        for name in ("lambda_recon", "lambda_perceptual", "lambda_sparsity"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"train.{name} must be >= 0")
-        if self.lr_weights <= 0 or self.lr_gamma <= 0 or not 0 < self.lr_decay <= 1:
-            raise ConfigError("learning rates must be positive, decay in (0, 1]")
-        if self.perceptual_features < 1:
-            raise ConfigError("train.perceptual_features must be >= 1")
-        if self.perceptual_seed < 0:
-            raise ConfigError(f"train.perceptual_seed must be >= 0, got {self.perceptual_seed}")
+        check_fields(self, "train")
 
 
 @dataclass
@@ -138,7 +100,7 @@ class ToyDataset:
 
 
 def make_translation_dataset(
-    samples: int = 256, val_fraction: float = 0.25, seed: int = 0
+    samples: int, val_fraction: float, seed: int = 0
 ) -> ToyDataset:
     """Two-component Gaussian mixture mapped by a fixed style transform.
 
@@ -167,7 +129,7 @@ def make_translation_dataset(
 
 
 def make_super_resolution_dataset(
-    samples: int = 256, val_fraction: float = 0.25, seed: int = 0
+    samples: int, val_fraction: float, seed: int = 0
 ) -> ToyDataset:
     """Smooth 16-sample signals paired with their 4-sample decimations."""
     rng = np.random.default_rng(seed)
@@ -192,8 +154,6 @@ def make_super_resolution_dataset(
 
 
 def make_dataset(task: str, samples: int, val_fraction: float, seed: int) -> ToyDataset:
-    if not 0 < val_fraction < 1:
-        raise ConfigError(f"dataset.val_fraction must be in (0, 1), got {val_fraction}")
     if task == TASK_TRANSLATION:
         return make_translation_dataset(samples, val_fraction, seed)
     if task == TASK_SUPER_RESOLUTION:

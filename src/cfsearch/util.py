@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -47,15 +48,15 @@ def sha256_file(path: str) -> str:
 def config_number(value, kind: Callable[[object], float], key: str):
     """``kind(value)`` for a config value, or a ``ConfigError`` naming ``key``.
 
-    A boolean is refused, and so is a fraction where ``kind`` is ``int``,
-    which would otherwise truncate.
+    An integer must be written as one, and a number as an integer or a
+    float: a boolean or a string is refused, and so is a float where
+    ``kind`` is ``int``, which would otherwise truncate.
     """
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    fraction = kind is int and isinstance(value, float) and number != value
-    if number is None or isinstance(value, bool) or fraction:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {what}, got {value!r}")
-    return number
+    wanted = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, wanted) and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except OverflowError:
+            pass
+    what = "an integer" if kind is int else "a number"
+    raise ConfigError(f"{key} must be {what}, got {value!r}")

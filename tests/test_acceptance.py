@@ -11,6 +11,7 @@ deterministic end to end.
 import contextlib
 import itertools
 import json
+import math
 import statistics
 import time
 from fractions import Fraction
@@ -296,9 +297,8 @@ def test_criterion_6_evolution(criterion):
                 params_limit=BENCH_PARAMS_LIMIT,
                 flops_limit=BENCH_FLOPS_LIMIT,
                 rg_refresh="once",
-                seed=seed,
             )
-            result = shrink_channels(base, oracle, cfg)
+            result = shrink_channels(base, oracle, cfg, np.random.default_rng(seed))
             assert oracle.genome_evaluations <= budget
             bests = [row.best_fitness for row in result.history]
             assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
@@ -330,9 +330,10 @@ def test_criterion_6_evolution(criterion):
                         generations=40,
                         eval_budget=300,
                         mutation=mode,
-                        seed=seed,
+                        params_limit=math.inf,
+                        flops_limit=math.inf,
                     )
-                    result = shrink_channels(template, oracle, cfg)
+                    result = shrink_channels(template, oracle, cfg, np.random.default_rng(seed))
                     reached = cfg.generations + 1
                     for row in result.history:
                         if row.best_fitness >= reachable_best - 1e-12:
@@ -355,9 +356,10 @@ def test_criterion_7_coarse_to_fine_vs_joint(criterion):
             landscape = shipped_landscape(name)
             staged_oracle = TabularOracle(landscape)
             evo = EvoConfig(
-                population=12, elites=4, generations=40, eval_budget=40, seed=5
+                population=12, elites=4, generations=40, eval_budget=40,
+                params_limit=math.inf, flops_limit=math.inf,
             )
-            genome, trace, _ = run_search(staged_oracle, evo, rng=5)
+            genome, trace, _ = run_search(staged_oracle, evo, np.random.default_rng(5))
             staged_calls = sum(trace.oracle_calls.values())
 
             joint = joint_search_baseline(TabularOracle(landscape))

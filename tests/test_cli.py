@@ -1,18 +1,23 @@
 """Command-line interface: outputs, exit codes, report wiring."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, strategies as st
 
 from cfsearch import cli, pipeline
 from cfsearch.cli import load_config, main
-from cfsearch.configs import default_config, default_toy_spec
+from cfsearch.configs import CONFIG_KEYS, default_config, default_toy_spec
 from cfsearch.errors import ConfigError
+from cfsearch.evolution import EvoConfig
 from cfsearch.fairness import FairnessLedger, plan_epoch, record_fair_epoch
 from cfsearch.network import SupernetWeights
 from cfsearch.space import spec_from_dict
+from cfsearch.trainer import TrainConfig
 
 
 FAST_OVERLAY = {
@@ -121,6 +126,10 @@ def test_evolution_seed_key_exits_2(tmp_path, capsys):
         ("train", "perceptual_seed", -3),
         ("dataset", "val_fraction", -0.5),
         ("search", "finetune_epochs", -1),
+        ("dataset", "foo", 1),
+        ("search", "foo", 1),
+        ("train", "foo", 1),
+        (None, "train.epochs", 2),
     ],
 )
 def test_malformed_config_value_exits_2_before_pretraining(
@@ -170,6 +179,8 @@ def test_malformed_evolution_value_exits_2_naming_the_key(
         ("epochs", "abc"),
         ("lambda_recon", float("nan")),
         ("lr_weights", float("inf")),
+        ("lr_decay", 0),
+        ("lr_gamma", 0),
     ],
 )
 def test_malformed_train_value_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, key, value):
@@ -185,6 +196,33 @@ def test_malformed_train_value_exits_2_naming_the_key(tmp_path, capsys, monkeypa
     assert code == 2
     assert err.startswith("config error:") and f"train.{key}" in err
     assert "Traceback" not in err
+
+
+_YAML_SCALAR = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.text(st.characters(blacklist_categories=("Cs",))),
+)
+
+
+@given(st.sampled_from(sorted(CONFIG_KEYS)), _YAML_SCALAR)
+def test_one_flat_value_replaced_loads_or_names_its_key(key, value):
+    # load_config alone, so a huge samples or epochs value builds nothing.
+    config = default_config()
+    section, _, name = key.rpartition(".")
+    (config[section] if section else config)[name] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.yaml")
+        with open(path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(config, fh)
+        try:
+            cfg = load_config(path)
+            TrainConfig(**cfg["train"])
+            EvoConfig.from_mapping(cfg["evolution"])
+        except ConfigError as exc:
+            assert key in str(exc)
 
 
 def test_infeasible_constraints_exit_3(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """The README and the CLI docstring document exactly what the code provides."""
 
 import argparse
-import dataclasses
 import pathlib
 import re
 
@@ -9,11 +8,8 @@ import pytest
 import yaml
 
 from cfsearch import cli
-from cfsearch.configs import default_config
-from cfsearch.errors import ConfigError
-from cfsearch.evolution import EvoConfig
+from cfsearch.configs import CONFIG_KEYS, default_config
 from cfsearch.pipeline import run_pipeline
-from cfsearch.trainer import TrainConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -43,31 +39,18 @@ def test_readme_environment_variables_are_read_by_the_code():
         assert f'"{name}"' in source, name
 
 
-def accepted_evolution_keys() -> set[str]:
-    accepted = set()
-    for f in dataclasses.fields(EvoConfig):
-        try:
-            EvoConfig.from_mapping({f.name: getattr(EvoConfig(), f.name)})
-        except ConfigError:
-            continue
-        accepted.add(f.name)
-    return accepted
-
-
-def test_readme_config_block_lists_exactly_the_accepted_keys():
+def test_readme_config_block_lists_exactly_the_table_keys_and_defaults():
     block = re.search(r"^```yaml\n(.*?)^```", README, re.M | re.S)
     documented = yaml.safe_load(block.group(1))
-    assert set(documented) == cli._TOP_LEVEL_KEYS
-    assert set(documented["train"]) == {f.name for f in dataclasses.fields(TrainConfig)}
-    assert set(documented["evolution"]) == accepted_evolution_keys()
+    assert set(documented) == set(default_config())
     # The values shown are the defaults a run uses; the space is abridged.
-    defaults = default_config()
-    for key in ("seed", "task", "dataset", "search"):
-        assert documented[key] == defaults[key], key
-    assert TrainConfig(**documented["train"]) == TrainConfig(**defaults["train"])
-    assert EvoConfig.from_mapping(documented["evolution"]) == EvoConfig.from_mapping(
-        defaults["evolution"]
-    )
+    flat = {}
+    for name, value in documented.items():
+        if isinstance(value, dict) and name != "space":
+            flat.update({f"{name}.{key}": v for key, v in value.items()})
+        elif name != "space":
+            flat[name] = value
+    assert flat == {key: row.default for key, row in CONFIG_KEYS.items()}
 
 
 def test_readme_run_all_sample_is_what_a_default_run_prints():

@@ -22,6 +22,9 @@ from cfsearch.space import ArchitectureGenome, genome_space_size
 
 from conftest import build_spec
 
+# The limits of an ``EvoConfig`` default to the run's; these searches run unconstrained.
+NO_LIMITS = dict(params_limit=float("inf"), flops_limit=float("inf"))
+
 
 def make_oracle(rule="random_seeded", seed=1, **spec_kwargs):
     kwargs = dict(n_paths=1, n_layers=3, n_operators=1, channels=(2, 3, 4))
@@ -217,8 +220,8 @@ def bench_oracle():
 def test_shrink_best_is_monotone_and_feasible():
     oracle = bench_oracle()
     base = ArchitectureGenome(0, (0, 0, 0, 0), (3, 3, 3, 3))
-    cfg = EvoConfig(population=8, elites=2, generations=10, eval_budget=30, seed=5)
-    result = shrink_channels(base, oracle, cfg)
+    cfg = EvoConfig(population=8, elites=2, generations=10, eval_budget=30, **NO_LIMITS)
+    result = shrink_channels(base, oracle, cfg, np.random.default_rng(5))
     bests = [row.best_fitness for row in result.history]
     assert all(a <= b for a, b in zip(bests, bests[1:]))
     assert result.best_fitness == bests[-1]
@@ -235,23 +238,23 @@ def test_shrink_respects_cost_constraints():
     base = ArchitectureGenome(0, (0, 0, 0, 0), (3, 3, 3, 3))
     cfg = EvoConfig(
         population=8, elites=2, generations=8, eval_budget=30,
-        params_limit=1272, flops_limit=9792, seed=6,
+        params_limit=1272, flops_limit=9792,
     )
-    result = shrink_channels(base, oracle, cfg)
+    result = shrink_channels(base, oracle, cfg, np.random.default_rng(6))
     assert result.best_cost.params < cfg.params_limit
     assert result.best_cost.flops < cfg.flops_limit
 
 
 def test_shrink_is_deterministic_under_seed():
     base = ArchitectureGenome(0, (0, 0, 0, 0), (3, 3, 3, 3))
-    cfg = EvoConfig(population=8, elites=2, generations=6, eval_budget=25, seed=9)
-    r1 = shrink_channels(base, bench_oracle(), cfg)
-    r2 = shrink_channels(base, bench_oracle(), cfg)
+    cfg = EvoConfig(population=8, elites=2, generations=6, eval_budget=25, **NO_LIMITS)
+    r1 = shrink_channels(base, bench_oracle(), cfg, np.random.default_rng(9))
+    r2 = shrink_channels(base, bench_oracle(), cfg, np.random.default_rng(9))
     assert r1.best_genome == r2.best_genome
     assert r1.history == r2.history
     r3 = shrink_channels(base, bench_oracle(), EvoConfig(
-        population=8, elites=2, generations=6, eval_budget=25, seed=10,
-    ))
+        population=8, elites=2, generations=6, eval_budget=25, **NO_LIMITS,
+    ), np.random.default_rng(10))
     assert r3.history != r1.history or r3.best_genome == r1.best_genome
 
 
@@ -259,15 +262,15 @@ def test_shrink_random_mode_and_one_shot_refresh():
     base = ArchitectureGenome(0, (0, 0, 0, 0), (3, 3, 3, 3))
     random_cfg = EvoConfig(
         population=8, elites=2, generations=6, eval_budget=25,
-        mutation=MUTATION_RANDOM, seed=3,
+        mutation=MUTATION_RANDOM, **NO_LIMITS,
     )
-    result = shrink_channels(base, bench_oracle(), random_cfg)
+    result = shrink_channels(base, bench_oracle(), random_cfg, np.random.default_rng(3))
     assert result.rg_table is None
     once_cfg = EvoConfig(
         population=8, elites=2, generations=6, eval_budget=25,
-        rg_refresh=RG_REFRESH_ONCE, seed=3,
+        rg_refresh=RG_REFRESH_ONCE, **NO_LIMITS,
     )
-    with_rg = shrink_channels(base, bench_oracle(), once_cfg)
+    with_rg = shrink_channels(base, bench_oracle(), once_cfg, np.random.default_rng(3))
     assert with_rg.rg_table is not None
 
 
@@ -276,7 +279,7 @@ def test_shrink_infeasible_space_raises_with_constraint_name():
     base = ArchitectureGenome(0, (0, 0, 0, 0), (3, 3, 3, 3))
     cfg = EvoConfig(population=8, elites=2, generations=4, eval_budget=20, params_limit=1)
     with pytest.raises(InfeasibleError, match="params"):
-        shrink_channels(base, oracle, cfg)
+        shrink_channels(base, oracle, cfg, np.random.default_rng(0))
 
 
 def test_shrink_finds_constrained_optimum_on_small_space():
@@ -286,8 +289,8 @@ def test_shrink_finds_constrained_optimum_on_small_space():
     scape = build_landscape(spec, "random_seeded", seed=21)
     oracle = TabularOracle(scape)
     base = ArchitectureGenome(0, (0, 0), (1, 1))
-    cfg = EvoConfig(population=4, elites=1, generations=6, eval_budget=10, seed=2)
-    result = shrink_channels(base, oracle, cfg)
+    cfg = EvoConfig(population=4, elites=1, generations=6, eval_budget=10)
+    result = shrink_channels(base, oracle, cfg, np.random.default_rng(2))
     best = joint_search_baseline(TabularOracle(scape))
     assert result.best_genome == best.genome
     assert result.best_fitness == pytest.approx(best.fitness)

@@ -93,8 +93,8 @@ def test_operator_stage_sampling_needs_rng():
 def test_run_search_call_accounting():
     spec = build_spec(n_paths=2, n_layers=2, n_operators=2, channels=(2, 3, 4))
     oracle = TabularOracle(build_landscape(spec, "separable", seed=30))
-    cfg = EvoConfig(population=6, elites=2, generations=8, eval_budget=20, seed=1)
-    genome, trace, shrink = run_search(oracle, cfg)
+    cfg = EvoConfig(population=6, elites=2, generations=8, eval_budget=20)
+    genome, trace, shrink = run_search(oracle, cfg, np.random.default_rng(1))
     assert trace.chosen_path is not None
     assert trace.oracle_calls["path"] == 2
     assert trace.oracle_calls["operator"] == 2 * operator_specialization_count(2, 2)
@@ -111,8 +111,8 @@ def test_run_search_finds_separable_optimum():
     spec = build_spec(n_paths=2, n_layers=2, n_operators=2, channels=(2, 3))
     scape = build_landscape(spec, "separable", seed=31)
     oracle = TabularOracle(scape)
-    cfg = EvoConfig(population=6, elites=2, generations=10, eval_budget=30, seed=4)
-    genome, trace, _ = run_search(oracle, cfg)
+    cfg = EvoConfig(population=6, elites=2, generations=10, eval_budget=30)
+    genome, trace, _ = run_search(oracle, cfg, np.random.default_rng(4))
     best = joint_search_baseline(TabularOracle(scape))
     # Separable landscapes make coordinate-wise search exact, and the small
     # space gives the channel stage room to finish the job.
@@ -122,11 +122,11 @@ def test_run_search_finds_separable_optimum():
 
 def test_run_search_reproducible_for_a_seed():
     spec = build_spec(n_paths=2, n_layers=2, n_operators=2, channels=(2, 3, 4))
-    cfg = EvoConfig(population=6, elites=2, generations=6, eval_budget=18, seed=8)
+    cfg = EvoConfig(population=6, elites=2, generations=6, eval_budget=18)
 
     def once():
         oracle = TabularOracle(build_landscape(spec, "random_seeded", seed=32))
-        genome, trace, _ = run_search(oracle, cfg)
+        genome, trace, _ = run_search(oracle, cfg, np.random.default_rng(8))
         return genome, trace
 
     g1, t1 = once()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from cfsearch.configs import default_config
@@ -29,8 +30,8 @@ from conftest import build_spec
 def searched_trace():
     spec = build_spec(n_paths=2, n_layers=2, n_operators=2, channels=(2, 3))
     oracle = TabularOracle(build_landscape(spec, "random_seeded", seed=40))
-    cfg = EvoConfig(population=4, elites=1, generations=4, eval_budget=10, seed=0)
-    genome, trace, shrink = run_search(oracle, cfg)
+    cfg = EvoConfig(population=4, elites=1, generations=4, eval_budget=10)
+    genome, trace, shrink = run_search(oracle, cfg, np.random.default_rng(0))
     return spec, genome, trace, shrink
 
 
