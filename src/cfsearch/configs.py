@@ -51,7 +51,7 @@ class Key(NamedTuple):
 CONFIG_KEYS: dict[str, Key] = {
     "seed": Key(int, None, 7, "root of every per-stage child seed"),
     "task": Key(str, TASKS, TASK_TRANSLATION, "the paired toy task"),
-    "dataset.samples": Key(int, None, 256, "samples before the validation split"),
+    "dataset.samples": Key(int, "in [4, 65536]", 256, "samples before the validation split"),
     "dataset.val_fraction": Key(float, "in (0, 1)", 0.25, "share held out for validation"),
     "train.epochs": Key(int, "in [1, inf)", 30, "fair pretraining epochs"),
     "train.batch_size": Key(int, "in [1, inf)", 16, "samples per step"),

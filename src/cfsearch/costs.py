@@ -3,15 +3,12 @@
 The model treats every conv unit as a k x k kernel applied at each
 spatial site, with a multiply-add counted as 2 FLOPs:
 
-    conv   flops = 2 * c_src * c_dst * k^2 * sites / groups
+    conv   flops = 2 * c_src * c_dst * k^2 * sites
     dwconv flops = 2 * c * k^2 * sites
     resid  flops = c_dst * sites
 
-Parameter counts mirror the same shapes (grouped convs divide the
-cross-channel fan-in); biases and per-layer normalization scales add
-``c_dst`` each and their FLOPs are ignored.  Recursion multiplies a
-layer's FLOPs by its depth while leaving parameters unchanged, because
-repeated applications share one weight set.
+Parameter counts mirror the same shapes; biases and per-layer
+normalization scales add ``c_dst`` each and their FLOPs are ignored.
 
 Accounting covers the searchable layers only.  The fixed input stem and
 output head are deliberately outside the report so that per-layer rows
@@ -19,7 +16,7 @@ sum exactly to the totals and so that doubling every searched width
 scales weight parameters and conv FLOPs by exactly 4.
 
 A layer's row depends only on plain ints: (path, layer, operator index,
-c_in, c_out, depth, include_affine).  ``genome_cost`` looks each row up in
+c_in, c_out, include_affine).  ``genome_cost`` looks each row up in
 the spec's own table, ``SupernetSpec.cost_rows``, and computes it there on
 first use, so the table lives exactly as long as its spec and a few
 hundred rows serve every genome of a space.
@@ -65,11 +62,10 @@ def unit_cost(
     """(params, flops) of one primitive unit at the given widths."""
     src, dst = unit.widths(c_in, c_out)
     if unit.kind == "conv":
-        fan_in = -(-src // unit.groups)  # ceil(src / groups)
-        params = fan_in * dst * unit.kernel**2
+        params = src * dst * unit.kernel**2
         if include_affine:
             params += dst  # bias
-        flops = 2 * fan_in * dst * unit.kernel**2 * sites
+        flops = 2 * src * dst * unit.kernel**2 * sites
         return params, flops
     if unit.kind == "dwconv":
         params = src * unit.kernel**2
@@ -87,20 +83,16 @@ def operator_cost(
     c_in: int,
     c_out: int,
     sites: int,
-    recursion: int = 1,
     include_affine: bool = True,
 ) -> tuple[int, int]:
-    """(params, flops) for one layer running ``op`` at the given widths.
-
-    ``recursion`` scales FLOPs only: repeats reuse the block's weights.
-    """
+    """(params, flops) for one layer running ``op`` at the given widths."""
     params = 0
     flops = 0
     for unit in op.units:
         p, f = unit_cost(unit, c_in, c_out, sites, include_affine)
         params += p
         flops += f
-    return params, flops * recursion
+    return params, flops
 
 
 def genome_cost(
@@ -124,17 +116,14 @@ def genome_cost(
     if not verdict.ok:
         raise GenomeError(f"cannot cost invalid genome: {verdict.reason}")
     p = genome.path_index
-    layers = spec.paths[p].layers
     channels = spec.channel_choices
     table = spec.cost_rows
     affine = bool(include_affine)
     rows: list[LayerCost] = []
     prev_width = channels[genome.channel_assignment[0]]
-    for l, (m, c, r) in enumerate(
-        zip(genome.operator_assignment, genome.channel_assignment, genome.recursion_assignment)
-    ):
+    for l, (m, c) in enumerate(zip(genome.operator_assignment, genome.channel_assignment)):
         width = channels[c]
-        key = (p, l, m, prev_width, width, layers[l].recursion_choices[r], affine)
+        key = (p, l, m, prev_width, width, affine)
         row = table.get(key)
         if row is None:
             row = table[key] = _layer_cost(spec, *key)
@@ -154,13 +143,12 @@ def _layer_cost(
     operator: int,
     c_in: int,
     c_out: int,
-    depth: int,
     include_affine: bool,
 ) -> LayerCost:
-    """Cost row of one layer running ``operator`` ``depth`` times from ``c_in`` to ``c_out``."""
+    """Cost row of one layer running ``operator`` from ``c_in`` to ``c_out``."""
     op = spec.paths[path_index].layers[layer].operator_candidates[operator]
     sites = spec.sites(path_index, layer)
-    params, flops = operator_cost(op, c_in, c_out, sites, depth, include_affine)
+    params, flops = operator_cost(op, c_in, c_out, sites, include_affine)
     if include_affine:
         params += c_out  # normalization scale vector
     return LayerCost(layer=layer, params=params, flops=flops)

@@ -1,12 +1,12 @@
 """Evolutionary channel shrinking with gain-directed mutation.
 
-The channel stage keeps a small population of channel and depth
-assignments over a fixed path and operator choice, ranks them by oracle
-fitness under parameter and FLOP budgets, and breeds each generation
-from the elites: part of it by per-layer crossover, half by mutating a
-single layer.  Mutation is *directional*: the replacement channel is
-drawn with probability proportional to the normalized replacement gain
-of that width at that layer, measured against the current best elite.
+The channel stage keeps a small population of channel assignments over
+a fixed path and operator choice, ranks them by oracle fitness under
+parameter and FLOP budgets, and breeds each generation from the elites:
+part of it by per-layer crossover, half by mutating a single layer.
+Mutation is *directional*: the replacement channel is drawn with
+probability proportional to the normalized replacement gain of that
+width at that layer, measured against the current best elite.
 
 Oracle accounting is in unique genomes.  Re-scoring a cached genome is
 free, so the evaluation budget bounds exactly how many new genomes the
@@ -137,9 +137,7 @@ def _with_channel(
 ) -> ArchitectureGenome:
     channels = list(genome.channel_assignment)
     channels[layer] = choice
-    return ArchitectureGenome(
-        genome.path_index, genome.operator_assignment, tuple(channels), genome.recursion_assignment
-    )
+    return ArchitectureGenome(genome.path_index, genome.operator_assignment, tuple(channels))
 
 
 def _uniform_table(num_choices: int, num_layers: int, epsilon: float) -> RGTable:
@@ -157,18 +155,16 @@ def mutate_directional(
     """Replace one uniformly chosen layer's channel, biased by gains.
 
     The new channel index is drawn from the table's per-layer
-    distribution; when the layer searches recursion depth too, its depth
-    is redrawn uniformly alongside.  All other genes are copied, so the
-    child differs from the parent in at most one layer.  Every index is
-    drawn in range, so a valid parent, and a table with one row per
-    channel choice, give a valid child.
+    distribution.  All other genes are copied, so the child differs from
+    the parent in at most one layer.  Every index is drawn in range, so a
+    valid parent, and a table with one row per channel choice, give a
+    valid child.
     """
     path = spec.paths[parent.path_index]
     layer = int(rng.integers(path.num_layers))
     probs = table.p_select[:, layer]
     choice = int(rng.choice(len(probs), p=probs))
-    child = _with_channel(parent, layer, choice)
-    return _maybe_redraw_recursion(child, layer, spec, rng)
+    return _with_channel(parent, layer, choice)
 
 
 def mutate_random(
@@ -178,24 +174,7 @@ def mutate_random(
     path = spec.paths[parent.path_index]
     layer = int(rng.integers(path.num_layers))
     choice = int(rng.integers(spec.num_channel_choices))
-    child = _with_channel(parent, layer, choice)
-    return _maybe_redraw_recursion(child, layer, spec, rng)
-
-
-def _maybe_redraw_recursion(
-    genome: ArchitectureGenome,
-    layer: int,
-    spec: SupernetSpec,
-    rng: np.random.Generator,
-) -> ArchitectureGenome:
-    choices = spec.paths[genome.path_index].layers[layer].recursion_choices
-    if len(choices) <= 1:
-        return genome
-    rec = list(genome.recursion_assignment)
-    rec[layer] = int(rng.integers(len(choices)))
-    return ArchitectureGenome(
-        genome.path_index, genome.operator_assignment, genome.channel_assignment, tuple(rec)
-    )
+    return _with_channel(parent, layer, choice)
 
 
 def crossover(
@@ -205,9 +184,8 @@ def crossover(
 ) -> ArchitectureGenome:
     """Per-layer gene pick between two parents on the same path.
 
-    A layer's gene is its (channel, recursion) pair; each layer takes
-    the whole pair from one parent, chosen by a fair coin.  Parents must
-    agree on path and operator assignment.
+    Each layer takes its channel from one parent, chosen by a fair coin.
+    Parents must agree on path and operator assignment.
     """
     if parent_a.path_index != parent_b.path_index:
         raise GenomeError(
@@ -219,15 +197,11 @@ def crossover(
             f"crossover parents with different operator assignments: "
             f"{parent_a.operator_assignment} vs {parent_b.operator_assignment}"
         )
-    channels = []
-    recursions = []
-    for l in range(len(parent_a.channel_assignment)):
-        source = parent_a if rng.integers(2) == 0 else parent_b
-        channels.append(source.channel_assignment[l])
-        recursions.append(source.recursion_assignment[l])
-    return ArchitectureGenome(
-        parent_a.path_index, parent_a.operator_assignment, tuple(channels), tuple(recursions)
+    channels = tuple(
+        (parent_a if rng.integers(2) == 0 else parent_b).channel_assignment[l]
+        for l in range(len(parent_a.channel_assignment))
     )
+    return ArchitectureGenome(parent_a.path_index, parent_a.operator_assignment, channels)
 
 
 # -- the shrinking loop ------------------------------------------------------
@@ -261,13 +235,13 @@ def shrink_channels(
     cfg: EvoConfig,
     rng: np.random.Generator,
 ) -> ShrinkResult:
-    """Search channel widths and recursion depths under cost constraints.
+    """Search channel widths under cost constraints.
 
     ``base_genome`` fixes the path and operator assignment; only its
-    channel and recursion genes are searched.  The population starts
-    from uniformly random feasible draws and every candidate is feasible
-    at birth (bounded resampling, then the narrowest configuration as a
-    last resort).  Returns the best feasible genome ever evaluated; its
+    channel genes are searched.  The population starts from uniformly
+    random feasible draws and every candidate is feasible at birth
+    (bounded resampling, then the narrowest configuration as a last
+    resort).  Returns the best feasible genome ever evaluated; its
     fitness is non-decreasing over the history by elitism.
 
     Raises ``InfeasibleError`` when even the narrowest configuration
@@ -275,8 +249,7 @@ def shrink_channels(
     """
     spec = oracle.spec
     require_valid(spec, base_genome)
-    path = spec.paths[base_genome.path_index]
-    num_layers = path.num_layers
+    num_layers = spec.paths[base_genome.path_index].num_layers
     num_choices = spec.num_channel_choices
 
     fallback = replace(
@@ -313,14 +286,9 @@ def shrink_channels(
         return ok
 
     def random_genome() -> ArchitectureGenome:
-        channels = tuple(
-            int(v) for v in rng.integers(0, num_choices, size=num_layers)
-        )
-        recursions = tuple(
-            int(rng.integers(len(layer.recursion_choices))) for layer in path.layers
-        )
+        channels = tuple(int(v) for v in rng.integers(0, num_choices, size=num_layers))
         return ArchitectureGenome(
-            base_genome.path_index, base_genome.operator_assignment, channels, recursions
+            base_genome.path_index, base_genome.operator_assignment, channels
         )
 
     def draw_feasible(make) -> ArchitectureGenome:

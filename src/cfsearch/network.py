@@ -13,13 +13,11 @@ Block cores are dense 1-D analogues of the registered operator kinds:
     conv3x3            local mixing conv
     res_block          conv - tanh - conv, plus skip
     dws_block          channelwise conv - tanh - pointwise mix
-    group_res_block    res_block with block-diagonal (2-group) weights
     shrink_res_block   bottleneck to ceil(width/2), back up, plus skip
     context_res_block  conv - tanh - pointwise, plus skip
 
-Recursion applies the same block again on its own output (weights
-shared), adding each pass residually; a layer ends with a channel-RMS
-normalization scaled by its factor vector.
+A layer ends with a channel-RMS normalization scaled by its factor
+vector.
 
 Each conv is one graph node together with its bias, the ``tanh`` that
 follows it (after the stem, after both discriminator convs and after
@@ -50,23 +48,12 @@ CHECKPOINT_MAGIC = b"CFN1"
 CHECKPOINT_VERSION = 1
 
 
-def _group_mask(dst: int, src: int, groups: int) -> np.ndarray:
-    """Block-diagonal 0/1 mask over a (dst, src, 1) conv weight."""
-    mask = np.zeros((dst, src, 1), dtype=np.float64)
-    d_edges = np.linspace(0, dst, groups + 1).round().astype(int)
-    s_edges = np.linspace(0, src, groups + 1).round().astype(int)
-    for g in range(groups):
-        mask[d_edges[g] : d_edges[g + 1], s_edges[g] : s_edges[g + 1]] = 1.0
-    return mask
-
-
 class SupernetWeights:
     """Every trainable tensor of the supernet, in declaration order."""
 
     def __init__(self, spec: SupernetSpec):
         self.spec = spec
         self.tensors: "OrderedDict[str, Tensor]" = OrderedDict()
-        self.group_masks: dict[str, np.ndarray] = {}
         self._named: dict[tuple[str, bool], tuple[tuple[str, Tensor], ...]] = {}
         self._plans: dict[tuple[int, int, int], tuple] = {}
 
@@ -83,14 +70,9 @@ class SupernetWeights:
         w = SupernetWeights(spec)
         full = spec.max_width
 
-        def conv_param(name: str, dst: int, src: int, kernel: int, groups: int = 1):
+        def conv_param(name: str, dst: int, src: int, kernel: int):
             scale = 1.0 / np.sqrt(src * kernel)
-            data = rng.normal(0.0, scale, size=(dst, src, kernel))
-            if groups > 1:
-                mask = _group_mask(dst, src, groups)
-                data = data * mask
-                w.group_masks[name] = mask
-            w._add(name, data)
+            w._add(name, rng.normal(0.0, scale, size=(dst, src, kernel)))
             w._add(name[:-1] + "b", np.zeros(dst))
 
         for p, path in enumerate(spec.paths):
@@ -103,7 +85,7 @@ class SupernetWeights:
                         prefix = f"g/p{p}/l{l}/op{m}/u{u}/"
                         src, dst = unit.widths(full, full)
                         if unit.kind == "conv":
-                            conv_param(prefix + "w", dst, src, unit.kernel, unit.groups)
+                            conv_param(prefix + "w", dst, src, unit.kernel)
                         elif unit.kind == "dwconv":
                             w._add(
                                 prefix + "w",
@@ -150,9 +132,8 @@ class SupernetWeights:
         """The transform units of operator ``m`` at layer ``l`` of path ``p``, built once.
 
         One entry per conv or dwconv unit, in order: (is a dense conv,
-        weight, bias, group mask as a constant tensor or None, tanh after
-        it, residual skip after it).  A residual unit always follows a
-        transform, whose entry takes it as its skip.
+        weight, bias, tanh after it, residual skip after it).  A residual
+        unit always follows a transform, whose entry takes it as its skip.
         """
         key = (p, l, m)
         plan = self._plans.get(key)
@@ -164,13 +145,11 @@ class SupernetWeights:
                 if unit.kind == "residual":
                     continue
                 prefix = f"g/p{p}/l{l}/op{m}/u{i}/"
-                mask = self.group_masks.get(prefix + "w")
                 steps.append(
                     (
                         unit.kind == "conv",
                         self.tensors[prefix + "w"],
                         self.tensors[prefix + "b"],
-                        None if mask is None else Tensor(mask),
                         i < last,
                         i + 1 < len(units) and units[i + 1].kind == "residual",
                     )
@@ -203,20 +182,16 @@ class SupernetWeights:
 
     def sgd_step(self, prefix: str, lr: float, include_gamma: bool = False) -> None:
         """Descend each gradient under ``prefix`` by ``lr`` and clear it."""
-        for name, tensor in self.named(prefix, include_gamma=include_gamma):
+        for _, tensor in self.named(prefix, include_gamma=include_gamma):
             if tensor.grad is None:
                 continue
             tensor.data -= lr * tensor.grad
-            mask = self.group_masks.get(name)
-            if mask is not None:
-                tensor.data *= mask
             tensor.grad = None
 
     def clone(self) -> "SupernetWeights":
         other = SupernetWeights(self.spec)
         for name, tensor in self.tensors.items():
             other._add(name, tensor.data.copy())
-        other.group_masks = {k: v.copy() for k, v in self.group_masks.items()}
         return other
 
     # -- checkpointing -----------------------------------------------------
@@ -305,11 +280,10 @@ def _resample(x: Tensor, factors: tuple[int, int]) -> Tensor:
 def _block_core(weights: SupernetWeights, p: int, l: int, m: int, x: Tensor) -> Tensor:
     """Run one operator block (without normalization) on full-width input."""
     h = x
-    for dense, w, b, mask, tanh, residual in weights.block_plan(p, l, m):
+    for dense, w, b, tanh, residual in weights.block_plan(p, l, m):
         skip = adapt_channels(x, w.data.shape[0]) if residual else None
         if dense:
-            kernel_w = w if mask is None else w * mask
-            h = conv1d(h, kernel_w, bias=b, tanh=tanh, skip=skip)
+            h = conv1d(h, w, bias=b, tanh=tanh, skip=skip)
         else:
             h = dwconv1d(h, w, bias=b, tanh=tanh, skip=skip)
     return h
@@ -404,25 +378,24 @@ class GeneratorView:
     output widths per layer; the widest width skips masking entirely.
 
     A forward runs 2L + 1 stages in order, then the head: the stem, then
-    per layer ``l`` its block core (the resample into the layer, the
-    operator block and its recursion passes) and its channel norm.  Each
-    stage's own key names the choices it adds: the stem's is the path, a
-    core's is ``(op_l, depth_l)`` and a norm's is ``width_l``.  A stage's
-    output depends on its own key and on the keys of every earlier stage.
+    per layer ``l`` its block core (the resample into the layer and the
+    operator block) and its channel norm.  Each stage's own key names the
+    choice it adds: the stem's is the path, a core's is ``op_l`` (None for
+    the mixture) and a norm's is ``width_l``.  A stage's output depends on
+    its own key and on the keys of every earlier stage.
     """
 
     weights: SupernetWeights
     path_index: int
     operator_assignment: tuple[int, ...] | None
     channel_widths: tuple[int, ...]
-    recursion_depths: tuple[int, ...]
 
     def stage_keys(self) -> list:
         """Each stage's own key, in stage order."""
         ops = self.operator_assignment
         keys: list = [self.path_index]
         for l, width in enumerate(self.channel_widths):
-            keys.append((None if ops is None else ops[l], self.recursion_depths[l]))
+            keys.append(None if ops is None else ops[l])
             keys.append(width)
         return keys
 
@@ -479,14 +452,7 @@ class GeneratorView:
             candidates = range(layer.num_operators)
         else:
             candidates = (self.operator_assignment[l],)
-
-        def block(inp: Tensor) -> Tensor:
-            return mixture_mean([_block_core(self.weights, p, l, m, inp) for m in candidates])
-
-        h = block(h)
-        for _ in range(self.recursion_depths[l] - 1):
-            h = h + block(h)
-        return h
+        return mixture_mean([_block_core(self.weights, p, l, m, h) for m in candidates])
 
 
 def stacked_forward(views: Sequence[GeneratorView], x: Tensor) -> Tensor:
@@ -512,21 +478,14 @@ def stacked_forward(views: Sequence[GeneratorView], x: Tensor) -> Tensor:
 
 
 def subnet_view(weights: SupernetWeights, genome: ArchitectureGenome) -> GeneratorView:
-    """View for one genome: its operators, widths, and recursion depths."""
+    """View for one genome: its operators and widths."""
     spec = weights.spec
     require_valid(spec, genome)
-    path = spec.paths[genome.path_index]
-    widths = tuple(spec.channel_choices[i] for i in genome.channel_assignment)
-    depths = tuple(
-        layer.recursion_choices[i]
-        for layer, i in zip(path.layers, genome.recursion_assignment)
-    )
     return GeneratorView(
         weights=weights,
         path_index=genome.path_index,
         operator_assignment=genome.operator_assignment,
-        channel_widths=widths,
-        recursion_depths=depths,
+        channel_widths=tuple(spec.channel_choices[i] for i in genome.channel_assignment),
     )
 
 
@@ -539,7 +498,6 @@ def mixed_view(weights: SupernetWeights, path_index: int) -> GeneratorView:
         path_index=path_index,
         operator_assignment=None,
         channel_widths=tuple(spec.max_width for _ in path.layers),
-        recursion_depths=tuple(layer.recursion_choices[-1] for layer in path.layers),
     )
 
 

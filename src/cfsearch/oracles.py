@@ -177,21 +177,17 @@ def build_landscape(spec: SupernetSpec, rule: str, seed: int) -> TabularLandscap
         path_util = rng.uniform(0.25, 1.0, size=spec.num_paths)
         op_util = {}
         ch_util = {}
-        rec_util = {}
         for p, path in enumerate(spec.paths):
             for l, layer in enumerate(path.layers):
                 for o in range(layer.num_operators):
                     op_util[(p, l, o)] = rng.uniform(0.25, 1.0)
                 for c in range(spec.num_channel_choices):
                     ch_util[(p, l, c)] = rng.uniform(0.25, 1.0)
-                for r in range(len(layer.recursion_choices)):
-                    rec_util[(p, l, r)] = rng.uniform(0.25, 1.0)
         for g in genomes:
             value = path_util[g.path_index]
             for l in range(len(g.operator_assignment)):
                 value += op_util[(g.path_index, l, g.operator_assignment[l])]
                 value += ch_util[(g.path_index, l, g.channel_assignment[l])]
-                value += rec_util[(g.path_index, l, g.recursion_assignment[l])]
             table[g.to_record()] = float(value)
 
     elif rule == "monotone_plateau":

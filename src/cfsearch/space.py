@@ -2,9 +2,8 @@
 
 A supernet is a small set of candidate generator topologies ("paths"),
 each a fixed-length chain of layers.  Every layer offers M candidate
-operator blocks, a shared ladder of channel widths, and optionally a set
-of recursion depths (how many times the block is applied with shared
-weights).  A genome pins one choice per dimension and therefore names one
+operator blocks and a shared ladder of channel widths.  A genome pins a
+path, one operator and one width per layer, and therefore names one
 concrete sub-network.
 
 Counting note: a layerwise *specialization* is an unordered set of M
@@ -43,13 +42,11 @@ class UnitSpec:
     ``kind`` is "conv" (dense, cross-channel), "dwconv" (channelwise), or
     "residual" (skip addition).  ``src``/``dst`` name the channel widths
     the unit runs between: "in" is the block input width, "out" the block
-    output width, "mid" a bottleneck at ceil(out / 2).  ``groups`` splits
-    a conv into independent channel groups.
+    output width, "mid" a bottleneck at ceil(out / 2).
     """
 
     kind: str
     kernel: int = 1
-    groups: int = 1
     src: str = "in"
     dst: str = "out"
 
@@ -67,8 +64,8 @@ class OperatorKind:
     units: tuple[UnitSpec, ...]
 
 
-def _conv(kernel: int, src: str, dst: str, groups: int = 1) -> UnitSpec:
-    return UnitSpec(kind="conv", kernel=kernel, groups=groups, src=src, dst=dst)
+def _conv(kernel: int, src: str, dst: str) -> UnitSpec:
+    return UnitSpec(kind="conv", kernel=kernel, src=src, dst=dst)
 
 
 OPERATOR_REGISTRY: Mapping[str, OperatorKind] = {
@@ -82,14 +79,6 @@ OPERATOR_REGISTRY: Mapping[str, OperatorKind] = {
         OperatorKind(
             "dws_block",
             (UnitSpec("dwconv", kernel=3, src="in", dst="in"), _conv(1, "in", "out")),
-        ),
-        OperatorKind(
-            "group_res_block",
-            (
-                _conv(3, "in", "out", groups=2),
-                _conv(3, "out", "out", groups=2),
-                UnitSpec("residual", dst="out"),
-            ),
         ),
         OperatorKind(
             "shrink_res_block",
@@ -113,14 +102,9 @@ def operator_kind(name: str) -> OperatorKind:
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One searchable layer: its candidate operators and recursion depths.
-
-    ``recursion_choices`` is an ordered tuple of positive depths; a layer
-    without an explicit set uses (1,), meaning the block runs once.
-    """
+    """One searchable layer: its candidate operators."""
 
     operator_candidates: tuple[OperatorKind, ...]
-    recursion_choices: tuple[int, ...] = (1,)
 
     def __post_init__(self) -> None:
         if not self.operator_candidates:
@@ -128,14 +112,6 @@ class LayerSpec:
         names = [op.name for op in self.operator_candidates]
         if len(set(names)) != len(names):
             raise ConfigError(f"layer operator candidates must be distinct, got {names}")
-        if not self.recursion_choices:
-            raise ConfigError("recursion_choices must not be empty")
-        if any(r < 1 for r in self.recursion_choices):
-            raise ConfigError(f"recursion depths must be >= 1, got {self.recursion_choices}")
-        if list(self.recursion_choices) != sorted(set(self.recursion_choices)):
-            raise ConfigError(
-                f"recursion_choices must be strictly increasing, got {self.recursion_choices}"
-            )
 
     @property
     def num_operators(self) -> int:
@@ -299,61 +275,58 @@ class SupernetSpec:
 
 @dataclass(frozen=True)
 class ArchitectureGenome:
-    """One point of the search space, stored as index tuples.
-
-    ``recursion_assignment`` may be given as None, which normalizes to
-    all-zero indices (depth 1 wherever a layer has no explicit choices).
-    """
+    """One point of the search space, stored as index tuples."""
 
     path_index: int
     operator_assignment: tuple[int, ...]
     channel_assignment: tuple[int, ...]
-    recursion_assignment: tuple[int, ...] = field(default=())
 
-    def __post_init__(self) -> None:
-        if self.recursion_assignment is None or len(self.recursion_assignment) == 0:
-            object.__setattr__(
-                self, "recursion_assignment", tuple(0 for _ in self.operator_assignment)
-            )
+    @property
+    def recursion_assignment(self) -> tuple[int, ...]:
+        """All zeros, one per layer.
+
+        Its only reader is ``perfbench/harness.py`` line 241, in ``RunAll.setup``.
+        """
+        return tuple(0 for _ in self.operator_assignment)
 
     def sort_key(self) -> tuple:
         """Canonical ordering used for every lexicographic tie-break."""
-        return (
-            self.path_index,
-            self.operator_assignment,
-            self.channel_assignment,
-            self.recursion_assignment,
-        )
+        return (self.path_index, self.operator_assignment, self.channel_assignment)
 
     def to_record(self) -> str:
-        """Serialize as ``path:<i>;ops:<i,..>;ch:<i,..>;rec:<i,..>``."""
+        """Serialize as ``path:<i>;ops:<i,..>;ch:<i,..>``."""
         return (
             f"path:{self.path_index}"
             f";ops:{','.join(str(i) for i in self.operator_assignment)}"
             f";ch:{','.join(str(i) for i in self.channel_assignment)}"
-            f";rec:{','.join(str(i) for i in self.recursion_assignment)}"
         )
 
     @staticmethod
     def from_record(record: str) -> "ArchitectureGenome":
-        parts = record.strip().split(";")
+        """Parse ``to_record``'s form; any other, missing or repeated field raises."""
         fields: dict[str, str] = {}
-        for part in parts:
+        for part in record.strip().split(";"):
             if ":" not in part:
                 raise GenomeError(f"malformed genome record segment {part!r}")
             key, value = part.split(":", 1)
+            if key not in _RECORD_FIELDS:
+                raise GenomeError(f"unknown genome record field {key!r} in {record!r}")
+            if key in fields:
+                raise GenomeError(f"repeated genome record field {key!r} in {record!r}")
             fields[key] = value
-        for key in ("path", "ops", "ch", "rec"):
+        for key in _RECORD_FIELDS:
             if key not in fields:
                 raise GenomeError(f"genome record missing {key!r} field: {record!r}")
         try:
             path = int(fields["path"])
             ops = tuple(int(v) for v in fields["ops"].split(",") if v != "")
             ch = tuple(int(v) for v in fields["ch"].split(",") if v != "")
-            rec = tuple(int(v) for v in fields["rec"].split(",") if v != "")
         except ValueError as exc:
             raise GenomeError(f"non-integer value in genome record {record!r}") from exc
-        return ArchitectureGenome(path, ops, ch, rec)
+        return ArchitectureGenome(path, ops, ch)
+
+
+_RECORD_FIELDS = ("path", "ops", "ch")
 
 
 @dataclass(frozen=True)
@@ -369,8 +342,7 @@ def validate_genome(spec: SupernetSpec, genome: ArchitectureGenome) -> Validatio
     """Check a genome against a spec; reports the first violated constraint.
 
     Checks run in a fixed documented order: path index range, assignment
-    lengths, operator index ranges, channel index ranges, recursion index
-    ranges.
+    lengths, operator index ranges, channel index ranges.
     """
     if not 0 <= genome.path_index < spec.num_paths:
         return ValidationResult(
@@ -381,7 +353,6 @@ def validate_genome(spec: SupernetSpec, genome: ArchitectureGenome) -> Validatio
     for name, assignment in (
         ("operator_assignment", genome.operator_assignment),
         ("channel_assignment", genome.channel_assignment),
-        ("recursion_assignment", genome.recursion_assignment),
     ):
         if len(assignment) != length:
             return ValidationResult(
@@ -396,10 +367,6 @@ def validate_genome(spec: SupernetSpec, genome: ArchitectureGenome) -> Validatio
     for l, idx in enumerate(genome.channel_assignment):
         if not 0 <= idx < n:
             return ValidationResult(False, f"channel index {idx} at layer {l} outside [0, {n})")
-    for l, idx in enumerate(genome.recursion_assignment):
-        n = len(layers[l].recursion_choices)
-        if not 0 <= idx < n:
-            return ValidationResult(False, f"recursion index {idx} at layer {l} outside [0, {n})")
     return _VALID
 
 
@@ -507,12 +474,10 @@ def enumerate_genomes(spec: SupernetSpec) -> Iterator[ArchitectureGenome]:
     for p, path in enumerate(spec.paths):
         length = path.num_layers
         op_ranges = [range(layer.num_operators) for layer in path.layers]
-        rec_ranges = [range(len(layer.recursion_choices)) for layer in path.layers]
         ch_range = range(spec.num_channel_choices)
         for ops in itertools.product(*op_ranges):
             for ch in itertools.product(ch_range, repeat=length):
-                for rec in itertools.product(*rec_ranges):
-                    yield ArchitectureGenome(p, ops, ch, rec)
+                yield ArchitectureGenome(p, ops, ch)
 
 
 def genome_space_size(spec: SupernetSpec) -> int:
@@ -521,33 +486,24 @@ def genome_space_size(spec: SupernetSpec) -> int:
         size = 1
         for layer in path.layers:
             size *= layer.num_operators * spec.num_channel_choices
-            size *= len(layer.recursion_choices)
         total += size
     return total
 
 
 def maximal_genome(spec: SupernetSpec, path_index: int) -> ArchitectureGenome:
-    """Widest, deepest genome of a path with operator assignment all-zero."""
-    path = spec.paths[path_index]
-    length = path.num_layers
+    """Widest genome of a path with operator assignment all-zero."""
+    length = spec.paths[path_index].num_layers
     return ArchitectureGenome(
         path_index,
         tuple(0 for _ in range(length)),
         tuple(spec.num_channel_choices - 1 for _ in range(length)),
-        tuple(len(layer.recursion_choices) - 1 for layer in path.layers),
     )
 
 
 def minimal_genome(spec: SupernetSpec, path_index: int) -> ArchitectureGenome:
-    """Narrowest, shallowest genome of a path with operator assignment all-zero."""
-    path = spec.paths[path_index]
-    length = path.num_layers
-    return ArchitectureGenome(
-        path_index,
-        tuple(0 for _ in range(length)),
-        tuple(0 for _ in range(length)),
-        tuple(0 for _ in range(length)),
-    )
+    """Narrowest genome of a path with operator assignment all-zero."""
+    zeros = tuple(0 for _ in range(spec.paths[path_index].num_layers))
+    return ArchitectureGenome(path_index, zeros, zeros)
 
 
 # -- configuration loading ---------------------------------------------------
@@ -578,16 +534,27 @@ def _entries(value, key: str) -> Sequence:
     return value
 
 
-def _section(value, key: str) -> Mapping:
-    """``value`` if it is a mapping, else a ``ConfigError`` naming ``key``."""
+def _section(value, key: str, known: tuple[str, ...]) -> Mapping:
+    """``value`` if it is a mapping of ``known`` keys only, else a ``ConfigError``.
+
+    The error names ``key``, or the unknown key under it.
+    """
     if not isinstance(value, Mapping):
         raise ConfigError(f"{key} must be a mapping, got {value!r}")
+    for name in value:
+        if name not in known:
+            raise ConfigError(f"unknown space key {key + '.' if key else ''}{name}")
     return value
 
 
 def _schedule(raw: Mapping, key: str) -> tuple[Fraction, ...]:
     key = f"{key}.resolution_schedule"
     return tuple(_parse_scale(s, key) for s in _entries(raw["resolution_schedule"], key))
+
+
+_SPACE_KEYS = ("input_channels", "input_sites", "channel_choices", "paths", "discriminators")
+_PATH_KEYS = ("resolution_schedule", "operators", "matched_discriminator")
+_DISCRIMINATOR_KEYS = ("resolution_schedule", "width")
 
 
 def spec_from_dict(cfg: Mapping) -> SupernetSpec:
@@ -601,7 +568,6 @@ def spec_from_dict(cfg: Mapping) -> SupernetSpec:
         paths:
           - resolution_schedule: [1, 1]
             operators: [[conv3x3, res_block], [conv3x3, res_block]]
-            recursion_choices: [[1], [1, 2]]      # optional
             matched_discriminator: 0              # optional
         discriminators:                           # optional; derived 1:1
           - resolution_schedule: [1, 1]
@@ -611,11 +577,13 @@ def spec_from_dict(cfg: Mapping) -> SupernetSpec:
     path is derived with an identical schedule and the matching is the
     identity.  When discriminators are given but a path has no explicit
     ``matched_discriminator``, the path is matched to the lowest-index
-    discriminator with an equal resolution schedule.  A malformed value
-    raises ``ConfigError`` naming its key, such as ``paths[0].operators``.
+    discriminator with an equal resolution schedule.  A malformed value or
+    an unknown key raises ``ConfigError`` naming it, such as
+    ``paths[0].operators``.
     """
     if not isinstance(cfg, Mapping):
         raise ConfigError("spec section must be a mapping")
+    _section(cfg, "", _SPACE_KEYS)
     for key in ("paths", "channel_choices"):
         if key not in cfg:
             raise ConfigError(f"spec section missing required key {key!r}")
@@ -623,32 +591,19 @@ def spec_from_dict(cfg: Mapping) -> SupernetSpec:
     parsed_paths = []
     for p, raw_path in enumerate(_entries(cfg["paths"], "paths")):
         where = f"paths[{p}]"
-        _section(raw_path, where)
+        _section(raw_path, where, _PATH_KEYS)
         if "operators" not in raw_path or "resolution_schedule" not in raw_path:
             raise ConfigError(
                 f"path {p} needs 'operators' and 'resolution_schedule' entries"
             )
         op_rows = _entries(raw_path["operators"], f"{where}.operators")
         schedule = _schedule(raw_path, where)
-        rec_rows = raw_path.get("recursion_choices")
-        if rec_rows is not None:
-            if len(_entries(rec_rows, f"{where}.recursion_choices")) != len(op_rows):
-                raise ConfigError(
-                    f"{where}.recursion_choices has {len(rec_rows)} rows "
-                    f"for {len(op_rows)} layers"
-                )
         layers = []
         for l, row in enumerate(op_rows):
             names = _entries(row, f"{where}.operators[{l}]")
             if not all(isinstance(name, str) for name in names):
                 raise ConfigError(f"{where}.operators[{l}] must name operators, got {row!r}")
-            kinds = tuple(operator_kind(name) for name in names)
-            if rec_rows is not None:
-                key = f"{where}.recursion_choices[{l}]"
-                rec = tuple(config_number(r, int, key) for r in _entries(rec_rows[l], key))
-            else:
-                rec = (1,)
-            layers.append(LayerSpec(kinds, rec))
+            layers.append(LayerSpec(tuple(operator_kind(name) for name in names)))
         matched = raw_path.get("matched_discriminator")
         if matched is not None:
             matched = config_number(matched, int, f"{where}.matched_discriminator")
@@ -666,7 +621,7 @@ def spec_from_dict(cfg: Mapping) -> SupernetSpec:
         discriminators = []
         for d, raw_disc in enumerate(_entries(raw_discs, "discriminators")):
             where = f"discriminators[{d}]"
-            if "resolution_schedule" not in _section(raw_disc, where):
+            if "resolution_schedule" not in _section(raw_disc, where, _DISCRIMINATOR_KEYS):
                 raise ConfigError(f"{where} needs a 'resolution_schedule' entry")
             discriminators.append(
                 DiscriminatorSpec(

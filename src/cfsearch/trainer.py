@@ -117,15 +117,7 @@ def make_translation_dataset(
         [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
     )
     y = 0.8 * x @ rotation.T + np.array([0.3, -0.2])
-    x = x[:, :, None]
-    y = y[:, :, None]
-    n_val = max(2, int(round(samples * val_fraction)))
-    n_train = samples - n_val
-    if n_train < 2:
-        raise ConfigError("translation dataset too small for the requested split")
-    return ToyDataset(
-        TASK_TRANSLATION, x[:n_train], y[:n_train], x[n_train:], y[n_train:]
-    )
+    return _split(TASK_TRANSLATION, x[:, :, None], y[:, :, None], val_fraction)
 
 
 def make_super_resolution_dataset(
@@ -143,14 +135,20 @@ def make_super_resolution_dataset(
     peak = np.maximum(1.0, np.abs(y).max(axis=1, keepdims=True))
     y = y / peak
     y = y[:, None, :]
-    x = y[:, :, ::4]
+    return _split(TASK_SUPER_RESOLUTION, y[:, :, ::4], y, val_fraction)
+
+
+def _split(task: str, x: np.ndarray, y: np.ndarray, val_fraction: float) -> ToyDataset:
+    """The pairs split in order: the last ``val_fraction`` of them, at least 2, validate."""
+    samples = len(x)
     n_val = max(2, int(round(samples * val_fraction)))
     n_train = samples - n_val
     if n_train < 2:
-        raise ConfigError("super-resolution dataset too small for the requested split")
-    return ToyDataset(
-        TASK_SUPER_RESOLUTION, x[:n_train], y[:n_train], x[n_train:], y[n_train:]
-    )
+        raise ConfigError(
+            f"dataset.samples {samples} at dataset.val_fraction {val_fraction} "
+            f"leaves {n_train} training samples; at least 2 are needed"
+        )
+    return ToyDataset(task, x[:n_train], y[:n_train], x[n_train:], y[n_train:])
 
 
 def make_dataset(task: str, samples: int, val_fraction: float, seed: int) -> ToyDataset:

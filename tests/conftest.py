@@ -14,7 +14,6 @@ def tiny_spec_dict(
     n_layers: int = 2,
     n_operators: int = 2,
     channels: tuple[int, ...] = (2, 3),
-    recursions: tuple[int, ...] = (1,),
     input_sites: int = 4,
     input_channels: int = 1,
 ) -> dict:
@@ -27,7 +26,6 @@ def tiny_spec_dict(
             {
                 "resolution_schedule": [1] * n_layers,
                 "operators": [list(ops) for _ in range(n_layers)],
-                "recursion_choices": [list(recursions) for _ in range(n_layers)],
             }
             for _ in range(n_paths)
         ],
@@ -39,14 +37,11 @@ def build_spec(
     n_layers: int = 2,
     n_operators: int = 2,
     channels: tuple[int, ...] = (2, 3),
-    recursions: tuple[int, ...] = (1,),
     input_sites: int = 4,
     input_channels: int = 1,
 ) -> SupernetSpec:
     return spec_from_dict(
-        tiny_spec_dict(
-            n_paths, n_layers, n_operators, channels, recursions, input_sites, input_channels
-        )
+        tiny_spec_dict(n_paths, n_layers, n_operators, channels, input_sites, input_channels)
     )
 
 
@@ -55,8 +50,8 @@ def super_resolution_spec() -> SupernetSpec:
     return load_spec(str(SUPER_RESOLUTION_YAML))
 
 
-def recursion_spec_dict() -> dict:
-    """Two paths with recursion choices, ``group_res_block``, and down- and upsampling."""
+def resampling_spec_dict() -> dict:
+    """Two paths of residual and depthwise blocks, with down- and upsampling."""
     return {
         "input_channels": 1,
         "input_sites": 4,
@@ -64,13 +59,11 @@ def recursion_spec_dict() -> dict:
         "paths": [
             {
                 "resolution_schedule": [1, "1/2", 1],
-                "operators": [["group_res_block", "shrink_res_block"]] * 3,
-                "recursion_choices": [[1, 2], [1], [1, 3]],
+                "operators": [["res_block", "shrink_res_block"]] * 3,
             },
             {
                 "resolution_schedule": [4, 1],
-                "operators": [["dws_block", "group_res_block"]] * 2,
-                "recursion_choices": [[2, 3]] * 2,
+                "operators": [["dws_block", "context_res_block"]] * 2,
             },
         ],
     }

@@ -130,6 +130,8 @@ def test_evolution_seed_key_exits_2(tmp_path, capsys):
         ("search", "foo", 1),
         ("train", "foo", 1),
         (None, "train.epochs", 2),
+        ("dataset", "samples", 3),
+        ("dataset", "samples", 1000000000000000),
     ],
 )
 def test_malformed_config_value_exits_2_before_pretraining(
@@ -459,8 +461,18 @@ def set_space_value(space, where, value):
         (("input_sites",), "abc", "input_sites"),
         (("paths", 0, "recursion_choices"), [["x"]], "recursion_choices"),
         (("discriminators",), [5], "discriminators"),
+        (("foo",), 3, "space key foo"),
+        (("paths", 0, "bogus"), 1, "paths[0].bogus"),
+        (
+            ("discriminators",),
+            [{"resolution_schedule": [1, 1], "foo": 1}],
+            "discriminators[0].foo",
+        ),
     ],
-    ids=["path-entry", "operators", "channel_choices", "input_sites", "recursion", "discriminator"],
+    ids=[
+        "path-entry", "operators", "channel_choices", "input_sites", "recursion", "discriminator",
+        "space-foo", "path-bogus", "discriminator-foo",
+    ],
 )
 def test_malformed_space_value_exits_2_naming_the_key(tmp_path, capsys, where, value, key):
     overlay = json.loads(json.dumps(FAST_OVERLAY))

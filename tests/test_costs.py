@@ -20,7 +20,7 @@ from cfsearch.space import (
     spec_from_dict,
 )
 
-from conftest import build_spec, recursion_spec_dict, super_resolution_spec
+from conftest import build_spec, resampling_spec_dict, super_resolution_spec
 
 
 def test_conv_unit_frozen_example():
@@ -45,16 +45,6 @@ def test_depthwise_and_residual_units():
     assert flops == 8 * 10
 
 
-def test_grouped_conv_divides_fan_in():
-    grouped = UnitSpec("conv", kernel=3, src="in", dst="out", groups=2)
-    params, flops = unit_cost(grouped, c_in=4, c_out=8, sites=5, include_affine=False)
-    assert params == 2 * 8 * 9
-    assert flops == 2 * 2 * 8 * 9 * 5
-    # Odd fan-in rounds up rather than dropping channels.
-    params_odd, _ = unit_cost(grouped, c_in=5, c_out=8, sites=5, include_affine=False)
-    assert params_odd == 3 * 8 * 9
-
-
 def test_doubling_widths_quadruples_conv_flops():
     op = operator_kind("conv3x3")
     _, base = operator_cost(op, 4, 8, sites=16, include_affine=False)
@@ -62,17 +52,9 @@ def test_doubling_widths_quadruples_conv_flops():
     assert wide == 4 * base
 
 
-def test_recursion_scales_flops_not_params():
-    op = operator_kind("res_block")
-    p1, f1 = operator_cost(op, 4, 4, sites=8, recursion=1, include_affine=False)
-    p3, f3 = operator_cost(op, 4, 4, sites=8, recursion=3, include_affine=False)
-    assert p3 == p1
-    assert f3 == 3 * f1
-
-
 def test_genome_cost_rows_sum_to_totals():
     spec = build_spec(n_paths=2, n_layers=3, n_operators=2, channels=(2, 3, 4))
-    genome = ArchitectureGenome(1, (0, 1, 0), (2, 0, 1), (0, 0, 0))
+    genome = ArchitectureGenome(1, (0, 1, 0), (2, 0, 1))
     report = genome_cost(spec, genome)
     assert sum(row.params for row in report.per_layer) == report.params
     assert sum(row.flops for row in report.per_layer) == report.flops
@@ -128,9 +110,8 @@ def table_free_cost(spec, genome, include_affine):
     for l, layer in enumerate(path.layers):
         width = spec.channel_choices[genome.channel_assignment[l]]
         op = layer.operator_candidates[genome.operator_assignment[l]]
-        depth = layer.recursion_choices[genome.recursion_assignment[l]]
         sites = int(path.resolution_schedule[l] * spec.input_sites)
-        params, flops = operator_cost(op, prev_width, width, sites, depth, include_affine)
+        params, flops = operator_cost(op, prev_width, width, sites, include_affine)
         if include_affine:
             params += width
         rows.append(LayerCost(layer=l, params=params, flops=flops))
@@ -143,7 +124,7 @@ def table_free_cost(spec, genome, include_affine):
 COST_SPECS = {
     "default": default_toy_spec,
     "super_resolution": super_resolution_spec,
-    "recursion": lambda: spec_from_dict(recursion_spec_dict()),
+    "resampling": lambda: spec_from_dict(resampling_spec_dict()),
 }
 
 
@@ -160,7 +141,7 @@ def test_cost_rows_equal_a_table_free_computation_for_every_genome(name):
     rows = spec.cost_rows
     assert 0 < len(rows) < len(genomes)
     for key, row in rows.items():
-        assert len(key) == 7 and all(type(v) in (int, bool) for v in key)
+        assert len(key) == 6 and all(type(v) in (int, bool) for v in key)
         assert row.layer == key[1]
     # A second spec built from the same description starts with its own table.
     assert COST_SPECS[name]() == spec and not COST_SPECS[name]().cost_rows

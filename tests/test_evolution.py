@@ -161,45 +161,22 @@ def test_random_mutation_is_uniform():
         assert abs(counts[c] / draws - 1 / 3) < 3 * sigma
 
 
-def test_mutation_redraws_recursion_on_the_mutated_layer():
-    spec = build_spec(n_paths=1, n_layers=2, n_operators=1, channels=(2, 3), recursions=(1, 2))
-    table = normalize_rg(RGTable(rg=np.zeros((2, 2))), epsilon=1e-8)
-    parent = ArchitectureGenome(0, (0, 0), (0, 0), (0, 0))
-    rng = np.random.default_rng(2)
-    seen_depth_change = False
-    for _ in range(200):
-        child = mutate_directional(parent, table, spec, rng)
-        for l in range(2):
-            if child.recursion_assignment[l] != parent.recursion_assignment[l]:
-                seen_depth_change = True
-                # Depth changes ride along with the mutated layer only, and a
-                # depth-only change still counts as mutating that layer.
-                others = [o for o in range(2) if o != l]
-                for o in others:
-                    assert child.channel_assignment[o] == parent.channel_assignment[o]
-                    assert child.recursion_assignment[o] == parent.recursion_assignment[o]
-    assert seen_depth_change
-
-
 def test_crossover_identical_parents_is_identity():
-    parent = ArchitectureGenome(0, (0, 1), (2, 0), (0, 0))
+    parent = ArchitectureGenome(0, (0, 1), (2, 0))
     child = crossover(parent, parent, np.random.default_rng(3))
     assert child == parent
 
 
 def test_crossover_mixes_whole_layer_pairs():
-    a = ArchitectureGenome(0, (0, 0), (0, 0), (0, 0))
-    b = ArchitectureGenome(0, (0, 0), (1, 1), (1, 1))
+    a = ArchitectureGenome(0, (0, 0), (0, 0))
+    b = ArchitectureGenome(0, (0, 0), (1, 1))
     rng = np.random.default_rng(4)
     took_from_a = 0
     draws = 10_000
     for _ in range(draws):
         child = crossover(a, b, rng)
-        for l in range(2):
-            pair = (child.channel_assignment[l], child.recursion_assignment[l])
-            assert pair in {(0, 0), (1, 1)}  # never a split pair
-            if pair == (0, 0):
-                took_from_a += 1
+        assert set(child.channel_assignment) <= {0, 1}
+        took_from_a += child.channel_assignment.count(0)
     frac = took_from_a / (2 * draws)
     sigma = np.sqrt(0.25 / (2 * draws))
     assert abs(frac - 0.5) < 3 * sigma

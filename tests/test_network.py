@@ -11,7 +11,6 @@ from cfsearch.network import (
     CHECKPOINT_MAGIC,
     DiscriminatorView,
     SupernetWeights,
-    _group_mask,
     mixed_view,
     subnet_view,
 )
@@ -116,16 +115,6 @@ def test_sgd_step_gamma_opt_in():
     assert np.allclose(gamma.data, 0.4)
 
 
-def test_group_mask_is_block_diagonal():
-    mask = _group_mask(4, 4, 2)
-    assert mask.shape == (4, 4, 1)
-    expected = np.zeros((4, 4))
-    expected[:2, :2] = 1
-    expected[2:, 2:] = 1
-    assert np.array_equal(mask[:, :, 0], expected)
-    assert np.array_equal(_group_mask(4, 4, 1), np.ones((4, 4, 1)))
-
-
 def test_subnet_forward_shapes_and_determinism():
     spec, weights = small_weights()
     genome = ArchitectureGenome(0, (0, 1), (0, 1))
@@ -164,14 +153,6 @@ def test_mixture_averages_single_operator_outputs():
     mixture = mixed_view(weights, 0)(x)
     single = subnet_view(weights, maximal_genome(spec, 0))(x)
     assert np.array_equal(mixture.data, single.data)
-
-
-def test_recursion_depth_changes_output():
-    spec, weights = small_weights(recursions=(1, 2))
-    x = Tensor(np.random.default_rng(3).normal(size=(4, 1, 4)))
-    shallow = subnet_view(weights, ArchitectureGenome(0, (0, 0), (1, 1), (0, 0)))(x)
-    deep = subnet_view(weights, ArchitectureGenome(0, (0, 0), (1, 1), (1, 1)))(x)
-    assert not np.allclose(shallow.data, deep.data)
 
 
 def test_discriminator_scores_shape():
@@ -233,18 +214,10 @@ def test_mixture_of_two_residual_blocks_has_exact_gradients():
     assert_view_grads_match(weights, mixed_view(weights, 0), names, 12)
 
 
-def test_recursed_res_block_has_exact_gradients():
-    spec, weights = small_weights(seed=13, n_layers=1, recursions=(1, 2))
-    genome = ArchitectureGenome(0, (1,), (1,), (1,))
-    assert subnet_view(weights, genome).recursion_depths == (2,)
-    names = ["g/p0/stem/w", "g/p0/l0/gamma", "g/p0/l0/op1/u0/w", "g/p0/l0/op1/u1/w"]
-    assert_view_grads_match(weights, subnet_view(weights, genome), names, 14)
-
-
 @pytest.fixture(scope="module")
 def real_checkpoint(tmp_path_factory):
     """(spec, checkpoint bytes, header length, a file to write candidates to)."""
-    spec = build_spec(recursions=(1, 2))
+    spec = build_spec()
     weights = SupernetWeights.create(spec, seed=0)
     root = tmp_path_factory.mktemp("checkpoint")
     weights.save(str(root / "real.bin"))

@@ -36,7 +36,7 @@ from cfsearch.trainer import (
     pretrain_supernet,
 )
 
-from conftest import build_spec, recursion_spec_dict
+from conftest import build_spec, resampling_spec_dict
 
 
 def landscape_spec():
@@ -72,7 +72,6 @@ def test_separable_optimum_composes_dimension_argmaxes():
                 g.path_index,
                 g.operator_assignment,
                 tuple(c if i == l else v for i, v in enumerate(g.channel_assignment)),
-                g.recursion_assignment,
             )
             assert scape.fitness(probe) <= best.fitness
 
@@ -207,7 +206,7 @@ def test_infeasible_constraints_name_the_culprit():
         joint_search_baseline(oracle, flops_limit=1)
     # Path 1 holds the fewest params and path 0 the fewest flops, so each
     # limit alone is met and only their combination is not.
-    spec = spec_from_dict(recursion_spec_dict())
+    spec = spec_from_dict(resampling_spec_dict())
     oracle = TabularOracle(build_landscape(spec, "random_seeded", seed=2))
     with pytest.raises(InfeasibleError, match="joint constraint"):
         joint_search_baseline(oracle, params_limit=57, flops_limit=741)
@@ -268,8 +267,7 @@ def trail_case(task):
     """A small supernet with spread scale factors, and a dataset for ``task``."""
     if task == TASK_TRANSLATION:
         spec = build_spec(
-            n_paths=2, n_layers=2, channels=(2, 3), recursions=(1, 2),
-            input_sites=1, input_channels=2,
+            n_paths=2, n_layers=2, channels=(2, 3), input_sites=1, input_channels=2
         )
     else:  # resamples into each layer: 4 sites in, 8 after layer 0, 16 out
         spec = spec_from_dict(
@@ -281,7 +279,6 @@ def trail_case(task):
                     {
                         "resolution_schedule": [2, 4],
                         "operators": [["conv3x3", "dws_block"]] * 2,
-                        "recursion_choices": [[1, 2]] * 2,
                     }
                 ],
             }
@@ -412,11 +409,10 @@ class ConstantOracle(oracles.FitnessOracle):
 def test_equal_genomes_built_separately_share_one_cache_entry():
     spec = landscape_spec()
     oracle = TabularOracle(build_landscape(spec, "random_seeded", seed=1))
-    first = ArchitectureGenome(0, (0, 1), (1, 2), ())
+    first = ArchitectureGenome(0, (0, 1), (1, 2))
     other = ArchitectureGenome(1, (1, 1), (0, 2))
     same = [
         ArchitectureGenome(0, (0, 1), (1, 2)),
-        ArchitectureGenome(0, (0, 1), (1, 2), (0, 0)),
         ArchitectureGenome.from_record(first.to_record()),
         replace(maximal_genome(spec, 0), operator_assignment=(0, 1), channel_assignment=(1, 2)),
     ]
@@ -451,6 +447,6 @@ def test_oracle_formats_a_record_only_to_report_a_non_finite_fitness(monkeypatch
 
     oracle.value = float("nan")
     with pytest.raises(InvariantError, match=message):
-        oracle.evaluate(replace(poisoned, recursion_assignment=(0, 0)))
+        oracle.evaluate(replace(poisoned))
     assert formatted == [poisoned]
     assert not oracle.cached(poisoned)

@@ -23,7 +23,7 @@ from cfsearch.space import (
 )
 from cfsearch.configs import default_toy_spec
 
-from conftest import build_spec, recursion_spec_dict, super_resolution_spec
+from conftest import build_spec, resampling_spec_dict, super_resolution_spec
 
 import numpy as np
 
@@ -115,16 +115,9 @@ def test_sampled_specializations_deterministic_and_capped():
 
 
 def test_genome_record_round_trip():
-    g = ArchitectureGenome(2, (1, 0, 1), (3, 2, 0), (0, 1, 0))
-    assert g.to_record() == "path:2;ops:1,0,1;ch:3,2,0;rec:0,1,0"
+    g = ArchitectureGenome(2, (1, 0, 1), (3, 2, 0))
+    assert g.to_record() == "path:2;ops:1,0,1;ch:3,2,0"
     assert ArchitectureGenome.from_record(g.to_record()) == g
-
-
-def test_genome_defaults_recursion_to_zero():
-    g = ArchitectureGenome(0, (1, 1), (0, 2))
-    assert g.recursion_assignment == (0, 0)
-    h = ArchitectureGenome(0, (1, 1), (0, 2), None)
-    assert h == g
 
 
 @pytest.mark.parametrize(
@@ -133,10 +126,15 @@ def test_genome_defaults_recursion_to_zero():
         "",
         "path:0",
         "path:0;ops:1,0",
-        "path:0;ops:1;ch:0",
         "path:x;ops:0;ch:0;rec:0",
         "path:0;ops:a,b;ch:0;rec:0",
         "nonsense",
+        "path:x;ops:0;ch:0",
+        "path:0;ops:a,b;ch:0",
+        "path:0;ops:1;ch:0;rec:0",
+        "path:0;ops:1;ch:0;foo:9",
+        "path:0;path:1;ops:1;ch:0",
+        "path:0;ops:1;ch:0;ch:1",
     ],
 )
 def test_malformed_records_raise(bad):
@@ -144,19 +142,30 @@ def test_malformed_records_raise(bad):
         ArchitectureGenome.from_record(bad)
 
 
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        ("path:0;ops:1;ch:0;rec:0", "unknown genome record field 'rec'"),
+        ("path:0;ops:1;ch:0;foo:9", "unknown genome record field 'foo'"),
+        ("path:0;path:1;ops:1;ch:0", "repeated genome record field 'path'"),
+    ],
+)
+def test_unknown_or_repeated_record_field_is_named(record, field):
+    with pytest.raises(GenomeError, match=field):
+        ArchitectureGenome.from_record(record)
+
+
 def test_validation_reports_first_violation_in_order():
     spec = build_spec(n_paths=2, n_layers=2, n_operators=2, channels=(2, 3))
-    out_of_range = ArchitectureGenome(5, (0, 0), (0, 0), (0, 0))
+    out_of_range = ArchitectureGenome(5, (0, 0), (0, 0))
     assert "path_index" in validate_genome(spec, out_of_range).reason
-    short = ArchitectureGenome(0, (0,), (0, 0), (0, 0))
+    short = ArchitectureGenome(0, (0,), (0, 0))
     assert "operator_assignment length" in validate_genome(spec, short).reason
-    bad_op = ArchitectureGenome(0, (0, 7), (0, 0), (0, 0))
+    bad_op = ArchitectureGenome(0, (0, 7), (0, 0))
     assert "operator index 7" in validate_genome(spec, bad_op).reason
-    bad_ch = ArchitectureGenome(0, (0, 0), (0, 9), (0, 0))
+    bad_ch = ArchitectureGenome(0, (0, 0), (0, 9))
     assert "channel index 9" in validate_genome(spec, bad_ch).reason
-    bad_rec = ArchitectureGenome(0, (0, 0), (0, 0), (0, 3))
-    assert "recursion index 3" in validate_genome(spec, bad_rec).reason
-    ok = ArchitectureGenome(0, (0, 0), (0, 0), (0, 0))
+    ok = ArchitectureGenome(0, (0, 0), (0, 0))
     verdict = validate_genome(spec, ok)
     assert verdict.ok and verdict.reason is None
 
@@ -169,7 +178,7 @@ def test_require_valid_raises_genome_error():
 
 
 def test_enumeration_is_complete_sorted_and_distinct():
-    spec = build_spec(n_paths=2, n_layers=2, n_operators=2, channels=(2, 3), recursions=(1, 2))
+    spec = build_spec(n_paths=2, n_layers=2, n_operators=2, channels=(2, 3))
     genomes = list(enumerate_genomes(spec))
     assert len(genomes) == genome_space_size(spec)
     keys = [g.sort_key() for g in genomes]
@@ -180,9 +189,9 @@ def test_enumeration_is_complete_sorted_and_distinct():
 
 
 def test_space_size_manual_product():
-    # Per path: M^L operator tuples, K^L channel tuples, R^L recursion tuples.
-    spec = build_spec(n_paths=2, n_layers=2, n_operators=2, channels=(2, 3), recursions=(1, 2))
-    per_path = (2**2) * (2**2) * (2**2)
+    # Per path: M^L operator tuples times K^L channel tuples.
+    spec = build_spec(n_paths=2, n_layers=2, n_operators=2, channels=(2, 3))
+    per_path = (2**2) * (2**2)
     assert genome_space_size(spec) == 2 * per_path
 
 
@@ -207,10 +216,9 @@ def test_extreme_genomes_are_valid():
     path=st.integers(0, 4),
     ops=st.lists(st.integers(0, 9), min_size=1, max_size=6),
     ch=st.lists(st.integers(0, 9), min_size=1, max_size=6),
-    rec=st.lists(st.integers(0, 9), min_size=1, max_size=6),
 )
-def test_record_round_trip_property(path, ops, ch, rec):
-    g = ArchitectureGenome(path, tuple(ops), tuple(ch), tuple(rec))
+def test_record_round_trip_property(path, ops, ch):
+    g = ArchitectureGenome(path, tuple(ops), tuple(ch))
     assert ArchitectureGenome.from_record(g.to_record()) == g
 
 
@@ -241,7 +249,7 @@ def test_genome_record_parser_raises_only_package_errors(record):
 GEOMETRY_SPECS = {
     "default": default_toy_spec,
     "super_resolution": super_resolution_spec,
-    "resampling": lambda: spec_from_dict(recursion_spec_dict()),
+    "resampling": lambda: spec_from_dict(resampling_spec_dict()),
 }
 
 
@@ -273,7 +281,7 @@ def test_derived_fields_leave_spec_equality_alone():
     "scale", ["3/0", float("inf"), float("nan"), "1e999999999", True, None, [1], "x", 0, "-2"]
 )
 def test_bad_resolution_scale_is_a_config_error_naming_the_key(scale):
-    cfg = recursion_spec_dict()
+    cfg = resampling_spec_dict()
     cfg["paths"][1]["resolution_schedule"] = [scale, 1]
     with pytest.raises(ConfigError, match=r"paths\[1\]\.resolution_schedule: "):
         spec_from_dict(cfg)
@@ -327,7 +335,7 @@ def test_spec_parser_raises_only_package_errors(cfg):
 
 @given(st.data())
 def test_spec_parser_raises_only_package_errors_for_one_value_replaced(data):
-    cfg = json.loads(json.dumps(recursion_spec_dict()))
+    cfg = json.loads(json.dumps(resampling_spec_dict()))
     cfg["paths"][0]["matched_discriminator"] = 0
     cfg["discriminators"] = [
         {"resolution_schedule": [1, "1/2", 1], "width": 4},

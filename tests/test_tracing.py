@@ -4,13 +4,17 @@
 ``network.conv1d`` with wrappers that call ``conv_name(*args)`` on the
 positional arguments only.  A renamed layer op, or a bias passed
 positionally, would leave its per-layer metrics silently at zero.  A joint
-sweep must still show one generator forward per genome.
+sweep must still show one generator forward per genome.  The benchmark's
+set-up of each workload must still run without a failed check, so that an
+API it uses cannot vanish unnoticed.
 """
 
 import importlib.util
 import inspect
 from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from cfsearch import cli, engine, network, pipeline, trainer
 from cfsearch.network import SupernetWeights
@@ -19,7 +23,8 @@ from cfsearch.space import enumerate_genomes, maximal_genome
 
 from conftest import build_spec
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def load_tracing():
@@ -27,6 +32,15 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("name", ["translation", "super_resolution", "search"])
+def test_benchmark_set_up_runs_without_a_failed_check(name, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_harness", PERFBENCH / "harness.py")
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    assert harness.setup_in_child(name, str(tmp_path))["failures"] == []
 
 
 def test_benchmark_tracer_counts_the_layer_ops_and_restores_them():
@@ -84,7 +98,7 @@ def test_benchmark_tracer_times_the_losses_and_backward_of_pretraining():
 
 
 def test_benchmark_tracer_sees_one_forward_per_genome_of_a_joint_sweep():
-    spec = build_spec(n_layers=2, recursions=(1, 2), input_sites=1, input_channels=2)
+    spec = build_spec(n_layers=2, input_sites=1, input_channels=2)
     dataset = trainer.make_dataset(trainer.TASK_TRANSLATION, samples=16, val_fraction=0.5, seed=1)
     weights = SupernetWeights.create(spec, seed=0)
     genomes = list(enumerate_genomes(spec))

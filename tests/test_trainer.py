@@ -83,6 +83,12 @@ def test_dataset_determinism_and_unknown_task():
         make_translation_dataset(samples=3, val_fraction=0.5, seed=0)
 
 
+@pytest.mark.parametrize("task", [TASK_TRANSLATION, TASK_SUPER_RESOLUTION])
+def test_a_split_without_two_training_samples_names_both_dataset_keys(task):
+    with pytest.raises(ConfigError, match=r"dataset\.samples 4 at dataset\.val_fraction 0\.9 "):
+        make_dataset(task, 4, 0.9, seed=0)
+
+
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(epochs=0)
@@ -406,7 +412,7 @@ def test_a_non_finite_loss_leaves_every_tensor_trainable_without_gradients(monke
 
 
 def resampling_spec():
-    """Residual and depthwise blocks, recursed, with 4 sites in, 8 after layer 0, 16 out."""
+    """Residual and depthwise blocks, with 4 sites in, 8 after layer 0, 16 out."""
     return spec_from_dict(
         {
             "input_channels": 1,
@@ -416,7 +422,6 @@ def resampling_spec():
                 {
                     "resolution_schedule": [2, 4],
                     "operators": [["res_block", "dws_block"]] * 2,
-                    "recursion_choices": [[1, 2]] * 2,
                 }
             ],
         }
