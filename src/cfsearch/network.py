@@ -180,9 +180,9 @@ class SupernetWeights:
                 tensor.requires_grad = True
                 tensor.grad = None
 
-    def sgd_step(self, prefix: str, lr: float, include_gamma: bool = False) -> None:
-        """Descend each gradient under ``prefix`` by ``lr`` and clear it."""
-        for _, tensor in self.named(prefix, include_gamma=include_gamma):
+    def sgd_step(self, prefix: str, lr: float) -> None:
+        """Descend each gradient under ``prefix`` by ``lr`` and clear it; skip tensors with none."""
+        for _, tensor in self.named(prefix):
             if tensor.grad is None:
                 continue
             tensor.data -= lr * tensor.grad

@@ -233,7 +233,7 @@ class TabularOracle(FitnessOracle):
 
     The path-level score mirrors what full-supernet inference measures
     on a trained supernet: the mean fitness over all operator
-    assignments of the path at maximal channels and depth.
+    assignments of the path at maximal channels.
     """
 
     def __init__(self, landscape: TabularLandscape):

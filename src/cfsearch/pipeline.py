@@ -3,7 +3,7 @@
 Search proceeds in three narrowing stages on one shared fitness oracle:
 pick the best path by whole-path inference, pick the best operator
 assignment on that path by enumerating specializations at full width,
-then shrink channels and depths evolutionarily.  Each stage fixes its
+then shrink channels evolutionarily.  Each stage fixes its
 decision before the next begins, which turns the product-sized joint
 space into a sum of three small stages; the trace records every score
 so the cost claim is checkable by counting.
@@ -17,13 +17,13 @@ of the cost comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, InfeasibleError
-from .evolution import EvoConfig, GenerationRow, ShrinkResult, shrink_channels
-from .oracles import FitnessOracle, GanOracle
+from .evolution import EvoConfig, ShrinkResult, shrink_channels
+from .oracles import FitnessOracle, GanOracle, _require_finite
 from .space import (
     DEFAULT_ENUMERATION_CAP,
     ArchitectureGenome,
@@ -70,9 +70,10 @@ class SearchTrace:
     specialization (M * N_o, even when members repeat across
     specializations), and the channel stage one per unique genome the
     evolutionary budget paid for.  Each stage's record list has exactly
-    that many rows.  ``g_optr`` is the operator stage's choice at full
-    width and ``g_channel`` the searched genome; ``run_search`` fills
-    every field before it returns the trace.
+    that many rows, so the counts are the lists' lengths.  ``g_optr`` is
+    the operator stage's choice at full width and ``g_channel`` the
+    searched genome; ``run_search`` fills every field before it returns
+    the trace.
     """
 
     path_records: tuple[StageRecord, ...] = ()
@@ -81,8 +82,14 @@ class SearchTrace:
     chosen_path: int | None = None
     g_optr: str | None = None
     g_channel: str | None = None
-    oracle_calls: dict[str, int] = field(default_factory=dict)
-    evolution_history: tuple[GenerationRow, ...] = ()
+
+    @property
+    def oracle_calls(self) -> dict[str, int]:
+        return {
+            STAGE_PATH: len(self.path_records),
+            STAGE_OPERATOR: len(self.operator_records),
+            STAGE_CHANNEL: len(self.channel_records),
+        }
 
     @property
     def total_oracle_calls(self) -> int:
@@ -173,13 +180,11 @@ def run_search(
     chosen_path, path_records = search_path(oracle)
     trace.path_records = tuple(path_records)
     trace.chosen_path = chosen_path
-    trace.oracle_calls[STAGE_PATH] = len(path_records)
 
     best_ops, op_records = search_operators(oracle, chosen_path)
     g_optr = replace(maximal_genome(oracle.spec, chosen_path), operator_assignment=best_ops)
     trace.operator_records = tuple(op_records)
     trace.g_optr = g_optr.to_record()
-    trace.oracle_calls[STAGE_OPERATOR] = len(op_records)
 
     known_before = oracle.genome_evaluations
     shrink = shrink_channels(g_optr, oracle, evo_cfg, rng)
@@ -194,8 +199,6 @@ def run_search(
         for record, result in new_entries
     )
     trace.g_channel = shrink.best_genome.to_record()
-    trace.oracle_calls[STAGE_CHANNEL] = len(new_entries)
-    trace.evolution_history = shrink.history
     return shrink.best_genome, trace, shrink
 
 
@@ -236,8 +239,9 @@ def run_pipeline(config: dict) -> PipelineResult:
 
     All randomness fans out from ``config['seed']`` through per-phase
     child seeds, so two runs with the same config agree bit for bit.
-    Fine-tuning happens on a clone with the sparsity weight zeroed; the
-    pretrained supernet survives unmodified for later inspection.
+    Fine-tuning happens on a clone, with no sparsity term; the pretrained
+    supernet survives unmodified for later inspection.  A non-finite
+    fine-tuned fitness raises ``InvariantError`` naming the genome.
     """
     seed = int(config["seed"])
     spec, dataset, train_cfg = prepare(config)
@@ -259,7 +263,9 @@ def run_pipeline(config: dict) -> PipelineResult:
         config["search"]["finetune_epochs"],
         child_seed(seed, "finetune"),
     )
-    final_fitness = evaluate_genome(finetuned, genome, dataset)
+    final_fitness = _require_finite(
+        evaluate_genome(finetuned, genome, dataset), f"fine-tuned genome {genome.to_record()}"
+    )
     return PipelineResult(
         config=config,
         spec=spec,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from typing import Sequence
 
@@ -62,17 +62,7 @@ class RunManifest:
     artifacts: dict
 
     def to_json(self) -> str:
-        payload = {
-            "version": self.version,
-            "seed": self.seed,
-            "status": self.status,
-            "created_at": self.created_at,
-            "finished_at": self.finished_at,
-            "config": self.config,
-            "stages": self.stages,
-            "artifacts": self.artifacts,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     @staticmethod
     def load(path: str) -> "RunManifest":
@@ -82,16 +72,7 @@ class RunManifest:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
         try:
-            return RunManifest(
-                version=payload["version"],
-                seed=payload["seed"],
-                status=payload["status"],
-                created_at=payload["created_at"],
-                finished_at=payload["finished_at"],
-                config=payload["config"],
-                stages=payload["stages"],
-                artifacts=payload["artifacts"],
-            )
+            return RunManifest(**{f.name: payload[f.name] for f in fields(RunManifest)})
         except KeyError as exc:
             raise ConfigError(f"manifest {path} is missing field {exc}") from None
 
@@ -128,25 +109,16 @@ def format_trace(trace: SearchTrace) -> str:
         lines.append("# label\tfitness")
         for rec in trace.path_records:
             lines.append(f"{rec.label}\t{format_float(rec.fitness)}")
-    if trace.operator_records:
-        lines.append(
-            f"[stage operator] calls={len(trace.operator_records)}"
-            f" chosen={trace.g_optr}"
-        )
-        lines.append("# genome\tfitness\tparams\tflops")
-        for rec in trace.operator_records:
-            lines.append(
+    for stage, records, chosen in (
+        ("operator", trace.operator_records, trace.g_optr),
+        ("channel", trace.channel_records, trace.g_channel),
+    ):
+        if records:
+            lines.append(f"[stage {stage}] calls={len(records)} chosen={chosen}")
+            lines.append("# genome\tfitness\tparams\tflops")
+            lines.extend(
                 f"{rec.label}\t{format_float(rec.fitness)}\t{rec.params}\t{rec.flops}"
-            )
-    if trace.channel_records:
-        lines.append(
-            f"[stage channel] calls={len(trace.channel_records)}"
-            f" chosen={trace.g_channel}"
-        )
-        lines.append("# genome\tfitness\tparams\tflops")
-        for rec in trace.channel_records:
-            lines.append(
-                f"{rec.label}\t{format_float(rec.fitness)}\t{rec.params}\t{rec.flops}"
+                for rec in records
             )
     lines.append(f"total calls: {trace.total_oracle_calls}")
     return "\n".join(lines) + "\n"

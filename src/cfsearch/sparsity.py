@@ -1,22 +1,22 @@
 """Channel scale factors and their L1 proximal update.
 
 Each layer owns a vector of per-channel scale factors that multiply the
-layer's normalized output.  Sparsity is driven by proximal gradient
-descent: the smooth part of the loss supplies a gradient, and the L1
-penalty is applied exactly through soft thresholding,
+layer's normalized output; they are plain supernet tensors
+(``SupernetWeights.gamma_tensors``).  Sparsity is driven by proximal
+gradient descent: the smooth part of the loss supplies each factor's
+gradient, and the L1 penalty is applied exactly through soft thresholding,
 
     prox(s, thr) = s - thr   if s >  thr
                    0         if |s| <= thr
                    s + thr   if s < -thr
 
-with thr = sparsity_weight * learning_rate.  Entries inside the dead
+with thr = sparsity_weight * stepsize.  Entries inside the dead
 zone land on exactly 0.0, so "zero channel" is a crisp predicate rather
 than a tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -44,55 +44,22 @@ def prox_l1(value, threshold: float):
     return out
 
 
-@dataclass
-class ScaleFactorBank:
-    """Scale factors for one generator path, plus update hyperparameters.
+def l1_value(gammas: Sequence[Tensor]) -> float:
+    """Sum of |gamma| over every factor vector; 0.0 for none."""
+    return float(sum(np.add.reduce(np.abs(g.data), axis=None) for g in gammas))
 
-    ``gammas[l]`` is the layer-l factor vector (a trainable Tensor whose
-    length is the layer's maximal width).  ``learning_rate`` with
-    ``lr_decay`` defines the stepsize schedule eta(t) = lr * decay**t,
-    and ``sparsity_weight`` is the L1 coefficient.
+
+def prox_step(gammas: Sequence[Tensor], stepsize: float, sparsity_weight: float) -> None:
+    """One proximal gradient update of every factor vector in ``gammas``.
+
+    Each vector descends its own ``.grad``, the smooth-loss gradient (none
+    counts as zero), by ``stepsize``; the L1 part is folded in exactly by
+    soft thresholding at ``stepsize * sparsity_weight``.
     """
-
-    gammas: list[Tensor]
-    learning_rate: float
-    sparsity_weight: float
-    lr_decay: float = 1.0
-
-    @staticmethod
-    def create(
-        layer_widths: Sequence[int],
-        learning_rate: float,
-        sparsity_weight: float,
-        lr_decay: float = 1.0,
-    ) -> "ScaleFactorBank":
-        gammas = [
-            Tensor(np.full(w, GAMMA_INIT, dtype=np.float64), requires_grad=True)
-            for w in layer_widths
-        ]
-        return ScaleFactorBank(gammas, learning_rate, sparsity_weight, lr_decay)
-
-    def stepsize(self, t: int) -> float:
-        return self.learning_rate * self.lr_decay**t
-
-    def l1_value(self) -> float:
-        return float(sum(np.add.reduce(np.abs(g.data), axis=None) for g in self.gammas))
-
-    def zero_count(self) -> int:
-        return sum(int(np.count_nonzero(g.data == 0.0)) for g in self.gammas)
-
-
-def prox_step(bank: ScaleFactorBank, grads: Sequence[np.ndarray], t: int) -> None:
-    """One proximal gradient update of every factor vector in the bank.
-
-    ``grads[l]`` is the smooth-loss gradient for layer l at step ``t``.
-    The inner step is plain gradient descent with eta(t); the L1 part is
-    folded in exactly by soft thresholding at eta(t) * sparsity_weight.
-    """
-    eta = bank.stepsize(t)
-    threshold = bank.sparsity_weight * eta
-    for gamma, grad in zip(bank.gammas, grads):
-        inner = gamma.data - eta * grad
+    threshold = sparsity_weight * stepsize
+    for gamma in gammas:
+        grad = 0.0 if gamma.grad is None else gamma.grad
+        inner = gamma.data - stepsize * grad
         gamma.data = np.asarray(prox_l1(inner, threshold), dtype=np.float64)
 
 

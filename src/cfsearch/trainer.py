@@ -21,25 +21,26 @@ one batch.
 Each step computes only the gradients it applies: inside
 ``SupernetWeights.train_only``, the generator passes train the path's
 ``g/p{p}/`` weights without its scale factors, the proximal pass trains
-the path's scale factors (``bank.gammas``) alone, and the discriminator
-step trains the matched ``d/{d}/`` weights alone.  Fine-tuning trains
-the same generator and discriminator sets.  Every other tensor is
-frozen during a step, so no backward pass computes a gradient that the
-step would discard.
+the path's scale factors (``weights.gamma_tensors(p)``) alone, and the
+discriminator step trains the matched ``d/{d}/`` weights alone.
+Fine-tuning trains the same generator and discriminator sets.  Every
+other tensor is frozen during a step, so no backward pass computes a
+gradient that the step would discard.
 
 The training objective combines an adversarial term with reconstruction
 (mean absolute error), a perceptual proxy (squared distance between
 fixed random linear features), and an L1 sparsity value over the scale
-factors; the sparsity term is reported in the total but enters
-optimization only through the proximal update.  The smooth part of the
-loss, and the discriminator's loss, are each one graph node.
+factors that ``total_loss`` is given (fine-tuning gives none); the
+sparsity term is reported in the total but enters optimization only
+through the proximal update.  The smooth part of the loss, and the
+discriminator's loss, are each one graph node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .metrics import covariance_root, gaussian_moments, moment_distance, psnr
 from .network import DiscriminatorView, StageTrail, SupernetWeights, mixed_view
 from .network import stacked_forward, subnet_view
 from .space import ArchitectureGenome, SupernetSpec, maximal_genome
-from .sparsity import ScaleFactorBank, prox_step
+from .sparsity import l1_value, prox_step
 from .util import child_seed
 
 
@@ -177,16 +178,15 @@ def perceptual_projection(dim: int, features: int, seed: int) -> np.ndarray:
 
 @dataclass
 class LossBundle:
-    """Total loss, its smooth part, and the component values.
+    """The smooth loss node and the component values.
 
     ``smooth`` omits the sparsity term: the L1 penalty is handled exactly
     by the proximal update, so gradients flow only through the smooth
-    terms.  ``total`` includes it for reporting and is what the loss
-    value means.  ``blocks`` holds each block's components and
+    terms.  Each component set's ``total`` includes it and is what the
+    loss value means.  ``blocks`` holds each block's components and
     ``components`` their sums over the blocks.
     """
 
-    total: Tensor
     smooth: Tensor
     components: dict[str, float]
     blocks: list[dict[str, float]]
@@ -196,7 +196,7 @@ def total_loss(
     output: Tensor,
     target: Tensor,
     d_scores: Tensor,
-    bank: ScaleFactorBank,
+    gammas: Sequence[Tensor],
     cfg: TrainConfig,
 ) -> LossBundle:
     """Combined training loss of one or more generator outputs for ``target``.
@@ -212,8 +212,9 @@ def total_loss(
     they replace, ``mean(softplus(-d_scores)) + lambda_recon *
     mean(|output - target|) + lambda_perceptual * mean((output @ P -
     target @ P)**2)`` with the frozen projection ``P``, so results are
-    bit-identical to that chain.  ``total`` adds the sparsity value once
-    per block and records no graph.
+    bit-identical to that chain.  Each block's ``total`` adds the L1
+    value of ``gammas``, weighted by ``lambda_sparsity``, and records no
+    graph.
     """
     out_shape = output.data.shape
     batch = target.data.shape[0]
@@ -233,7 +234,7 @@ def total_loss(
     target_features = target.data.reshape(batch, dim) @ projection
     feature_diff = features.reshape(blocks, batch, -1) - target_features
     squared = feature_diff * feature_diff
-    sparsity_value = bank.l1_value()
+    sparsity_value = l1_value(gammas)
     smooth_values = []
     block_components = []
     for m in range(blocks):
@@ -271,12 +272,7 @@ def total_loss(
     components = {
         key: sum(c[key] for c in block_components) for key in block_components[0]
     }
-    return LossBundle(
-        total=Tensor(components["total"]),
-        smooth=smooth,
-        components=components,
-        blocks=block_components,
-    )
+    return LossBundle(smooth=smooth, components=components, blocks=block_components)
 
 
 def _check_finite(value: float, context: str, components: Mapping[str, float]) -> None:
@@ -318,7 +314,6 @@ def _discriminator_value(disc: DiscriminatorView, real: Tensor, fake: Tensor) ->
 @dataclass
 class PretrainResult:
     weights: SupernetWeights
-    banks: list[ScaleFactorBank]
     ledger: FairnessLedger
     metrics: list[dict] = field(default_factory=list)
 
@@ -361,16 +356,6 @@ def pretrain_supernet(
     """
     _validate_shapes(spec, dataset, cfg)
     weights = SupernetWeights.create(spec, child_seed(seed, "weights"))
-    banks = [
-        ScaleFactorBank(
-            gammas=weights.gamma_tensors(p),
-            learning_rate=cfg.lr_gamma,
-            sparsity_weight=cfg.lambda_sparsity,
-            lr_decay=cfg.lr_decay,
-        )
-        for p in range(spec.num_paths)
-    ]
-    gamma_count = sum(g.data.size for b in banks for g in b.gammas)
     ledger = FairnessLedger.for_spec(spec)
     rng_plan = np.random.default_rng(child_seed(seed, "schedule"))
     rng_data = np.random.default_rng(child_seed(seed, "batches"))
@@ -386,10 +371,10 @@ def pretrain_supernet(
             path = spec.paths[p]
             d = path.matched_discriminator_path
             disc = DiscriminatorView(weights, d)
-            bank = banks[p]
+            gammas = weights.gamma_tensors(p)
 
             # Sub-network m runs operator m of each layer's permutation, at
-            # maximal widths and depths; all M run as one stacked pass.
+            # maximal widths; all M run as one stacked pass.
             assignments = [
                 tuple(plan.operator_orders[p][l][m] for l in range(path.num_layers))
                 for m in range(path.num_operators)
@@ -402,31 +387,27 @@ def pretrain_supernet(
             generator = (t for _, t in weights.named(f"g/p{p}/", include_gamma=False))
             with weights.train_only(generator):
                 out = stacked_forward(views, x)
-                cycle = total_loss(out, y, disc(out), bank, cfg)
+                cycle = total_loss(out, y, disc(out), gammas, cfg)
                 for assignment, block in zip(assignments, cycle.blocks):
                     _check_finite(
                         block["total"], f"epoch {t} path {p} operators {assignment}", block
                     )
                 cycle.smooth.backward()
-                weights.sgd_step(f"g/p{p}/", alpha, include_gamma=False)
+                weights.sgd_step(f"g/p{p}/", alpha)
             ledger.record_generator_cycle(p)
 
             # One proximal step on the scale factors, from the full-path
             # mixture loss.
             mixed = mixed_view(weights, p)
             trail = StageTrail()
-            with weights.train_only(bank.gammas):
+            with weights.train_only(gammas):
                 out = mixed(x, trail)
-                bundle = total_loss(out, y, disc(out), bank, cfg)
+                bundle = total_loss(out, y, disc(out), gammas, cfg)
                 _check_finite(
                     bundle.components["total"], f"epoch {t} path {p} mixture", bundle.components
                 )
                 bundle.smooth.backward()
-                gamma_grads = [
-                    g.grad if g.grad is not None else np.zeros_like(g.data)
-                    for g in bank.gammas
-                ]
-                prox_step(bank, gamma_grads, t)
+                prox_step(gammas, cfg.lr_gamma * cfg.lr_decay**t, cfg.lambda_sparsity)
 
             # Discriminator step on the refreshed mixture output; the frozen
             # generator gives ``fake`` no graph.  The proximal step moved only
@@ -444,7 +425,6 @@ def pretrain_supernet(
             ledger.record_discriminator_update(p)
 
             n = len(cycle.blocks)
-            zero_frac = sum(b.zero_count() for b in banks) / gamma_count
             metrics.append(
                 {
                     "epoch": t,
@@ -455,10 +435,10 @@ def pretrain_supernet(
                     "loss_perceptual": cycle.components["perceptual"] / n,
                     "loss_sparsity": cycle.components["sparsity"] / n,
                     "d_loss": d_value.item(),
-                    "gamma_zero_fraction": zero_frac,
+                    "gamma_zero_fraction": gamma_zero_stats(weights)[1],
                 }
             )
-    return PretrainResult(weights=weights, banks=banks, ledger=ledger, metrics=metrics)
+    return PretrainResult(weights=weights, ledger=ledger, metrics=metrics)
 
 
 # -- evaluation and fine-tuning ---------------------------------------------
@@ -505,21 +485,15 @@ def finetune_genome(
     epochs: int,
     seed: int,
 ) -> list[dict]:
-    """Adversarially fine-tune one subnet in place; sparsity disabled.
+    """Adversarially fine-tune one subnet in place, with no sparsity term.
 
     Operates on ``weights`` directly (callers clone the supernet first if
-    they need the original), keeps the scale factors frozen, and returns
-    per-epoch loss rows.
+    they need the original), keeps the scale factors frozen and out of
+    the loss, and returns per-epoch loss rows.  Any non-finite generator
+    or discriminator loss raises ``NonFiniteLossError``.
     """
-    cfg_ft = replace(cfg, lambda_sparsity=0.0)
     p = genome.path_index
     d = weights.spec.paths[p].matched_discriminator_path
-    bank = ScaleFactorBank(
-        gammas=weights.gamma_tensors(p),
-        learning_rate=cfg.lr_gamma,
-        sparsity_weight=0.0,
-        lr_decay=cfg.lr_decay,
-    )
     gen = subnet_view(weights, genome)
     disc = DiscriminatorView(weights, d)
     generator = [t for _, t in weights.named(f"g/p{p}/", include_gamma=False)]
@@ -532,13 +506,16 @@ def finetune_genome(
         y = Tensor(dataset.train_y[batch_idx])
         with weights.train_only(generator):
             out = gen(x)
-            bundle = total_loss(out, y, disc(out), bank, cfg_ft)
+            bundle = total_loss(out, y, disc(out), (), cfg)
             _check_finite(bundle.components["total"], f"fine-tune epoch {t}", bundle.components)
             bundle.smooth.backward()
             weights.sgd_step(f"g/p{p}/", cfg.lr_weights * cfg.lr_decay**t)
         with weights.train_only(discriminator):
             fake = gen(x)
             d_value = _discriminator_value(disc, y, fake)
+            _check_finite(
+                d_value.item(), f"fine-tune epoch {t} discriminator", {"d_loss": d_value.item()}
+            )
             d_value.backward()
             weights.sgd_step(f"d/{d}/", cfg.lr_weights * cfg.lr_decay**t)
         rows.append(

@@ -395,6 +395,32 @@ def test_non_finite_fitness_exits_4(pretrained, tmp_path, capsys):
         assert "chosen" not in captured.out
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "lr_weights, finetune_epochs, message",
+    [
+        (0.5, 3, "non-finite loss during fine-tune epoch 2 discriminator: d_loss=nan"),
+        (100, 1, "non-finite fitness nan for fine-tuned genome path:"),
+    ],
+    ids=["discriminator-loss", "fitness"],
+)
+def test_non_finite_fine_tuning_exits_4_with_an_incomplete_report(
+    tmp_path, capsys, lr_weights, finetune_epochs, message
+):
+    overlay = {
+        "train": {"epochs": 2, "lr_weights": lr_weights},
+        "search": {"finetune_epochs": finetune_epochs},
+    }
+    config, out = write_config(tmp_path, overlay), tmp_path / "run"
+    assert main(["run-all", "--config", config, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "fine-tuned fitness" not in captured.out
+    text = (out / "manifest.json").read_text()
+    assert "NaN" not in text
+    assert json.loads(text)["status"] == "incomplete"
+
+
 def test_verify_fairness_checks_the_whole_identity(tmp_path, capsys):
     spec = default_toy_spec()
     ledger = FairnessLedger.for_spec(spec)

@@ -99,20 +99,23 @@ def test_sgd_step_touches_only_prefix():
     weights.sgd_step("g/p0/", lr=0.1)
     for name, t in weights.tensors.items():
         changed = not np.array_equal(t.data, before[name])
-        if name.startswith("g/p0/") and "gamma" not in name:
-            assert changed, name
-        else:
-            assert not changed, name
+        # Scale factors are plain weights: a gradient under the prefix moves them too.
+        assert changed == name.startswith("g/p0/"), name
+        assert (t.grad is None) == name.startswith(("g/p0/", "d/")), name
 
 
-def test_sgd_step_gamma_opt_in():
+def test_sgd_step_skips_tensors_without_a_gradient():
     spec, weights = small_weights()
-    gamma = weights.gamma(0, 0)
-    gamma.grad = np.ones_like(gamma.data)
-    weights.sgd_step("g/p0/", lr=0.1)
-    assert np.all(gamma.data == 0.5)
-    weights.sgd_step("g/p0/", lr=0.1, include_gamma=True)
-    assert np.allclose(gamma.data, 0.4)
+    generator = [t for _, t in weights.named("g/p0/", include_gamma=False)]
+    before = {n: t.data.copy() for n, t in weights.tensors.items()}
+    x = Tensor(np.random.default_rng(0).normal(size=(3, 1, 4)))
+    with weights.train_only(generator):
+        mean_all(square(mixed_view(weights, 0)(x))).backward()
+        assert all(g.grad is None for g in weights.gamma_tensors(0))
+        weights.sgd_step("g/p0/", lr=0.1)
+    for name, t in weights.tensors.items():
+        changed = not np.array_equal(t.data, before[name])
+        assert changed == (name.startswith("g/p0/") and not name.endswith("/gamma")), name
 
 
 def test_subnet_forward_shapes_and_determinism():

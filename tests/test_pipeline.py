@@ -126,14 +126,13 @@ def test_run_search_reproducible_for_a_seed():
 
     def once():
         oracle = TabularOracle(build_landscape(spec, "random_seeded", seed=32))
-        genome, trace, _ = run_search(oracle, cfg, np.random.default_rng(8))
-        return genome, trace
+        return run_search(oracle, cfg, np.random.default_rng(8))
 
-    g1, t1 = once()
-    g2, t2 = once()
+    g1, t1, s1 = once()
+    g2, t2, s2 = once()
     assert g1 == g2
     assert t1.channel_records == t2.channel_records
-    assert t1.evolution_history == t2.evolution_history
+    assert s1.history == s2.history
 
 
 def test_joint_baseline_scans_everything():

@@ -1,17 +1,11 @@
-"""Soft thresholding, scale-factor banks, and channel masks."""
+"""Soft thresholding, the proximal step on scale factors, and channel masks."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cfsearch.engine import Tensor
-from cfsearch.sparsity import (
-    GAMMA_INIT,
-    ScaleFactorBank,
-    active_channel_mask,
-    prox_l1,
-    prox_step,
-)
+from cfsearch.sparsity import GAMMA_INIT, active_channel_mask, l1_value, prox_l1, prox_step
 
 
 def soft_threshold_reference(x: float, lam: float) -> float:
@@ -66,35 +60,46 @@ def test_prox_shrinks_toward_zero(x, lam):
         assert np.sign(out) == np.sign(x)
 
 
-def test_bank_creation_and_stepsize_schedule():
-    bank = ScaleFactorBank.create([3, 5], learning_rate=0.1, sparsity_weight=0.01, lr_decay=0.5)
-    assert [g.data.size for g in bank.gammas] == [3, 5]
-    assert all(np.all(g.data == GAMMA_INIT) for g in bank.gammas)
-    assert bank.stepsize(0) == 0.1
-    assert bank.stepsize(2) == pytest.approx(0.025)
+def factors(*grads):
+    """One trainable factor vector at ``GAMMA_INIT`` per gradient, holding it."""
+    gammas = []
+    for grad in grads:
+        gamma = Tensor(np.full(len(grad), GAMMA_INIT), requires_grad=True)
+        gamma.grad = np.asarray(grad, dtype=np.float64)
+        gammas.append(gamma)
+    return gammas
 
 
 def test_prox_step_hand_example():
     # eta = 0.1, lambda = 2.0 so threshold 0.2; gamma starts at 0.5.
-    bank = ScaleFactorBank.create([2], learning_rate=0.1, sparsity_weight=2.0)
-    grads = [np.array([1.0, -1.0])]
-    prox_step(bank, grads, t=0)
+    gammas = factors([1.0, -1.0])
+    prox_step(gammas, 0.1, 2.0)
     # inner = 0.5 - 0.1*grad = (0.4, 0.6); shrink by 0.2 -> (0.2, 0.4).
-    assert np.allclose(bank.gammas[0].data, [0.2, 0.4])
+    assert np.allclose(gammas[0].data, [0.2, 0.4])
 
 
 def test_prox_step_produces_exact_zeros():
-    bank = ScaleFactorBank.create([3], learning_rate=0.5, sparsity_weight=1.0)
-    grads = [np.array([1.0, 0.9, -2.0])]
-    prox_step(bank, grads, t=0)
+    gammas = factors([1.0, 0.9, -2.0])
+    prox_step(gammas, 0.5, 1.0)
     # inner = (0.0, 0.05, 1.5); threshold 0.5 -> (0, 0, 1.0).
-    assert np.array_equal(bank.gammas[0].data, [0.0, 0.0, 1.0])
-    assert bank.zero_count() == 2
+    assert np.array_equal(gammas[0].data, [0.0, 0.0, 1.0])
+    assert np.count_nonzero(gammas[0].data == 0.0) == 2
 
 
-def test_bank_l1_value():
-    bank = ScaleFactorBank.create([2, 2], learning_rate=0.1, sparsity_weight=0.0)
-    assert bank.l1_value() == pytest.approx(4 * GAMMA_INIT)
+def test_prox_step_reads_a_missing_gradient_as_zero():
+    with_grad, without = factors([0.0, 0.0], [0.0, 0.0])
+    without.grad = None
+    prox_step([with_grad, without], 0.1, 2.0)
+    # Both only shrink by the threshold 0.2.
+    assert np.array_equal(without.data, with_grad.data)
+    assert np.allclose(without.data, [0.3, 0.3])
+
+
+def test_l1_value_sums_magnitudes_over_every_vector():
+    gammas = factors([0.0, 0.0], [0.0, 0.0])
+    gammas[1].data = np.array([-1.5, 0.25])
+    assert l1_value(gammas) == pytest.approx(2 * GAMMA_INIT + 1.75)
+    assert l1_value([]) == 0.0
 
 
 def test_top_k_mask_keeps_largest_magnitudes():

@@ -19,7 +19,7 @@ from cfsearch.metrics import frechet_moment_distance
 from cfsearch.network import DiscriminatorView, StageTrail, SupernetWeights, mixed_view
 from cfsearch.network import stacked_forward, subnet_view
 from cfsearch.space import ArchitectureGenome, maximal_genome, spec_from_dict
-from cfsearch.sparsity import ScaleFactorBank, prox_step
+from cfsearch.sparsity import GAMMA_INIT, l1_value, prox_step
 from cfsearch.trainer import (
     TASK_SUPER_RESOLUTION,
     TASK_TRANSLATION,
@@ -44,6 +44,11 @@ def quick_cfg(**kwargs):
     merged = dict(epochs=3, batch_size=4)
     merged.update(kwargs)
     return TrainConfig(**merged)
+
+
+def scale_factors(*widths):
+    """Trainable factor vectors at ``GAMMA_INIT``, one per width."""
+    return [Tensor(np.full(w, GAMMA_INIT), requires_grad=True) for w in widths]
 
 
 def quick_dataset(seed=0):
@@ -112,9 +117,9 @@ def test_total_loss_components_add_up():
     out = Tensor(rng.normal(size=(6, 2, 1)), requires_grad=True)
     target = Tensor(rng.normal(size=(6, 2, 1)))
     scores = Tensor(rng.normal(size=(6, 1)))
-    bank = ScaleFactorBank.create([3, 3], learning_rate=0.01, sparsity_weight=1e-3)
+    gammas = scale_factors(3, 3)
     cfg = quick_cfg()
-    bundle = total_loss(out, target, scores, bank, cfg)
+    bundle = total_loss(out, target, scores, gammas, cfg)
     c = bundle.components
     assert set(c) == {"gan", "recon", "perceptual", "sparsity", "total"}
     # Components are stored unweighted; the total applies the lambdas.
@@ -124,12 +129,11 @@ def test_total_loss_components_add_up():
         + cfg.lambda_perceptual * c["perceptual"]
         + cfg.lambda_sparsity * c["sparsity"]
     )
-    assert c["sparsity"] == pytest.approx(bank.l1_value())
+    assert c["sparsity"] == pytest.approx(l1_value(gammas))
     # The smooth part excludes the L1 term handled by the proximal update.
     assert bundle.smooth.item() == pytest.approx(
         c["total"] - cfg.lambda_sparsity * c["sparsity"]
     )
-    assert bundle.total.item() == pytest.approx(c["total"])
 
 
 def test_sparsity_component_scales_with_weight():
@@ -137,14 +141,13 @@ def test_sparsity_component_scales_with_weight():
     out = Tensor(rng.normal(size=(4, 2, 1)), requires_grad=True)
     target = Tensor(rng.normal(size=(4, 2, 1)))
     scores = Tensor(rng.normal(size=(4, 1)))
-    bank = ScaleFactorBank.create([2], learning_rate=0.01, sparsity_weight=0.0)
-    zero = total_loss(out, target, scores, bank, quick_cfg(lambda_sparsity=0.0))
+    gammas = scale_factors(2)
+    zero = total_loss(out, target, scores, gammas, quick_cfg(lambda_sparsity=0.0))
     # With a zero weight the L1 value is reported but does not enter the total.
     assert zero.components["total"] == pytest.approx(zero.smooth.item())
-    bank2 = ScaleFactorBank.create([2], learning_rate=0.01, sparsity_weight=0.5)
-    half = total_loss(out, target, scores, bank2, quick_cfg(lambda_sparsity=0.5))
+    half = total_loss(out, target, scores, gammas, quick_cfg(lambda_sparsity=0.5))
     assert half.components["total"] - half.smooth.item() == pytest.approx(
-        0.5 * bank2.l1_value()
+        0.5 * l1_value(gammas)
     )
 
 
@@ -200,23 +203,23 @@ def assert_matches_finite_differences(fn, tensors):
 
 def test_total_loss_smooth_gradient_matches_finite_differences():
     out, target, scores = loss_inputs(2)
-    bank = ScaleFactorBank.create([3, 3], learning_rate=0.01, sparsity_weight=1e-3)
+    gammas = scale_factors(3, 3)
     cfg = quick_cfg()
     assert_matches_finite_differences(
-        lambda: total_loss(out, target, scores, bank, cfg).smooth, [out, scores]
+        lambda: total_loss(out, target, scores, gammas, cfg).smooth, [out, scores]
     )
 
 
 @BIT_CASES
 def test_total_loss_is_one_node_bit_identical_to_its_chain(seed, batch):
     out, target, scores = loss_inputs(seed, batch)
-    bank = ScaleFactorBank.create([3, 3], learning_rate=0.01, sparsity_weight=1e-3)
+    gammas = scale_factors(3, 3)
     cfg = quick_cfg()
-    bundle = total_loss(out, target, scores, bank, cfg)
+    bundle = total_loss(out, target, scores, gammas, cfg)
     assert bundle.smooth._parents == (out, scores)
     chain = total_loss_chain(out, target, scores, cfg)
     assert np.array_equal(bundle.smooth.data, chain.data)
-    assert bundle.components["total"] == (chain + cfg.lambda_sparsity * bank.l1_value()).item()
+    assert bundle.components["total"] == (chain + cfg.lambda_sparsity * l1_value(gammas)).item()
     for fused, expected in zip(
         grads_of(bundle.smooth, [out, scores]), grads_of(chain, [out, scores])
     ):
@@ -373,6 +376,44 @@ def test_finetune_improves_or_moves_weights_in_place():
     assert moved and untouched
 
 
+def test_finetune_rows_do_not_depend_on_the_sparsity_weight():
+    spec = translation_spec()
+    ds = quick_dataset()
+    pre = pretrain_supernet(spec, ds, quick_cfg(), seed=3)
+    genome = ArchitectureGenome(1, (0, 1), (1, 0))
+    tuned = []
+    for lam in (0.0, 1e6):
+        weights = pre.weights.clone()
+        rows = finetune_genome(weights, genome, ds, quick_cfg(lambda_sparsity=lam), 3, 5)
+        tuned.append((rows, weights))
+    (rows0, weights0), (rows1, weights1) = tuned
+    assert rows0 == rows1
+    for name, tensor in weights0.tensors.items():
+        assert np.array_equal(tensor.data, weights1.tensors[name].data), name
+
+
+def test_pretraining_steps_the_scale_factors_by_the_decayed_rate(monkeypatch):
+    spec = translation_spec()
+    steps = []
+
+    def recorded(gammas, stepsize, sparsity_weight):
+        steps.append((gammas, stepsize, sparsity_weight))
+        prox_step(gammas, stepsize, sparsity_weight)
+
+    monkeypatch.setattr(trainer, "prox_step", recorded)
+    cfg = quick_cfg(epochs=3, lr_gamma=0.1, lr_decay=0.5, lambda_sparsity=0.01)
+    result = pretrain_supernet(spec, quick_dataset(), cfg, seed=3)
+    assert [eta for _, eta, _ in steps] == [
+        eta for eta in (0.1, 0.05, 0.025) for _ in range(spec.num_paths)
+    ]
+    assert all(weight == 0.01 for _, _, weight in steps)
+    # Each step moves one path's own factor tensors, every path once an epoch.
+    owners = {id(g): p for p in range(spec.num_paths) for g in result.weights.gamma_tensors(p)}
+    paths = [[owners.get(id(g)) for g in gammas] for gammas, _, _ in steps]
+    expected = [[p] * path.num_layers for p, path in enumerate(spec.paths) for _ in range(3)]
+    assert sorted(paths) == expected
+
+
 def assert_trainable_without_gradients(weights):
     for name, tensor in weights.tensors.items():
         assert tensor.requires_grad, name
@@ -435,14 +476,14 @@ def test_mixed_forward_resumed_after_the_proximal_step_is_bit_identical(task):
     weights = SupernetWeights.create(spec, seed=5)
     x, y = Tensor(ds.train_x[:4]), Tensor(ds.train_y[:4])
     cfg = quick_cfg()
-    bank = ScaleFactorBank(weights.gamma_tensors(0), cfg.lr_gamma, cfg.lambda_sparsity)
+    gammas = weights.gamma_tensors(0)
     mixed = mixed_view(weights, 0)
     disc = DiscriminatorView(weights, spec.paths[0].matched_discriminator_path)
     trail = StageTrail()
-    with weights.train_only(bank.gammas):
+    with weights.train_only(gammas):
         before = mixed(x, trail)
-        total_loss(before, y, disc(before), bank, cfg).smooth.backward()
-        prox_step(bank, [g.grad for g in bank.gammas], 0)
+        total_loss(before, y, disc(before), gammas, cfg).smooth.backward()
+        prox_step(gammas, cfg.lr_gamma, cfg.lambda_sparsity)
     stem, core = (trail.entries[key][2] for key in trail.chain[:2])
     trail.cut(2)
     resumed = mixed(x, trail)
@@ -500,7 +541,7 @@ def test_stacked_fair_cycle_matches_separate_sub_network_passes(task):
     x, y = Tensor(ds.train_x[:4]), Tensor(ds.train_y[:4])
     cfg = quick_cfg()
     p = 0
-    bank = ScaleFactorBank(weights.gamma_tensors(p), cfg.lr_gamma, cfg.lambda_sparsity)
+    gammas = weights.gamma_tensors(p)
     disc = DiscriminatorView(weights, spec.paths[p].matched_discriminator_path)
     views = fair_cycle_views(weights, p)
     generator = weights.named(f"g/p{p}/", include_gamma=False)
@@ -510,14 +551,14 @@ def test_stacked_fair_cycle_matches_separate_sub_network_passes(task):
 
     with weights.train_only(t for _, t in generator):
         out = stacked_forward(views, x)
-        stacked = total_loss(out, y, disc(out), bank, cfg)
+        stacked = total_loss(out, y, disc(out), gammas, cfg)
         stacked.smooth.backward()
         stacked_grads = gradients()
     outputs, blocks = [], []
     with weights.train_only(t for _, t in generator):
         for view in views:
             outputs.append(view(x))
-            bundle = total_loss(outputs[-1], y, disc(outputs[-1]), bank, cfg)
+            bundle = total_loss(outputs[-1], y, disc(outputs[-1]), gammas, cfg)
             bundle.smooth.backward()
             blocks.append(bundle.components)
         separate_grads = gradients()
@@ -538,10 +579,9 @@ def test_stacked_fair_cycle_matches_separate_sub_network_passes(task):
 
 def test_total_loss_refuses_output_that_does_not_stack_target_blocks():
     out, target, scores = loss_inputs(0, batch=5)
-    bank = ScaleFactorBank.create([3, 3], learning_rate=0.01, sparsity_weight=1e-3)
     rows = Tensor(np.concatenate([out.data, out.data[:3]]))
     with pytest.raises(ShapeError):
-        total_loss(rows, target, Tensor(np.zeros((8, 1))), bank, quick_cfg())
+        total_loss(rows, target, Tensor(np.zeros((8, 1))), scale_factors(3, 3), quick_cfg())
 
 
 def test_stacked_forward_refuses_views_of_different_paths():
