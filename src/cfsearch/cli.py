@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 
-import yaml
+import numpy as np
 
 from .configs import CONFIG_KEYS, SECTIONS, config_value, default_config, section_values
 from .errors import (
@@ -67,6 +68,8 @@ def load_config(path: str | None = None, seed: int | None = None) -> dict:
     """
     cfg = default_config()
     if path is not None:
+        import yaml  # only a run with a config file pays for the import
+
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 user = yaml.safe_load(fh)
@@ -103,9 +106,21 @@ def _prepared(cfg: dict, checkpoint: str | None = None):
     return spec, dataset, result.weights, result
 
 
+@contextmanager
+def _incomplete_report_on_failure(args, cfg: dict):
+    """On a failed run, write a ``status: incomplete`` report to ``--out`` first."""
+    try:
+        yield
+    except CfSearchError:
+        if args.out:
+            write_run_report(args.out, cfg, int(cfg["seed"]), status="incomplete")
+        raise
+
+
 def cmd_pretrain(args) -> int:
     cfg = load_config(args.config, args.seed)
-    _, _, _, result = _prepared(cfg)
+    with _incomplete_report_on_failure(args, cfg):
+        _, _, _, result = _prepared(cfg)
     last = result.metrics[-1]
     print(f"epochs: {cfg['train']['epochs']}")
     print(f"final loss: {format_float(last['loss_total'])}")
@@ -148,11 +163,12 @@ def cmd_search_operator(args) -> int:
 def cmd_shrink(args) -> int:
     cfg = load_config(args.config, args.seed)
     evo = EvoConfig.from_mapping(cfg["evolution"])
-    _, dataset, weights, _ = _prepared(cfg, args.checkpoint)
-    oracle = GanOracle(weights, dataset)
-    genome, trace, shrink = run_search(
-        oracle, evo, as_rng(child_seed(int(cfg["seed"]), "search"))
-    )
+    with _incomplete_report_on_failure(args, cfg):
+        _, dataset, weights, _ = _prepared(cfg, args.checkpoint)
+        oracle = GanOracle(weights, dataset)
+        genome, trace, shrink = run_search(
+            oracle, evo, as_rng(child_seed(int(cfg["seed"]), "search"))
+        )
     for stage in ("path", "operator", "channel"):
         print(f"{stage} calls: {trace.oracle_calls[stage]}")
     print(f"generations: {shrink.generations_run}")
@@ -177,12 +193,8 @@ def cmd_shrink(args) -> int:
 
 def cmd_run_all(args) -> int:
     cfg = load_config(args.config, args.seed)
-    try:
+    with _incomplete_report_on_failure(args, cfg):
         result = run_pipeline(cfg)
-    except CfSearchError:
-        if args.out:
-            write_run_report(args.out, cfg, int(cfg["seed"]), status="incomplete")
-        raise
     print(f"chosen path: {result.trace.chosen_path}")
     print(f"operators: {result.trace.g_optr}")
     print(f"genome: {result.genome.to_record()}")
@@ -351,7 +363,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        # A diverging run ends in a finite check's exit 4; numpy's overflow
+        # warnings on the way there would only clutter that message.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ConfigError, GenomeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -21,15 +21,15 @@ ancestor, which would otherwise train nothing without a word.
 Since the walk costs Python time per node, each layer op is one node:
 ``conv1d`` and ``dwconv1d`` add their optional bias into the output
 buffer, then, on request, apply ``tanh`` and add a residual ``skip`` in
-place; ``channel_rms_norm`` normalizes, scales by ``gamma`` and applies
-the channel mask in one step; ``mixture_mean`` sums a list of tensors
-and scales the sum by one over its length; and ``pooled_linear`` is a
-site mean, a matmul and a bias add.  Each fused op does the same float
-operations in the same order as the chain of engine ops it replaces, so
-its forward and gradients are bit-identical to that chain.  The layer
-ops treat batch rows independently, so ``concat_rows`` can stack the
-inputs of several passes into one batch, whose backward hands each input
-its own rows of the gradient.
+place; ``channel_rms_norm`` normalizes and scales by ``gamma`` in one
+step; ``mixture_mean`` sums a list of tensors and scales the sum by one
+over its length; and ``pooled_linear`` is a site mean, a matmul and a
+bias add.  Each fused op does the same float operations in the same
+order as the chain of engine ops it replaces, so its forward and
+gradients are bit-identical to that chain.  The layer ops treat batch
+rows independently, so ``concat_rows`` can stack the inputs of several
+passes into one batch, whose backward hands each input its own rows of
+the gradient.
 
 Gradients accumulate: a second backward pass, or a second use of the
 same tensor, adds into a leaf's ``grad`` rather than replacing it.  A
@@ -604,14 +604,13 @@ def downsample_mean(x: Tensor, factor: int) -> Tensor:
     return Tensor._make(y, (x,), backward)
 
 
-def channel_rms_norm(x: Tensor, gamma: Tensor, keep: Array | None = None) -> Tensor:
-    """``x * rsqrt(mean_c(x**2) + eps) * gamma``, times ``keep`` if given.
+def channel_rms_norm(x: Tensor, gamma: Tensor) -> Tensor:
+    """``x * rsqrt(mean_c(x**2) + eps) * gamma``.
 
-    Normalizes each site by the RMS over channels, scales channel c by
-    ``gamma[c]`` and, when a 0/1 ``keep`` vector is given, zeroes the
-    channels it drops.  One graph node; forward and backward do the same
-    float operations in the same order as the chain of elementwise ops
-    they replace, so results are bit-identical to that chain.
+    Normalizes each site by the RMS over channels and scales channel c by
+    ``gamma[c]``.  One graph node; forward and backward do the same float
+    operations in the same order as the chain of elementwise ops they
+    replace, so results are bit-identical to that chain.
     """
     channels = x.data.shape[1]
     scale = gamma.data.reshape(1, channels, 1)
@@ -619,14 +618,9 @@ def channel_rms_norm(x: Tensor, gamma: Tensor, keep: Array | None = None) -> Ten
     r = 1.0 / np.sqrt(power + _RMS_EPS)
     normed = x.data * r
     y = normed * scale
-    if keep is not None:
-        keep = keep.reshape(1, channels, 1)
-        y *= keep
 
     def backward(g: Array):
         gx = g_gamma = None
-        if keep is not None:
-            g = g * keep
         if gamma.requires_grad:
             g_gamma = np.add.reduce(g * normed, axis=(0, 2)).reshape(gamma.data.shape)
         if x.requires_grad:

@@ -17,7 +17,7 @@ Block cores are dense 1-D analogues of the registered operator kinds:
     context_res_block  conv - tanh - pointwise, plus skip
 
 A layer ends with a channel-RMS normalization scaled by its factor
-vector.
+vector, then the channel mask of its width.
 
 Each conv is one graph node together with its bias, the ``tanh`` that
 follows it (after the stem, after both discriminator convs and after
@@ -293,9 +293,10 @@ def _block_core(weights: SupernetWeights, p: int, l: int, m: int, x: Tensor) -> 
 # chain.  The channel stage mostly scores one-layer edits of a few elites,
 # so a miss often shares a long prefix with a genome scored some calls
 # before the last.  512 KiB holds 85 translation stage outputs at batch 64
-# (6 KiB each).  Over 8 default searches it ran 1,152 convs, as many as
-# 1 MiB did, against 1,264 at 256 KiB and 2,024 with the last chain only.
-# It holds about 5 super-resolution outputs at 16 sites (96 KiB each).
+# (6 KiB each); a full-width mask stage's output is its norm's array, and
+# counts twice.  Over 8 default searches it ran 1,156 convs, against 1,152
+# at 1 MiB, 1,382 at 256 KiB and 2,024 with the last chain only.  It holds
+# about 5 super-resolution outputs at 16 sites (96 KiB each).
 TRAIL_BUDGET_BYTES = 512 * 1024
 
 
@@ -377,12 +378,14 @@ class GeneratorView:
     and for discriminator updates).  ``channel_widths`` are the active
     output widths per layer; the widest width skips masking entirely.
 
-    A forward runs 2L + 1 stages in order, then the head: the stem, then
+    A forward runs 3L + 1 stages in order, then the head: the stem, then
     per layer ``l`` its block core (the resample into the layer and the
-    operator block) and its channel norm.  Each stage's own key names the
-    choice it adds: the stem's is the path, a core's is ``op_l`` (None for
-    the mixture) and a norm's is ``width_l``.  A stage's output depends on
-    its own key and on the keys of every earlier stage.
+    operator block), its channel norm and its channel mask.  Each stage's
+    own key names the choice it adds: the stem's is the path, a core's is
+    ``op_l`` (None for the mixture), a norm's is None (it adds no choice)
+    and a mask's is ``width_l``.  A stage's output depends on its own key
+    and on the keys of every earlier stage, so genomes that differ only in
+    a layer's width share that layer's norm.
     """
 
     weights: SupernetWeights
@@ -395,8 +398,7 @@ class GeneratorView:
         ops = self.operator_assignment
         keys: list = [self.path_index]
         for l, width in enumerate(self.channel_widths):
-            keys.append(None if ops is None else ops[l])
-            keys.append(width)
+            keys += (None if ops is None else ops[l], None, width)
         return keys
 
     def __call__(self, x: Tensor, trail: StageTrail | None = None) -> Tensor:
@@ -409,7 +411,7 @@ class GeneratorView:
         self._check_input(x)
         start, h = (0, x) if trail is None else trail.resume(x, self.weights, self.stage_keys())
         ran = []
-        for stage in range(start, 2 * len(self.channel_widths) + 1):
+        for stage in range(start, 3 * len(self.channel_widths) + 1):
             h = self._stage(stage, h)
             ran.append(h.data)
         if trail is not None:
@@ -438,13 +440,14 @@ class GeneratorView:
             stem_w = self.weights[f"g/p{p}/stem/w"]
             stem_b = self.weights[f"g/p{p}/stem/b"]
             return conv1d(h, stem_w, bias=stem_b, tanh=True)
-        l, is_norm = divmod(stage - 1, 2)
-        if is_norm:
-            gamma = self.weights.gamma(p, l)
+        l, part = divmod(stage - 1, 3)
+        if part == 1:
+            return channel_rms_norm(h, self.weights.gamma(p, l))
+        if part == 2:
             width = self.channel_widths[l]
-            full = spec.max_width
-            keep = active_channel_mask(gamma.data, width) if width < full else None
-            return channel_rms_norm(h, gamma, keep)
+            if width == spec.max_width:
+                return h
+            return h * active_channel_mask(self.weights.gamma(p, l).data, width).reshape(1, -1, 1)
         if l > 0:
             h = _resample(h, spec.resampling[p][l])
         layer = spec.paths[p].layers[l]
@@ -471,7 +474,7 @@ def stacked_forward(views: Sequence[GeneratorView], x: Tensor) -> Tensor:
     outputs = []
     for view in views:
         h = stem
-        for stage in range(1, 2 * len(view.channel_widths) + 1):
+        for stage in range(1, 3 * len(view.channel_widths) + 1):
             h = view._stage(stage, h)
         outputs.append(h)
     return first._head(concat_rows(outputs))

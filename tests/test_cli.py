@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -395,7 +398,6 @@ def test_non_finite_fitness_exits_4(pretrained, tmp_path, capsys):
         assert "chosen" not in captured.out
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "lr_weights, finetune_epochs, message",
     [
@@ -419,6 +421,26 @@ def test_non_finite_fine_tuning_exits_4_with_an_incomplete_report(
     text = (out / "manifest.json").read_text()
     assert "NaN" not in text
     assert json.loads(text)["status"] == "incomplete"
+
+
+@pytest.mark.parametrize("command", ["pretrain", "shrink", "run-all"])
+def test_diverging_run_exits_4_quietly_with_an_incomplete_report(tmp_path, capsys, command):
+    config = write_config(tmp_path, {"train": {"epochs": 30, "lr_weights": 50.0}})
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", config, "--out", str(out)]) == 4
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "non-finite loss during epoch 2" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "incomplete"
+
+
+def test_importing_the_cli_leaves_yaml_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = "import sys, cfsearch.cli; print('yaml' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert done.stdout.strip() == "False", done.stderr
 
 
 def test_verify_fairness_checks_the_whole_identity(tmp_path, capsys):

@@ -349,12 +349,18 @@ def rms_norm_reference(x, gamma, keep):
 KEEP = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
 
 
+def masked_rms_norm(x, gamma, keep):
+    """The norm, then the mask as a layer's mask stage applies it."""
+    y = channel_rms_norm(x, gamma)
+    return y if keep is None else y * keep.reshape(1, -1, 1)
+
+
 @pytest.mark.parametrize("keep", [None, KEEP], ids=["all", "keep"])
 def test_fused_rms_norm_gradients(keep):
     x = leaf((3, 5, 2), 35, offset=0.5)
     gamma = leaf((5,), 36, offset=1.0, scale=0.3)
     assert_grads_match(
-        lambda: mean_all(square(channel_rms_norm(x, gamma, keep))), [x, gamma], tol=1e-5
+        lambda: mean_all(square(masked_rms_norm(x, gamma, keep))), [x, gamma], tol=1e-5
     )
     if keep is not None:
         assert np.all(gamma.grad[keep == 0.0] == 0.0)
@@ -366,13 +372,14 @@ def test_fused_rms_norm_forward_is_bit_identical_to_its_chain(shape, keep):
     x = leaf(shape, 37, scale=2.0)
     gamma = leaf((5,), 38)
     expected = rms_norm_reference(x.data, gamma.data, keep)
-    assert np.array_equal(channel_rms_norm(x, gamma, keep).data, expected)
+    assert np.array_equal(masked_rms_norm(x, gamma, keep).data, expected)
 
 
 def test_rms_norm_is_one_graph_node():
     x = leaf((2, 5, 3), 39)
     gamma = leaf((5,), 40)
-    assert channel_rms_norm(x, gamma, KEEP)._parents == (x, gamma)
+    assert channel_rms_norm(x, gamma)._parents == (x, gamma)
+    assert masked_rms_norm(x, gamma, KEEP)._parents[0]._parents == (x, gamma)
 
 
 def conv1d_case(sites, kernel, with_bias):
@@ -396,7 +403,7 @@ def dwconv1d_case(sites, kernel, with_bias):
 def rms_norm_case(keep):
     x = leaf((3, 5, 2), 47, offset=0.5)
     gamma = leaf((5,), 48, offset=1.0, scale=0.3)
-    return lambda: channel_rms_norm(x, gamma, keep), [x, gamma]
+    return lambda: masked_rms_norm(x, gamma, keep), [x, gamma]
 
 
 def matmul_case():

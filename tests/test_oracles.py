@@ -345,15 +345,43 @@ def test_trail_resumes_from_a_genome_scored_before_the_last(monkeypatch):
     weights, ds = trail_case(TASK_TRANSLATION)
     a = maximal_genome(weights.spec, 0)
     b = maximal_genome(weights.spec, 1)
-    a_edited = replace(a, channel_assignment=(1, 0))  # shares all but layer 1's norm with a
+    a_edited = replace(a, channel_assignment=(1, 0))  # shares all but layer 1's mask with a
     oracle = GanOracle(weights, ds)
     oracle.evaluate(a)
     oracle.evaluate(b)
     counts = count_stage_calls(monkeypatch)
     fitness = oracle.evaluate(a_edited).fitness
-    assert counts == {"conv1d": 1, "channel_rms_norm": 1}  # the head and layer 1's norm
+    assert counts == {"conv1d": 1, "channel_rms_norm": 0}  # the head alone
     monkeypatch.undo()
     assert fitness == evaluate_genome(weights, a_edited, ds)
+
+
+@pytest.mark.parametrize("task", [TASK_TRANSLATION, TASK_SUPER_RESOLUTION])
+def test_a_sweep_runs_one_norm_per_distinct_core_output(monkeypatch, task):
+    weights, ds = trail_case(task)
+    genomes = list(enumerate_genomes(weights.spec))
+    # A core's output is fixed by the path and the operators and widths
+    # before it; its own layer's width enters only at the mask after it.
+    cores = {
+        (g.path_index, l, g.operator_assignment[: l + 1], g.channel_assignment[:l])
+        for g in genomes
+        for l in range(len(g.operator_assignment))
+    }
+    counts = count_stage_calls(monkeypatch)
+    oracle = GanOracle(weights, ds)
+    for g in genomes:
+        oracle.evaluate(g)
+    assert counts["channel_rms_norm"] == len(cores)
+
+
+def test_a_full_width_mask_stage_returns_its_input():
+    weights, _ = trail_case(TASK_TRANSLATION)
+    view = subnet_view(weights, maximal_genome(weights.spec, 0))
+    h = Tensor(np.ones((2, weights.spec.max_width, 1)))
+    assert view.stage_keys()[3] == weights.spec.max_width  # layer 0's mask
+    assert view._stage(3, h) is h
+    narrow = replace(view, channel_widths=(2, 3))._stage(3, h)
+    assert narrow is not h and np.sum(narrow.data) == 2 * 2
 
 
 def chain_bytes(trail):
