@@ -87,7 +87,9 @@ def psnr(output: np.ndarray, target: np.ndarray, peak: float = SIGNAL_PEAK) -> f
     ref = np.asarray(target, dtype=np.float64)
     if out.shape != ref.shape:
         raise ValueError(f"shape mismatch: {out.shape} vs {ref.shape}")
-    mse = float(np.mean((out - ref) ** 2))
+    d = out - ref
+    d *= d
+    mse = float(np.add.reduce(d, axis=None) / d.size)
     if mse <= 0.0:
         return PSNR_CAP
     value = float(10.0 * np.log10(peak * peak / mse))

@@ -17,7 +17,9 @@ Block cores are dense 1-D analogues of the registered operator kinds:
     context_res_block  conv - tanh - pointwise, plus skip
 
 A layer ends with a channel-RMS normalization scaled by its factor
-vector, then the channel mask of its width.
+vector, then the channel mask of its width.  The last layer's mask is
+not applied to its output: the head multiplies its own weight by the
+mask instead, which gives the same values bit for bit.
 
 Each conv is one graph node together with its bias, the ``tanh`` that
 follows it (after the stem, after both discriminator convs and after
@@ -294,8 +296,8 @@ def _block_core(weights: SupernetWeights, p: int, l: int, m: int, x: Tensor) -> 
 # so a miss often shares a long prefix with a genome scored some calls
 # before the last.  512 KiB holds 85 translation stage outputs at batch 64
 # (6 KiB each); a full-width mask stage's output is its norm's array, and
-# counts twice.  Over 8 default searches it ran 1,156 convs, against 1,152
-# at 1 MiB, 1,382 at 256 KiB and 2,024 with the last chain only.  It holds
+# counts once.  Over 8 default searches it ran 1,152 convs, as at 1 MiB,
+# against 1,244 at 256 KiB and 2,024 with the last chain only.  It holds
 # about 5 super-resolution outputs at 16 sites (96 KiB each).
 TRAIL_BUDGET_BYTES = 512 * 1024
 
@@ -308,26 +310,31 @@ class StageTrail:
     prefix is what a fresh forward with that prefix would recompute.
     ``entries`` maps (the parent entry's number, or 0, and the stage's own
     key) to (the entry's number, its depth in stages, its output array
-    without its graph).  A forward resumes after the longest stored prefix
-    of its keys and stores every stage it runs; ``keys`` and ``chain`` are
-    its stage keys and the entry keys of its stages.
+    without its graph, the bytes it counts).  An output that is its parent
+    entry's array (a full-width mask stage) counts 0 bytes, so ``nbytes``
+    is the size of the distinct arrays held.  A forward resumes after the
+    longest stored prefix of its keys and stores every stage it runs;
+    ``keys`` and ``chain`` are its stage keys and the entry keys of its
+    stages.  ``keeps`` maps (path, layer, width) to that layer's channel
+    keep vector at that width (see ``GeneratorView._keep``).
 
     Beyond the last forward's chain, the store keeps at most
     ``TRAIL_BUDGET_BYTES`` of outputs, evicting the least recently used
     entry first.  A forward marks its chain used deepest entry first, so
     no entry is evicted before its children and every entry stays
-    reachable.  The store starts over when the input array or the weights
-    object differs, compared by identity.  Weights changed in place are
-    not noticed, so a trail is only sound over fixed weights, unless a
-    ``cut`` first drops every stage the change affects.
+    reachable.  The store and the keep vectors start over when the input
+    array or the weights object differs, compared by identity.  Weights
+    changed in place are not noticed, so a trail is only sound over fixed
+    weights, unless a ``cut`` first drops every stage the change affects.
     """
 
     def __init__(self) -> None:
         self.x: np.ndarray | None = None
         self.weights: SupernetWeights | None = None
         self.keys: list = []
-        self.entries: "OrderedDict[tuple, tuple[int, int, np.ndarray]]" = OrderedDict()
+        self.entries: "OrderedDict[tuple, tuple[int, int, np.ndarray, int]]" = OrderedDict()
         self.chain: list[tuple] = []
+        self.keeps: dict[tuple[int, int, int], Tensor] = {}
         self.nbytes = 0
         self._numbered = 0
 
@@ -336,6 +343,7 @@ class StageTrail:
         if self.x is not x.data or self.weights is not weights:
             self.x, self.weights = x.data, weights
             self.entries.clear()
+            self.keeps.clear()
             self.nbytes = 0
         self.keys, self.chain = keys, []
         found = None
@@ -351,22 +359,26 @@ class StageTrail:
     def store(self, outputs: list[np.ndarray]) -> None:
         """Store the outputs of the stages the resumed forward ran, then evict."""
         entries, chain = self.entries, self.chain
-        parent = entries[chain[-1]][0] if chain else 0
+        parent, _, held, _ = entries[chain[-1]] if chain else (0, 0, None, 0)
         for output in outputs:
             key = (parent, self.keys[len(chain)])
+            size = 0 if output is held else output.nbytes
             self._numbered = parent = self._numbered + 1
-            entries[key] = (parent, len(chain) + 1, output)
+            entries[key] = (parent, len(chain) + 1, output, size)
             chain.append(key)
-            self.nbytes += output.nbytes
+            self.nbytes += size
+            held = output
         for key in reversed(chain):
             entries.move_to_end(key)
         while self.nbytes > TRAIL_BUDGET_BYTES and len(entries) > len(chain):
-            self.nbytes -= entries.popitem(last=False)[1][2].nbytes
+            self.nbytes -= entries.popitem(last=False)[1][3]
 
     def cut(self, stages: int) -> None:
-        """Forget every entry deeper than ``stages``, so a resumed forward runs the rest."""
+        """Forget every entry deeper than ``stages`` and every keep vector,
+        so a resumed forward runs the rest."""
         for key in [key for key, entry in self.entries.items() if entry[1] > stages]:
-            self.nbytes -= self.entries.pop(key)[2].nbytes
+            self.nbytes -= self.entries.pop(key)[3]
+        self.keeps.clear()
 
 
 @dataclass
@@ -378,14 +390,17 @@ class GeneratorView:
     and for discriminator updates).  ``channel_widths`` are the active
     output widths per layer; the widest width skips masking entirely.
 
-    A forward runs 3L + 1 stages in order, then the head: the stem, then
-    per layer ``l`` its block core (the resample into the layer and the
-    operator block), its channel norm and its channel mask.  Each stage's
-    own key names the choice it adds: the stem's is the path, a core's is
-    ``op_l`` (None for the mixture), a norm's is None (it adds no choice)
-    and a mask's is ``width_l``.  A stage's output depends on its own key
-    and on the keys of every earlier stage, so genomes that differ only in
-    a layer's width share that layer's norm.
+    A forward runs 3L stages in order, then the head: the stem, then per
+    layer ``l`` its block core (the resample into the layer and the
+    operator block), its channel norm and, for every layer but the last,
+    its channel mask.  The head applies the last layer's mask through its
+    weight.  Each stage's own key names the choice it adds: the stem's is
+    the path, a core's is ``op_l`` (None for the mixture), a norm's is
+    None (it adds no choice) and a mask's is ``width_l``.  A stage's output
+    depends on its own key and on the keys of every earlier stage, so
+    genomes that differ only in a layer's width share that layer's norm,
+    and genomes that differ only in the last layer's width share every
+    stage.
     """
 
     weights: SupernetWeights
@@ -399,7 +414,7 @@ class GeneratorView:
         keys: list = [self.path_index]
         for l, width in enumerate(self.channel_widths):
             keys += (None if ops is None else ops[l], None, width)
-        return keys
+        return keys[:-1]
 
     def __call__(self, x: Tensor, trail: StageTrail | None = None) -> Tensor:
         """Run the generator on ``x``.
@@ -411,12 +426,12 @@ class GeneratorView:
         self._check_input(x)
         start, h = (0, x) if trail is None else trail.resume(x, self.weights, self.stage_keys())
         ran = []
-        for stage in range(start, 3 * len(self.channel_widths) + 1):
-            h = self._stage(stage, h)
+        for stage in range(start, 3 * len(self.channel_widths)):
+            h = self._stage(stage, h, trail)
             ran.append(h.data)
         if trail is not None:
             trail.store(ran)
-        return self._head(h)
+        return self._head(h, self._keep(len(self.channel_widths) - 1, trail))
 
     def _check_input(self, x: Tensor) -> None:
         spec = self.weights.spec
@@ -427,12 +442,38 @@ class GeneratorView:
                 f"got {x.data.shape}"
             )
 
-    def _head(self, h: Tensor) -> Tensor:
-        p = self.path_index
-        return conv1d(h, self.weights[f"g/p{p}/head/w"], bias=self.weights[f"g/p{p}/head/b"])
+    def _keep(self, l: int, trail: StageTrail | None = None) -> Tensor | None:
+        """Layer ``l``'s 0/1 channel keep vector, shaped (1, C, 1); None at full width.
 
-    def _stage(self, stage: int, h: Tensor) -> Tensor:
-        """Stage ``stage`` of the forward applied to the previous stage's output."""
+        A ``trail`` derives each (path, layer, width)'s vector once.
+        """
+        width = self.channel_widths[l]
+        if width == self.weights.spec.max_width:
+            return None
+        key = (self.path_index, l, width)
+        keeps = {} if trail is None else trail.keeps
+        keep = keeps.get(key)
+        if keep is None:
+            gamma = self.weights.gamma(self.path_index, l).data
+            keep = keeps[key] = Tensor(active_channel_mask(gamma, width).reshape(1, -1, 1))
+        return keep
+
+    def _head(self, h: Tensor, keep: Tensor | None = None) -> Tensor:
+        """The head conv on ``h``, with its input channels masked by ``keep``.
+
+        ``w * keep`` and ``h * keep`` make each product of a dropped
+        channel an exact zero, and the conv keeps its shapes and layouts,
+        so masking either gives the same values.
+        """
+        p = self.path_index
+        w = self.weights[f"g/p{p}/head/w"]
+        return conv1d(h, w if keep is None else w * keep, bias=self.weights[f"g/p{p}/head/b"])
+
+    def _stage(self, stage: int, h: Tensor, trail: StageTrail | None = None) -> Tensor:
+        """Stage ``stage`` of the forward applied to the previous stage's output.
+
+        Stage 3L is the last layer's mask, which only ``stacked_forward`` runs.
+        """
         p = self.path_index
         spec = self.weights.spec
         if stage == 0:
@@ -444,10 +485,8 @@ class GeneratorView:
         if part == 1:
             return channel_rms_norm(h, self.weights.gamma(p, l))
         if part == 2:
-            width = self.channel_widths[l]
-            if width == spec.max_width:
-                return h
-            return h * active_channel_mask(self.weights.gamma(p, l).data, width).reshape(1, -1, 1)
+            keep = self._keep(l, trail)
+            return h if keep is None else h * keep
         if l > 0:
             h = _resample(h, spec.resampling[p][l])
         layer = spec.paths[p].layers[l]
@@ -465,6 +504,8 @@ def stacked_forward(views: Sequence[GeneratorView], x: Tensor) -> Tensor:
     the path's weights and ``x``, so its one output feeds every view's
     layers, and the head runs once over the stacked rows: rows
     ``m * batch`` to ``(m + 1) * batch`` are the output of ``views[m]``.
+    The views' last widths may differ, so each masks its own last layer's
+    output, and the head's weight stays unmasked.
     """
     first = views[0]
     if any(v.weights is not first.weights or v.path_index != first.path_index for v in views):

@@ -14,7 +14,7 @@ from cfsearch.network import (
     mixed_view,
     subnet_view,
 )
-from cfsearch.space import ArchitectureGenome, maximal_genome, spec_from_dict
+from cfsearch.space import ArchitectureGenome, maximal_genome, minimal_genome, spec_from_dict
 
 from conftest import build_spec
 
@@ -215,6 +215,19 @@ def test_mixture_of_two_residual_blocks_has_exact_gradients():
     weights = SupernetWeights.create(spec, 11)
     names = ["g/p0/stem/w", "g/p0/l0/gamma", "g/p0/l0/op0/u0/w", "g/p0/l1/op1/u1/w"]
     assert_view_grads_match(weights, mixed_view(weights, 0), names, 12)
+
+
+@pytest.mark.parametrize("sites", [1, 4])
+def test_a_narrow_last_layer_has_exact_gradients_through_the_masked_head(sites):
+    spec, weights = small_weights(13, input_sites=sites)
+    # Distinct factors, so that no finite-difference step changes the kept channels.
+    for gamma in weights.gamma_tensors(0):
+        gamma.data = np.array([0.3, 0.9, 0.6])
+    genome = minimal_genome(spec, 0)  # width 2 of 3: channel 0 is dropped
+    names = ["g/p0/head/w", "g/p0/head/b", "g/p0/l1/gamma"]
+    names += [name for name, _ in weights.named("g/p0/l1/op0/")]
+    assert_view_grads_match(weights, subnet_view(weights, genome), names, 14)
+    assert not weights["g/p0/head/w"].grad[:, 0].any()
 
 
 @pytest.fixture(scope="module")

@@ -18,13 +18,15 @@ from cfsearch.oracles import (
     shipped_landscape,
 )
 from cfsearch.pipeline import joint_search_baseline
-from cfsearch.engine import Tensor
+from cfsearch.engine import Tensor, conv1d, sum_all
 from cfsearch.network import StageTrail, SupernetWeights, subnet_view
+from cfsearch.sparsity import active_channel_mask
 from cfsearch.space import (
     ArchitectureGenome,
     enumerate_genomes,
     genome_space_size,
     maximal_genome,
+    minimal_genome,
     spec_from_dict,
 )
 from cfsearch.trainer import (
@@ -263,18 +265,18 @@ def test_non_finite_fitness_is_rejected_before_caching():
     assert oracle.path_evaluations == 0
 
 
-def trail_case(task):
+def trail_case(task, channels=(2, 3)):
     """A small supernet with spread scale factors, and a dataset for ``task``."""
     if task == TASK_TRANSLATION:
         spec = build_spec(
-            n_paths=2, n_layers=2, channels=(2, 3), input_sites=1, input_channels=2
+            n_paths=2, n_layers=2, channels=channels, input_sites=1, input_channels=2
         )
     else:  # resamples into each layer: 4 sites in, 8 after layer 0, 16 out
         spec = spec_from_dict(
             {
                 "input_channels": 1,
                 "input_sites": 4,
-                "channel_choices": [2, 3],
+                "channel_choices": list(channels),
                 "paths": [
                     {
                         "resolution_schedule": [2, 4],
@@ -291,9 +293,13 @@ def trail_case(task):
     return weights, make_dataset(task, samples=16, val_fraction=0.5, seed=1)
 
 
-@pytest.mark.parametrize("task", [TASK_TRANSLATION, TASK_SUPER_RESOLUTION])
-def test_gan_oracle_trail_is_bit_identical_in_any_order(task):
-    weights, ds = trail_case(task)
+@pytest.mark.parametrize(
+    "task, channels",
+    [(TASK_TRANSLATION, (2, 3)), (TASK_SUPER_RESOLUTION, (2, 3)), (TASK_TRANSLATION, (1, 2, 3))],
+    ids=["translation", "super_resolution", "translation-two-narrow-widths"],
+)
+def test_gan_oracle_trail_is_bit_identical_in_any_order(task, channels):
+    weights, ds = trail_case(task, channels)
     genomes = list(enumerate_genomes(weights.spec))
     plain = {g.to_record(): evaluate_genome(weights, g, ds) for g in genomes}
     shuffled = [genomes[i] for i in np.random.default_rng(5).permutation(len(genomes))]
@@ -330,9 +336,9 @@ def test_trail_starts_over_on_other_inputs_or_weights():
     assert evaluate_genome(weights, genome, ds, trail) == evaluate_genome(weights, genome, ds)
 
 
-def count_stage_calls(monkeypatch):
+def count_stage_calls(monkeypatch, names=("conv1d", "channel_rms_norm")):
     """Counts of the convs (stem, block and head) and norms the generator runs."""
-    counts = {"conv1d": 0, "channel_rms_norm": 0}
+    counts = dict.fromkeys(names, 0)
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(network, name), **kwargs):
             counts[_name] += 1
@@ -374,6 +380,72 @@ def test_a_sweep_runs_one_norm_per_distinct_core_output(monkeypatch, task):
     assert counts["channel_rms_norm"] == len(cores)
 
 
+@pytest.mark.parametrize("task", [TASK_TRANSLATION, TASK_SUPER_RESOLUTION])
+def test_a_miss_in_the_last_width_runs_the_head_alone(monkeypatch, task):
+    weights, ds = trail_case(task)
+    x = Tensor(ds.val_x)
+    narrow = minimal_genome(weights.spec, 0)
+    wide = maximal_genome(weights.spec, 0)
+    narrow_last = replace(wide, channel_assignment=(1, 0))  # differs from wide in the last width
+    names = ("conv1d", "channel_rms_norm", "active_channel_mask")
+    counts = count_stage_calls(monkeypatch, names)
+    trail = StageTrail()
+    subnet_view(weights, narrow)(x, trail)
+    assert counts["active_channel_mask"] == 2
+    subnet_view(weights, wide)(x, trail)
+    # The trail has seen layer 1 at this width, though behind another layer 0.
+    counts.update(dict.fromkeys(names, 0))
+    subnet_view(weights, narrow_last)(x, trail)
+    assert counts == {"conv1d": 1, "channel_rms_norm": 0, "active_channel_mask": 0}
+    # Without a trail, each forward derives one keep vector per narrow layer.
+    for genome, narrow_layers in ((narrow, 2), (narrow_last, 1), (wide, 0)):
+        counts.update(dict.fromkeys(names, 0))
+        subnet_view(weights, genome)(x)
+        assert counts["active_channel_mask"] == narrow_layers
+
+
+def masked_head_reference(view, x):
+    """``view(x)`` from engine ops: the last layer's output times its keep
+    vector, then the head conv with its weight unmasked."""
+    weights, p = view.weights, view.path_index
+    last = len(view.channel_widths) - 1
+    h = x
+    for stage in range(3 * len(view.channel_widths)):
+        h = view._stage(stage, h)
+    keep = active_channel_mask(weights.gamma(p, last).data, view.channel_widths[last])
+    h = h * Tensor(keep.reshape(1, -1, 1))
+    return conv1d(h, weights[f"g/p{p}/head/w"], bias=weights[f"g/p{p}/head/b"])
+
+
+def output_and_gradients(weights, forward):
+    """The output of ``forward()`` and the generator gradients of a fixed linear loss on it."""
+    generator = weights.named("g/p0/")
+    with weights.train_only(t for _, t in generator):
+        out = forward()
+        rows = np.random.default_rng(7).normal(size=out.data.shape)
+        sum_all(out * Tensor(rows)).backward()
+        return out.data, {name: t.grad for name, t in generator if t.grad is not None}
+
+
+@pytest.mark.parametrize("task", [TASK_TRANSLATION, TASK_SUPER_RESOLUTION])
+def test_the_head_masks_the_last_layer_through_its_weight_bit_for_bit(task):
+    weights, ds = trail_case(task)
+    x = Tensor(ds.val_x)
+    oracle, trail = GanOracle(weights, ds), StageTrail()
+    for genome in enumerate_genomes(weights.spec):
+        view = subnet_view(weights, genome)
+        assert np.array_equal(view(x, trail).data, masked_head_reference(view, x).data)
+        assert oracle.evaluate(genome).fitness == evaluate_genome(weights, genome, ds)
+
+    view = subnet_view(weights, minimal_genome(weights.spec, 0))
+    out, grads = output_and_gradients(weights, lambda: view(x))
+    expected_out, expected = output_and_gradients(weights, lambda: masked_head_reference(view, x))
+    assert np.array_equal(out, expected_out)
+    assert grads.keys() == expected.keys() >= {"g/p0/head/w", "g/p0/l1/gamma"}
+    for name, grad in expected.items():
+        assert np.array_equal(grads[name], grad), name
+
+
 def test_a_full_width_mask_stage_returns_its_input():
     weights, _ = trail_case(TASK_TRANSLATION)
     view = subnet_view(weights, maximal_genome(weights.spec, 0))
@@ -388,6 +460,11 @@ def chain_bytes(trail):
     return sum(trail.entries[key][2].nbytes for key in trail.chain)
 
 
+def distinct_arrays(trail):
+    """The output arrays the trail holds, each once (a full-width mask shares its norm's)."""
+    return {id(output): output for _, _, output, _ in trail.entries.values()}.values()
+
+
 @pytest.mark.parametrize("budget, evicts", [(network.TRAIL_BUDGET_BYTES, False), (32 * 1024, True)])
 def test_trail_holds_its_budget_and_keeps_every_entry_reachable(monkeypatch, budget, evicts):
     monkeypatch.setattr(network, "TRAIL_BUDGET_BYTES", budget)
@@ -396,17 +473,19 @@ def test_trail_holds_its_budget_and_keeps_every_entry_reachable(monkeypatch, bud
     order = [genomes[i] for i in np.random.default_rng(6).permutation(len(genomes))]
     trail = StageTrail()
     prefixes = set()
-    evicted = False
+    evicted = shared = False
     for g in genomes + order:
         assert evaluate_genome(weights, g, ds, trail) == evaluate_genome(weights, g, ds)
-        outputs = [output for _, _, output in trail.entries.values()]
+        outputs = distinct_arrays(trail)
         assert trail.nbytes == sum(output.nbytes for output in outputs)
+        shared = shared or len(outputs) < len(trail.entries)
         assert trail.nbytes <= budget + chain_bytes(trail)
-        numbers = {number for number, _, _ in trail.entries.values()}
+        numbers = {number for number, _, _, _ in trail.entries.values()}
         assert {parent for parent, _ in trail.entries} <= numbers | {0}
         prefixes.update(tuple(trail.keys[: i + 1]) for i in range(len(trail.keys)))
         evicted = evicted or len(trail.entries) < len(prefixes)
     assert evicted == evicts
+    assert shared
 
 
 def test_trail_cut_drops_deeper_entries():
@@ -415,9 +494,11 @@ def test_trail_cut_drops_deeper_entries():
     trail = StageTrail()
     for g in genomes:
         evaluate_genome(weights, g, ds, trail)
+    assert trail.keeps
     trail.cut(2)
-    assert trail.entries and all(depth <= 2 for _, depth, _ in trail.entries.values())
-    assert trail.nbytes == sum(output.nbytes for _, _, output in trail.entries.values())
+    assert trail.entries and all(depth <= 2 for _, depth, _, _ in trail.entries.values())
+    assert trail.nbytes == sum(output.nbytes for output in distinct_arrays(trail))
+    assert not trail.keeps
     view = subnet_view(weights, genomes[-1])
     assert trail.resume(Tensor(ds.val_x), weights, view.stage_keys())[0] == 2
     assert evaluate_genome(weights, genomes[0], ds, trail) == evaluate_genome(weights, genomes[0], ds)
