@@ -6,12 +6,20 @@ squared Fréchet distance between them (``moment_distance``),
 
     |mu_a - mu_b|^2 + tr(Sig_a) + tr(Sig_b) - 2 tr((Sig_b^1/2 Sig_a Sig_b^1/2)^1/2).
 
-``covariance_root`` takes Sig_b^1/2 from a symmetric eigendecomposition,
-so a fixed reference set pays for it once.  The last trace is the sum of
-the square roots of the eigenvalues of Sig_b^1/2 Sig_a Sig_b^1/2
-(symmetrized against rounding), which needs no eigenvectors.  Eigenvalues
-are clipped at zero throughout, so the result is deterministic, real, and
-exactly 0.0 for identical sets up to rounding.
+For d = 2, the size of every translation output, the last trace is a
+closed form in Python floats, with no matrix root and no LAPACK call: its
+square is tr(Sig_a Sig_b) + 2 sqrt(det Sig_a det Sig_b), the eigenvalues'
+sum plus twice the root of their product.  Each covariance is first
+scaled by an exact even power of two to entries near 1, and the trace,
+homogeneous of degree 1/2 in each, is scaled back, so no product over- or
+underflows where the eigenvalue form stays finite.  Any other d takes
+Sig_b^1/2 from ``eigh``, and the trace as the sum of the square roots of
+the eigenvalues of Sig_b^1/2 Sig_a Sig_b^1/2 (symmetrized against
+rounding).  Both forms clip at zero before each root, so the result is
+deterministic, real, and 0.0 for identical sets up to rounding.  On a
+nearly singular set the distance is ill-conditioned in either form: the
+root of a tiny eigenvalue, or of a tiny determinant product, magnifies a
+rounding error in it, so the two forms may differ there far beyond one ulp.
 
 ``psnr`` is the usual peak signal-to-noise ratio over a fixed peak; a
 perfect reconstruction would divide by zero, so it saturates at a large
@@ -19,6 +27,8 @@ documented cap instead.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,13 +38,6 @@ SIGNAL_PEAK = 2.0
 # Returned for (near-)exact reconstructions; far above any attainable
 # genuine ratio, so it is recognizably a sentinel and keeps fitness finite.
 PSNR_CAP = 300.0
-
-
-def covariance_root(cov: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a covariance, eigenvalues clipped at zero."""
-    values, vectors = np.linalg.eigh((cov + cov.T) / 2.0)
-    values = np.clip(values, 0.0, None)
-    return (vectors * np.sqrt(values)) @ vectors.T
 
 
 def gaussian_moments(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -50,21 +53,25 @@ def gaussian_moments(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def moment_distance(
-    moments_a: tuple[np.ndarray, np.ndarray],
-    moments_b: tuple[np.ndarray, np.ndarray],
-    root_b: np.ndarray | None = None,
+    moments_a: tuple[np.ndarray, np.ndarray], moments_b: tuple[np.ndarray, np.ndarray]
 ) -> float:
-    """Squared Fréchet distance between two Gaussians given as (mean, covariance).
-
-    ``root_b`` is ``covariance_root`` of the second covariance, if the
-    caller keeps it; otherwise it is computed here.
-    """
+    """Squared Fréchet distance between two Gaussians given as (mean, covariance)."""
     mu_a, cov_a = moments_a
     mu_b, cov_b = moments_b
     if mu_a.shape != mu_b.shape:
         raise ValueError(f"need sample sets with equal d, got {mu_a.size} and {mu_b.size}")
-    if root_b is None:
-        root_b = covariance_root(cov_b)
+    if mu_a.shape == (2,):
+        d0, d1 = (mu_a - mu_b).tolist()
+        (a00, a01), (_, a11) = cov_a.tolist()
+        (b00, b01), (_, b11) = cov_b.tolist()
+        value = d0 * d0 + d1 * d1 + (a00 + a11) + (b00 + b11)
+        a00, a01, a11, back_a = _near_one(a00, a01, a11)
+        b00, b01, b11, back_b = _near_one(b00, b01, b11)
+        dets = max((a00 * a11 - a01 * a01) * (b00 * b11 - b01 * b01), 0.0)
+        cross = max(a00 * b00 + 2.0 * a01 * b01 + a11 * b11 + 2.0 * math.sqrt(dets), 0.0)
+        return max(value - 2.0 * math.sqrt(cross) * back_a * back_b, 0.0)
+    values, vectors = np.linalg.eigh((cov_b + cov_b.T) / 2.0)
+    root_b = (vectors * np.sqrt(values.clip(0.0))) @ vectors.T
     m = root_b @ cov_a @ root_b
     cross = np.linalg.eigvalsh((m + m.T) / 2.0).clip(0.0)
     value = float(
@@ -74,6 +81,12 @@ def moment_distance(
         - 2.0 * np.add.reduce(np.sqrt(cross))
     )
     return max(value, 0.0)
+
+
+def _near_one(c00: float, c01: float, c11: float) -> tuple[float, float, float, float]:
+    """A 2×2 covariance times an exact 2**e, e even, that brings it near 1, and 2**(-e/2)."""
+    e = -2 * (math.frexp(max(abs(c00), abs(c01), abs(c11)))[1] // 2)
+    return math.ldexp(c00, e), math.ldexp(c01, e), math.ldexp(c11, e), math.ldexp(1.0, -e // 2)
 
 
 def frechet_moment_distance(samples_a: np.ndarray, samples_b: np.ndarray) -> float:

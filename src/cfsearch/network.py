@@ -316,16 +316,19 @@ class StageTrail:
     longest stored prefix of its keys and stores every stage it runs;
     ``keys`` and ``chain`` are its stage keys and the entry keys of its
     stages.  ``keeps`` maps (path, layer, width) to that layer's channel
-    keep vector at that width (see ``GeneratorView._keep``).
+    keep vector at that width (see ``GeneratorView._keep``), and ``heads``
+    maps (path, last width) to the head weight masked by the last layer's
+    keep vector, a graph node (see ``GeneratorView._head_weight``).
 
     Beyond the last forward's chain, the store keeps at most
     ``TRAIL_BUDGET_BYTES`` of outputs, evicting the least recently used
     entry first.  A forward marks its chain used deepest entry first, so
     no entry is evicted before its children and every entry stays
-    reachable.  The store and the keep vectors start over when the input
-    array or the weights object differs, compared by identity.  Weights
-    changed in place are not noticed, so a trail is only sound over fixed
-    weights, unless a ``cut`` first drops every stage the change affects.
+    reachable.  The store, the keep vectors and the masked head weights
+    start over when the input array or the weights object differs,
+    compared by identity.  Weights changed in place are not noticed, so a
+    trail is only sound over fixed weights, unless a ``cut`` first drops
+    every stage the change affects.
     """
 
     def __init__(self) -> None:
@@ -335,6 +338,7 @@ class StageTrail:
         self.entries: "OrderedDict[tuple, tuple[int, int, np.ndarray, int]]" = OrderedDict()
         self.chain: list[tuple] = []
         self.keeps: dict[tuple[int, int, int], Tensor] = {}
+        self.heads: dict[tuple[int, int], Tensor] = {}
         self.nbytes = 0
         self._numbered = 0
 
@@ -344,6 +348,7 @@ class StageTrail:
             self.x, self.weights = x.data, weights
             self.entries.clear()
             self.keeps.clear()
+            self.heads.clear()
             self.nbytes = 0
         self.keys, self.chain = keys, []
         found = None
@@ -374,11 +379,12 @@ class StageTrail:
             self.nbytes -= entries.popitem(last=False)[1][3]
 
     def cut(self, stages: int) -> None:
-        """Forget every entry deeper than ``stages`` and every keep vector,
-        so a resumed forward runs the rest."""
+        """Forget every entry deeper than ``stages``, every keep vector and
+        every masked head weight, so a resumed forward runs the rest."""
         for key in [key for key, entry in self.entries.items() if entry[1] > stages]:
             self.nbytes -= self.entries.pop(key)[3]
         self.keeps.clear()
+        self.heads.clear()
 
 
 @dataclass
@@ -431,7 +437,8 @@ class GeneratorView:
             ran.append(h.data)
         if trail is not None:
             trail.store(ran)
-        return self._head(h, self._keep(len(self.channel_widths) - 1, trail))
+        bias = self.weights[f"g/p{self.path_index}/head/b"]
+        return conv1d(h, self._head_weight(trail), bias=bias)
 
     def _check_input(self, x: Tensor) -> None:
         spec = self.weights.spec
@@ -458,16 +465,25 @@ class GeneratorView:
             keep = keeps[key] = Tensor(active_channel_mask(gamma, width).reshape(1, -1, 1))
         return keep
 
-    def _head(self, h: Tensor, keep: Tensor | None = None) -> Tensor:
-        """The head conv on ``h``, with its input channels masked by ``keep``.
+    def _head_weight(self, trail: StageTrail | None = None) -> Tensor:
+        """The head weight with its input channels masked by the last keep vector.
 
         ``w * keep`` and ``h * keep`` make each product of a dropped
         channel an exact zero, and the conv keeps its shapes and layouts,
-        so masking either gives the same values.
+        so masking either gives the same values.  A ``trail`` keeps the
+        masked weight, a graph node, per (path, last width), and builds it
+        again when the weight's ``requires_grad`` has changed since.
         """
-        p = self.path_index
-        w = self.weights[f"g/p{p}/head/w"]
-        return conv1d(h, w if keep is None else w * keep, bias=self.weights[f"g/p{p}/head/b"])
+        w = self.weights[f"g/p{self.path_index}/head/w"]
+        keep = self._keep(len(self.channel_widths) - 1, trail)
+        if keep is None:
+            return w
+        key = (self.path_index, self.channel_widths[-1])
+        heads = {} if trail is None else trail.heads
+        masked = heads.get(key)
+        if masked is None or masked.requires_grad != w.requires_grad:
+            masked = heads[key] = w * keep
+        return masked
 
     def _stage(self, stage: int, h: Tensor, trail: StageTrail | None = None) -> Tensor:
         """Stage ``stage`` of the forward applied to the previous stage's output.
@@ -518,7 +534,8 @@ def stacked_forward(views: Sequence[GeneratorView], x: Tensor) -> Tensor:
         for stage in range(1, 3 * len(view.channel_widths) + 1):
             h = view._stage(stage, h)
         outputs.append(h)
-    return first._head(concat_rows(outputs))
+    head = f"g/p{first.path_index}/head/"
+    return conv1d(concat_rows(outputs), first.weights[head + "w"], bias=first.weights[head + "b"])
 
 
 def subnet_view(weights: SupernetWeights, genome: ArchitectureGenome) -> GeneratorView:

@@ -48,7 +48,7 @@ from .configs import CONFIG_KEYS, TASK_SUPER_RESOLUTION, TASK_TRANSLATION, check
 from .engine import Tensor, mean, sigmoid
 from .errors import ConfigError, NonFiniteLossError, ShapeError
 from .fairness import FairnessLedger, plan_epoch
-from .metrics import covariance_root, gaussian_moments, moment_distance, psnr
+from .metrics import gaussian_moments, moment_distance, psnr
 from .network import DiscriminatorView, StageTrail, SupernetWeights, mixed_view
 from .network import stacked_forward, subnet_view
 from .space import ArchitectureGenome, SupernetSpec, maximal_genome
@@ -93,11 +93,6 @@ class ToyDataset:
     def val_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Mean and covariance of the flattened validation targets, made once."""
         return gaussian_moments(self.val_y.reshape(self.val_y.shape[0], -1))
-
-    @cached_property
-    def val_cov_root(self) -> np.ndarray:
-        """``covariance_root`` of the validation covariance, made once."""
-        return covariance_root(self.val_moments[1])
 
 
 def make_translation_dataset(
@@ -453,9 +448,7 @@ def score_outputs(out: np.ndarray, dataset: ToyDataset) -> float:
     """
     if dataset.task == TASK_TRANSLATION:
         flat_out = out.reshape(out.shape[0], -1)
-        return -moment_distance(
-            gaussian_moments(flat_out), dataset.val_moments, dataset.val_cov_root
-        )
+        return -moment_distance(gaussian_moments(flat_out), dataset.val_moments)
     if dataset.task == TASK_SUPER_RESOLUTION:
         return psnr(out, dataset.val_y)
     raise ConfigError(f"unknown task {dataset.task!r}")

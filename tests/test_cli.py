@@ -387,15 +387,21 @@ def test_missing_checkpoint_exits_2(tmp_path, capsys):
 
 def test_non_finite_fitness_exits_4(pretrained, tmp_path, capsys):
     config, checkpoint = pretrained
-    weights = SupernetWeights.load(spec_from_dict(load_config(config)["space"]), str(checkpoint))
-    weights["g/p0/head/w"].data[...] = np.nan
-    poisoned = tmp_path / "nan.bin"
-    weights.save(str(poisoned))
-    for command in ("search-path", "shrink"):
-        assert main([command, "--config", config, "--checkpoint", str(poisoned)]) == 4
-        captured = capsys.readouterr()
-        assert "non-finite fitness nan for path 0" in captured.err
-        assert "chosen" not in captured.out
+    # A head weight of nan, and one so large but finite that path 0's
+    # outputs square past the float range.
+    for name, poison in (("nan", np.nan), ("huge", 1e200)):
+        weights = SupernetWeights.load(
+            spec_from_dict(load_config(config)["space"]), str(checkpoint)
+        )
+        weights["g/p0/head/w"].data *= poison
+        poisoned = tmp_path / f"{name}.bin"
+        weights.save(str(poisoned))
+        for command in ("search-path", "shrink"):
+            assert main([command, "--config", config, "--checkpoint", str(poisoned)]) == 4
+            captured = capsys.readouterr()
+            assert "non-finite fitness nan for path 0" in captured.err, name
+            assert "Traceback" not in captured.err
+            assert "chosen" not in captured.out
 
 
 @pytest.mark.parametrize(

@@ -404,6 +404,67 @@ def test_a_miss_in_the_last_width_runs_the_head_alone(monkeypatch, task):
         assert counts["active_channel_mask"] == narrow_layers
 
 
+@pytest.mark.parametrize(
+    "task, channels",
+    [(TASK_TRANSLATION, (2, 3)), (TASK_SUPER_RESOLUTION, (2, 3)), (TASK_TRANSLATION, (1, 2, 3))],
+    ids=["translation", "super_resolution", "translation-two-narrow-widths"],
+)
+def test_a_sweep_masks_the_head_weight_once_per_path_and_last_width(monkeypatch, task, channels):
+    weights, ds = trail_case(task, channels)
+    spec = weights.spec
+    genomes = list(enumerate_genomes(spec))
+    heads = {weights[f"g/p{p}/head/w"] for p in range(spec.num_paths)}
+    masked = []
+    multiply = Tensor.__mul__
+
+    def counted(a, b):
+        if a in heads:
+            masked.append(a)
+        return multiply(a, b)
+
+    monkeypatch.setattr(Tensor, "__mul__", counted)
+    oracle = GanOracle(weights, ds)
+    for g in genomes:
+        oracle.evaluate(g)
+    narrow_last = {
+        (g.path_index, g.channel_assignment[-1])
+        for g in genomes
+        if spec.channel_choices[g.channel_assignment[-1]] < spec.max_width
+    }
+    assert len(masked) == len(narrow_last) > 0
+    monkeypatch.undo()
+    for g in genomes:
+        assert oracle.evaluate(g).fitness == evaluate_genome(weights, g, ds)
+
+
+def test_a_masked_head_weight_built_frozen_is_built_again_for_a_gradient():
+    weights, ds = trail_case(TASK_TRANSLATION)
+    x = Tensor(ds.val_x)
+    view = subnet_view(weights, minimal_genome(weights.spec, 0))
+    trail = StageTrail()
+    with weights.train_only(()):
+        view(x, trail)
+    key = (0, view.channel_widths[-1])
+    frozen = trail.heads[key]
+    assert not frozen.requires_grad
+    out, grads = output_and_gradients(weights, lambda: view(x, trail))
+    assert trail.heads[key] is not frozen and trail.heads[key].requires_grad
+    expected_out, expected = output_and_gradients(weights, lambda: view(x))
+    assert np.array_equal(out, expected_out)
+    for name in ("g/p0/head/w", "g/p0/head/b"):
+        assert np.array_equal(grads[name], expected[name]), name
+    # A frozen forward does not reuse the node that records a gradient.
+    with weights.train_only(()):
+        assert np.array_equal(view(x, trail).data, expected_out)
+    assert not trail.heads[key].requires_grad
+    # Other weights start the trail over, masked head weights included.
+    view(x, trail)
+    other = weights.clone()
+    other["g/p0/head/w"].data *= 2.0
+    other_view = subnet_view(other, minimal_genome(weights.spec, 0))
+    assert np.array_equal(other_view(x, trail).data, other_view(x).data)
+
+
 def masked_head_reference(view, x):
     """``view(x)`` from engine ops: the last layer's output times its keep
     vector, then the head conv with its weight unmasked."""
@@ -494,11 +555,11 @@ def test_trail_cut_drops_deeper_entries():
     trail = StageTrail()
     for g in genomes:
         evaluate_genome(weights, g, ds, trail)
-    assert trail.keeps
+    assert trail.keeps and trail.heads
     trail.cut(2)
     assert trail.entries and all(depth <= 2 for _, depth, _, _ in trail.entries.values())
     assert trail.nbytes == sum(output.nbytes for output in distinct_arrays(trail))
-    assert not trail.keeps
+    assert not trail.keeps and not trail.heads
     view = subnet_view(weights, genomes[-1])
     assert trail.resume(Tensor(ds.val_x), weights, view.stage_keys())[0] == 2
     assert evaluate_genome(weights, genomes[0], ds, trail) == evaluate_genome(weights, genomes[0], ds)
