@@ -35,7 +35,8 @@ Gradients accumulate: a second backward pass, or a second use of the
 same tensor, adds into a leaf's ``grad`` rather than replacing it.  A
 fair cycle's stacked pass relies on the second: the shared stem's output
 gets the sum of every sub-network's gradient.
-``SupernetWeights.train_only`` clears every gradient when a step ends.
+Supernet weights are frozen outside ``SupernetWeights.train_only``,
+which clears the gradients of the tensors it trained when a step ends.
 
 ``conv1d`` is plain 2-D matmuls in each direction, which numpy hands to
 BLAS.  A multi-site conv's output is a view of site-major memory, and so

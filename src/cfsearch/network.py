@@ -27,7 +27,8 @@ every block transform but the last) and, on a block's last transform,
 the block's residual skip.  A mixed layer's average over its candidates
 is one ``mixture_mean`` node, and the discriminator's site mean, linear
 map and bias are one ``pooled_linear`` node.  ``stacked_forward`` runs
-several views of one path as one batch that shares the stem and the head.
+several views of one path and one set of widths as one batch that shares
+the stem and the head.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ CHECKPOINT_VERSION = 1
 
 
 class SupernetWeights:
-    """Every trainable tensor of the supernet, in declaration order."""
+    """Every tensor of the supernet, in declaration order; frozen outside ``train_only``."""
 
     def __init__(self, spec: SupernetSpec):
         self.spec = spec
@@ -104,7 +105,7 @@ class SupernetWeights:
         return w
 
     def _add(self, name: str, data: np.ndarray) -> None:
-        self.tensors[name] = Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
+        self.tensors[name] = Tensor(data)
         self._named.clear()
         self._plans.clear()
 
@@ -163,23 +164,22 @@ class SupernetWeights:
 
     @contextmanager
     def train_only(self, trainable: Iterable[Tensor]) -> Iterator[None]:
-        """Let only ``trainable`` record gradients inside the block.
+        """Let ``trainable`` record gradients inside the block.
 
-        Every other tensor is frozen, so graphs built inside the block
-        compute no gradient for it.  On exit, by an exception too, every
-        tensor requires a gradient again and holds none, so no gradient
-        outlives the step that computed it.  ``trainable`` must hold
-        tensors of these weights only.
+        Every tensor is frozen outside this block, so graphs built inside
+        it compute gradients for ``trainable`` alone.  On exit, by an
+        exception too, ``trainable`` is frozen again and holds no
+        gradient, so no gradient outlives the step that computed it.  Only
+        the tensors given are read or written.
         """
+        trainable = tuple(trainable)
         try:
-            for tensor in self.tensors.values():
-                tensor.requires_grad = False
             for tensor in trainable:
                 tensor.requires_grad = True
             yield
         finally:
-            for tensor in self.tensors.values():
-                tensor.requires_grad = True
+            for tensor in trainable:
+                tensor.requires_grad = False
                 tensor.grad = None
 
     def sgd_step(self, prefix: str, lr: float) -> None:
@@ -318,7 +318,8 @@ class StageTrail:
     stages.  ``keeps`` maps (path, layer, width) to that layer's channel
     keep vector at that width (see ``GeneratorView._keep``), and ``heads``
     maps (path, last width) to the head weight masked by the last layer's
-    keep vector, a graph node (see ``GeneratorView._head_weight``).
+    keep vector, a constant when scoring and a graph node inside a step
+    that trains the head (see ``GeneratorView._head_weight``).
 
     Beyond the last forward's chain, the store keeps at most
     ``TRAIL_BUDGET_BYTES`` of outputs, evicting the least recently used
@@ -471,8 +472,8 @@ class GeneratorView:
         ``w * keep`` and ``h * keep`` make each product of a dropped
         channel an exact zero, and the conv keeps its shapes and layouts,
         so masking either gives the same values.  A ``trail`` keeps the
-        masked weight, a graph node, per (path, last width), and builds it
-        again when the weight's ``requires_grad`` has changed since.
+        masked weight per (path, last width), and builds it again when the
+        weight's ``requires_grad`` has changed since.
         """
         w = self.weights[f"g/p{self.path_index}/head/w"]
         keep = self._keep(len(self.channel_widths) - 1, trail)
@@ -486,10 +487,7 @@ class GeneratorView:
         return masked
 
     def _stage(self, stage: int, h: Tensor, trail: StageTrail | None = None) -> Tensor:
-        """Stage ``stage`` of the forward applied to the previous stage's output.
-
-        Stage 3L is the last layer's mask, which only ``stacked_forward`` runs.
-        """
+        """Stage ``stage`` of the forward applied to the previous stage's output."""
         p = self.path_index
         spec = self.weights.spec
         if stage == 0:
@@ -516,26 +514,26 @@ class GeneratorView:
 def stacked_forward(views: Sequence[GeneratorView], x: Tensor) -> Tensor:
     """``concat_rows([view(x) for view in views])``, with one stem and one head.
 
-    The views must share their weights and path.  The stem reads only
-    the path's weights and ``x``, so its one output feeds every view's
-    layers, and the head runs once over the stacked rows: rows
-    ``m * batch`` to ``(m + 1) * batch`` are the output of ``views[m]``.
-    The views' last widths may differ, so each masks its own last layer's
-    output, and the head's weight stays unmasked.
+    The views must share their weights, path and channel widths.  The
+    stem reads only the path's weights and ``x``, so its one output feeds
+    every view's layers, and the head, with the last mask in its weight,
+    runs once over the stacked rows: rows ``m * batch`` to
+    ``(m + 1) * batch`` are the output of ``views[m]``.
     """
     first = views[0]
-    if any(v.weights is not first.weights or v.path_index != first.path_index for v in views):
-        raise InvariantError("stacked views must share their weights and path")
+    shared = (first.weights, first.path_index, first.channel_widths)
+    if any((v.weights, v.path_index, v.channel_widths) != shared for v in views):
+        raise InvariantError("stacked views must share their weights, path and channel widths")
     first._check_input(x)
     stem = first._stage(0, x)
     outputs = []
     for view in views:
         h = stem
-        for stage in range(1, 3 * len(view.channel_widths) + 1):
+        for stage in range(1, 3 * len(first.channel_widths)):
             h = view._stage(stage, h)
         outputs.append(h)
-    head = f"g/p{first.path_index}/head/"
-    return conv1d(concat_rows(outputs), first.weights[head + "w"], bias=first.weights[head + "b"])
+    bias = first.weights[f"g/p{first.path_index}/head/b"]
+    return conv1d(concat_rows(outputs), first._head_weight(), bias=bias)
 
 
 def subnet_view(weights: SupernetWeights, genome: ArchitectureGenome) -> GeneratorView:

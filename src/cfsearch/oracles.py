@@ -269,6 +269,7 @@ class GanOracle(FitnessOracle):
     channel stage's one-layer edits share all stages before the edited
     layer with the elite they came from.  Scores are bit-identical to a
     trail-free ``trainer.evaluate_genome``.  Path scores use no trail.
+    The weights are frozen, so scoring builds no graph.
     """
 
     def __init__(self, weights, dataset):

@@ -24,8 +24,8 @@ Each step computes only the gradients it applies: inside
 the path's scale factors (``weights.gamma_tensors(p)``) alone, and the
 discriminator step trains the matched ``d/{d}/`` weights alone.
 Fine-tuning trains the same generator and discriminator sets.  Every
-other tensor is frozen during a step, so no backward pass computes a
-gradient that the step would discard.
+tensor is frozen outside the step that trains it, so no pass builds a
+graph or computes a gradient that no step applies.
 
 The training objective combines an adversarial term with reconstruction
 (mean absolute error), a perceptual proxy (squared distance between

@@ -118,6 +118,26 @@ def test_sgd_step_skips_tensors_without_a_gradient():
         assert changed == (name.startswith("g/p0/") and not name.endswith("/gamma")), name
 
 
+def test_created_cloned_and_loaded_weights_are_frozen(tmp_path):
+    spec, weights = small_weights()
+    weights.save(str(tmp_path / "w.bin"))
+    for w in (weights, weights.clone(), SupernetWeights.load(spec, str(tmp_path / "w.bin"))):
+        for name, tensor in w.tensors.items():
+            assert not tensor.requires_grad and tensor.grad is None, name
+
+
+def test_train_only_sets_and_clears_only_the_tensors_it_trains():
+    spec, weights = small_weights()
+    head, stem = weights["g/p0/head/w"], weights["g/p0/stem/w"]
+    stem.requires_grad = True  # state of a tensor the block does not train
+    with weights.train_only(t for t in (head,)):  # a generator, which reads once
+        assert head.requires_grad and stem.requires_grad
+        head.grad, stem.grad = np.ones_like(head.data), np.ones_like(stem.data)
+    assert not head.requires_grad and head.grad is None
+    assert stem.grad is not None
+    assert [name for name, t in weights.tensors.items() if t.requires_grad] == ["g/p0/stem/w"]
+
+
 def test_subnet_forward_shapes_and_determinism():
     spec, weights = small_weights()
     genome = ArchitectureGenome(0, (0, 1), (0, 1))
@@ -179,6 +199,7 @@ def test_default_spec_views_run():
 
 
 def assert_view_grads_match(weights, view, names, seed):
+    """Gradients of ``names`` match central differences; call inside ``train_only`` over them."""
     rng = np.random.default_rng(seed)
     spec = weights.spec
     shape = (3, spec.input_channels, spec.input_sites)
@@ -214,7 +235,8 @@ def test_mixture_of_two_residual_blocks_has_exact_gradients():
     )
     weights = SupernetWeights.create(spec, 11)
     names = ["g/p0/stem/w", "g/p0/l0/gamma", "g/p0/l0/op0/u0/w", "g/p0/l1/op1/u1/w"]
-    assert_view_grads_match(weights, mixed_view(weights, 0), names, 12)
+    with weights.train_only(weights[name] for name in names):
+        assert_view_grads_match(weights, mixed_view(weights, 0), names, 12)
 
 
 @pytest.mark.parametrize("sites", [1, 4])
@@ -226,8 +248,9 @@ def test_a_narrow_last_layer_has_exact_gradients_through_the_masked_head(sites):
     genome = minimal_genome(spec, 0)  # width 2 of 3: channel 0 is dropped
     names = ["g/p0/head/w", "g/p0/head/b", "g/p0/l1/gamma"]
     names += [name for name, _ in weights.named("g/p0/l1/op0/")]
-    assert_view_grads_match(weights, subnet_view(weights, genome), names, 14)
-    assert not weights["g/p0/head/w"].grad[:, 0].any()
+    with weights.train_only(weights[name] for name in names):
+        assert_view_grads_match(weights, subnet_view(weights, genome), names, 14)
+        assert not weights["g/p0/head/w"].grad[:, 0].any()
 
 
 @pytest.fixture(scope="module")

@@ -442,8 +442,7 @@ def test_a_masked_head_weight_built_frozen_is_built_again_for_a_gradient():
     x = Tensor(ds.val_x)
     view = subnet_view(weights, minimal_genome(weights.spec, 0))
     trail = StageTrail()
-    with weights.train_only(()):
-        view(x, trail)
+    view(x, trail)
     key = (0, view.channel_widths[-1])
     frozen = trail.heads[key]
     assert not frozen.requires_grad
@@ -454,8 +453,7 @@ def test_a_masked_head_weight_built_frozen_is_built_again_for_a_gradient():
     for name in ("g/p0/head/w", "g/p0/head/b"):
         assert np.array_equal(grads[name], expected[name]), name
     # A frozen forward does not reuse the node that records a gradient.
-    with weights.train_only(()):
-        assert np.array_equal(view(x, trail).data, expected_out)
+    assert np.array_equal(view(x, trail).data, expected_out)
     assert not trail.heads[key].requires_grad
     # Other weights start the trail over, masked head weights included.
     view(x, trail)
@@ -463,6 +461,26 @@ def test_a_masked_head_weight_built_frozen_is_built_again_for_a_gradient():
     other["g/p0/head/w"].data *= 2.0
     other_view = subnet_view(other, minimal_genome(weights.spec, 0))
     assert np.array_equal(other_view(x, trail).data, other_view(x).data)
+
+
+@pytest.mark.parametrize("task", [TASK_TRANSLATION, TASK_SUPER_RESOLUTION])
+def test_scoring_builds_no_node_with_a_backward_closure(monkeypatch, task):
+    weights, ds = trail_case(task)
+    make = Tensor._make
+    nodes = []
+
+    def counted(data, parents, backward):
+        nodes.append(make(data, parents, backward))
+        return nodes[-1]
+
+    monkeypatch.setattr(Tensor, "_make", staticmethod(counted))
+    oracle = GanOracle(weights, ds)
+    joint_search_baseline(oracle)
+    for p in range(weights.spec.num_paths):
+        oracle.path_score(p)
+    assert oracle.genome_evaluations == len(list(enumerate_genomes(weights.spec)))
+    assert oracle.path_evaluations == weights.spec.num_paths
+    assert nodes and [node for node in nodes if node._backward is not None] == []
 
 
 def masked_head_reference(view, x):

@@ -65,7 +65,7 @@ def test_benchmark_tracer_counts_the_layer_ops_and_restores_them():
     assert tracer.calls["engine.conv1d"] >= 1  # the 3-tap stem
     assert tracer.calls["engine.rms_norm"] == layers
     assert tracer.calls["sparsity.mask"] == layers
-    assert tracer.counts["engine.graph_nodes"] > 0
+    assert tracer.counts["engine.graph_nodes"] == 0
     assert network.conv1d is engine.conv1d
     assert network.dwconv1d is engine.dwconv1d
     assert network.channel_rms_norm is engine.channel_rms_norm

@@ -414,23 +414,23 @@ def test_pretraining_steps_the_scale_factors_by_the_decayed_rate(monkeypatch):
     assert sorted(paths) == expected
 
 
-def assert_trainable_without_gradients(weights):
+def assert_frozen_without_gradients(weights):
     for name, tensor in weights.tensors.items():
-        assert tensor.requires_grad, name
+        assert not tensor.requires_grad, name
         assert tensor.grad is None, name
 
 
-def test_training_leaves_every_tensor_trainable_without_gradients():
+def test_training_leaves_every_tensor_frozen_without_gradients():
     spec = translation_spec()
     ds = quick_dataset()
     pre = pretrain_supernet(spec, ds, quick_cfg(), seed=3)
-    assert_trainable_without_gradients(pre.weights)
+    assert_frozen_without_gradients(pre.weights)
     finetune_genome(pre.weights, ArchitectureGenome(1, (0, 1), (1, 0)), ds, quick_cfg(), 2, 3)
-    assert_trainable_without_gradients(pre.weights)
+    assert_frozen_without_gradients(pre.weights)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_non_finite_loss_leaves_every_tensor_trainable_without_gradients(monkeypatch):
+def test_a_non_finite_loss_leaves_every_tensor_frozen_without_gradients(monkeypatch):
     created = []
     create = SupernetWeights.create
 
@@ -443,13 +443,13 @@ def test_a_non_finite_loss_leaves_every_tensor_trainable_without_gradients(monke
     ds = quick_dataset()
     with pytest.raises(NonFiniteLossError):
         pretrain_supernet(spec, ds, quick_cfg(epochs=30, lr_weights=50.0), seed=0)
-    assert_trainable_without_gradients(created[0])
+    assert_frozen_without_gradients(created[0])
 
     weights = created[0].clone()
     weights[f"d/{spec.paths[0].matched_discriminator_path}/out/b"].data[:] = np.nan
     with pytest.raises(NonFiniteLossError):
         finetune_genome(weights, ArchitectureGenome(0, (0, 0), (1, 1)), ds, quick_cfg(), 2, 3)
-    assert_trainable_without_gradients(weights)
+    assert_frozen_without_gradients(weights)
 
 
 def resampling_spec():
@@ -590,6 +590,21 @@ def test_stacked_forward_refuses_views_of_different_paths():
     views = [mixed_view(weights, 0), mixed_view(weights, 1)]
     with pytest.raises(InvariantError):
         stacked_forward(views, Tensor(np.zeros((2, 2, 1))))
+
+
+def test_stacked_forward_refuses_views_of_different_widths():
+    spec = translation_spec()
+    weights = SupernetWeights.create(spec, seed=0)
+    widest = maximal_genome(spec, 0)
+    narrow = replace(widest, channel_assignment=(0,) * len(widest.channel_assignment))
+    views = [subnet_view(weights, widest), subnet_view(weights, narrow)]
+    with pytest.raises(InvariantError):
+        stacked_forward(views, Tensor(np.zeros((2, 2, 1))))
+    # Views of one narrow set of widths stack; the head masks through its weight.
+    same = [subnet_view(weights, replace(narrow, operator_assignment=(m, m))) for m in (0, 1)]
+    x = Tensor(np.random.default_rng(0).normal(size=(3, 2, 1)))
+    expected = np.concatenate([view(x).data for view in same])
+    assert_relatively_close(stacked_forward(same, x).data, expected)
 
 
 @pytest.mark.parametrize("task", [TASK_TRANSLATION, TASK_SUPER_RESOLUTION])
