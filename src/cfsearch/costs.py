@@ -32,7 +32,7 @@ from .space import (
     OperatorKind,
     SupernetSpec,
     UnitSpec,
-    validate_genome,
+    require_valid,
 )
 
 
@@ -109,17 +109,20 @@ def genome_cost(
     biases and normalization scales; switch it off for pure weight
     accounting.
 
-    The genome is validated on every call; its layer rows come from
+    The genome is validated by ``space.require_valid``, which checks a
+    valid genome once per spec; its layer rows come from
     ``spec.cost_rows`` (see the module docstring).
     """
-    verdict = validate_genome(spec, genome)
-    if not verdict.ok:
-        raise GenomeError(f"cannot cost invalid genome: {verdict.reason}")
+    try:
+        require_valid(spec, genome)
+    except GenomeError as exc:
+        raise GenomeError(f"cannot cost invalid genome: {exc}") from None
     p = genome.path_index
     channels = spec.channel_choices
     table = spec.cost_rows
     affine = bool(include_affine)
     rows: list[LayerCost] = []
+    params = flops = 0
     prev_width = channels[genome.channel_assignment[0]]
     for l, (m, c) in enumerate(zip(genome.operator_assignment, genome.channel_assignment)):
         width = channels[c]
@@ -128,12 +131,10 @@ def genome_cost(
         if row is None:
             row = table[key] = _layer_cost(spec, *key)
         rows.append(row)
+        params += row.params
+        flops += row.flops
         prev_width = width
-    return CostReport(
-        params=sum(row.params for row in rows),
-        flops=sum(row.flops for row in rows),
-        per_layer=tuple(rows),
-    )
+    return CostReport(params=params, flops=flops, per_layer=tuple(rows))
 
 
 def _layer_cost(

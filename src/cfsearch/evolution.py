@@ -6,7 +6,12 @@ parameter and FLOP budgets, and breeds each generation from the elites:
 part of it by per-layer crossover, half by mutating a single layer.
 Mutation is *directional*: the replacement channel is drawn with
 probability proportional to the normalized replacement gain of that
-width at that layer, measured against the current best elite.
+width at that layer, measured against the current best elite.  Each
+table refresh also builds every layer's normalized cumulative
+distribution, and a draw is ``cdf.searchsorted(rng.random(), side="right")``
+on it: the steps ``Generator.choice(n, p=p)`` takes after checking and
+summing ``p`` again, so each draw equals ``choice``'s and leaves the
+generator in the same state.
 
 Oracle accounting is in unique genomes.  Re-scoring a cached genome is
 free, so the evaluation budget bounds exactly how many new genomes the
@@ -77,12 +82,15 @@ class RGTable:
     ``rg[j, l]`` is the fitness delta from replacing layer ``l``'s
     channel choice with index ``j`` on the anchor genome; the anchor's
     own choice scores exactly zero.  ``p_select[:, l]`` is the per-layer
-    probability distribution used by directional mutation.  ``staleness``
-    counts generations since the table was last recomputed.
+    probability distribution used by directional mutation, and ``cdf[l]``
+    its cumulative sum divided by its last entry, as ``Generator.choice``
+    computes it.  ``staleness`` counts generations since the table was
+    last recomputed.
     """
 
     rg: np.ndarray
     p_select: np.ndarray = field(default=None)  # type: ignore[assignment]
+    cdf: np.ndarray = field(default=None)  # type: ignore[assignment]
     baseline: str = ""
     staleness: int = 0
 
@@ -124,11 +132,14 @@ def normalize_rg(
 
     Per layer: ``shifted = rg - min_j rg + epsilon`` guarantees strictly
     positive mass, then ``p_select`` divides by the per-layer sum.  A
-    layer whose gains are all equal comes out uniform.
+    layer whose gains are all equal comes out uniform.  ``cdf`` holds one
+    row per layer, so each draw searches a contiguous array.
     """
     epsilon = config_value("evolution.epsilon", epsilon)
     shifted = table.rg - table.rg.min(axis=0, keepdims=True) + epsilon
     table.p_select = shifted / shifted.sum(axis=0, keepdims=True)
+    cdf = table.p_select.T.cumsum(axis=1)
+    table.cdf = cdf / cdf[:, -1:]
     return table
 
 
@@ -155,15 +166,15 @@ def mutate_directional(
     """Replace one uniformly chosen layer's channel, biased by gains.
 
     The new channel index is drawn from the table's per-layer
-    distribution.  All other genes are copied, so the child differs from
+    distribution through ``table.cdf`` (see the module docstring).  All
+    other genes are copied, so the child differs from
     the parent in at most one layer.  Every index is drawn in range, so a
     valid parent, and a table with one row per channel choice, give a
     valid child.
     """
     path = spec.paths[parent.path_index]
     layer = int(rng.integers(path.num_layers))
-    probs = table.p_select[:, layer]
-    choice = int(rng.choice(len(probs), p=probs))
+    choice = int(table.cdf[layer].searchsorted(rng.random(), side="right"))
     return _with_channel(parent, layer, choice)
 
 
@@ -286,7 +297,7 @@ def shrink_channels(
         return ok
 
     def random_genome() -> ArchitectureGenome:
-        channels = tuple(int(v) for v in rng.integers(0, num_choices, size=num_layers))
+        channels = tuple(rng.integers(0, num_choices, size=num_layers).tolist())
         return ArchitectureGenome(
             base_genome.path_index, base_genome.operator_assignment, channels
         )
@@ -304,7 +315,7 @@ def shrink_channels(
     best_genome: ArchitectureGenome | None = None
     best_fitness = -np.inf
     table = _uniform_table(num_choices, num_layers, cfg.epsilon)
-    table_fresh = False
+    anchor: ArchitectureGenome | None = None  # the elite the table was measured on
     history: list[GenerationRow] = []
     generations_run = 0
 
@@ -352,16 +363,13 @@ def shrink_channels(
 
         elites = [member for member, _ in ranked[: cfg.elites]]
         if cfg.mutation == MUTATION_DIRECTIONAL:
-            elite_record = elites[0].to_record()
-            wants_refresh = not table_fresh or (
-                cfg.rg_refresh == RG_REFRESH_ON_ELITE_CHANGE
-                and elite_record != table.baseline
+            wants_refresh = anchor is None or (
+                cfg.rg_refresh == RG_REFRESH_ON_ELITE_CHANGE and elites[0] != anchor
             )
             if wants_refresh:
                 refreshed = _refresh_if_affordable(elites[0], oracle, cfg, spent())
                 if refreshed is not None:
-                    table = refreshed
-                    table_fresh = True
+                    table, anchor = refreshed, elites[0]
                 else:
                     table.staleness += 1
             else:

@@ -15,8 +15,10 @@ homogeneous of degree 1/2 in each, is scaled back, so no product over- or
 underflows where the eigenvalue form stays finite.  Any other d takes
 Sig_b^1/2 from ``eigh``, and the trace as the sum of the square roots of
 the eigenvalues of Sig_b^1/2 Sig_a Sig_b^1/2 (symmetrized against
-rounding).  Both forms clip at zero before each root, so the result is
-deterministic, real, and 0.0 for identical sets up to rounding.  On a
+rounding).  ``moment_reference`` prepares what depends on the second
+Gaussian alone once, for a reference many sets are scored against.  Both
+forms clip at zero before each root, so the result is deterministic,
+real, and 0.0 for identical sets up to rounding.  On a
 nearly singular set the distance is ill-conditioned in either form: the
 root of a tiny eigenvalue, or of a tiny determinant product, magnifies a
 rounding error in it, so the two forms may differ there far beyond one ulp.
@@ -29,6 +31,7 @@ documented cap instead.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,32 +55,58 @@ def gaussian_moments(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, (centred.T @ centred) / (a.shape[0] - 1)
 
 
+@dataclass(frozen=True)
+class MomentReference:
+    """A Gaussian prepared as the second argument of ``moment_distance``.
+
+    ``mean`` is its mean and ``trace`` its covariance's trace.  For d = 2,
+    ``factor`` is (c00, c01, c11, back): the covariance's entries scaled
+    near 1 and the factor that scales a root back (see ``_near_one``); for
+    any other d, it is the covariance's symmetric root.
+    """
+
+    mean: np.ndarray
+    trace: float
+    factor: object
+
+
+def moment_reference(moments: tuple[np.ndarray, np.ndarray]) -> MomentReference:
+    """(mean, covariance) prepared once for many ``moment_distance`` calls."""
+    mu, cov = moments
+    if mu.shape == (2,):
+        (c00, c01), (_, c11) = cov.tolist()
+        return MomentReference(mu, c00 + c11, _near_one(c00, c01, c11))
+    values, vectors = np.linalg.eigh((cov + cov.T) / 2.0)
+    return MomentReference(mu, cov.trace(), (vectors * np.sqrt(values.clip(0.0))) @ vectors.T)
+
+
 def moment_distance(
-    moments_a: tuple[np.ndarray, np.ndarray], moments_b: tuple[np.ndarray, np.ndarray]
+    moments_a: tuple[np.ndarray, np.ndarray],
+    moments_b: tuple[np.ndarray, np.ndarray] | MomentReference,
 ) -> float:
-    """Squared Fréchet distance between two Gaussians given as (mean, covariance)."""
+    """Squared Fréchet distance between two Gaussians given as (mean, covariance).
+
+    ``moments_b`` may be a ``MomentReference``, which gives the same value.
+    """
     mu_a, cov_a = moments_a
-    mu_b, cov_b = moments_b
-    if mu_a.shape != mu_b.shape:
-        raise ValueError(f"need sample sets with equal d, got {mu_a.size} and {mu_b.size}")
+    ref = moments_b if isinstance(moments_b, MomentReference) else moment_reference(moments_b)
+    if mu_a.shape != ref.mean.shape:
+        raise ValueError(f"need sample sets with equal d, got {mu_a.size} and {ref.mean.size}")
     if mu_a.shape == (2,):
-        d0, d1 = (mu_a - mu_b).tolist()
+        d0, d1 = (mu_a - ref.mean).tolist()
         (a00, a01), (_, a11) = cov_a.tolist()
-        (b00, b01), (_, b11) = cov_b.tolist()
-        value = d0 * d0 + d1 * d1 + (a00 + a11) + (b00 + b11)
+        value = d0 * d0 + d1 * d1 + (a00 + a11) + ref.trace
         a00, a01, a11, back_a = _near_one(a00, a01, a11)
-        b00, b01, b11, back_b = _near_one(b00, b01, b11)
+        b00, b01, b11, back_b = ref.factor
         dets = max((a00 * a11 - a01 * a01) * (b00 * b11 - b01 * b01), 0.0)
         cross = max(a00 * b00 + 2.0 * a01 * b01 + a11 * b11 + 2.0 * math.sqrt(dets), 0.0)
         return max(value - 2.0 * math.sqrt(cross) * back_a * back_b, 0.0)
-    values, vectors = np.linalg.eigh((cov_b + cov_b.T) / 2.0)
-    root_b = (vectors * np.sqrt(values.clip(0.0))) @ vectors.T
-    m = root_b @ cov_a @ root_b
+    m = ref.factor @ cov_a @ ref.factor
     cross = np.linalg.eigvalsh((m + m.T) / 2.0).clip(0.0)
     value = float(
-        np.add.reduce((mu_a - mu_b) ** 2)
+        np.add.reduce((mu_a - ref.mean) ** 2)
         + cov_a.trace()
-        + cov_b.trace()
+        + ref.trace
         - 2.0 * np.add.reduce(np.sqrt(cross))
     )
     return max(value, 0.0)

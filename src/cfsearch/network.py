@@ -315,21 +315,27 @@ class StageTrail:
     is the size of the distinct arrays held.  A forward resumes after the
     longest stored prefix of its keys and stores every stage it runs;
     ``keys`` and ``chain`` are its stage keys and the entry keys of its
-    stages.  ``keeps`` maps (path, layer, width) to that layer's channel
-    keep vector at that width (see ``GeneratorView._keep``), and ``heads``
-    maps (path, last width) to the head weight masked by the last layer's
-    keep vector, a constant when scoring and a graph node inside a step
-    that trains the head (see ``GeneratorView._head_weight``).
+    stages.  The last forward's chain is never evicted, so the next forward
+    takes the prefix its keys share with the last ``keys`` straight from
+    ``chain`` and looks up only the stages after it; a forward with the
+    last forward's keys, such as one that differs only in the last width,
+    makes no lookup.  ``keeps`` maps (path, layer, width) to that layer's
+    channel keep vector at that width (see ``GeneratorView._keep``), and
+    ``heads`` maps (path, last width) to the head weight masked by the last
+    layer's keep vector, a constant when scoring and a graph node inside a
+    step that trains the head (see ``GeneratorView._head_weight``).
 
     Beyond the last forward's chain, the store keeps at most
     ``TRAIL_BUDGET_BYTES`` of outputs, evicting the least recently used
     entry first.  A forward marks its chain used deepest entry first, so
     no entry is evicted before its children and every entry stays
-    reachable.  The store, the keep vectors and the masked head weights
-    start over when the input array or the weights object differs,
-    compared by identity.  Weights changed in place are not noticed, so a
-    trail is only sound over fixed weights, unless a ``cut`` first drops
-    every stage the change affects.
+    reachable; a forward that ran no stage and reused the last chain whole
+    leaves the order as it is, which is already that order.  The store,
+    the keep vectors and the masked head weights start over when the input
+    array or the weights object differs, compared by identity.  Weights
+    changed in place are not noticed, so a trail is only sound over fixed
+    weights, unless a ``cut`` first drops every stage the change affects;
+    ``cut`` shortens ``keys`` and ``chain`` to the stages it keeps.
     """
 
     def __init__(self) -> None:
@@ -342,6 +348,7 @@ class StageTrail:
         self.heads: dict[tuple[int, int], Tensor] = {}
         self.nbytes = 0
         self._numbered = 0
+        self._reused_last = False
 
     def resume(self, x: Tensor, weights: SupernetWeights, keys: list) -> tuple[int, Tensor]:
         """(stages reused, the last reused output or ``x``) for a forward with ``keys``."""
@@ -351,19 +358,29 @@ class StageTrail:
             self.keeps.clear()
             self.heads.clear()
             self.nbytes = 0
-        self.keys, self.chain = keys, []
-        found = None
-        parent = 0
-        for key in keys:
+            self.keys, self.chain = [], []
+        shared = 0
+        for new, old, _ in zip(keys, self.keys, self.chain):
+            if new != old:
+                break
+            shared += 1
+        self._reused_last = shared == len(keys) == len(self.keys)
+        self.keys, chain = keys, self.chain
+        del chain[shared:]
+        found = self.entries[chain[-1]] if chain else None
+        parent = 0 if found is None else found[0]
+        for key in keys[shared:]:
             entry = self.entries.get((parent, key))
             if entry is None:
                 break
-            self.chain.append((parent, key))
+            chain.append((parent, key))
             found, parent = entry, entry[0]
-        return len(self.chain), x if found is None else Tensor(found[2])
+        return len(chain), x if found is None else Tensor(found[2])
 
     def store(self, outputs: list[np.ndarray]) -> None:
         """Store the outputs of the stages the resumed forward ran, then evict."""
+        if not outputs and self._reused_last:
+            return
         entries, chain = self.entries, self.chain
         parent, _, held, _ = entries[chain[-1]] if chain else (0, 0, None, 0)
         for output in outputs:
@@ -384,6 +401,8 @@ class StageTrail:
         every masked head weight, so a resumed forward runs the rest."""
         for key in [key for key, entry in self.entries.items() if entry[1] > stages]:
             self.nbytes -= self.entries.pop(key)[3]
+        self.keys = self.keys[:stages]
+        del self.chain[stages:]
         self.keeps.clear()
         self.heads.clear()
 

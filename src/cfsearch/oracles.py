@@ -4,8 +4,11 @@ with known structure, and the adapter over trained supernets.
 Every search stage talks to a ``FitnessOracle``: genome in, (fitness,
 cost) out, with results cached by genome so accounting can distinguish
 lookups from actual evaluations.  The caches are keyed by the
-``ArchitectureGenome`` itself, a frozen dataclass of int tuples, so a
-lookup hashes four small tuples and formats no record string.  Tabular
+``ArchitectureGenome`` itself, a frozen dataclass of int tuples that
+keeps the hash it took when it was built, so a lookup hashes no tuple and
+formats no record string.  A missed genome is validated once:
+``space.require_valid`` remembers the valid genomes of a spec, so the
+cost report and the view that scores it do not check it again.  Tabular
 landscapes store a fitness for every genome of a small spec and exist so
 that search behavior can be verified against exhaustively known optima:
 ``pipeline.joint_search_baseline`` on a ``TabularOracle`` is the one

@@ -198,13 +198,13 @@ def _is_power_of_two_fraction(x: Fraction) -> bool:
 class SupernetSpec:
     """The whole search space: paths, channel ladder, discriminators.
 
-    Three fields are derived and left out of comparisons.
+    Four fields are derived and left out of comparisons.
     ``layer_sites[p][l]`` is the site count of layer ``l``'s output on path
     ``p``.  ``resampling[p][l]`` is the (up, down) factor pair, one of them
     1, that takes the previous layer's extent (the input's, for ``l`` = 0)
     to it.  ``cost_rows`` is the table of per-layer cost rows that
-    ``costs.genome_cost`` fills on first use, so it lives as long as the
-    spec.
+    ``costs.genome_cost`` fills on first use, and ``valid_genomes`` the
+    genomes ``require_valid`` has passed, so both live as long as the spec.
     """
 
     paths: tuple[PathSpec, ...]
@@ -217,6 +217,7 @@ class SupernetSpec:
         init=False, repr=False, compare=False
     )
     cost_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    valid_genomes: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.paths:
@@ -275,11 +276,23 @@ class SupernetSpec:
 
 @dataclass(frozen=True)
 class ArchitectureGenome:
-    """One point of the search space, stored as index tuples."""
+    """One point of the search space, stored as index tuples.
+
+    The hash is the one a frozen dataclass computes, taken once when the
+    genome is built (by ``replace`` too), so a cache probe rehashes no tuple.
+    """
 
     path_index: int
     operator_assignment: tuple[int, ...]
     channel_assignment: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        key = (self.path_index, self.operator_assignment, self.channel_assignment)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def recursion_assignment(self) -> tuple[int, ...]:
@@ -371,9 +384,18 @@ def validate_genome(spec: SupernetSpec, genome: ArchitectureGenome) -> Validatio
 
 
 def require_valid(spec: SupernetSpec, genome: ArchitectureGenome) -> None:
+    """Raise ``GenomeError`` unless ``genome`` is valid in ``spec``.
+
+    A genome that passes joins ``spec.valid_genomes``, so ``validate_genome``
+    checks each valid genome once per spec; an invalid one is checked, and
+    raises, on every call.
+    """
+    if genome in spec.valid_genomes:
+        return
     verdict = validate_genome(spec, genome)
     if not verdict.ok:
         raise GenomeError(verdict.reason or "invalid genome")
+    spec.valid_genomes.add(genome)
 
 
 def operator_specialization_count(num_operators: int, num_layers: int) -> int:

@@ -48,7 +48,7 @@ from .configs import CONFIG_KEYS, TASK_SUPER_RESOLUTION, TASK_TRANSLATION, check
 from .engine import Tensor, mean, sigmoid
 from .errors import ConfigError, NonFiniteLossError, ShapeError
 from .fairness import FairnessLedger, plan_epoch
-from .metrics import gaussian_moments, moment_distance, psnr
+from .metrics import MomentReference, gaussian_moments, moment_distance, moment_reference, psnr
 from .network import DiscriminatorView, StageTrail, SupernetWeights, mixed_view
 from .network import stacked_forward, subnet_view
 from .space import ArchitectureGenome, SupernetSpec, maximal_genome
@@ -90,9 +90,9 @@ class ToyDataset:
         return self.train_x.shape[0]
 
     @cached_property
-    def val_moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and covariance of the flattened validation targets, made once."""
-        return gaussian_moments(self.val_y.reshape(self.val_y.shape[0], -1))
+    def val_moments(self) -> MomentReference:
+        """Mean and covariance of the flattened validation targets, prepared once."""
+        return moment_reference(gaussian_moments(self.val_y.reshape(self.val_y.shape[0], -1)))
 
 
 def make_translation_dataset(

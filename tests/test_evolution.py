@@ -147,6 +147,35 @@ def test_directional_mutation_follows_the_table():
         assert abs(choice_counts[c] / visible - expected) < 3 * sigma_c
 
 
+def test_a_directional_draw_is_generator_choice_on_the_table():
+    """Each draw picks what ``Generator.choice(len(p), p=p)`` picks and uses the same state."""
+    tables = [np.zeros((3, 2)), np.zeros((1, 4))]  # uniform, and a single choice per layer
+    source = np.random.default_rng(11)
+    for _ in range(1_000):
+        choices, layers = int(source.integers(1, 6)), int(source.integers(1, 5))
+        rg = source.normal(size=(choices, layers)) * 10.0 ** source.integers(-6, 3)
+        rg[source.random(rg.shape) < 0.3] = 0.0  # ties, and some flat layers
+        tables.append(rg)
+    specs = {}
+    for i, rg in enumerate(tables):
+        choices, layers = rg.shape
+        if rg.shape not in specs:
+            widths = tuple(range(2, 2 + choices))
+            specs[rg.shape] = build_spec(n_paths=1, n_layers=layers, n_operators=1, channels=widths)
+        table = normalize_rg(RGTable(rg=rg), epsilon=10.0 ** -(i % 9))
+        parent = ArchitectureGenome(0, (0,) * layers, (0,) * layers)
+        drawn, reference = np.random.default_rng(i), np.random.default_rng(i)
+        for _ in range(8):
+            child = mutate_directional(parent, table, specs[rg.shape], drawn)
+            layer = int(reference.integers(layers))
+            p = table.p_select[:, layer]
+            assert np.array_equal(table.cdf[layer], p.cumsum() / p.cumsum()[-1])
+            expected = list(parent.channel_assignment)
+            expected[layer] = int(reference.choice(len(p), p=p))
+            assert child.channel_assignment == tuple(expected)
+            assert drawn.random() == reference.random()
+
+
 def test_random_mutation_is_uniform():
     spec = build_spec(n_paths=1, n_layers=1, n_operators=1, channels=(2, 3, 4))
     parent = ArchitectureGenome(0, (0,), (0,))

@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfsearch.configs import default_toy_spec, evolution_bench_spec
-from cfsearch import network, oracles
+from cfsearch.configs import default_config, default_toy_spec, evolution_bench_spec
+from cfsearch import network, oracles, space
+from cfsearch.costs import genome_cost
 from cfsearch.errors import ConfigError, GenomeError, InfeasibleError, InvariantError
 from cfsearch.oracles import (
     LANDSCAPE_RULES,
@@ -17,9 +18,10 @@ from cfsearch.oracles import (
     build_landscape,
     shipped_landscape,
 )
-from cfsearch.pipeline import joint_search_baseline
+from cfsearch.pipeline import joint_search_baseline, prepare, run_search
 from cfsearch.engine import Tensor, conv1d, sum_all
-from cfsearch.network import StageTrail, SupernetWeights, subnet_view
+from cfsearch.evolution import EvoConfig
+from cfsearch.network import StageTrail, SupernetWeights, mixed_view, subnet_view
 from cfsearch.sparsity import active_channel_mask
 from cfsearch.space import (
     ArchitectureGenome,
@@ -37,6 +39,7 @@ from cfsearch.trainer import (
     make_dataset,
     pretrain_supernet,
 )
+from cfsearch.util import as_rng, child_seed
 
 from conftest import build_spec, resampling_spec_dict
 
@@ -156,6 +159,38 @@ def test_oracle_cost_is_memoized_for_valid_genomes_only(monkeypatch):
         with pytest.raises(GenomeError):
             oracle.cost(bad)
     assert calls == [g.to_record()] + [bad.to_record()] * 2
+
+
+@pytest.mark.parametrize("run", ["joint_sweep", "run_search"])
+def test_the_gan_oracle_validates_each_new_genome_once(monkeypatch, run):
+    config = default_config()
+    spec, ds, _ = prepare(config)  # a new spec, which has checked no genome yet
+    weights = SupernetWeights.create(spec, seed=3)
+    checked = []
+    check = space.validate_genome
+    monkeypatch.setattr(space, "validate_genome", lambda s, g: checked.append(g) or check(s, g))
+    oracle = GanOracle(weights, ds)
+    if run == "joint_sweep":
+        joint_search_baseline(oracle)
+        assert len(checked) == genome_space_size(spec)
+    else:
+        run_search(oracle, EvoConfig.from_mapping(config["evolution"]), as_rng(3))
+    scored = {ArchitectureGenome.from_record(record) for record, _ in oracle.cache_snapshot()}
+    assert len(checked) == len(set(checked))
+    assert scored <= set(checked) == spec.valid_genomes
+
+
+def test_direct_calls_still_refuse_an_invalid_genome():
+    weights, ds = trail_case(TASK_TRANSLATION)
+    bad = ArchitectureGenome(0, (0, 1), (1, 2))
+    calls = (
+        lambda: subnet_view(weights, bad),
+        lambda: genome_cost(weights.spec, bad),
+        lambda: evaluate_genome(weights, bad, ds),
+    )
+    for call in calls * 2:
+        with pytest.raises(GenomeError, match="channel index 2"):
+            call()
 
 
 def test_path_scores_average_operator_members():
@@ -314,6 +349,83 @@ def test_gan_oracle_trail_is_bit_identical_in_any_order(task, channels):
         assert evaluate_genome(weights, g, ds, trail) == plain[g.to_record()]
 
 
+class FullWalkTrail(StageTrail):
+    """The reference resume: each forward looks its stored prefix up from the
+    root, and marks its whole chain used even when it ran no stage."""
+
+    def resume(self, x, weights, keys):
+        if self.x is not x.data or self.weights is not weights:
+            self.x, self.weights = x.data, weights
+            self.entries.clear()
+            self.keeps.clear()
+            self.heads.clear()
+            self.nbytes = 0
+        self.keys, self.chain = keys, []
+        found, parent = None, 0
+        for key in keys:
+            entry = self.entries.get((parent, key))
+            if entry is None:
+                break
+            self.chain.append((parent, key))
+            found, parent = entry, entry[0]
+        return len(self.chain), x if found is None else Tensor(found[2])
+
+    def store(self, outputs):
+        entries, chain = self.entries, self.chain
+        parent, _, held, _ = entries[chain[-1]] if chain else (0, 0, None, 0)
+        for output in outputs:
+            key = (parent, self.keys[len(chain)])
+            size = 0 if output is held else output.nbytes
+            self._numbered = parent = self._numbered + 1
+            entries[key] = (parent, len(chain) + 1, output, size)
+            chain.append(key)
+            self.nbytes += size
+            held = output
+        for key in reversed(chain):
+            entries.move_to_end(key)
+        while self.nbytes > network.TRAIL_BUDGET_BYTES and len(entries) > len(chain):
+            self.nbytes -= entries.popitem(last=False)[1][3]
+
+
+def assert_same_trail(trail, reference):
+    """The same entries in the same LRU order, with equal outputs, chain and bytes."""
+    assert list(trail.entries) == list(reference.entries)
+    for (number, depth, output, size), (r_number, r_depth, r_output, r_size) in zip(
+        trail.entries.values(), reference.entries.values()
+    ):
+        assert (number, depth, size) == (r_number, r_depth, r_size)
+        assert np.array_equal(output, r_output)
+    assert (trail.chain, trail.nbytes) == (reference.chain, reference.nbytes)
+
+
+def run_in_lockstep(views, x, trail, reference):
+    """Run each view with both trails; outputs and trails must stay equal."""
+    for view in views:
+        assert np.array_equal(view(x, trail).data, view(x, reference).data)
+        assert_same_trail(trail, reference)
+
+
+@pytest.fixture(scope="module")
+def default_supernet():
+    """The default config's pretrained weights and dataset."""
+    config = default_config()
+    spec, ds, train_cfg = prepare(config)
+    seed = child_seed(int(config["seed"]), "pretrain")
+    return config, pretrain_supernet(spec, ds, train_cfg, seed).weights, ds
+
+
+@pytest.mark.parametrize("run", ["joint_sweep", "shrink_channels"])
+def test_trail_resume_from_the_last_chain_matches_a_full_walk(default_supernet, run):
+    config, weights, ds = default_supernet
+    genomes = list(enumerate_genomes(weights.spec))
+    if run == "shrink_channels":  # the misses of one search, in the order it made them
+        oracle = GanOracle(weights, ds)
+        run_search(oracle, EvoConfig.from_mapping(config["evolution"]), as_rng(3))
+        genomes = [ArchitectureGenome.from_record(record) for record, _ in oracle.cache_snapshot()]
+    views = [subnet_view(weights, genome) for genome in genomes]
+    run_in_lockstep(views, Tensor(ds.val_x), StageTrail(), FullWalkTrail())
+
+
 def test_trail_starts_over_on_other_inputs_or_weights():
     weights, ds = trail_case(TASK_TRANSLATION)
     genome = maximal_genome(weights.spec, 0)
@@ -334,6 +446,12 @@ def test_trail_starts_over_on_other_inputs_or_weights():
     assert trail.resume(x, other_weights, other_view.stage_keys())[0] == 0
     assert np.array_equal(other_view(x, trail).data, other_view(x).data)
     assert evaluate_genome(weights, genome, ds, trail) == evaluate_genome(weights, genome, ds)
+
+    # The same switches, with the reference resume alongside.
+    genomes = list(enumerate_genomes(weights.spec))[::5]
+    trail, reference = StageTrail(), FullWalkTrail()
+    for w, inputs in ((weights, x), (weights, other_x), (other_weights, other_x), (weights, x)):
+        run_in_lockstep([subnet_view(w, g) for g in genomes], inputs, trail, reference)
 
 
 def count_stage_calls(monkeypatch, names=("conv1d", "channel_rms_norm")):
@@ -550,11 +668,13 @@ def test_trail_holds_its_budget_and_keeps_every_entry_reachable(monkeypatch, bud
     weights, ds = trail_case(TASK_SUPER_RESOLUTION)
     genomes = list(enumerate_genomes(weights.spec))
     order = [genomes[i] for i in np.random.default_rng(6).permutation(len(genomes))]
-    trail = StageTrail()
+    trail, reference = StageTrail(), FullWalkTrail()
     prefixes = set()
     evicted = shared = False
     for g in genomes + order:
         assert evaluate_genome(weights, g, ds, trail) == evaluate_genome(weights, g, ds)
+        evaluate_genome(weights, g, ds, reference)
+        assert_same_trail(trail, reference)
         outputs = distinct_arrays(trail)
         assert trail.nbytes == sum(output.nbytes for output in outputs)
         shared = shared or len(outputs) < len(trail.entries)
@@ -581,6 +701,26 @@ def test_trail_cut_drops_deeper_entries():
     view = subnet_view(weights, genomes[-1])
     assert trail.resume(Tensor(ds.val_x), weights, view.stage_keys())[0] == 2
     assert evaluate_genome(weights, genomes[0], ds, trail) == evaluate_genome(weights, genomes[0], ds)
+
+    # With the reference resume alongside: a cut after a sweep, and the
+    # pretraining step's cut after its scale factors move in place.
+    x = Tensor(ds.val_x)
+    views = [subnet_view(weights, g) for g in genomes]
+    trail, reference = StageTrail(), FullWalkTrail()
+    run_in_lockstep(views, x, trail, reference)
+    for t in (trail, reference):
+        t.cut(2)
+    assert_same_trail(trail, reference)
+    run_in_lockstep(views[::-1], x, trail, reference)
+    mixed = mixed_view(weights, 0)
+    run_in_lockstep([mixed, mixed], x, trail, reference)
+    for gamma in weights.gamma_tensors(0):
+        gamma.data = gamma.data * 0.5
+    for t in (trail, reference):
+        t.cut(2)
+    run_in_lockstep([mixed], x, trail, reference)
+    assert np.array_equal(mixed(x, trail).data, mixed(x).data)
+    run_in_lockstep(views, x, trail, reference)
 
 
 class ConstantOracle(oracles.FitnessOracle):

@@ -9,6 +9,7 @@ from cfsearch.errors import ConfigError, InfeasibleError
 from cfsearch.evolution import EvoConfig
 from cfsearch.oracles import (
     FitnessOracle,
+    GanOracle,
     TabularLandscape,
     TabularOracle,
     build_landscape,
@@ -16,6 +17,7 @@ from cfsearch.oracles import (
 )
 from cfsearch.pipeline import (
     joint_search_baseline,
+    prepare,
     run_pipeline,
     run_search,
     search_operators,
@@ -27,6 +29,8 @@ from cfsearch.space import (
     genome_space_size,
     operator_specialization_count,
 )
+from cfsearch.trainer import pretrain_supernet
+from cfsearch.util import as_rng, child_seed
 
 from conftest import build_spec, tiny_spec_dict
 
@@ -268,3 +272,34 @@ def test_run_pipeline_deterministic():
     assert a.genome == b.genome
     assert a.searched_fitness == b.searched_fitness
     assert a.final_fitness == b.final_fitness
+
+
+# ``run_search`` on the default supernet (config seed 7), recorded before the
+# search's bookkeeping was reworked; seeds 0, 3 and 5 end on three different
+# genomes.  (path, g_optr, genome, oracle calls per stage, best fitness).
+DEFAULT_SEARCH_GOLDEN = {
+    0: (2, "path:2;ops:1,1,0;ch:3,3,3", "path:2;ops:1,1,0;ch:1,3,3", -0.14747198012006657),
+    3: (2, "path:2;ops:1,1,0;ch:3,3,3", "path:2;ops:1,1,0;ch:2,2,3", -0.15133793667701),
+    5: (2, "path:2;ops:1,1,0;ch:3,3,3", "path:2;ops:1,1,0;ch:1,2,3", -0.2539550331720062),
+}
+
+
+@pytest.fixture(scope="module")
+def default_supernet():
+    config = default_config()
+    spec, dataset, train_cfg = prepare(config)
+    weights = pretrain_supernet(
+        spec, dataset, train_cfg, child_seed(int(config["seed"]), "pretrain")
+    ).weights
+    return config, weights, dataset
+
+
+@pytest.mark.parametrize("seed", sorted(DEFAULT_SEARCH_GOLDEN))
+def test_run_search_on_the_default_supernet_matches_its_recorded_result(default_supernet, seed):
+    config, weights, dataset = default_supernet
+    evo = EvoConfig.from_mapping(config["evolution"])
+    genome, trace, shrink = run_search(GanOracle(weights, dataset), evo, as_rng(seed))
+    path, g_optr, record, fitness = DEFAULT_SEARCH_GOLDEN[seed]
+    assert (trace.chosen_path, trace.g_optr, genome.to_record()) == (path, g_optr, record)
+    assert dict(trace.oracle_calls) == {"path": 3, "operator": 8, "channel": 40}
+    assert shrink.best_fitness == pytest.approx(fitness, rel=1e-9)

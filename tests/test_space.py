@@ -2,11 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cfsearch import space
 from cfsearch.errors import CfSearchError, ConfigError, EnumerationTooLargeError, GenomeError
 from cfsearch.space import (
     ArchitectureGenome,
@@ -112,6 +114,36 @@ def test_sampled_specializations_deterministic_and_capped():
     # Asking for more than exist returns them all.
     everything = sample_specializations(2, 2, 99, np.random.default_rng(0))
     assert sorted(everything) == enumerate_specializations(2, 2)
+
+
+def test_a_genome_keeps_the_dataclass_hash_and_replace_takes_a_new_one():
+    g = ArchitectureGenome(2, (1, 0, 1), (3, 2, 0))
+    same = ArchitectureGenome.from_record(g.to_record())
+    assert same is not g and same == g
+    assert hash(same) == hash(g) == hash((2, (1, 0, 1), (3, 2, 0))) == vars(g)["_hash"]
+    edited = replace(g, channel_assignment=(0, 2, 0))
+    assert edited != g and hash(edited) == hash((2, (1, 0, 1), (0, 2, 0)))
+    assert replace(edited, channel_assignment=(3, 2, 0)) in {g}
+    assert repr(g) == (
+        "ArchitectureGenome(path_index=2, operator_assignment=(1, 0, 1), "
+        "channel_assignment=(3, 2, 0))"
+    )
+
+
+def test_require_valid_checks_a_valid_genome_once_per_spec(monkeypatch):
+    spec = build_spec(n_paths=1, n_layers=2, n_operators=2, channels=(2, 3))
+    checked = []
+    check = space.validate_genome
+    monkeypatch.setattr(space, "validate_genome", lambda s, g: checked.append(g) or check(s, g))
+    good, bad = ArchitectureGenome(0, (0, 1), (1, 0)), ArchitectureGenome(0, (0, 1), (1, 2))
+    for _ in range(3):
+        require_valid(spec, ArchitectureGenome(0, (0, 1), (1, 0)))
+        with pytest.raises(GenomeError):
+            require_valid(spec, bad)
+    assert checked == [good, bad, bad, bad]
+    assert spec.valid_genomes == {good}
+    require_valid(build_spec(n_paths=1, n_layers=2, n_operators=2, channels=(2, 3)), good)
+    assert checked[-1] == good and len(checked) == 5  # another spec checks it again
 
 
 def test_genome_record_round_trip():
