@@ -134,7 +134,7 @@ def genome_cost(
         params += row.params
         flops += row.flops
         prev_width = width
-    return CostReport(params=params, flops=flops, per_layer=tuple(rows))
+    return CostReport(params, flops, tuple(rows))
 
 
 def _layer_cost(

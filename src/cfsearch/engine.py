@@ -11,10 +11,16 @@ they have been passed on.
 
 Which gradients are computed is fixed by the leaves' ``requires_grad``.
 An op reads it from its parents when the graph is built: a node exists
-only if some parent requires a gradient.  The backward closures of the
-costly ops (``conv1d``, ``dwconv1d`` and their bias, ``channel_rms_norm``,
-``matmul`` and ``*``) skip the gradient of any parent that does not
-require one, so freezing a tensor saves its gradient's arithmetic.
+only if some parent requires a gradient, so an op on inputs that are all
+frozen, as in every scoring forward and the frozen generator pass of a
+discriminator step, returns a constant with no parents.  ``conv1d``, the
+costliest of them per call, also reads it before it builds anything, so
+on frozen inputs it skips making its parents list and backward closure;
+its data is, bit for bit, what it gives with a trainable input.  The
+backward closures of the costly ops (``conv1d``, ``dwconv1d`` and their
+bias, ``channel_rms_norm``, ``matmul`` and ``*``) skip the gradient of
+any parent that does not require one, so freezing a tensor saves its
+gradient's arithmetic.
 ``backward`` raises ``InvariantError`` on a loss with no trainable
 ancestor, which would otherwise train nothing without a word.
 
@@ -328,6 +334,25 @@ def _columns(x: Array, kernel: int) -> Array:
     return cols.reshape(channels * kernel, sites * batch)
 
 
+def _conv_output(
+    y: Array, bias: Tensor | None, tanh: bool, skip: Tensor | None
+) -> tuple[Array, Array | None]:
+    """A conv's output ``y`` plus ``bias``, then ``tanh``, then ``skip``; and the ``tanh`` output.
+
+    Each step works in place on ``y``, except that the ``tanh`` output is
+    kept apart when a ``skip`` follows, since its gradient needs it.
+    """
+    if bias is not None:
+        y += bias.data[:, None]
+    act = np.tanh(y, out=y) if tanh else None
+    if skip is not None:
+        if act is None:
+            y += skip.data
+        else:
+            y = act + skip.data
+    return y, act
+
+
 def _conv_node(
     y: Array,
     x: Tensor,
@@ -337,21 +362,12 @@ def _conv_node(
     tanh: bool,
     skip: Tensor | None,
 ) -> Tensor:
-    """One node for a conv's output ``y``: plus ``bias``, then ``tanh``, then ``skip``.
-
-    Each step works in place on ``y``, except that the ``tanh`` output is
-    kept apart when a ``skip`` follows, since its gradient needs it.
-    """
+    """One node for a conv's output ``y``: plus ``bias``, then ``tanh``, then ``skip``."""
+    y, act = _conv_output(y, bias, tanh, skip)
     parents = [x, w]
     if bias is not None:
-        y += bias.data[:, None]
         parents.append(bias)
-    act = np.tanh(y, out=y) if tanh else None
     if skip is not None:
-        if act is None:
-            y += skip.data
-        else:
-            y = act + skip.data
         parents.append(skip)
 
     def node_backward(g: Array):
@@ -403,9 +419,17 @@ def conv1d(
     pad = kernel // 2
     batch, c_in, sites = x.data.shape
     c_out = w.data.shape[0]
+    trainable = (
+        x.requires_grad
+        or w.requires_grad
+        or (bias is not None and bias.requires_grad)
+        or (skip is not None and skip.requires_grad)
+    )
     if sites == 1:
         x2 = x.data.reshape(batch, c_in)
         y = (x2 @ w.data[:, :, pad].T).reshape(batch, c_out, 1)
+        if not trainable:
+            return Tensor._make(_conv_output(y, bias, tanh, skip)[0], (), None)
 
         def backward(g: Array):
             gx = gw = None
@@ -421,6 +445,8 @@ def conv1d(
 
     y = w.data.reshape(c_out, c_in * kernel) @ _columns(x.data, kernel)
     y = y.reshape(c_out, sites, batch).transpose(2, 0, 1)
+    if not trainable:
+        return Tensor._make(_conv_output(y, bias, tanh, skip)[0], (), None)
 
     def backward(g: Array):
         gx = gw = None

@@ -50,9 +50,13 @@ def gaussian_moments(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"need an (n, d) sample set, got shape {a.shape}")
     if a.shape[0] < 2:
         raise ValueError("need at least 2 samples per set to estimate covariance")
-    mean = np.add.reduce(a, 0) / a.shape[0]
+    n = a.shape[0]
+    mean = np.add.reduce(a, 0)
+    mean /= n
     centred = a - mean
-    return mean, (centred.T @ centred) / (a.shape[0] - 1)
+    cov = centred.T @ centred
+    cov /= n - 1
+    return mean, cov
 
 
 @dataclass(frozen=True)
@@ -87,13 +91,16 @@ def moment_distance(
     """Squared Fréchet distance between two Gaussians given as (mean, covariance).
 
     ``moments_b`` may be a ``MomentReference``, which gives the same value.
+    For d = 2 every step after ``tolist()`` is Python float arithmetic, the
+    difference of the means too, which rounds as numpy's subtraction does.
     """
     mu_a, cov_a = moments_a
     ref = moments_b if isinstance(moments_b, MomentReference) else moment_reference(moments_b)
     if mu_a.shape != ref.mean.shape:
         raise ValueError(f"need sample sets with equal d, got {mu_a.size} and {ref.mean.size}")
     if mu_a.shape == (2,):
-        d0, d1 = (mu_a - ref.mean).tolist()
+        (a0, a1), (b0, b1) = mu_a.tolist(), ref.mean.tolist()
+        d0, d1 = a0 - b0, a1 - b1
         (a00, a01), (_, a11) = cov_a.tolist()
         value = d0 * d0 + d1 * d1 + (a00 + a11) + ref.trace
         a00, a01, a11, back_a = _near_one(a00, a01, a11)

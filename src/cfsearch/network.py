@@ -59,6 +59,7 @@ class SupernetWeights:
         self.tensors: "OrderedDict[str, Tensor]" = OrderedDict()
         self._named: dict[tuple[str, bool], tuple[tuple[str, Tensor], ...]] = {}
         self._plans: dict[tuple[int, int, int], tuple] = {}
+        self._convs: dict[tuple[int, str], tuple[Tensor, Tensor]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -108,6 +109,7 @@ class SupernetWeights:
         self.tensors[name] = Tensor(data)
         self._named.clear()
         self._plans.clear()
+        self._convs.clear()
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -129,6 +131,15 @@ class SupernetWeights:
                 for name, tensor in self.tensors.items()
                 if name.startswith(prefix) and (include_gamma or not name.endswith("/gamma"))
             )
+        return found
+
+    def path_conv(self, p: int, part: str) -> tuple[Tensor, Tensor]:
+        """The weight and bias of path ``p``'s ``stem`` or ``head`` conv, looked up once."""
+        key = (p, part)
+        found = self._convs.get(key)
+        if found is None:
+            prefix = f"g/p{p}/{part}/"
+            found = self._convs[key] = (self.tensors[prefix + "w"], self.tensors[prefix + "b"])
         return found
 
     def block_plan(self, p: int, l: int, m: int) -> tuple:
@@ -319,11 +330,12 @@ class StageTrail:
     takes the prefix its keys share with the last ``keys`` straight from
     ``chain`` and looks up only the stages after it; a forward with the
     last forward's keys, such as one that differs only in the last width,
-    makes no lookup.  ``keeps`` maps (path, layer, width) to that layer's
-    channel keep vector at that width (see ``GeneratorView._keep``), and
-    ``heads`` maps (path, last width) to the head weight masked by the last
-    layer's keep vector, a constant when scoring and a graph node inside a
-    step that trains the head (see ``GeneratorView._head_weight``).
+    finds so in one list comparison and makes no lookup.  ``keeps`` maps
+    (path, layer, width) to that layer's channel keep vector at that width
+    (see ``GeneratorView._keep``), and ``heads`` maps (path, last width) to
+    the head weight masked by the last layer's keep vector, a constant when
+    scoring and a graph node inside a step that trains the head (see
+    ``GeneratorView._head_weight``).
 
     Beyond the last forward's chain, the store keeps at most
     ``TRAIL_BUDGET_BYTES`` of outputs, evicting the least recently used
@@ -351,7 +363,13 @@ class StageTrail:
         self._reused_last = False
 
     def resume(self, x: Tensor, weights: SupernetWeights, keys: list) -> tuple[int, Tensor]:
-        """(stages reused, the last reused output or ``x``) for a forward with ``keys``."""
+        """(stages reused, the last reused output or ``x``) for a forward with ``keys``.
+
+        When the last chain is whole, one comparison of ``keys`` with the
+        last ``keys`` finds a forward that reuses all of it; otherwise the
+        keys are walked to the first that differs.  The reused output is a
+        constant over the stored array.
+        """
         if self.x is not x.data or self.weights is not weights:
             self.x, self.weights = x.data, weights
             self.entries.clear()
@@ -359,13 +377,16 @@ class StageTrail:
             self.heads.clear()
             self.nbytes = 0
             self.keys, self.chain = [], []
+        chain = self.chain
+        self._reused_last = len(chain) == len(self.keys) and keys == self.keys
+        if self._reused_last:
+            return len(chain), Tensor._make(self.entries[chain[-1]][2], (), None)
         shared = 0
-        for new, old, _ in zip(keys, self.keys, self.chain):
+        for new, old, _ in zip(keys, self.keys, chain):
             if new != old:
                 break
             shared += 1
-        self._reused_last = shared == len(keys) == len(self.keys)
-        self.keys, chain = keys, self.chain
+        self.keys = keys
         del chain[shared:]
         found = self.entries[chain[-1]] if chain else None
         parent = 0 if found is None else found[0]
@@ -375,7 +396,7 @@ class StageTrail:
                 break
             chain.append((parent, key))
             found, parent = entry, entry[0]
-        return len(chain), x if found is None else Tensor(found[2])
+        return len(chain), x if found is None else Tensor._make(found[2], (), None)
 
     def store(self, outputs: list[np.ndarray]) -> None:
         """Store the outputs of the stages the resumed forward ran, then evict."""
@@ -457,15 +478,15 @@ class GeneratorView:
             ran.append(h.data)
         if trail is not None:
             trail.store(ran)
-        bias = self.weights[f"g/p{self.path_index}/head/b"]
-        return conv1d(h, self._head_weight(trail), bias=bias)
+        w, bias = self.weights.path_conv(self.path_index, "head")
+        return conv1d(h, self._head_weight(w, trail), bias=bias)
 
     def _check_input(self, x: Tensor) -> None:
         spec = self.weights.spec
-        expected = (spec.input_channels, spec.input_sites)
-        if x.data.ndim != 3 or (x.data.shape[1], x.data.shape[2]) != expected:
+        # A shape of any other rank than 3 differs from the pair in length.
+        if x.data.shape[1:] != (spec.input_channels, spec.input_sites):
             raise ShapeError(
-                f"generator input must be (batch, {expected[0]}, {expected[1]}), "
+                f"generator input must be (batch, {spec.input_channels}, {spec.input_sites}), "
                 f"got {x.data.shape}"
             )
 
@@ -485,24 +506,25 @@ class GeneratorView:
             keep = keeps[key] = Tensor(active_channel_mask(gamma, width).reshape(1, -1, 1))
         return keep
 
-    def _head_weight(self, trail: StageTrail | None = None) -> Tensor:
-        """The head weight with its input channels masked by the last keep vector.
+    def _head_weight(self, w: Tensor, trail: StageTrail | None = None) -> Tensor:
+        """The head weight ``w`` with its input channels masked by the last keep vector.
 
         ``w * keep`` and ``h * keep`` make each product of a dropped
         channel an exact zero, and the conv keeps its shapes and layouts,
         so masking either gives the same values.  A ``trail`` keeps the
         masked weight per (path, last width), and builds it again when the
-        weight's ``requires_grad`` has changed since.
+        weight's ``requires_grad`` has changed since; it is looked up
+        before the keep vector is.
         """
-        w = self.weights[f"g/p{self.path_index}/head/w"]
-        keep = self._keep(len(self.channel_widths) - 1, trail)
-        if keep is None:
-            return w
         key = (self.path_index, self.channel_widths[-1])
         heads = {} if trail is None else trail.heads
         masked = heads.get(key)
-        if masked is None or masked.requires_grad != w.requires_grad:
-            masked = heads[key] = w * keep
+        if masked is not None and masked.requires_grad == w.requires_grad:
+            return masked
+        keep = self._keep(len(self.channel_widths) - 1, trail)
+        if keep is None:
+            return w
+        masked = heads[key] = w * keep
         return masked
 
     def _stage(self, stage: int, h: Tensor, trail: StageTrail | None = None) -> Tensor:
@@ -511,8 +533,7 @@ class GeneratorView:
         spec = self.weights.spec
         if stage == 0:
             h = _resample(h, spec.resampling[p][0])
-            stem_w = self.weights[f"g/p{p}/stem/w"]
-            stem_b = self.weights[f"g/p{p}/stem/b"]
+            stem_w, stem_b = self.weights.path_conv(p, "stem")
             return conv1d(h, stem_w, bias=stem_b, tanh=True)
         l, part = divmod(stage - 1, 3)
         if part == 1:
@@ -551,8 +572,8 @@ def stacked_forward(views: Sequence[GeneratorView], x: Tensor) -> Tensor:
         for stage in range(1, 3 * len(first.channel_widths)):
             h = view._stage(stage, h)
         outputs.append(h)
-    bias = first.weights[f"g/p{first.path_index}/head/b"]
-    return conv1d(concat_rows(outputs), first._head_weight(), bias=bias)
+    w, bias = first.weights.path_conv(first.path_index, "head")
+    return conv1d(concat_rows(outputs), first._head_weight(w), bias=bias)
 
 
 def subnet_view(weights: SupernetWeights, genome: ArchitectureGenome) -> GeneratorView:

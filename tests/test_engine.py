@@ -615,6 +615,73 @@ def test_fused_ops_are_one_graph_node():
     assert pooled_linear(x, head_w, head_b)._parents == (x, head_w, head_b)
 
 
+# Ops with every input frozen, as in every scoring forward, against the same
+# op with one input trainable.  ``conv1d`` returns early on frozen inputs; the
+# others build their node through ``Tensor._make``, which drops the parents.
+def frozen_conv_case(sites, with_bias, act, with_skip, depthwise=False):
+    x = leaf((3, 4, sites), 86)
+    w = leaf((4, 3), 87, scale=0.5) if depthwise else leaf((5, 4, 3), 87, scale=0.5)
+    out_channels = w.data.shape[0]
+    b = leaf((out_channels,), 88) if with_bias else None
+    s = leaf((3, out_channels, sites), 89) if with_skip else None
+    op = dwconv1d if depthwise else conv1d
+    leaves = [t for t in (x, w, b, s) if t is not None]
+    return (lambda: op(x, w, bias=b, tanh=act, skip=s)), leaves
+
+
+def frozen_norm_case(sites):
+    x, gamma = leaf((3, 5, sites), 90, offset=0.5), leaf((5,), 91, offset=1.0)
+    return (lambda: channel_rms_norm(x, gamma)), [x, gamma]
+
+
+def frozen_mixture_case(sites, n):
+    parts = [leaf((3, 4, sites), 92 + i) for i in range(n)]
+    return (lambda: mixture_mean(parts)), parts
+
+
+def frozen_mask_case(sites):
+    h, keep = leaf((3, 5, sites), 95), Tensor(KEEP.reshape(1, -1, 1))
+    return (lambda: h * keep), [h, keep]
+
+
+FROZEN_CASES = [
+    *(
+        pytest.param(
+            frozen_conv_case, (sites, with_bias, act, with_skip, depthwise),
+            id=f"{'dw' if depthwise else ''}conv-{sites}" + ("-bias" if with_bias else "")
+            + ("-tanh" if act else "") + ("-skip" if with_skip else ""),
+        )
+        for depthwise in (False, True)
+        for sites in (1, 16)
+        for with_bias in (False, True)
+        for act, with_skip in ((False, False), (True, False), (False, True), (True, True))
+    ),
+    *(pytest.param(frozen_norm_case, (sites,), id=f"rms_norm-{sites}") for sites in (1, 16)),
+    *(
+        pytest.param(frozen_mixture_case, (sites, n), id=f"mixture-{sites}-{n}")
+        for sites in (1, 16)
+        for n in (2, 3)
+    ),
+    *(pytest.param(frozen_mask_case, (sites,), id=f"mask-{sites}") for sites in (1, 16)),
+]
+
+
+@pytest.mark.parametrize("make, args", FROZEN_CASES)
+def test_an_op_on_frozen_inputs_builds_no_node_and_equals_the_trainable_op(make, args):
+    op, leaves = make(*args)
+    for t in leaves:
+        t.requires_grad = False
+    frozen = op()
+    assert (frozen._parents, frozen._backward, frozen.requires_grad) == ((), None, False)
+    for trainable in leaves:
+        trainable.requires_grad = True
+        node = op()
+        trainable.requires_grad = False
+        assert node._backward is not None and trainable in node._parents
+        assert np.array_equal(frozen.data, node.data)
+        assert frozen.data.tobytes() == node.data.tobytes()
+
+
 def test_concat_rows_is_bit_identical_to_slicing():
     rng = np.random.default_rng(3)
     site_major = rng.normal(size=(3, 4, 5))  # (channels, sites, batch) in memory

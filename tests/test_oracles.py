@@ -1,10 +1,12 @@
 """Fitness oracles: tabular landscapes, caching, the exhaustive scan on them."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cfsearch.cli import load_config
 from cfsearch.configs import default_config, default_toy_spec, evolution_bench_spec
 from cfsearch import network, oracles, space
 from cfsearch.costs import genome_cost
@@ -41,7 +43,7 @@ from cfsearch.trainer import (
 )
 from cfsearch.util import as_rng, child_seed
 
-from conftest import build_spec, resampling_spec_dict
+from conftest import SUPER_RESOLUTION_YAML, build_spec, resampling_spec_dict
 
 
 def landscape_spec():
@@ -414,6 +416,38 @@ def default_supernet():
     return config, pretrain_supernet(spec, ds, train_cfg, seed).weights, ds
 
 
+# sha256 of the ``repr`` of every joint-sweep fitness, in canonical order, and
+# of every path score, on the default supernet (config seed 7) and on the
+# supernet of the benchmark's super-resolution config; recorded before the
+# per-miss bookkeeping of the forward-only path was cut.
+SWEEP_GOLDEN = {
+    None: (
+        "aaab4c60113ca5d4cf4c4035468fec7e55b3a91f65b3147a3138a44eed0ff093",
+        "c56237d87f090ed8480429fd85dc901629a739cb9b3e91699eda3ee1bcfcf934",
+    ),
+    SUPER_RESOLUTION_YAML: (
+        "32dd50738b5a7ce96630c638643377da62fbc969745a309b28e5c83fda6a342b",
+        "5a05dad8eef145e21b99645db14c9f08d37f22ef5a65e4b037b3863b509992c7",
+    ),
+}
+
+
+@pytest.mark.parametrize("path", list(SWEEP_GOLDEN), ids=["default", "super_resolution"])
+def test_joint_sweep_and_path_scores_match_their_recorded_digests(path):
+    config = load_config(path and str(path))
+    spec, ds, train_cfg = prepare(config)
+    weights = pretrain_supernet(
+        spec, ds, train_cfg, child_seed(int(config["seed"]), "pretrain")
+    ).weights
+    oracle = GanOracle(weights, ds)
+    joint_search_baseline(oracle)
+    fitness = [result.fitness for _, result in oracle.cache_snapshot()]
+    paths = [oracle.path_score(p) for p in range(spec.num_paths)]
+    assert len(fitness) == genome_space_size(spec)
+    digests = tuple(hashlib.sha256(repr(v).encode()).hexdigest() for v in (fitness, paths))
+    assert digests == SWEEP_GOLDEN[path]
+
+
 @pytest.mark.parametrize("run", ["joint_sweep", "shrink_channels"])
 def test_trail_resume_from_the_last_chain_matches_a_full_walk(default_supernet, run):
     config, weights, ds = default_supernet
@@ -424,6 +458,22 @@ def test_trail_resume_from_the_last_chain_matches_a_full_walk(default_supernet, 
         genomes = [ArchitectureGenome.from_record(record) for record, _ in oracle.cache_snapshot()]
     views = [subnet_view(weights, genome) for genome in genomes]
     run_in_lockstep(views, Tensor(ds.val_x), StageTrail(), FullWalkTrail())
+
+
+def test_a_head_only_miss_resumes_like_a_full_walk(monkeypatch):
+    weights, ds = trail_case(TASK_TRANSLATION, channels=(1, 2, 3))
+    x = Tensor(ds.val_x)
+    widest = maximal_genome(weights.spec, 0)
+    views = [
+        subnet_view(weights, replace(widest, channel_assignment=(2, last)))
+        for last in (2, 0, 1, 2)
+    ]
+    trail, reference = StageTrail(), FullWalkTrail()
+    run_in_lockstep(views[:1], x, trail, reference)
+    counts = count_stage_calls(monkeypatch)
+    run_in_lockstep(views[1:], x, trail, reference)
+    # Each later view differs only in its last width: the head alone, on both trails.
+    assert counts == {"conv1d": 2 * len(views[1:]), "channel_rms_norm": 0}
 
 
 def test_trail_starts_over_on_other_inputs_or_weights():

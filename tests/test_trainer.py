@@ -414,6 +414,25 @@ def test_pretraining_steps_the_scale_factors_by_the_decayed_rate(monkeypatch):
     assert sorted(paths) == expected
 
 
+def test_each_pretraining_row_counts_the_zero_scale_factors_of_every_path(monkeypatch):
+    spec = translation_spec()
+    steps = {}  # a path's first factor tensor -> proximal steps taken on that path
+    zeros = []
+
+    def zeroing(gammas, stepsize, sparsity_weight):
+        prox_step(gammas, stepsize, sparsity_weight)
+        k = steps[id(gammas[0])] = steps.get(id(gammas[0]), 0) + 1
+        gammas[0].data[:k] = 0.0  # k zeros on this path, the other paths' unchanged
+        zeros.append(sum(min(n, gammas[0].data.size) for n in steps.values()))
+
+    monkeypatch.setattr(trainer, "prox_step", zeroing)
+    result = pretrain_supernet(spec, quick_dataset(), quick_cfg(epochs=4), seed=3)
+    factors = sum(g.data.size for p in range(spec.num_paths) for g in result.weights.gamma_tensors(p))
+    rows = [row["gamma_zero_fraction"] for row in result.metrics]
+    assert rows == [n / factors for n in zeros] and rows[-1] > rows[0] > 0.0
+    assert rows[-1] == trainer.gamma_zero_stats(result.weights)[1]
+
+
 def assert_frozen_without_gradients(weights):
     for name, tensor in weights.tensors.items():
         assert not tensor.requires_grad, name
