@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible constraints,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -108,7 +109,16 @@ def _prepared(cfg: dict, checkpoint: str | None = None):
 
 @contextmanager
 def _incomplete_report_on_failure(args, cfg: dict):
-    """On a failed run, write a ``status: incomplete`` report to ``--out`` first."""
+    """Make ``--out`` first; on a failed run, write a ``status: incomplete`` report there.
+
+    A path that cannot be made a directory raises ``ConfigError`` naming
+    it, before any training.
+    """
+    if args.out:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make report directory {args.out}: {exc}") from exc
     try:
         yield
     except CfSearchError:
@@ -148,14 +158,11 @@ def cmd_search_operator(args) -> int:
     spec, dataset, weights, _ = _prepared(cfg, args.checkpoint)
     oracle = GanOracle(weights, dataset)
     chosen, _ = search_path(oracle)
-    rng = as_rng(child_seed(int(cfg["seed"]), "search"))
-    best_ops, records = search_operators(oracle, chosen, sample_count=args.sample, rng=rng)
+    best_ops, records = search_operators(oracle, chosen)
     print("# genome\tfitness\tparams\tflops")
     for rec in records:
         print(f"{rec.label}\t{format_float(rec.fitness)}\t{rec.params}\t{rec.flops}")
     g_optr = replace(maximal_genome(spec, chosen), operator_assignment=best_ops)
-    if args.sample is not None:
-        print(f"sampled specializations: {args.sample}")
     print(f"chosen operators: {g_optr.to_record()}")
     return 0
 
@@ -270,6 +277,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_analyze_uniform(args) -> int:
+    if args.M < 1 or args.t < 1:
+        raise ConfigError(
+            f"analyze-uniform needs --M >= 1 and --t >= 1, got {args.M} and {args.t}"
+        )
     if args.table:
         print("# t\tprobability")
         for t in range(args.M, args.t + 1, args.M):
@@ -293,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=False, out=False, sample=False):
+    def common(p, checkpoint=False, out=False):
         p.add_argument("--config", help="YAML config overlaying the defaults")
         p.add_argument("--seed", type=int, help="override the config seed")
         if checkpoint:
@@ -302,12 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         if out:
             p.add_argument("--out", help="directory for the run report")
-        if sample:
-            p.add_argument(
-                "--sample",
-                type=int,
-                help="sampled specialization count for spaces past the cap",
-            )
 
     p = sub.add_parser("pretrain", help="fair supernet pretraining")
     common(p, out=True)
@@ -318,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search_path)
 
     p = sub.add_parser("search-operator", help="stages 1-2: operator choice")
-    common(p, checkpoint=True, sample=True)
+    common(p, checkpoint=True)
     p.set_defaults(func=cmd_search_operator)
 
     p = sub.add_parser("shrink", help="stages 1-3: evolutionary channel search")

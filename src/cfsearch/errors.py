@@ -21,10 +21,7 @@ class GenomeError(CfSearchError):
 
 
 class EnumerationTooLargeError(ConfigError):
-    """An exhaustive enumeration would exceed the configured cap.
-
-    Carries advice: either shrink (M, L) or enable the sampled fallback.
-    """
+    """An exhaustive enumeration would exceed the configured cap."""
 
 
 class ShapeError(CfSearchError):

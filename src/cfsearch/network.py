@@ -346,8 +346,7 @@ class StageTrail:
     the keep vectors and the masked head weights start over when the input
     array or the weights object differs, compared by identity.  Weights
     changed in place are not noticed, so a trail is only sound over fixed
-    weights, unless a ``cut`` first drops every stage the change affects;
-    ``cut`` shortens ``keys`` and ``chain`` to the stages it keeps.
+    weights.
     """
 
     def __init__(self) -> None:
@@ -416,16 +415,6 @@ class StageTrail:
             entries.move_to_end(key)
         while self.nbytes > TRAIL_BUDGET_BYTES and len(entries) > len(chain):
             self.nbytes -= entries.popitem(last=False)[1][3]
-
-    def cut(self, stages: int) -> None:
-        """Forget every entry deeper than ``stages``, every keep vector and
-        every masked head weight, so a resumed forward runs the rest."""
-        for key in [key for key, entry in self.entries.items() if entry[1] > stages]:
-            self.nbytes -= self.entries.pop(key)[3]
-        self.keys = self.keys[:stages]
-        del self.chain[stages:]
-        self.keeps.clear()
-        self.heads.clear()
 
 
 @dataclass

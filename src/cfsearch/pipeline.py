@@ -2,7 +2,7 @@
 
 Search proceeds in three narrowing stages on one shared fitness oracle:
 pick the best path by whole-path inference, pick the best operator
-assignment on that path by enumerating specializations at full width,
+assignment on that path by scoring each assignment once at full width,
 then shrink channels evolutionarily.  Each stage fixes its
 decision before the next begins, which turns the product-sized joint
 space into a sum of three small stages; the trace records every score
@@ -17,11 +17,12 @@ of the cost comparison.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError, EnumerationTooLargeError, InfeasibleError
 from .evolution import EvoConfig, ShrinkResult, shrink_channels
 from .oracles import FitnessOracle, GanOracle, _require_finite
 from .space import (
@@ -29,10 +30,8 @@ from .space import (
     ArchitectureGenome,
     SupernetSpec,
     enumerate_genomes,
-    enumerate_specializations,
     genome_space_size,
     maximal_genome,
-    sample_specializations,
     spec_from_dict,
 )
 from .trainer import (
@@ -66,11 +65,10 @@ class SearchTrace:
     """Everything the three stages looked at, in evaluation order.
 
     ``oracle_calls`` counts scoring events per stage: the path stage has
-    one per path, the operator stage one per member of every
-    specialization (M * N_o, even when members repeat across
-    specializations), and the channel stage one per unique genome the
-    evolutionary budget paid for.  Each stage's record list has exactly
-    that many rows, so the counts are the lists' lengths.  ``g_optr`` is
+    one per path, the operator stage one per operator assignment (M**L),
+    and the channel stage one per unique genome the evolutionary budget
+    paid for.  Each stage's record list has exactly that many rows, so
+    the counts are the lists' lengths.  ``g_optr`` is
     the operator stage's choice at full width and ``g_channel`` the
     searched genome; ``run_search`` fills every field before it returns
     the trace.
@@ -113,54 +111,41 @@ def search_path(oracle: FitnessOracle) -> tuple[int, list[StageRecord]]:
 
 
 def search_operators(
-    oracle: FitnessOracle,
-    path_index: int,
-    sample_count: int | None = None,
-    rng: np.random.Generator | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    oracle: FitnessOracle, path_index: int
 ) -> tuple[tuple[int, ...], list[StageRecord]]:
-    """Stage 2: score every member of every specialization at full width.
+    """Stage 2: score every operator assignment once at full width.
 
-    Specializations group the assignments into per-layer-disjoint M-sets
-    so sampling covers candidates without replacement; the choice is the
-    argmax over individual assignments, ties to the lexicographically
-    smallest.  Past the enumeration cap the caller must pass
-    ``sample_count`` to switch to deduplicated random specializations.
+    Assignments run in canonical order, as ``enumerate_genomes`` lists
+    them; the choice is the argmax, ties to the lexicographically
+    smallest.  More than ``DEFAULT_ENUMERATION_CAP`` assignments raise
+    ``EnumerationTooLargeError``.
     """
     spec = oracle.spec
     path = spec.paths[path_index]
     m, layers = path.num_operators, path.num_layers
-    if sample_count is None:
-        specializations = enumerate_specializations(m, layers, cap)
-    else:
-        if rng is None:
-            raise ConfigError("sampled operator search needs a random generator")
-        specializations = sample_specializations(m, layers, sample_count, rng)
+    if m**layers > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationTooLargeError(
+            f"operator space M**L = {m}**{layers} exceeds cap {DEFAULT_ENUMERATION_CAP}; "
+            f"use a smaller (M, L)"
+        )
     widest = maximal_genome(spec, path_index)
     records = []
     best_ops: tuple[int, ...] | None = None
     best_fitness = -np.inf
-    for members in specializations:
-        for assignment in members:
-            genome = replace(widest, operator_assignment=assignment)
-            result = oracle.evaluate(genome)
-            records.append(
-                StageRecord(
-                    label=genome.to_record(),
-                    fitness=result.fitness,
-                    params=result.cost.params,
-                    flops=result.cost.flops,
-                )
+    for assignment in itertools.product(range(m), repeat=layers):
+        genome = replace(widest, operator_assignment=assignment)
+        result = oracle.evaluate(genome)
+        records.append(
+            StageRecord(
+                label=genome.to_record(),
+                fitness=result.fitness,
+                params=result.cost.params,
+                flops=result.cost.flops,
             )
-            better = result.fitness > best_fitness or (
-                result.fitness == best_fitness
-                and best_ops is not None
-                and assignment < best_ops
-            )
-            if best_ops is None or better:
-                best_ops = assignment
-                best_fitness = result.fitness
-    assert best_ops is not None
+        )
+        if best_ops is None or result.fitness > best_fitness:
+            best_ops = assignment
+            best_fitness = result.fitness
     return best_ops, records
 
 

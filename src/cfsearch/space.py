@@ -26,8 +26,9 @@ from typing import Iterator, Mapping, Sequence
 from .errors import ConfigError, EnumerationTooLargeError, GenomeError
 from .util import config_number
 
-# Exhaustive specialization enumeration refuses to build more than this
-# many candidate tuples unless the caller raises the cap explicitly.
+# Exhaustive enumerations (specializations, operator assignments, the joint
+# genome scan) refuse more than this many candidates; the specialization
+# enumeration and the joint scan let the caller raise it.
 DEFAULT_ENUMERATION_CAP = 1_000_000
 
 # Results of the closed-form count are kept within a signed 64-bit range
@@ -433,8 +434,7 @@ def enumerate_specializations(
     class; remaining layers range over all permutations.
 
     The brute-force search space this stands in for has (M!)**L ordered
-    tuples; when that exceeds ``cap`` the call refuses and suggests either
-    a smaller (M, L) or the sampled fallback of the operator-search stage.
+    tuples; when that exceeds ``cap`` the call refuses.
     """
     if num_operators < 1 or num_layers < 1:
         raise ConfigError(
@@ -445,7 +445,7 @@ def enumerate_specializations(
     if space > cap:
         raise EnumerationTooLargeError(
             f"specialization space (M!)**L = {space} exceeds cap {cap}; "
-            f"use a smaller (M, L) or enable sampled operator search"
+            f"use a smaller (M, L)"
         )
     first = tuple(range(num_operators))
     perms = list(itertools.permutations(range(num_operators)))
@@ -457,37 +457,6 @@ def enumerate_specializations(
         )
         out.append(tuple(sorted(members)))
     out.sort()
-    return out
-
-
-def sample_specializations(
-    num_operators: int,
-    num_layers: int,
-    count: int,
-    rng,
-) -> list[tuple[tuple[int, ...], ...]]:
-    """Draw ``count`` distinct specializations without full enumeration.
-
-    Fallback for spaces past the enumeration cap: draws random per-layer
-    permutations, canonicalizes, dedupes.  Deterministic under the given
-    generator.
-    """
-    seen: set[tuple[tuple[int, ...], ...]] = set()
-    out: list[tuple[tuple[int, ...], ...]] = []
-    total = operator_specialization_count(num_operators, num_layers)
-    target = min(count, total)
-    attempts = 0
-    while len(out) < target and attempts < 1000 * target:
-        attempts += 1
-        columns = [tuple(rng.permutation(num_operators)) for _ in range(num_layers)]
-        members = tuple(
-            tuple(int(columns[l][i]) for l in range(num_layers))
-            for i in range(num_operators)
-        )
-        canon = tuple(sorted(members))
-        if canon not in seen:
-            seen.add(canon)
-            out.append(canon)
     return out
 
 

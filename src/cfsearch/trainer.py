@@ -394,9 +394,8 @@ def pretrain_supernet(
             # One proximal step on the scale factors, from the full-path
             # mixture loss.
             mixed = mixed_view(weights, p)
-            trail = StageTrail()
             with weights.train_only(gammas):
-                out = mixed(x, trail)
+                out = mixed(x)
                 bundle = total_loss(out, y, disc(out), gammas, cfg)
                 _check_finite(
                     bundle.components["total"], f"epoch {t} path {p} mixture", bundle.components
@@ -405,12 +404,9 @@ def pretrain_supernet(
                 prox_step(gammas, cfg.lr_gamma * cfg.lr_decay**t, cfg.lambda_sparsity)
 
             # Discriminator step on the refreshed mixture output; the frozen
-            # generator gives ``fake`` no graph.  The proximal step moved only
-            # the scale factors, which first enter at layer 0's norm, so the
-            # forward resumes after the stem and layer 0's block core.
-            trail.cut(2)
+            # generator gives ``fake`` no graph.
             with weights.train_only(t for _, t in weights.named(f"d/{d}/")):
-                fake = mixed(x, trail)
+                fake = mixed(x)
                 d_value = _discriminator_value(disc, y, fake)
                 _check_finite(
                     d_value.item(), f"epoch {t} path {p} discriminator", {"d_loss": d_value.item()}

@@ -67,6 +67,32 @@ def test_analyze_uniform_table(capsys):
     assert lines[3] == "6\t0.3125"
 
 
+@pytest.mark.parametrize("m, t", [(0, 4), (2, -2)])
+def test_analyze_uniform_refuses_a_count_below_one(capsys, m, t):
+    assert main(["analyze-uniform", "--M", str(m), "--t", str(t)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--M" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "shrink", "run-all"])
+def test_an_out_that_cannot_be_a_directory_exits_2_before_training(
+    tmp_path, capsys, monkeypatch, command
+):
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("pretraining ran before --out was made")
+
+    monkeypatch.setattr(cli, "pretrain_supernet", no_pretraining)
+    monkeypatch.setattr(pipeline, "pretrain_supernet", no_pretraining)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "sub")
+    assert main([command, "--config", write_config(tmp_path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and out in err
+    assert "Traceback" not in err
+
+
 def test_load_config_overlay_and_unknown_keys(tmp_path):
     cfg = load_config(write_config(tmp_path))
     assert cfg["seed"] == 3
@@ -297,14 +323,6 @@ def test_search_operator_prints_choice(tmp_path, capsys):
     assert "chosen operators: path:" in out
     assert "# genome\tfitness\tparams\tflops" in out
     assert "sampled specializations" not in out
-
-
-def test_search_operator_sample_prints_count(tmp_path, capsys):
-    config = write_config(tmp_path)
-    assert main(["search-operator", "--config", config, "--sample", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "sampled specializations: 2" in out
-    assert "chosen operators: path:" in out
 
 
 def test_shrink_reports_costs(tmp_path, capsys):

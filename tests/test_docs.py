@@ -3,6 +3,7 @@
 import argparse
 import pathlib
 import re
+import shlex
 
 import pytest
 import yaml
@@ -25,6 +26,22 @@ def registered_subcommands() -> set[str]:
 def test_readme_documents_exactly_the_registered_subcommands():
     documented = set(re.findall(r"^(?:\$ )?cfsearch ([a-z][a-z-]*)", README, re.MULTILINE))
     assert documented == registered_subcommands()
+
+
+def test_readme_command_lines_parse():
+    parser = cli._build_parser()
+    lines = [
+        line
+        for block in re.findall(r"^```sh\n(.*?)^```", README, re.M | re.S)
+        for line in block.splitlines()
+        if line.startswith("cfsearch ")
+    ]
+    assert len(lines) >= len(registered_subcommands())
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_cli_docstring_lists_every_subcommand():

@@ -23,7 +23,7 @@ from cfsearch.oracles import (
 from cfsearch.pipeline import joint_search_baseline, prepare, run_search
 from cfsearch.engine import Tensor, conv1d, sum_all
 from cfsearch.evolution import EvoConfig
-from cfsearch.network import StageTrail, SupernetWeights, mixed_view, subnet_view
+from cfsearch.network import StageTrail, SupernetWeights, subnet_view
 from cfsearch.sparsity import active_channel_mask
 from cfsearch.space import (
     ArchitectureGenome,
@@ -735,42 +735,6 @@ def test_trail_holds_its_budget_and_keeps_every_entry_reachable(monkeypatch, bud
         evicted = evicted or len(trail.entries) < len(prefixes)
     assert evicted == evicts
     assert shared
-
-
-def test_trail_cut_drops_deeper_entries():
-    weights, ds = trail_case(TASK_TRANSLATION)
-    genomes = list(enumerate_genomes(weights.spec))[:6]
-    trail = StageTrail()
-    for g in genomes:
-        evaluate_genome(weights, g, ds, trail)
-    assert trail.keeps and trail.heads
-    trail.cut(2)
-    assert trail.entries and all(depth <= 2 for _, depth, _, _ in trail.entries.values())
-    assert trail.nbytes == sum(output.nbytes for output in distinct_arrays(trail))
-    assert not trail.keeps and not trail.heads
-    view = subnet_view(weights, genomes[-1])
-    assert trail.resume(Tensor(ds.val_x), weights, view.stage_keys())[0] == 2
-    assert evaluate_genome(weights, genomes[0], ds, trail) == evaluate_genome(weights, genomes[0], ds)
-
-    # With the reference resume alongside: a cut after a sweep, and the
-    # pretraining step's cut after its scale factors move in place.
-    x = Tensor(ds.val_x)
-    views = [subnet_view(weights, g) for g in genomes]
-    trail, reference = StageTrail(), FullWalkTrail()
-    run_in_lockstep(views, x, trail, reference)
-    for t in (trail, reference):
-        t.cut(2)
-    assert_same_trail(trail, reference)
-    run_in_lockstep(views[::-1], x, trail, reference)
-    mixed = mixed_view(weights, 0)
-    run_in_lockstep([mixed, mixed], x, trail, reference)
-    for gamma in weights.gamma_tensors(0):
-        gamma.data = gamma.data * 0.5
-    for t in (trail, reference):
-        t.cut(2)
-    run_in_lockstep([mixed], x, trail, reference)
-    assert np.array_equal(mixed(x, trail).data, mixed(x).data)
-    run_in_lockstep(views, x, trail, reference)
 
 
 class ConstantOracle(oracles.FitnessOracle):

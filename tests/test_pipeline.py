@@ -1,11 +1,13 @@
 """Stage-by-stage narrowing and the full search driver."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from cfsearch.configs import default_config
 from cfsearch.costs import genome_cost
-from cfsearch.errors import ConfigError, InfeasibleError
+from cfsearch.errors import ConfigError, EnumerationTooLargeError, InfeasibleError
 from cfsearch.evolution import EvoConfig
 from cfsearch.oracles import (
     FitnessOracle,
@@ -85,13 +87,32 @@ def test_operator_stage_tie_breaks_lexicographically():
     assert best_ops == (0, 0)
 
 
-def test_operator_stage_sampling_needs_rng():
-    spec = build_spec(n_paths=1, n_layers=2, n_operators=2, channels=(2, 3))
-    oracle = TabularOracle(build_landscape(spec, "random_seeded", seed=3))
-    with pytest.raises(ConfigError):
-        search_operators(oracle, 0, sample_count=1)
-    _, records = search_operators(oracle, 0, sample_count=1, rng=np.random.default_rng(0))
-    assert len(records) == 2  # one specialization of two members
+def test_operator_stage_refuses_more_assignments_than_the_cap():
+    oracle = ScriptedOracle(build_spec(n_layers=20), path_scores=(0.0,))
+    with pytest.raises(EnumerationTooLargeError):
+        search_operators(oracle, 0)
+
+
+def test_operator_stage_scores_each_of_m_to_the_l_assignments_once_at_three_operators():
+    spec = build_spec(n_paths=1, n_layers=3, n_operators=3, channels=(2, 3))
+    top = (spec.num_channel_choices - 1,) * 3
+    canonical = list(itertools.product(range(3), repeat=3))
+    label = {ops: ArchitectureGenome(0, ops, top).to_record() for ops in canonical}
+    # Every assignment whose indices sum to 3 ties for the best fitness.
+    fitness = {ops: -abs(sum(ops) - 3) for ops in canonical}
+    table = {g.to_record(): 0.0 for g in enumerate_genomes(spec)}
+    table.update({label[ops]: fitness[ops] for ops in canonical})
+    scape = TabularLandscape(spec=spec, rule="random_seeded", seed=0, table=table)
+    best_ops, records = search_operators(TabularOracle(scape), 0)
+    labels = [r.label for r in records]
+    assert labels == [label[ops] for ops in canonical]
+    assert len(set(labels)) == 27
+    best = max(fitness.values())
+    assert best_ops == min(ops for ops in canonical if fitness[ops] == best) == (0, 1, 2)
+
+    cfg = EvoConfig(population=4, elites=1, generations=3, eval_budget=8)
+    _, trace, _ = run_search(TabularOracle(scape), cfg, np.random.default_rng(0))
+    assert trace.oracle_calls["operator"] == 27
 
 
 def test_run_search_call_accounting():

@@ -19,15 +19,12 @@ from cfsearch.space import (
     minimal_genome,
     operator_specialization_count,
     require_valid,
-    sample_specializations,
     spec_from_dict,
     validate_genome,
 )
 from cfsearch.configs import default_toy_spec
 
 from conftest import build_spec, resampling_spec_dict, super_resolution_spec
-
-import numpy as np
 
 
 def test_specialization_count_frozen_values():
@@ -96,24 +93,6 @@ def test_specialization_count_overflow_guard():
 def test_enumeration_cap_refuses_large_spaces():
     with pytest.raises(EnumerationTooLargeError):
         enumerate_specializations(3, 9, cap=1000)
-
-
-def test_sampled_specializations_subset_of_enumeration():
-    rng = np.random.default_rng(5)
-    full = set(enumerate_specializations(3, 3))
-    sampled = sample_specializations(3, 3, 10, rng)
-    assert len(sampled) == 10
-    assert len(set(sampled)) == 10
-    assert set(sampled) <= full
-
-
-def test_sampled_specializations_deterministic_and_capped():
-    a = sample_specializations(3, 2, 4, np.random.default_rng(9))
-    b = sample_specializations(3, 2, 4, np.random.default_rng(9))
-    assert a == b
-    # Asking for more than exist returns them all.
-    everything = sample_specializations(2, 2, 99, np.random.default_rng(0))
-    assert sorted(everything) == enumerate_specializations(2, 2)
 
 
 def test_a_genome_keeps_the_dataclass_hash_and_replace_takes_a_new_one():
