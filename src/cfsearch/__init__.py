@@ -38,7 +38,6 @@ from .space import (
     ArchitectureGenome,
     SupernetSpec,
     enumerate_specializations,
-    load_spec,
     operator_specialization_count,
     spec_from_dict,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "evolution_bench_spec",
     "genome_cost",
     "joint_search_baseline",
-    "load_spec",
     "make_dataset",
     "operator_specialization_count",
     "pretrain_supernet",

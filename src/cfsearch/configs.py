@@ -71,7 +71,6 @@ CONFIG_KEYS: dict[str, Key] = {
     "evolution.eval_budget": Key(int, "in [1, inf)", 40, "unique oracle evaluations, hard cap"),
     "evolution.params_limit": Key(float, "in (0, inf]", 3000.0, "strict parameter limit"),
     "evolution.flops_limit": Key(float, "in (0, inf]", 6000.0, "strict FLOP limit"),
-    "evolution.epsilon": Key(float, "in (0, inf]", 1e-8, "keeps every gain's odds positive"),
     "evolution.mutation": Key(str, MUTATION_MODES, MUTATION_DIRECTIONAL, "how widths mutate"),
     "evolution.rg_refresh": Key(
         str, RG_REFRESH_MODES, RG_REFRESH_ON_ELITE_CHANGE, "when replacement gains are re-measured"

@@ -28,7 +28,7 @@ import numpy as np
 
 from .configs import CONFIG_KEYS, MUTATION_DIRECTIONAL, RG_REFRESH_ON_ELITE_CHANGE, check_fields
 from .configs import MUTATION_RANDOM, RG_REFRESH_ONCE  # noqa: F401  (re-exported)
-from .configs import config_value, section_values
+from .configs import section_values
 from .costs import CostReport, satisfies_constraints
 from .errors import ConfigError, GenomeError, InfeasibleError
 from .oracles import FitnessOracle
@@ -37,6 +37,9 @@ from .space import ArchitectureGenome, SupernetSpec, minimal_genome, require_val
 # Attempts at drawing a feasible candidate before falling back to the
 # narrowest configuration.
 FEASIBLE_RETRY_LIMIT = 50
+
+# Added to every shifted gain, so each width keeps positive odds.
+RG_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,6 @@ class EvoConfig:
     eval_budget: int = CONFIG_KEYS["evolution.eval_budget"].default
     params_limit: float = CONFIG_KEYS["evolution.params_limit"].default
     flops_limit: float = CONFIG_KEYS["evolution.flops_limit"].default
-    epsilon: float = CONFIG_KEYS["evolution.epsilon"].default
     mutation: str = CONFIG_KEYS["evolution.mutation"].default
     rg_refresh: str = CONFIG_KEYS["evolution.rg_refresh"].default
 
@@ -95,11 +97,7 @@ class RGTable:
     staleness: int = 0
 
 
-def compute_rg(
-    baseline: ArchitectureGenome,
-    oracle: FitnessOracle,
-    epsilon: float = CONFIG_KEYS["evolution.epsilon"].default,
-) -> RGTable:
+def compute_rg(baseline: ArchitectureGenome, oracle: FitnessOracle) -> RGTable:
     """Measure the gain of every single-layer channel replacement.
 
     Entries where the replacement equals the baseline's current choice
@@ -122,21 +120,18 @@ def compute_rg(
             replaced = _with_channel(baseline, l, j)
             rg[j, l] = oracle.evaluate(replaced).fitness - base_fitness
     table = RGTable(rg=rg, baseline=baseline.to_record())
-    return normalize_rg(table, epsilon)
+    return normalize_rg(table)
 
 
-def normalize_rg(
-    table: RGTable, epsilon: float = CONFIG_KEYS["evolution.epsilon"].default
-) -> RGTable:
+def normalize_rg(table: RGTable) -> RGTable:
     """Shift each layer's gains to be positive and normalize to a pmf.
 
-    Per layer: ``shifted = rg - min_j rg + epsilon`` guarantees strictly
+    Per layer: ``shifted = rg - min_j rg + RG_EPSILON`` guarantees strictly
     positive mass, then ``p_select`` divides by the per-layer sum.  A
     layer whose gains are all equal comes out uniform.  ``cdf`` holds one
     row per layer, so each draw searches a contiguous array.
     """
-    epsilon = config_value("evolution.epsilon", epsilon)
-    shifted = table.rg - table.rg.min(axis=0, keepdims=True) + epsilon
+    shifted = table.rg - table.rg.min(axis=0, keepdims=True) + RG_EPSILON
     table.p_select = shifted / shifted.sum(axis=0, keepdims=True)
     cdf = table.p_select.T.cumsum(axis=1)
     table.cdf = cdf / cdf[:, -1:]
@@ -149,12 +144,6 @@ def _with_channel(
     channels = list(genome.channel_assignment)
     channels[layer] = choice
     return ArchitectureGenome(genome.path_index, genome.operator_assignment, tuple(channels))
-
-
-def _uniform_table(num_choices: int, num_layers: int, epsilon: float) -> RGTable:
-    """A flat table for use before any gains have been measured."""
-    table = RGTable(rg=np.zeros((num_choices, num_layers), dtype=np.float64))
-    return normalize_rg(table, epsilon)
 
 
 def mutate_directional(
@@ -314,7 +303,8 @@ def shrink_channels(
 
     best_genome: ArchitectureGenome | None = None
     best_fitness = -np.inf
-    table = _uniform_table(num_choices, num_layers, cfg.epsilon)
+    # A flat table until gains have been measured.
+    table = normalize_rg(RGTable(rg=np.zeros((num_choices, num_layers))))
     anchor: ArchitectureGenome | None = None  # the elite the table was measured on
     history: list[GenerationRow] = []
     generations_run = 0
@@ -454,4 +444,4 @@ def _refresh_if_affordable(
                 pending += 1
     if spent + pending > cfg.eval_budget:
         return None
-    return compute_rg(elite, oracle, cfg.epsilon)
+    return compute_rg(elite, oracle)

@@ -76,8 +76,8 @@ class FairnessLedger:
     ``operator_counts[p]`` is an (L_p, M_p) integer array: how many weight
     updates included operator m of layer l on path p.  ``generator_counts``
     and ``discriminator_counts`` are per generator path: the latter counts
-    updates applied to the discriminator matched with that path, so the
-    fairness identity is simply elementwise equality.  ``trials`` counts
+    updates applied to that path's own discriminator, so the fairness
+    identity is simply elementwise equality.  ``trials`` counts
     recorded path cycles.
     """
 
@@ -119,7 +119,7 @@ class FairnessLedger:
         """Every failed fairness equality, as human-readable strings.
 
         A fair ledger has one count per path shared by every operator of
-        every layer, by the generator and by the matched discriminator;
+        every layer, by the generator and by the path's own discriminator;
         that count is the same on every path, and the generator counts
         sum to ``trials``.
         """

@@ -49,6 +49,7 @@ from .sparsity import GAMMA_INIT, active_channel_mask
 
 CHECKPOINT_MAGIC = b"CFN1"
 CHECKPOINT_VERSION = 1
+DISCRIMINATOR_WIDTH = 8
 
 
 class SupernetWeights:
@@ -98,10 +99,11 @@ class SupernetWeights:
                             w._add(prefix + "b", np.zeros(src))
                 w._add(f"g/p{p}/l{l}/gamma", np.full(full, GAMMA_INIT))
             conv_param(f"g/p{p}/head/w", spec.input_channels, full, 1)
-        for d, disc in enumerate(spec.discriminators):
-            conv_param(f"d/{d}/c1/w", disc.width, spec.input_channels, 3)
-            conv_param(f"d/{d}/c2/w", disc.width, disc.width, 3)
-            w._add(f"d/{d}/out/w", rng.normal(0.0, 1.0 / np.sqrt(disc.width), (disc.width, 1)))
+        width = DISCRIMINATOR_WIDTH
+        for d in range(spec.num_paths):
+            conv_param(f"d/{d}/c1/w", width, spec.input_channels, 3)
+            conv_param(f"d/{d}/c2/w", width, width, 3)
+            w._add(f"d/{d}/out/w", rng.normal(0.0, 1.0 / np.sqrt(width), (width, 1)))
             w._add(f"d/{d}/out/b", np.zeros(1))
         return w
 
@@ -320,10 +322,10 @@ class StageTrail:
     (see ``GeneratorView.stage_keys``), so the output stored for a key
     prefix is what a fresh forward with that prefix would recompute.
     ``entries`` maps (the parent entry's number, or 0, and the stage's own
-    key) to (the entry's number, its depth in stages, its output array
-    without its graph, the bytes it counts).  An output that is its parent
-    entry's array (a full-width mask stage) counts 0 bytes, so ``nbytes``
-    is the size of the distinct arrays held.  A forward resumes after the
+    key) to (the entry's number, its output array without its graph, the
+    bytes it counts).  An output that is its parent entry's array (a
+    full-width mask stage) counts 0 bytes, so ``nbytes`` is the size of
+    the distinct arrays held.  A forward resumes after the
     longest stored prefix of its keys and stores every stage it runs;
     ``keys`` and ``chain`` are its stage keys and the entry keys of its
     stages.  The last forward's chain is never evicted, so the next forward
@@ -353,7 +355,7 @@ class StageTrail:
         self.x: np.ndarray | None = None
         self.weights: SupernetWeights | None = None
         self.keys: list = []
-        self.entries: "OrderedDict[tuple, tuple[int, int, np.ndarray, int]]" = OrderedDict()
+        self.entries: "OrderedDict[tuple, tuple[int, np.ndarray, int]]" = OrderedDict()
         self.chain: list[tuple] = []
         self.keeps: dict[tuple[int, int, int], Tensor] = {}
         self.heads: dict[tuple[int, int], Tensor] = {}
@@ -379,7 +381,7 @@ class StageTrail:
         chain = self.chain
         self._reused_last = len(chain) == len(self.keys) and keys == self.keys
         if self._reused_last:
-            return len(chain), Tensor._make(self.entries[chain[-1]][2], (), None)
+            return len(chain), Tensor._make(self.entries[chain[-1]][1], (), None)
         shared = 0
         for new, old, _ in zip(keys, self.keys, chain):
             if new != old:
@@ -395,26 +397,26 @@ class StageTrail:
                 break
             chain.append((parent, key))
             found, parent = entry, entry[0]
-        return len(chain), x if found is None else Tensor._make(found[2], (), None)
+        return len(chain), x if found is None else Tensor._make(found[1], (), None)
 
     def store(self, outputs: list[np.ndarray]) -> None:
         """Store the outputs of the stages the resumed forward ran, then evict."""
         if not outputs and self._reused_last:
             return
         entries, chain = self.entries, self.chain
-        parent, _, held, _ = entries[chain[-1]] if chain else (0, 0, None, 0)
+        parent, held, _ = entries[chain[-1]] if chain else (0, None, 0)
         for output in outputs:
             key = (parent, self.keys[len(chain)])
             size = 0 if output is held else output.nbytes
             self._numbered = parent = self._numbered + 1
-            entries[key] = (parent, len(chain) + 1, output, size)
+            entries[key] = (parent, output, size)
             chain.append(key)
             self.nbytes += size
             held = output
         for key in reversed(chain):
             entries.move_to_end(key)
         while self.nbytes > TRAIL_BUDGET_BYTES and len(entries) > len(chain):
-            self.nbytes -= entries.popitem(last=False)[1][3]
+            self.nbytes -= entries.popitem(last=False)[1][2]
 
 
 @dataclass
@@ -591,20 +593,24 @@ def mixed_view(weights: SupernetWeights, path_index: int) -> GeneratorView:
 
 @dataclass
 class DiscriminatorView:
-    """Callable score head for one discriminator path."""
+    """Callable score head of path ``disc_index``'s discriminator.
+
+    After its first conv it averages sites by the path's last site count
+    over its first, when that exceeds 1.
+    """
 
     weights: SupernetWeights
     disc_index: int
 
     def __call__(self, y: Tensor) -> Tensor:
-        spec = self.weights.spec
         d = self.disc_index
-        disc = spec.discriminators[d]
+        sites = self.weights.spec.layer_sites[d]
+        pool = sites[-1] // sites[0]
         w1 = self.weights[f"d/{d}/c1/w"]
         b1 = self.weights[f"d/{d}/c1/b"]
         h = conv1d(y, w1, bias=b1, tanh=True)
-        if disc.pool > 1 and h.data.shape[2] % disc.pool == 0:
-            h = downsample_mean(h, disc.pool)
+        if pool > 1:
+            h = downsample_mean(h, pool)
         w2 = self.weights[f"d/{d}/c2/w"]
         b2 = self.weights[f"d/{d}/c2/b"]
         h = conv1d(h, w2, bias=b2, tanh=True)

@@ -139,16 +139,6 @@ def format_genome_file(
     return "\n".join(lines) + "\n"
 
 
-def read_genome_file(path: str) -> ArchitectureGenome:
-    """Parse the first non-comment line of a genome file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                return ArchitectureGenome.from_record(line)
-    raise ConfigError(f"no genome record found in {path}")
-
-
 def write_run_report(
     directory: str,
     config: dict,

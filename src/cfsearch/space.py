@@ -125,15 +125,13 @@ class PathSpec:
 
     ``resolution_schedule`` holds, per layer, the spatial site count of
     that layer's output relative to the network input (a power of two, so
-    stages either keep the extent or scale it by 2**k).
-    ``matched_discriminator_path`` is the index of the discriminator this
-    path trains against; it is resolved at load time and must have an
-    identical resolution schedule.
+    stages either keep the extent or scale it by 2**k).  Path ``p`` trains
+    against discriminator ``p``, which ``network`` derives from the path's
+    sites.
     """
 
     layers: tuple[LayerSpec, ...]
     resolution_schedule: tuple[Fraction, ...]
-    matched_discriminator_path: int = 0
 
     def __post_init__(self) -> None:
         if not self.layers:
@@ -165,29 +163,6 @@ class PathSpec:
         return self.layers[0].num_operators
 
 
-@dataclass(frozen=True)
-class DiscriminatorSpec:
-    """A discriminator topology.  Not searched; fixed width, fixed schedule.
-
-    ``pool`` is derived: the factor by which the discriminator averages
-    sites after its first conv, its last scale over its first when that
-    exceeds 1, and 1 otherwise.
-    """
-
-    resolution_schedule: tuple[Fraction, ...]
-    width: int = 8
-    pool: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        schedule = self.resolution_schedule
-        if not schedule:
-            raise ConfigError("discriminator resolution_schedule must not be empty")
-        if self.width < 1:
-            raise ConfigError(f"discriminator width must be positive, got {self.width}")
-        ratio = schedule[-1] / schedule[0]
-        object.__setattr__(self, "pool", int(ratio) if ratio > 1 else 1)
-
-
 def _is_power_of_two_fraction(x: Fraction) -> bool:
     if x <= 0:
         return False
@@ -197,7 +172,7 @@ def _is_power_of_two_fraction(x: Fraction) -> bool:
 
 @dataclass(frozen=True)
 class SupernetSpec:
-    """The whole search space: paths, channel ladder, discriminators.
+    """The whole search space: paths, channel ladder, input shape.
 
     Four fields are derived and left out of comparisons.
     ``layer_sites[p][l]`` is the site count of layer ``l``'s output on path
@@ -210,7 +185,6 @@ class SupernetSpec:
 
     paths: tuple[PathSpec, ...]
     channel_choices: tuple[int, ...]
-    discriminators: tuple[DiscriminatorSpec, ...]
     input_channels: int = 1
     input_sites: int = 1
     layer_sites: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
@@ -232,16 +206,6 @@ class SupernetSpec:
             )
         if self.input_channels < 1 or self.input_sites < 1:
             raise ConfigError("input_channels and input_sites must be positive")
-        if not self.discriminators:
-            raise ConfigError("spec needs at least one discriminator path")
-        for p, path in enumerate(self.paths):
-            d = path.matched_discriminator_path
-            if not 0 <= d < len(self.discriminators):
-                raise ConfigError(f"path {p} matched discriminator {d} out of range")
-            if self.discriminators[d].resolution_schedule != path.resolution_schedule:
-                raise ConfigError(
-                    f"path {p} and discriminator {d} disagree on resolution schedule"
-                )
         for p, path in enumerate(self.paths):
             for scale in path.resolution_schedule:
                 if (scale * self.input_sites).denominator != 1:
@@ -543,9 +507,8 @@ def _schedule(raw: Mapping, key: str) -> tuple[Fraction, ...]:
     return tuple(_parse_scale(s, key) for s in _entries(raw["resolution_schedule"], key))
 
 
-_SPACE_KEYS = ("input_channels", "input_sites", "channel_choices", "paths", "discriminators")
-_PATH_KEYS = ("resolution_schedule", "operators", "matched_discriminator")
-_DISCRIMINATOR_KEYS = ("resolution_schedule", "width")
+_SPACE_KEYS = ("input_channels", "input_sites", "channel_choices", "paths")
+_PATH_KEYS = ("resolution_schedule", "operators")
 
 
 def spec_from_dict(cfg: Mapping) -> SupernetSpec:
@@ -559,18 +522,9 @@ def spec_from_dict(cfg: Mapping) -> SupernetSpec:
         paths:
           - resolution_schedule: [1, 1]
             operators: [[conv3x3, res_block], [conv3x3, res_block]]
-            matched_discriminator: 0              # optional
-        discriminators:                           # optional; derived 1:1
-          - resolution_schedule: [1, 1]
-            width: 8
 
-    When ``discriminators`` is omitted, one discriminator per generator
-    path is derived with an identical schedule and the matching is the
-    identity.  When discriminators are given but a path has no explicit
-    ``matched_discriminator``, the path is matched to the lowest-index
-    discriminator with an equal resolution schedule.  A malformed value or
-    an unknown key raises ``ConfigError`` naming it, such as
-    ``paths[0].operators``.
+    A malformed value or an unknown key raises ``ConfigError`` naming it,
+    such as ``paths[0].operators``.
     """
     if not isinstance(cfg, Mapping):
         raise ConfigError("spec section must be a mapping")
@@ -579,7 +533,7 @@ def spec_from_dict(cfg: Mapping) -> SupernetSpec:
         if key not in cfg:
             raise ConfigError(f"spec section missing required key {key!r}")
 
-    parsed_paths = []
+    paths = []
     for p, raw_path in enumerate(_entries(cfg["paths"], "paths")):
         where = f"paths[{p}]"
         _section(raw_path, where, _PATH_KEYS)
@@ -595,74 +549,14 @@ def spec_from_dict(cfg: Mapping) -> SupernetSpec:
             if not all(isinstance(name, str) for name in names):
                 raise ConfigError(f"{where}.operators[{l}] must name operators, got {row!r}")
             layers.append(LayerSpec(tuple(operator_kind(name) for name in names)))
-        matched = raw_path.get("matched_discriminator")
-        if matched is not None:
-            matched = config_number(matched, int, f"{where}.matched_discriminator")
-        parsed_paths.append({"layers": tuple(layers), "schedule": schedule, "matched": matched})
+        paths.append(PathSpec(layers=tuple(layers), resolution_schedule=schedule))
 
-    raw_discs = cfg.get("discriminators")
-    if raw_discs is None:
-        discriminators = tuple(
-            DiscriminatorSpec(resolution_schedule=p["schedule"]) for p in parsed_paths
-        )
-        for p, parsed in enumerate(parsed_paths):
-            if parsed["matched"] is None:
-                parsed["matched"] = p
-    else:
-        discriminators = []
-        for d, raw_disc in enumerate(_entries(raw_discs, "discriminators")):
-            where = f"discriminators[{d}]"
-            if "resolution_schedule" not in _section(raw_disc, where, _DISCRIMINATOR_KEYS):
-                raise ConfigError(f"{where} needs a 'resolution_schedule' entry")
-            discriminators.append(
-                DiscriminatorSpec(
-                    resolution_schedule=_schedule(raw_disc, where),
-                    width=config_number(raw_disc.get("width", 8), int, f"{where}.width"),
-                )
-            )
-        discriminators = tuple(discriminators)
-        for p, parsed in enumerate(parsed_paths):
-            if parsed["matched"] is None:
-                matches = [
-                    i
-                    for i, d in enumerate(discriminators)
-                    if d.resolution_schedule == parsed["schedule"]
-                ]
-                if not matches:
-                    raise ConfigError(
-                        f"no discriminator matches the resolution schedule of path {p}"
-                    )
-                parsed["matched"] = matches[0]
-
-    paths = tuple(
-        PathSpec(
-            layers=parsed["layers"],
-            resolution_schedule=parsed["schedule"],
-            matched_discriminator_path=parsed["matched"],
-        )
-        for parsed in parsed_paths
-    )
     return SupernetSpec(
-        paths=paths,
+        paths=tuple(paths),
         channel_choices=tuple(
             config_number(c, int, "channel_choices")
             for c in _entries(cfg["channel_choices"], "channel_choices")
         ),
-        discriminators=discriminators,
         input_channels=config_number(cfg.get("input_channels", 1), int, "input_channels"),
         input_sites=config_number(cfg.get("input_sites", 1), int, "input_sites"),
     )
-
-
-def load_spec(path: str) -> SupernetSpec:
-    """Load a spec from a YAML file whose top level is the spec mapping."""
-    import yaml
-
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"could not parse {path}: {exc}") from exc
-    if isinstance(data, Mapping) and "space" in data:
-        data = data["space"]
-    return spec_from_dict(data)

@@ -5,7 +5,7 @@ sums gradients over M single-operator sub-networks (one per candidate,
 drawn as a per-layer permutation so each candidate trains exactly once),
 applies a single generator descent step, then updates the path's channel
 scale factors by one proximal step on the smooth loss, and finally takes
-one ascent-equivalent step on the matched discriminator.  The cycle
+one ascent-equivalent step on the path's own discriminator.  The cycle
 structure is what makes the fairness ledger counts exact rather than
 statistical.
 
@@ -22,7 +22,7 @@ Each step computes only the gradients it applies: inside
 ``SupernetWeights.train_only``, the generator passes train the path's
 ``g/p{p}/`` weights without its scale factors, the proximal pass trains
 the path's scale factors (``weights.gamma_tensors(p)``) alone, and the
-discriminator step trains the matched ``d/{d}/`` weights alone.
+discriminator step trains the path's ``d/{p}/`` weights alone.
 Fine-tuning trains the same generator and discriminator sets.  Every
 tensor is frozen outside the step that trains it, so no pass builds a
 graph or computes a gradient that no step applies.
@@ -364,8 +364,7 @@ def pretrain_supernet(
         alpha = cfg.lr_weights * cfg.lr_decay**t
         for p in plan.path_order:
             path = spec.paths[p]
-            d = path.matched_discriminator_path
-            disc = DiscriminatorView(weights, d)
+            disc = DiscriminatorView(weights, p)
             gammas = weights.gamma_tensors(p)
 
             # Sub-network m runs operator m of each layer's permutation, at
@@ -405,14 +404,14 @@ def pretrain_supernet(
 
             # Discriminator step on the refreshed mixture output; the frozen
             # generator gives ``fake`` no graph.
-            with weights.train_only(t for _, t in weights.named(f"d/{d}/")):
+            with weights.train_only(t for _, t in weights.named(f"d/{p}/")):
                 fake = mixed(x)
                 d_value = _discriminator_value(disc, y, fake)
                 _check_finite(
                     d_value.item(), f"epoch {t} path {p} discriminator", {"d_loss": d_value.item()}
                 )
                 d_value.backward()
-                weights.sgd_step(f"d/{d}/", alpha)
+                weights.sgd_step(f"d/{p}/", alpha)
             ledger.record_discriminator_update(p)
 
             n = len(cycle.blocks)
@@ -482,11 +481,10 @@ def finetune_genome(
     or discriminator loss raises ``NonFiniteLossError``.
     """
     p = genome.path_index
-    d = weights.spec.paths[p].matched_discriminator_path
     gen = subnet_view(weights, genome)
-    disc = DiscriminatorView(weights, d)
+    disc = DiscriminatorView(weights, p)
     generator = [t for _, t in weights.named(f"g/p{p}/", include_gamma=False)]
-    discriminator = [t for _, t in weights.named(f"d/{d}/")]
+    discriminator = [t for _, t in weights.named(f"d/{p}/")]
     rng_data = np.random.default_rng(child_seed(seed, "finetune"))
     rows: list[dict] = []
     for t in range(epochs):
@@ -506,7 +504,7 @@ def finetune_genome(
                 d_value.item(), f"fine-tune epoch {t} discriminator", {"d_loss": d_value.item()}
             )
             d_value.backward()
-            weights.sgd_step(f"d/{d}/", cfg.lr_weights * cfg.lr_decay**t)
+            weights.sgd_step(f"d/{p}/", cfg.lr_weights * cfg.lr_decay**t)
         rows.append(
             {"epoch": t, "loss_total": bundle.components["total"], "d_loss": d_value.item()}
         )

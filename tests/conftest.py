@@ -2,7 +2,8 @@
 
 from pathlib import Path
 
-from cfsearch.space import SupernetSpec, load_spec, spec_from_dict
+from cfsearch.cli import load_config
+from cfsearch.space import SupernetSpec, spec_from_dict
 
 SUPER_RESOLUTION_YAML = Path(__file__).resolve().parents[1] / "perfbench" / "super_resolution.yaml"
 
@@ -47,7 +48,7 @@ def build_spec(
 
 def super_resolution_spec() -> SupernetSpec:
     """The space of the benchmark's super-resolution config: 4 sites in, 16 out."""
-    return load_spec(str(SUPER_RESOLUTION_YAML))
+    return spec_from_dict(load_config(str(SUPER_RESOLUTION_YAML))["space"])
 
 
 def resampling_spec_dict() -> dict:

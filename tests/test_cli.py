@@ -183,7 +183,9 @@ def test_malformed_config_value_exits_2_before_pretraining(
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("key, value", [("population", 5), ("generations", True)])
+@pytest.mark.parametrize(
+    "key, value", [("population", 5), ("generations", True), ("epsilon", float("inf"))]
+)
 def test_malformed_evolution_value_exits_2_naming_the_key(
     tmp_path, capsys, monkeypatch, key, value
 ):
@@ -538,12 +540,22 @@ def set_space_value(space, where, value):
         (
             ("discriminators",),
             [{"resolution_schedule": [1, 1], "foo": 1}],
-            "discriminators[0].foo",
+            "space key discriminators",
+        ),
+        (
+            ("discriminators",),
+            [{"resolution_schedule": [1, 1], "width": 8}],
+            "unknown space key discriminators",
+        ),
+        (
+            ("paths", 0, "matched_discriminator"),
+            0,
+            "unknown space key paths[0].matched_discriminator",
         ),
     ],
     ids=[
         "path-entry", "operators", "channel_choices", "input_sites", "recursion", "discriminator",
-        "space-foo", "path-bogus", "discriminator-foo",
+        "space-foo", "path-bogus", "discriminator-foo", "discriminators", "matched-discriminator",
     ],
 )
 def test_malformed_space_value_exits_2_naming_the_key(tmp_path, capsys, where, value, key):

@@ -11,7 +11,7 @@ import yaml
 from cfsearch import cli
 from cfsearch.configs import CONFIG_KEYS, default_config, default_toy_spec
 from cfsearch.pipeline import run_pipeline
-from cfsearch.space import ArchitectureGenome, require_valid
+from cfsearch.space import ArchitectureGenome, require_valid, spec_from_dict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -57,9 +57,13 @@ def test_readme_environment_variables_are_read_by_the_code():
         assert f'"{name}"' in source, name
 
 
-def test_readme_config_block_lists_exactly_the_table_keys_and_defaults():
+def readme_config_block() -> dict:
     block = re.search(r"^```yaml\n(.*?)^```", README, re.M | re.S)
-    documented = yaml.safe_load(block.group(1))
+    return yaml.safe_load(block.group(1))
+
+
+def test_readme_config_block_lists_exactly_the_table_keys_and_defaults():
+    documented = readme_config_block()
     assert set(documented) == set(default_config())
     # The values shown are the defaults a run uses; the space is abridged.
     flat = {}
@@ -69,6 +73,11 @@ def test_readme_config_block_lists_exactly_the_table_keys_and_defaults():
         elif name != "space":
             flat[name] = value
     assert flat == {key: row.default for key, row in CONFIG_KEYS.items()}
+
+
+def test_readme_config_block_space_parses():
+    spec = spec_from_dict(readme_config_block()["space"])
+    assert spec.num_paths >= 1
 
 
 def test_readme_run_all_sample_is_what_a_default_run_prints():

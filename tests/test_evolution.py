@@ -49,8 +49,6 @@ def test_config_validation():
         EvoConfig(mutation="sideways")
     with pytest.raises(ConfigError):
         EvoConfig(rg_refresh="never")
-    with pytest.raises(ConfigError):
-        EvoConfig(epsilon=0.0)
 
 
 def test_config_from_mapping_rejects_unknown_keys():
@@ -85,31 +83,26 @@ def test_rg_values_are_single_replacement_gains():
 
 def test_normalize_rg_hand_example():
     rg = np.array([[0.1], [0.4], [0.3]])
-    table = normalize_rg(RGTable(rg=rg), epsilon=1e-8)
+    table = normalize_rg(RGTable(rg=rg))
     assert np.allclose(table.p_select[:, 0], [2e-8, 0.6, 0.4], atol=1e-7)
     assert table.p_select[:, 0].sum() == pytest.approx(1.0)
     assert np.all(table.p_select > 0)
 
 
 def test_normalize_rg_flat_column_is_uniform():
-    table = normalize_rg(RGTable(rg=np.zeros((4, 2))), epsilon=1e-8)
+    table = normalize_rg(RGTable(rg=np.zeros((4, 2))))
     assert np.allclose(table.p_select, 0.25)
 
 
 def test_normalize_rg_single_choice():
-    table = normalize_rg(RGTable(rg=np.zeros((1, 3))), epsilon=1e-8)
+    table = normalize_rg(RGTable(rg=np.zeros((1, 3))))
     assert np.allclose(table.p_select, 1.0)
-
-
-def test_normalize_rejects_bad_epsilon():
-    with pytest.raises(ConfigError):
-        normalize_rg(RGTable(rg=np.zeros((2, 2))), epsilon=0.0)
 
 
 def test_directional_mutation_follows_the_table():
     spec = build_spec(n_paths=1, n_layers=2, n_operators=1, channels=(2, 3, 4))
     rg = np.array([[0.0, 0.0], [0.3, 0.0], [0.1, 0.0]])
-    table = normalize_rg(RGTable(rg=rg), epsilon=1e-8)
+    table = normalize_rg(RGTable(rg=rg))
     parent = ArchitectureGenome(0, (0, 0), (0, 0))
     rng = np.random.default_rng(0)
     draws = 20_000
@@ -162,7 +155,7 @@ def test_a_directional_draw_is_generator_choice_on_the_table():
         if rg.shape not in specs:
             widths = tuple(range(2, 2 + choices))
             specs[rg.shape] = build_spec(n_paths=1, n_layers=layers, n_operators=1, channels=widths)
-        table = normalize_rg(RGTable(rg=rg), epsilon=10.0 ** -(i % 9))
+        table = normalize_rg(RGTable(rg=rg))
         parent = ArchitectureGenome(0, (0,) * layers, (0,) * layers)
         drawn, reference = np.random.default_rng(i), np.random.default_rng(i)
         for _ in range(8):

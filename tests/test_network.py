@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cfsearch.configs import default_toy_spec
-from cfsearch.engine import Tensor, finite_difference_gradient, mean_all, square
+from cfsearch.engine import Tensor, conv1d, downsample_mean, finite_difference_gradient
+from cfsearch.engine import mean_all, pooled_linear, square
 from cfsearch.errors import CfSearchError, ConfigError, ShapeError
 from cfsearch.network import (
     CHECKPOINT_MAGIC,
@@ -16,7 +17,7 @@ from cfsearch.network import (
 )
 from cfsearch.space import ArchitectureGenome, maximal_genome, minimal_genome, spec_from_dict
 
-from conftest import build_spec
+from conftest import build_spec, super_resolution_spec
 
 
 def small_weights(seed=0, **kwargs):
@@ -184,6 +185,28 @@ def test_discriminator_scores_shape():
     y = Tensor(np.random.default_rng(4).normal(size=(7, 1, 4)))
     scores = disc(y)
     assert scores.shape == (7, 1)
+
+
+def test_each_path_has_its_own_discriminator_pooling_by_its_last_sites_over_its_first():
+    spec = super_resolution_spec()
+    weights = SupernetWeights.create(spec, seed=1)
+    for p in range(spec.num_paths):
+        assert weights[f"d/{p}/c1/w"].shape == (8, spec.input_channels, 3)
+        assert weights[f"d/{p}/c2/w"].shape == (8, 8, 3)
+        assert weights[f"d/{p}/out/w"].shape == (8, 1)
+    assert spec.layer_sites[2] == (4, 8, 16)
+    y = Tensor(np.random.default_rng(5).normal(size=(3, 1, 16)))
+
+    def chain(pool):
+        h = conv1d(y, weights["d/2/c1/w"], bias=weights["d/2/c1/b"], tanh=True)
+        if pool > 1:
+            h = downsample_mean(h, pool)
+        h = conv1d(h, weights["d/2/c2/w"], bias=weights["d/2/c2/b"], tanh=True)
+        return pooled_linear(h, weights["d/2/out/w"], weights["d/2/out/b"]).data
+
+    scores = DiscriminatorView(weights, 2)(y).data
+    assert np.array_equal(scores, chain(4))
+    assert not np.array_equal(scores, chain(1)) and not np.array_equal(scores, chain(2))
 
 
 def test_default_spec_views_run():

@@ -370,32 +370,32 @@ class FullWalkTrail(StageTrail):
                 break
             self.chain.append((parent, key))
             found, parent = entry, entry[0]
-        return len(self.chain), x if found is None else Tensor(found[2])
+        return len(self.chain), x if found is None else Tensor(found[1])
 
     def store(self, outputs):
         entries, chain = self.entries, self.chain
-        parent, _, held, _ = entries[chain[-1]] if chain else (0, 0, None, 0)
+        parent, held, _ = entries[chain[-1]] if chain else (0, None, 0)
         for output in outputs:
             key = (parent, self.keys[len(chain)])
             size = 0 if output is held else output.nbytes
             self._numbered = parent = self._numbered + 1
-            entries[key] = (parent, len(chain) + 1, output, size)
+            entries[key] = (parent, output, size)
             chain.append(key)
             self.nbytes += size
             held = output
         for key in reversed(chain):
             entries.move_to_end(key)
         while self.nbytes > network.TRAIL_BUDGET_BYTES and len(entries) > len(chain):
-            self.nbytes -= entries.popitem(last=False)[1][3]
+            self.nbytes -= entries.popitem(last=False)[1][2]
 
 
 def assert_same_trail(trail, reference):
     """The same entries in the same LRU order, with equal outputs, chain and bytes."""
     assert list(trail.entries) == list(reference.entries)
-    for (number, depth, output, size), (r_number, r_depth, r_output, r_size) in zip(
+    for (number, output, size), (r_number, r_output, r_size) in zip(
         trail.entries.values(), reference.entries.values()
     ):
-        assert (number, depth, size) == (r_number, r_depth, r_size)
+        assert (number, size) == (r_number, r_size)
         assert np.array_equal(output, r_output)
     assert (trail.chain, trail.nbytes) == (reference.chain, reference.nbytes)
 
@@ -704,12 +704,12 @@ def test_a_full_width_mask_stage_returns_its_input():
 
 
 def chain_bytes(trail):
-    return sum(trail.entries[key][2].nbytes for key in trail.chain)
+    return sum(trail.entries[key][1].nbytes for key in trail.chain)
 
 
 def distinct_arrays(trail):
     """The output arrays the trail holds, each once (a full-width mask shares its norm's)."""
-    return {id(output): output for _, _, output, _ in trail.entries.values()}.values()
+    return {id(output): output for _, output, _ in trail.entries.values()}.values()
 
 
 @pytest.mark.parametrize("budget, evicts", [(network.TRAIL_BUDGET_BYTES, False), (32 * 1024, True)])
@@ -729,7 +729,7 @@ def test_trail_holds_its_budget_and_keeps_every_entry_reachable(monkeypatch, bud
         assert trail.nbytes == sum(output.nbytes for output in outputs)
         shared = shared or len(outputs) < len(trail.entries)
         assert trail.nbytes <= budget + chain_bytes(trail)
-        numbers = {number for number, _, _, _ in trail.entries.values()}
+        numbers = {number for number, _, _ in trail.entries.values()}
         assert {parent for parent, _ in trail.entries} <= numbers | {0}
         prefixes.update(tuple(trail.keys[: i + 1]) for i in range(len(trail.keys)))
         evicted = evicted or len(trail.entries) < len(prefixes)

@@ -19,7 +19,6 @@ from cfsearch.reporting import (
     _csv,
     format_genome_file,
     format_trace,
-    read_genome_file,
     write_run_report,
 )
 from cfsearch.space import ArchitectureGenome
@@ -54,16 +53,9 @@ def test_genome_file_round_trip(tmp_path):
     text = format_genome_file(genome, fitness=-0.25, cost=cost)
     target = tmp_path / "genome.txt"
     target.write_text(text)
-    assert read_genome_file(str(target)) == genome
+    assert ArchitectureGenome.from_record(text.splitlines()[-1]) == genome
     assert f"# params {cost.params}" in text
     assert "# fitness -0.25" in text
-
-
-def test_genome_file_requires_a_record_line(tmp_path):
-    empty = tmp_path / "empty.txt"
-    empty.write_text("# final genome v1\n")
-    with pytest.raises(ConfigError):
-        read_genome_file(str(empty))
 
 
 def test_csv_formats_floats_by_repr():
@@ -138,7 +130,8 @@ def test_write_run_report_artifacts_and_hashes(tmp_path):
     for name in manifest.artifacts:
         content = (out / name).read_text()
         assert "2026-01-01" not in content
-    assert read_genome_file(str(out / "genome.txt")) == genome
+    record = (out / "genome.txt").read_text().splitlines()[-1]
+    assert ArchitectureGenome.from_record(record) == genome
 
 
 def test_write_run_report_incomplete_status(tmp_path):

@@ -133,7 +133,7 @@ def test_a_fresh_tracer_sees_every_conv_of_a_second_pass():
     def forward():
         for p in range(spec.num_paths):
             out = network.mixed_view(weights, p)(x)
-            network.DiscriminatorView(weights, spec.paths[p].matched_discriminator_path)(out)
+            network.DiscriminatorView(weights, p)(out)
 
     def traced():
         tracer = tracing.Tracer()

@@ -465,7 +465,7 @@ def test_a_non_finite_loss_leaves_every_tensor_frozen_without_gradients(monkeypa
     assert_frozen_without_gradients(created[0])
 
     weights = created[0].clone()
-    weights[f"d/{spec.paths[0].matched_discriminator_path}/out/b"].data[:] = np.nan
+    weights["d/0/out/b"].data[:] = np.nan
     with pytest.raises(NonFiniteLossError):
         finetune_genome(weights, ArchitectureGenome(0, (0, 0), (1, 1)), ds, quick_cfg(), 2, 3)
     assert_frozen_without_gradients(weights)
@@ -521,7 +521,7 @@ def test_stacked_fair_cycle_matches_separate_sub_network_passes(task):
     cfg = quick_cfg()
     p = 0
     gammas = weights.gamma_tensors(p)
-    disc = DiscriminatorView(weights, spec.paths[p].matched_discriminator_path)
+    disc = DiscriminatorView(weights, p)
     views = fair_cycle_views(weights, p)
     generator = weights.named(f"g/p{p}/", include_gamma=False)
 
@@ -592,9 +592,8 @@ def test_discriminator_step_scores_real_and_fake_in_one_pass_like_two(task):
     ds = make_dataset(task, samples=24, val_fraction=0.25, seed=2)
     weights = SupernetWeights.create(spec, seed=5)
     x, y = Tensor(ds.train_x[:4]), Tensor(ds.train_y[:4])
-    d = spec.paths[0].matched_discriminator_path
-    disc = DiscriminatorView(weights, d)
-    discriminator = weights.named(f"d/{d}/")
+    disc = DiscriminatorView(weights, 0)
+    discriminator = weights.named("d/0/")
 
     def step(loss):
         with weights.train_only(t for _, t in discriminator):
