@@ -57,7 +57,7 @@ from .space import (
     operator_specialization_count,
     spec_from_dict,
 )
-from .trainer import pretrain_supernet
+from .trainer import _validate_shapes, pretrain_supernet
 from .util import as_rng, child_seed, format_float
 
 
@@ -99,9 +99,14 @@ def load_config(path: str | None = None, seed: int | None = None) -> dict:
 
 
 def _prepared(cfg: dict, checkpoint: str | None = None):
-    """(spec, dataset, weights, pretrain result): pretrain fresh or load a checkpoint."""
+    """(spec, dataset, weights, pretrain result): pretrain fresh or load a checkpoint.
+
+    A checkpoint gets the shape check that pretraining makes first, so a
+    space whose outputs do not fit the dataset exits 2 on either path.
+    """
     spec, dataset, train_cfg = prepare(cfg)
     if checkpoint is not None:
+        _validate_shapes(spec, dataset, train_cfg)
         return spec, dataset, SupernetWeights.load(spec, checkpoint), None
     result = pretrain_supernet(spec, dataset, train_cfg, child_seed(int(cfg["seed"]), "pretrain"))
     return spec, dataset, result.weights, result

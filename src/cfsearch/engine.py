@@ -18,7 +18,7 @@ costliest of them per call, also reads it before it builds anything, so
 on frozen inputs it skips making its parents list and backward closure;
 its data is, bit for bit, what it gives with a trainable input.  The
 backward closures of the costly ops (``conv1d``, ``dwconv1d`` and their
-bias, ``channel_rms_norm``, ``matmul`` and ``*``) skip the gradient of
+bias, ``channel_rms_norm``, ``pooled_linear`` and ``*``) skip the gradient of
 any parent that does not require one, so freezing a tensor saves its
 gradient's arithmetic.
 ``backward`` raises ``InvariantError`` on a loss with no trainable
@@ -31,8 +31,10 @@ place; ``channel_rms_norm`` normalizes and scales by ``gamma`` in one
 step; ``mixture_mean`` sums a list of tensors and scales the sum by one
 over its length; and ``pooled_linear`` is a site mean, a matmul and a
 bias add.  Each fused op does the same float operations in the same
-order as the chain of engine ops it replaces, so its forward and
-gradients are bit-identical to that chain.  The layer ops treat batch
+order as the chain of elementary ops it replaces, so its forward and
+gradients are bit-identical to that chain; the elementary ops (sums,
+means, ``tanh``, ``softplus`` and the like) live with the tests, which
+check every fused op against them.  The layer ops treat batch
 rows independently, so ``concat_rows`` can stack the inputs of several
 passes into one batch, whose backward hands each input its own rows of
 the gradient.
@@ -53,7 +55,7 @@ them combine arrays of one layout, and a pointwise conv reads a
 site-major input's columns without a copy.  Every op accepts any memory
 layout.
 
-Only the operations the toy networks need are implemented.  Everything
+Only the operations the program runs are implemented.  Everything
 is float64 and single-threaded per evaluation, so identical inputs give
 bit-identical outputs within one numpy and BLAS build and one version of
 this code.  Across builds, or after a change to the order of the
@@ -190,29 +192,6 @@ class Tensor:
     def _coerce(other) -> "Tensor":
         return other if isinstance(other, Tensor) else Tensor(other)
 
-    def __add__(self, other) -> "Tensor":
-        other = Tensor._coerce(other)
-        a, b = self, other
-        return Tensor._make(
-            a.data + b.data,
-            (a, b),
-            lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Tensor":
-        other = Tensor._coerce(other)
-        a, b = self, other
-        return Tensor._make(
-            a.data - b.data,
-            (a, b),
-            lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)),
-        )
-
-    def __neg__(self) -> "Tensor":
-        return Tensor._make(-self.data, (self,), lambda g: (-g,))
-
     def __mul__(self, other) -> "Tensor":
         other = Tensor._coerce(other)
         a, b = self, other
@@ -226,73 +205,6 @@ class Tensor:
         )
 
     __rmul__ = __mul__
-
-    def matmul(self, other: "Tensor") -> "Tensor":
-        a, b = self, other
-        return Tensor._make(
-            a.data @ b.data,
-            (a, b),
-            lambda g: (
-                g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None,
-            ),
-        )
-
-    # -- shape ops ---------------------------------------------------------
-
-    def reshape(self, *shape: int) -> "Tensor":
-        src = self
-        return Tensor._make(
-            src.data.reshape(shape),
-            (src,),
-            lambda g: (g.reshape(src.data.shape),),
-        )
-
-
-def tanh(x: Tensor) -> Tensor:
-    y = np.tanh(x.data)
-    return Tensor._make(y, (x,), lambda g: (g * (1.0 - y * y),))
-
-
-def softplus(x: Tensor) -> Tensor:
-    y = np.logaddexp(0.0, x.data)
-    return Tensor._make(y, (x,), lambda g: (g * sigmoid(x.data),))
-
-
-def absolute(x: Tensor) -> Tensor:
-    return Tensor._make(np.abs(x.data), (x,), lambda g: (g * np.sign(x.data),))
-
-
-def square(x: Tensor) -> Tensor:
-    return Tensor._make(x.data * x.data, (x,), lambda g: (g * 2.0 * x.data,))
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    return Tensor._make(
-        np.asarray(mean(x.data)),
-        (x,),
-        lambda g: (np.broadcast_to(g / n, x.data.shape).copy(),),
-    )
-
-
-def sum_all(x: Tensor) -> Tensor:
-    return Tensor._make(
-        np.asarray(x.data.sum()),
-        (x,),
-        lambda g: (np.broadcast_to(g, x.data.shape).copy(),),
-    )
-
-
-def mean_axis(x: Tensor, axis: int) -> Tensor:
-    """Mean along one axis, keeping it as size 1."""
-    n = x.data.shape[axis]
-    y = np.add.reduce(x.data, axis=axis, keepdims=True) / n
-    return Tensor._make(
-        y,
-        (x,),
-        lambda g: (np.broadcast_to(g / n, x.data.shape).copy(),),
-    )
 
 
 @lru_cache(maxsize=64)
@@ -658,27 +570,3 @@ def channel_rms_norm(x: Tensor, gamma: Tensor) -> Tensor:
         return gx, g_gamma
 
     return Tensor._make(y, (x, gamma), backward)
-
-
-def finite_difference_gradient(
-    fn: Callable[[], float], tensor: Tensor, step: float = 1e-5
-) -> Array:
-    """Central finite differences of ``fn`` with respect to ``tensor``.
-
-    ``fn`` must recompute the scalar from current ``tensor.data``.  Used
-    as the independent oracle for backward-pass checks; touches no
-    autodiff machinery.
-    """
-    base = tensor.data
-    grad = np.zeros_like(base)
-    flat = base.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        keep = flat[i]
-        flat[i] = keep + step
-        hi = fn()
-        flat[i] = keep - step
-        lo = fn()
-        flat[i] = keep
-        gflat[i] = (hi - lo) / (2.0 * step)
-    return grad

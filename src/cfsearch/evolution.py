@@ -107,18 +107,10 @@ def compute_rg(baseline: ArchitectureGenome, oracle: FitnessOracle) -> RGTable:
     """
     spec = oracle.spec
     require_valid(spec, baseline)
-    path = spec.paths[baseline.path_index]
-    num_layers = path.num_layers
-    num_choices = spec.num_channel_choices
     base_fitness = oracle.evaluate(baseline).fitness
-    rg = np.zeros((num_choices, num_layers), dtype=np.float64)
-    for l in range(num_layers):
-        own = baseline.channel_assignment[l]
-        for j in range(num_choices):
-            if j == own:
-                continue
-            replaced = _with_channel(baseline, l, j)
-            rg[j, l] = oracle.evaluate(replaced).fitness - base_fitness
+    rg = np.zeros((spec.num_channel_choices, len(baseline.channel_assignment)))
+    for l, j, replaced in _replacements(baseline, spec.num_channel_choices):
+        rg[j, l] = oracle.evaluate(replaced).fitness - base_fitness
     table = RGTable(rg=rg, baseline=baseline.to_record())
     return normalize_rg(table)
 
@@ -136,6 +128,21 @@ def normalize_rg(table: RGTable) -> RGTable:
     cdf = table.p_select.T.cumsum(axis=1)
     table.cdf = cdf / cdf[:, -1:]
     return table
+
+
+def _replacements(
+    baseline: ArchitectureGenome, num_choices: int
+) -> list[tuple[int, int, ArchitectureGenome]]:
+    """(layer, choice, genome) of every single-layer channel replacement, layer-major.
+
+    The baseline's own choice at each layer is left out.
+    """
+    return [
+        (l, j, _with_channel(baseline, l, j))
+        for l, own in enumerate(baseline.channel_assignment)
+        for j in range(num_choices)
+        if j != own
+    ]
 
 
 def _with_channel(
@@ -433,15 +440,8 @@ def _refresh_if_affordable(
     elite: ArchitectureGenome, oracle: FitnessOracle, cfg: EvoConfig, spent: int
 ) -> RGTable | None:
     """Recompute gains only when the whole table fits in the budget."""
-    spec = oracle.spec
-    num_layers = spec.paths[elite.path_index].num_layers
-    pending = 0
-    for l in range(num_layers):
-        for j in range(spec.num_channel_choices):
-            if j == elite.channel_assignment[l]:
-                continue
-            if not oracle.cached(_with_channel(elite, l, j)):
-                pending += 1
+    replacements = _replacements(elite, oracle.spec.num_channel_choices)
+    pending = sum(not oracle.cached(genome) for _, _, genome in replacements)
     if spent + pending > cfg.eval_budget:
         return None
     return compute_rg(elite, oracle)

@@ -147,15 +147,6 @@ class FairnessLedger:
     def is_fair(self) -> bool:
         return not self.violations()
 
-    def max_imbalance(self) -> int:
-        """Largest spread max-min over any layer's operator counters."""
-        worst = 0
-        for counts in self.operator_counts:
-            if counts.size:
-                spread = int((counts.max(axis=1) - counts.min(axis=1)).max())
-                worst = max(worst, spread)
-        return worst
-
     def dump(self) -> str:
         """Tabular text form; see ``load`` for the inverse."""
         lines = ["# fairness ledger v1", f"trials {self.trials}"]
@@ -248,13 +239,6 @@ class FairnessLedger:
             discriminator_counts=discriminator_counts,
             trials=trials,
         )
-
-
-def record_fair_epoch(ledger: FairnessLedger, plan: EpochPlan) -> None:
-    """Apply one planned epoch's counts: each cycle updates its whole grid."""
-    for p in plan.path_order:
-        ledger.record_generator_cycle(p)
-        ledger.record_discriminator_update(p)
 
 
 def record_uniform_baseline(

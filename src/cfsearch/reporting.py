@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from typing import Sequence
 
+from . import __version__
 from .costs import CostReport
 from .errors import ConfigError
 from .evolution import GenerationRow
@@ -212,7 +213,7 @@ def write_run_report(
         }
 
     manifest = RunManifest(
-        version=_package_version(),
+        version=__version__,
         seed=seed,
         status=status,
         created_at=created,
@@ -245,9 +246,3 @@ def report_pipeline(
         final_fitness=result.final_fitness,
         created_at=created_at,
     )
-
-
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__

@@ -178,8 +178,8 @@ class SupernetSpec:
     ``layer_sites[p][l]`` is the site count of layer ``l``'s output on path
     ``p``.  ``resampling[p][l]`` is the (up, down) factor pair, one of them
     1, that takes the previous layer's extent (the input's, for ``l`` = 0)
-    to it.  ``cost_rows`` is the table of per-layer cost rows that
-    ``costs.genome_cost`` fills on first use, and ``valid_genomes`` the
+    to it.  ``cost_rows`` is the table of per-layer (params, flops) pairs
+    that ``costs.genome_cost`` fills on first use, and ``valid_genomes`` the
     genomes ``require_valid`` has passed, so both live as long as the spec.
     """
 

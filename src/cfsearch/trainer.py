@@ -203,8 +203,8 @@ def total_loss(
 
     ``smooth`` is one graph node over ``output`` and ``d_scores``; the
     target is a constant.  On one block its forward and backward do the
-    same float operations in the same order as the chain of engine ops
-    they replace, ``mean(softplus(-d_scores)) + lambda_recon *
+    same float operations in the same order as the chain of elementary
+    ops they replace, ``mean(softplus(-d_scores)) + lambda_recon *
     mean(|output - target|) + lambda_perceptual * mean((output @ P -
     target @ P)**2)`` with the frozen projection ``P``, so results are
     bit-identical to that chain.  Each block's ``total`` adds the L1
@@ -282,7 +282,7 @@ def discriminator_loss(scores: Tensor, real_rows: int) -> Tensor:
     ``scores`` stacks the scores of ``real_rows`` real samples over those
     of the fake ones.  ``mean(softplus(-real_scores)) +
     mean(softplus(fake_scores))`` as one graph node, bit-identical to that
-    chain of engine ops on the two parts.
+    chain of elementary ops on the two parts.
     """
     neg_real = -scores.data[:real_rows]
     fake = scores.data[real_rows:]
@@ -301,6 +301,24 @@ def _discriminator_value(disc: DiscriminatorView, real: Tensor, fake: Tensor) ->
     """``discriminator_loss`` of ``disc`` on constant real and fake samples, in one pass."""
     scores = disc(Tensor(np.concatenate([real.data, fake.data])))
     return discriminator_loss(scores, real.data.shape[0])
+
+
+def _discriminator_step(
+    disc: DiscriminatorView, real: Tensor, fake: Tensor, lr: float, context: str
+) -> float:
+    """One descent step of ``disc``'s own ``d/{p}/`` weights on constant samples; its loss.
+
+    ``fake`` must come from a frozen generator.  A non-finite loss raises
+    ``NonFiniteLossError`` naming ``context``.
+    """
+    weights, prefix = disc.weights, f"d/{disc.disc_index}/"
+    with weights.train_only(t for _, t in weights.named(prefix)):
+        loss = _discriminator_value(disc, real, fake)
+        value = loss.item()
+        _check_finite(value, context, {"d_loss": value})
+        loss.backward()
+        weights.sgd_step(prefix, lr)
+    return value
 
 
 # -- pretraining -------------------------------------------------------------
@@ -402,16 +420,11 @@ def pretrain_supernet(
                 bundle.smooth.backward()
                 prox_step(gammas, cfg.lr_gamma * cfg.lr_decay**t, cfg.lambda_sparsity)
 
-            # Discriminator step on the refreshed mixture output; the frozen
-            # generator gives ``fake`` no graph.
-            with weights.train_only(t for _, t in weights.named(f"d/{p}/")):
-                fake = mixed(x)
-                d_value = _discriminator_value(disc, y, fake)
-                _check_finite(
-                    d_value.item(), f"epoch {t} path {p} discriminator", {"d_loss": d_value.item()}
-                )
-                d_value.backward()
-                weights.sgd_step(f"d/{p}/", alpha)
+            # Discriminator step on the refreshed mixture output, which the
+            # frozen generator gives no graph.
+            d_value = _discriminator_step(
+                disc, y, mixed(x), alpha, f"epoch {t} path {p} discriminator"
+            )
             ledger.record_discriminator_update(p)
 
             n = len(cycle.blocks)
@@ -424,7 +437,7 @@ def pretrain_supernet(
                     "loss_recon": cycle.components["recon"] / n,
                     "loss_perceptual": cycle.components["perceptual"] / n,
                     "loss_sparsity": cycle.components["sparsity"] / n,
-                    "d_loss": d_value.item(),
+                    "d_loss": d_value,
                     "gamma_zero_fraction": gamma_zero_stats(weights)[1],
                 }
             )
@@ -484,7 +497,6 @@ def finetune_genome(
     gen = subnet_view(weights, genome)
     disc = DiscriminatorView(weights, p)
     generator = [t for _, t in weights.named(f"g/p{p}/", include_gamma=False)]
-    discriminator = [t for _, t in weights.named(f"d/{p}/")]
     rng_data = np.random.default_rng(child_seed(seed, "finetune"))
     rows: list[dict] = []
     for t in range(epochs):
@@ -497,15 +509,8 @@ def finetune_genome(
             _check_finite(bundle.components["total"], f"fine-tune epoch {t}", bundle.components)
             bundle.smooth.backward()
             weights.sgd_step(f"g/p{p}/", cfg.lr_weights * cfg.lr_decay**t)
-        with weights.train_only(discriminator):
-            fake = gen(x)
-            d_value = _discriminator_value(disc, y, fake)
-            _check_finite(
-                d_value.item(), f"fine-tune epoch {t} discriminator", {"d_loss": d_value.item()}
-            )
-            d_value.backward()
-            weights.sgd_step(f"d/{p}/", cfg.lr_weights * cfg.lr_decay**t)
-        rows.append(
-            {"epoch": t, "loss_total": bundle.components["total"], "d_loss": d_value.item()}
+        d_value = _discriminator_step(
+            disc, y, gen(x), cfg.lr_weights * cfg.lr_decay**t, f"fine-tune epoch {t} discriminator"
         )
+        rows.append({"epoch": t, "loss_total": bundle.components["total"], "d_loss": d_value})
     return rows

@@ -3,6 +3,7 @@
 from pathlib import Path
 
 from cfsearch.cli import load_config
+from cfsearch.fairness import EpochPlan, FairnessLedger
 from cfsearch.space import SupernetSpec, spec_from_dict
 
 SUPER_RESOLUTION_YAML = Path(__file__).resolve().parents[1] / "perfbench" / "super_resolution.yaml"
@@ -68,3 +69,21 @@ def resampling_spec_dict() -> dict:
             },
         ],
     }
+
+
+def record_fair_epoch(ledger: FairnessLedger, plan: EpochPlan) -> None:
+    """Apply one planned epoch's counts, as pretraining records them: each
+    cycle updates its whole grid and its path's discriminator once."""
+    for p in plan.path_order:
+        ledger.record_generator_cycle(p)
+        ledger.record_discriminator_update(p)
+
+
+def max_imbalance(ledger: FairnessLedger) -> int:
+    """Largest spread max-min over any layer's operator counters."""
+    worst = 0
+    for counts in ledger.operator_counts:
+        if counts.size:
+            spread = int((counts.max(axis=1) - counts.min(axis=1)).max())
+            worst = max(worst, spread)
+    return worst

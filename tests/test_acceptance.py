@@ -22,12 +22,7 @@ import pytest
 from cfsearch.cli import main
 from cfsearch.configs import default_config
 from cfsearch.costs import genome_cost, satisfies_constraints
-from cfsearch.engine import (
-    Tensor,
-    finite_difference_gradient,
-    mean_all,
-    square,
-)
+from cfsearch.engine import Tensor
 from cfsearch.evolution import EvoConfig, shrink_channels
 from cfsearch.fairness import (
     uniform_equal_probability,
@@ -55,6 +50,7 @@ from cfsearch.trainer import (
 )
 
 from conftest import build_spec
+from reference_ops import add, finite_difference_gradient, mean_all, square, sub
 
 
 @pytest.fixture
@@ -244,7 +240,7 @@ def test_criterion_5_gradients(criterion):
             def loss_value():
                 out = subnet_view(weights, genome)(x)
                 scores = DiscriminatorView(weights, 0)(out)
-                return mean_all(square(out - y)) + mean_all(square(scores))
+                return add(mean_all(square(sub(out, y))), mean_all(square(scores)))
 
             with weights.train_only(weights.tensors.values()):
                 loss = loss_value()

@@ -17,10 +17,12 @@ from cfsearch.cli import load_config, main
 from cfsearch.configs import CONFIG_KEYS, default_config, default_toy_spec
 from cfsearch.errors import ConfigError
 from cfsearch.evolution import EvoConfig
-from cfsearch.fairness import FairnessLedger, plan_epoch, record_fair_epoch
+from cfsearch.fairness import FairnessLedger, plan_epoch
 from cfsearch.network import SupernetWeights
 from cfsearch.space import spec_from_dict
 from cfsearch.trainer import TrainConfig
+
+from conftest import record_fair_epoch
 
 
 FAST_OVERLAY = {
@@ -403,6 +405,38 @@ def test_missing_checkpoint_exits_2(tmp_path, capsys):
     config, missing = write_config(tmp_path), tmp_path / "missing.bin"
     assert main(["search-path", "--config", config, "--checkpoint", str(missing)]) == 2
     assert f"cannot load checkpoint {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["search-path", "shrink"])
+@pytest.mark.parametrize(
+    "task, input_channels, input_sites, schedule, message",
+    [
+        ("translation", 2, 1, [2], "path 0 produces 2 sites but targets have 1"),
+        ("super_resolution", 1, 4, [1], "path 0 produces 4 sites but targets have 16"),
+    ],
+    ids=["translation", "super_resolution"],
+)
+def test_a_checkpoint_whose_outputs_do_not_fit_the_targets_exits_2(
+    tmp_path, capsys, command, task, input_channels, input_sites, schedule, message
+):
+    overlay = {
+        "task": task,
+        "space": {
+            "input_channels": input_channels,
+            "input_sites": input_sites,
+            "channel_choices": [2, 3],
+            "paths": [{"resolution_schedule": schedule, "operators": [["conv3x3"]]}],
+        },
+    }
+    config = write_config(tmp_path, overlay)
+    checkpoint = str(tmp_path / "checkpoint.bin")
+    SupernetWeights.create(spec_from_dict(overlay["space"]), seed=0).save(checkpoint)
+    assert main(["pretrain", "--config", config]) == 2
+    assert message in capsys.readouterr().err
+    assert main([command, "--config", config, "--checkpoint", checkpoint]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert "Traceback" not in err
 
 
 def test_non_finite_fitness_exits_4(pretrained, tmp_path, capsys):

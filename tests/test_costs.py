@@ -5,7 +5,6 @@ import pytest
 from cfsearch.configs import default_toy_spec
 from cfsearch.costs import (
     CostReport,
-    LayerCost,
     genome_cost,
     operator_cost,
     satisfies_constraints,
@@ -24,51 +23,43 @@ from conftest import build_spec, resampling_spec_dict, super_resolution_spec
 
 
 def test_conv_unit_frozen_example():
-    # One 3x3 conv, 4 -> 8 channels over 64 sites: params 4*8*9 = 288,
-    # flops 2*4*8*9*64 = 36864 (multiply plus accumulate per tap).
+    # One 3x3 conv, 4 -> 8 channels over 64 sites: params 4*8*9 = 288
+    # weights plus 8 biases, flops 2*4*8*9*64 = 36864 (multiply plus
+    # accumulate per tap).
     unit = UnitSpec("conv", kernel=3, src="in", dst="out")
-    params, flops = unit_cost(unit, c_in=4, c_out=8, sites=64, include_affine=False)
-    assert params == 288
+    params, flops = unit_cost(unit, c_in=4, c_out=8, sites=64)
+    assert params == 288 + 8
     assert flops == 36864
-    with_bias, _ = unit_cost(unit, c_in=4, c_out=8, sites=64, include_affine=True)
-    assert with_bias == 288 + 8
 
 
 def test_depthwise_and_residual_units():
     dw = UnitSpec("dwconv", kernel=3, src="in", dst="in")
-    params, flops = unit_cost(dw, c_in=6, c_out=8, sites=10, include_affine=False)
-    assert params == 6 * 9
+    params, flops = unit_cost(dw, c_in=6, c_out=8, sites=10)
+    assert params == 6 * 9 + 6
     assert flops == 2 * 6 * 9 * 10
     res = UnitSpec("residual", dst="out")
-    params, flops = unit_cost(res, c_in=6, c_out=8, sites=10, include_affine=False)
+    params, flops = unit_cost(res, c_in=6, c_out=8, sites=10)
     assert params == 0
     assert flops == 8 * 10
 
 
 def test_doubling_widths_quadruples_conv_flops():
     op = operator_kind("conv3x3")
-    _, base = operator_cost(op, 4, 8, sites=16, include_affine=False)
-    _, wide = operator_cost(op, 8, 16, sites=16, include_affine=False)
+    _, base = operator_cost(op, 4, 8, sites=16)
+    _, wide = operator_cost(op, 8, 16, sites=16)
     assert wide == 4 * base
-
-
-def test_genome_cost_rows_sum_to_totals():
-    spec = build_spec(n_paths=2, n_layers=3, n_operators=2, channels=(2, 3, 4))
-    genome = ArchitectureGenome(1, (0, 1, 0), (2, 0, 1))
-    report = genome_cost(spec, genome)
-    assert sum(row.params for row in report.per_layer) == report.params
-    assert sum(row.flops for row in report.per_layer) == report.flops
-    assert [row.layer for row in report.per_layer] == [0, 1, 2]
-    assert report.params > 0 and report.flops > 0
 
 
 def test_genome_cost_chains_widths():
     # Layer widths chain: layer 1 consumes layer 0's width.  Widening only
-    # layer 0 must therefore change layer 1's cost too.
+    # layer 0 must therefore change layer 1's cost too.  Each layer is one
+    # 3x3 conv: weights, biases and a scale vector of its output width.
     spec = build_spec(n_layers=2, channels=(2, 4))
-    narrow = genome_cost(spec, ArchitectureGenome(0, (0, 0), (0, 0)), include_affine=False)
-    wider_first = genome_cost(spec, ArchitectureGenome(0, (0, 0), (1, 0)), include_affine=False)
-    assert wider_first.per_layer[1].params > narrow.per_layer[1].params
+    narrow = genome_cost(spec, ArchitectureGenome(0, (0, 0), (0, 0)))
+    wider_first = genome_cost(spec, ArchitectureGenome(0, (0, 0), (1, 0)))
+    assert narrow.params == 2 * (2 * 2 * 9 + 2 + 2)
+    assert wider_first.params == (4 * 4 * 9 + 4 + 4) + (4 * 2 * 9 + 2 + 2)
+    assert wider_first.flops == 2 * 9 * 4 * (4 * 4 + 4 * 2)
 
 
 def test_genome_cost_rejects_invalid_genome():
@@ -78,12 +69,12 @@ def test_genome_cost_rejects_invalid_genome():
 
 
 def test_affine_accounting_adds_scale_vector():
+    # Two 3x3 convs, 4 -> 4 channels over 4 sites: each layer has 4*4*9
+    # weights, 4 biases and 4 normalization scales; biases and scales add
+    # no FLOPs.
     spec = build_spec(n_layers=2, channels=(2, 4))
-    g = ArchitectureGenome(0, (0, 0), (1, 1))
-    bare = genome_cost(spec, g, include_affine=False)
-    dressed = genome_cost(spec, g)
-    assert dressed.params > bare.params
-    assert dressed.flops == bare.flops
+    report = genome_cost(spec, ArchitectureGenome(0, (0, 0), (1, 1)))
+    assert report == CostReport(params=2 * (4 * 4 * 9 + 4 + 4), flops=2 * (2 * 4 * 4 * 9 * 4))
 
 
 def test_constraint_boundaries_are_open():
@@ -94,31 +85,20 @@ def test_constraint_boundaries_are_open():
     assert not satisfies_constraints(report, report.params + 1, report.flops)
 
 
-def test_cost_report_record_format():
-    spec = build_spec()
-    report = genome_cost(spec, ArchitectureGenome(0, (0, 0), (0, 0)))
-    record = report.to_record()
-    assert str(report.params) in record
-    assert str(report.flops) in record
-
-
-def table_free_cost(spec, genome, include_affine):
+def table_free_cost(spec, genome):
     """``genome_cost`` as it was before cost rows: every unit costed, sites from Fractions."""
     path = spec.paths[genome.path_index]
-    rows = []
+    total_params = total_flops = 0
     prev_width = spec.channel_choices[genome.channel_assignment[0]]
     for l, layer in enumerate(path.layers):
         width = spec.channel_choices[genome.channel_assignment[l]]
         op = layer.operator_candidates[genome.operator_assignment[l]]
         sites = int(path.resolution_schedule[l] * spec.input_sites)
-        params, flops = operator_cost(op, prev_width, width, sites, include_affine)
-        if include_affine:
-            params += width
-        rows.append(LayerCost(layer=l, params=params, flops=flops))
+        params, flops = operator_cost(op, prev_width, width, sites)
+        total_params += params + width
+        total_flops += flops
         prev_width = width
-    return CostReport(
-        params=sum(r.params for r in rows), flops=sum(r.flops for r in rows), per_layer=tuple(rows)
-    )
+    return CostReport(params=total_params, flops=total_flops)
 
 
 COST_SPECS = {
@@ -133,16 +113,13 @@ def test_cost_rows_equal_a_table_free_computation_for_every_genome(name):
     spec = COST_SPECS[name]()
     genomes = list(enumerate_genomes(spec))
     assert not spec.cost_rows
-    for include_affine in (True, False):
-        for genome in genomes:
-            expected = table_free_cost(spec, genome, include_affine)
-            assert genome_cost(spec, genome, include_affine) == expected
-            assert genome_cost(spec, genome, include_affine=include_affine) == expected
+    for genome in genomes:
+        assert genome_cost(spec, genome) == table_free_cost(spec, genome)
     rows = spec.cost_rows
     assert 0 < len(rows) < len(genomes)
     for key, row in rows.items():
-        assert len(key) == 6 and all(type(v) in (int, bool) for v in key)
-        assert row.layer == key[1]
+        assert len(key) == 5 and all(type(v) is int for v in key)
+        assert len(row) == 2 and all(type(v) is int for v in row)
     # A second spec built from the same description starts with its own table.
     assert COST_SPECS[name]() == spec and not COST_SPECS[name]().cost_rows
 
@@ -151,8 +128,8 @@ def test_cost_rows_are_keyed_by_widths_not_by_channel_index():
     narrow = build_spec(channels=(2, 3))
     wide = build_spec(channels=(4, 6))
     genome = ArchitectureGenome(0, (0, 1), (0, 1))
-    assert genome_cost(narrow, genome) == table_free_cost(narrow, genome, True)
-    assert genome_cost(wide, genome) == table_free_cost(wide, genome, True)
+    assert genome_cost(narrow, genome) == table_free_cost(narrow, genome)
+    assert genome_cost(wide, genome) == table_free_cost(wide, genome)
     assert genome_cost(wide, genome).params > genome_cost(narrow, genome).params
 
 

@@ -9,25 +9,32 @@ import pytest
 from cfsearch.engine import (
     Tensor,
     _columns,
-    absolute,
     adapt_channels,
     channel_rms_norm,
     concat_rows,
     conv1d,
     downsample_mean,
     dwconv1d,
-    finite_difference_gradient,
-    mean_all,
-    mean_axis,
     mixture_mean,
     pooled_linear,
-    softplus,
-    square,
-    sum_all,
-    tanh,
     upsample_repeat,
 )
 from cfsearch.errors import InvariantError, ShapeError
+
+from reference_ops import (
+    absolute,
+    add,
+    finite_difference_gradient,
+    matmul,
+    mean_all,
+    mean_axis,
+    reshape,
+    softplus,
+    square,
+    sub,
+    sum_all,
+    tanh,
+)
 
 
 def assert_grads_match(build, tensors, tol=1e-6):
@@ -51,20 +58,20 @@ def leaf(shape, seed, scale=1.0, offset=0.0):
 def test_arithmetic_gradients():
     x = leaf((3, 4), 0)
     y = leaf((3, 4), 1)
-    assert_grads_match(lambda: mean_all(x * y + x - y), [x, y])
+    assert_grads_match(lambda: mean_all(sub(add(x * y, x), y)), [x, y])
 
 
 def test_broadcast_add_gradients():
     x = leaf((3, 1), 2)
     y = leaf((3, 4), 3)
-    assert_grads_match(lambda: sum_all(x + y), [x, y])
+    assert_grads_match(lambda: sum_all(add(x, y)), [x, y])
     assert x.grad.shape == (3, 1)
 
 
 def test_matmul_gradients():
     a = leaf((4, 3), 4)
     b = leaf((3, 5), 5)
-    assert_grads_match(lambda: mean_all(a.matmul(b)), [a, b])
+    assert_grads_match(lambda: mean_all(matmul(a, b)), [a, b])
 
 
 @pytest.mark.parametrize("op", [tanh, softplus, square])
@@ -409,7 +416,7 @@ def rms_norm_case(keep):
 def matmul_case():
     a = leaf((4, 3), 49)
     b = leaf((3, 5), 50)
-    return lambda: a.matmul(b), [a, b]
+    return lambda: matmul(a, b), [a, b]
 
 
 def mul_case():
@@ -478,14 +485,14 @@ def test_gradients_accumulate_until_cleared():
 
 
 def test_shared_inputs_get_independent_gradients():
-    # ``+`` hands one gradient array to both parents; accumulating into it
+    # ``add`` hands one gradient array to both parents; accumulating into it
     # in place once changed the gradient the other parent still had to read.
     x = leaf((3,), 25)
     y = leaf((3,), 26)
-    sum_all(((x + y) + x) + y).backward()
+    sum_all(add(add(add(x, y), x), y)).backward()
     assert np.array_equal(x.grad, np.full(3, 2.0))
     assert np.array_equal(y.grad, np.full(3, 2.0))
-    assert_grads_match(lambda: sum_all(square(((x + y) + x) + y)), [x, y])
+    assert_grads_match(lambda: sum_all(square(add(add(add(x, y), x), y))), [x, y])
 
 
 def test_whole_network_gradient_against_finite_differences():
@@ -505,7 +512,7 @@ def test_whole_network_gradient_against_finite_differences():
     assert_grads_match(build, [x, w1, w2, gamma, norm_gamma], tol=1e-5)
 
 
-# Fused ops against the chains of engine ops they replace, at 1 site and at 5.
+# Fused ops against the chains of reference ops they replace, at 1 site and at 5.
 FUSED_SITES = [1, 5]
 
 
@@ -521,7 +528,7 @@ def conv_chain_case(sites, act, with_skip, depthwise=False):
         h = op(x, w, bias=b)
         if act:
             h = tanh(h)
-        return h if s is None else h + s
+        return h if s is None else add(h, s)
 
     leaves = [x, w, b] if s is None else [x, w, b, s]
     return (lambda: op(x, w, bias=b, tanh=act, skip=s)), chain, leaves
@@ -533,7 +540,7 @@ def mixture_chain_case(sites, n):
     def chain():
         out = parts[0]
         for part in parts[1:]:
-            out = out + part
+            out = add(out, part)
         return out * (1.0 / n)
 
     return (lambda: mixture_mean(parts)), chain, parts
@@ -545,7 +552,7 @@ def pooled_chain_case(sites):
     b = leaf((1,), 72)
 
     def chain():
-        return mean_axis(h, axis=2).reshape(3, 4).matmul(w) + b
+        return add(matmul(reshape(mean_axis(h, axis=2), 3, 4), w), b)
 
     return (lambda: pooled_linear(h, w, b)), chain, [h, w, b]
 

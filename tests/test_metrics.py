@@ -6,41 +6,47 @@ import pytest
 from cfsearch.metrics import (
     PSNR_CAP,
     SIGNAL_PEAK,
-    frechet_moment_distance,
     gaussian_moments,
     moment_distance,
+    moment_reference,
     psnr,
 )
 
 
+def distance(a, b):
+    """Squared Gaussian Fréchet distance between two (n, 2) sample sets."""
+    return moment_distance(gaussian_moments(a), gaussian_moments(b))
+
+
 def test_identical_sets_have_zero_distance():
     rng = np.random.default_rng(0)
-    samples = rng.normal(size=(50, 3))
-    assert frechet_moment_distance(samples, samples) == pytest.approx(0.0, abs=1e-8)
+    samples = rng.normal(size=(50, 2))
+    assert distance(samples, samples) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_mean_shift_only():
     # Equal covariances: the distance drops to the squared mean gap.
-    a = np.array([[0.0], [2.0]])
-    b = np.array([[4.0], [6.0]])
-    assert frechet_moment_distance(a, b) == pytest.approx(16.0)
+    a = np.array([[0.0, 1.0], [2.0, -1.0], [1.0, 3.0]])
+    b = a + np.array([3.0, 4.0])
+    assert distance(a, b) == pytest.approx(25.0)
 
 
-def test_one_dimensional_closed_form():
-    # d = (mu_a - mu_b)^2 + (sqrt(c_a) - sqrt(c_b))^2 for 1-D Gaussians.
-    a = np.array([[0.0], [2.0]])  # mean 1, sample variance 2
-    b = np.array([[0.0], [4.0]])  # mean 2, sample variance 8
-    expected = 1.0 + (np.sqrt(2.0) - np.sqrt(8.0)) ** 2
-    assert frechet_moment_distance(a, b) == pytest.approx(expected)
-    assert frechet_moment_distance(a, b) == pytest.approx(3.0)
+def test_diagonal_closed_form():
+    # d = |mu_a - mu_b|^2 + sum over axes of (sqrt(c_a) - sqrt(c_b))^2 for
+    # Gaussians with diagonal covariances.
+    a = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])  # mean (1, 1), variances 4/3
+    b = 2.0 * a  # mean (2, 2), variances 16/3
+    expected = 2.0 + 2.0 * (np.sqrt(4.0 / 3.0) - np.sqrt(16.0 / 3.0)) ** 2
+    assert distance(a, b) == pytest.approx(expected)
+    assert distance(a, b) == pytest.approx(14.0 / 3.0)
 
 
 def test_distance_is_symmetric_and_nonnegative():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(40, 2))
     b = rng.normal(loc=0.3, size=(40, 2))
-    d_ab = frechet_moment_distance(a, b)
-    d_ba = frechet_moment_distance(b, a)
+    d_ab = distance(a, b)
+    d_ba = distance(b, a)
     assert d_ab == pytest.approx(d_ba, rel=1e-9)
     assert d_ab >= 0.0
 
@@ -50,19 +56,28 @@ def test_translation_of_both_sets_is_invisible():
     a = rng.normal(size=(30, 2))
     b = rng.normal(scale=1.5, size=(30, 2))
     shift = np.array([5.0, -3.0])
-    d = frechet_moment_distance(a, b)
-    d_shifted = frechet_moment_distance(a + shift, b + shift)
+    d = distance(a, b)
+    d_shifted = distance(a + shift, b + shift)
     assert d_shifted == pytest.approx(d, rel=1e-8)
 
 
 def test_distance_input_validation():
     good = np.zeros((5, 2))
     with pytest.raises(ValueError):
-        frechet_moment_distance(good, np.zeros((5, 3)))
+        distance(good, np.zeros((5, 3)))
     with pytest.raises(ValueError):
-        frechet_moment_distance(np.zeros(5), good)
+        distance(np.zeros((5, 3)), good)
     with pytest.raises(ValueError):
-        frechet_moment_distance(np.zeros((1, 2)), good)
+        distance(np.zeros(5), good)
+    with pytest.raises(ValueError):
+        distance(np.zeros((1, 2)), good)
+    # Only 2-D sets are scored: d = 3 is refused, not computed another way.
+    rng = np.random.default_rng(3)
+    three = rng.normal(size=(20, 3))
+    with pytest.raises(ValueError, match="d = 3"):
+        distance(three, three)
+    with pytest.raises(ValueError, match="d = 3"):
+        moment_reference(gaussian_moments(three))
 
 
 def eigenvalue_distance(moments_a, moments_b):
@@ -139,11 +154,9 @@ def test_two_dimensional_distance_calls_no_linear_algebra(monkeypatch):
             raise AssertionError(f"np.linalg.{name} called")
 
     rng = np.random.default_rng(13)
-    a, b = rng.normal(size=(20, 2)), rng.normal(size=(20, 3))
+    a = rng.normal(size=(20, 2))
     monkeypatch.setattr(np, "linalg", NoLinearAlgebra())
-    assert frechet_moment_distance(a, a + 1.0) == pytest.approx(2.0)
-    with pytest.raises(AssertionError, match="np.linalg.eigh"):
-        frechet_moment_distance(b, b)
+    assert distance(a, a + 1.0) == pytest.approx(2.0)
 
 
 def test_psnr_known_value():

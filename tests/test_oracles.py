@@ -21,7 +21,7 @@ from cfsearch.oracles import (
     shipped_landscape,
 )
 from cfsearch.pipeline import joint_search_baseline, prepare, run_search
-from cfsearch.engine import Tensor, conv1d, sum_all
+from cfsearch.engine import Tensor, conv1d
 from cfsearch.evolution import EvoConfig
 from cfsearch.network import StageTrail, SupernetWeights, subnet_view
 from cfsearch.sparsity import active_channel_mask
@@ -44,6 +44,7 @@ from cfsearch.trainer import (
 from cfsearch.util import as_rng, child_seed
 
 from conftest import SUPER_RESOLUTION_YAML, build_spec, resampling_spec_dict
+from reference_ops import sum_all
 
 
 def landscape_spec():

@@ -6,16 +6,9 @@ import numpy as np
 import pytest
 
 from cfsearch import cli, engine, pipeline, trainer
-from cfsearch.engine import (
-    Tensor,
-    absolute,
-    finite_difference_gradient,
-    mean_all,
-    softplus,
-    square,
-)
+from cfsearch.engine import Tensor
 from cfsearch.errors import ConfigError, InvariantError, NonFiniteLossError, ShapeError
-from cfsearch.metrics import frechet_moment_distance
+from cfsearch.metrics import gaussian_moments, moment_distance
 from cfsearch.network import DiscriminatorView, SupernetWeights, mixed_view
 from cfsearch.network import stacked_forward, subnet_view
 from cfsearch.space import ArchitectureGenome, maximal_genome, spec_from_dict
@@ -37,7 +30,19 @@ from cfsearch.trainer import (
     total_loss,
 )
 
-from conftest import build_spec
+from conftest import build_spec, max_imbalance
+from reference_ops import (
+    absolute,
+    add,
+    finite_difference_gradient,
+    matmul,
+    mean_all,
+    neg,
+    reshape,
+    softplus,
+    square,
+    sub,
+)
 
 
 def quick_cfg(**kwargs):
@@ -152,26 +157,25 @@ def test_sparsity_component_scales_with_weight():
 
 
 def total_loss_chain(output, target, d_scores, cfg):
-    """The smooth loss as the chain of engine ops that ``total_loss`` fuses."""
-    adversarial = mean_all(softplus(-d_scores))
-    reconstruction = mean_all(absolute(output - target))
+    """The smooth loss as the chain of reference ops that ``total_loss`` fuses."""
+    adversarial = mean_all(softplus(neg(d_scores)))
+    reconstruction = mean_all(absolute(sub(output, target)))
     batch = output.data.shape[0]
     dim = output.data.shape[1] * output.data.shape[2]
     projection = Tensor(
         perceptual_projection(dim, cfg.perceptual_features, cfg.perceptual_seed)
     )
-    f_out = output.reshape(batch, dim).matmul(projection)
-    f_ref = target.reshape(batch, dim).matmul(projection)
-    perceptual = mean_all(square(f_out - f_ref))
-    return (
-        adversarial
-        + cfg.lambda_recon * reconstruction
-        + cfg.lambda_perceptual * perceptual
+    f_out = matmul(reshape(output, batch, dim), projection)
+    f_ref = matmul(reshape(target, batch, dim), projection)
+    perceptual = mean_all(square(sub(f_out, f_ref)))
+    return add(
+        add(adversarial, cfg.lambda_recon * reconstruction),
+        cfg.lambda_perceptual * perceptual,
     )
 
 
 def discriminator_loss_chain(real_scores, fake_scores):
-    return mean_all(softplus(-real_scores)) + mean_all(softplus(fake_scores))
+    return add(mean_all(softplus(neg(real_scores))), mean_all(softplus(fake_scores)))
 
 
 def loss_inputs(seed, batch=5):
@@ -219,7 +223,7 @@ def test_total_loss_is_one_node_bit_identical_to_its_chain(seed, batch):
     assert bundle.smooth._parents == (out, scores)
     chain = total_loss_chain(out, target, scores, cfg)
     assert np.array_equal(bundle.smooth.data, chain.data)
-    assert bundle.components["total"] == (chain + cfg.lambda_sparsity * l1_value(gammas)).item()
+    assert bundle.components["total"] == add(chain, cfg.lambda_sparsity * l1_value(gammas)).item()
     for fused, expected in zip(
         grads_of(bundle.smooth, [out, scores]), grads_of(chain, [out, scores])
     ):
@@ -276,7 +280,9 @@ def test_translation_score_reuses_the_validation_moments_bit_for_bit():
     ds = quick_dataset()
     out = ds.val_y * 0.9 + 0.05
     n = out.shape[0]
-    expected = -frechet_moment_distance(out.reshape(n, -1), ds.val_y.reshape(n, -1))
+    expected = -moment_distance(
+        gaussian_moments(out.reshape(n, -1)), gaussian_moments(ds.val_y.reshape(n, -1))
+    )
     assert score_outputs(out, ds) == expected
     assert ds.val_moments is ds.val_moments
     assert score_outputs(out, ds) == expected
@@ -287,7 +293,7 @@ def test_pretrain_is_fair_and_finite():
     ds = quick_dataset()
     result = pretrain_supernet(spec, ds, quick_cfg(), seed=3)
     assert result.ledger.is_fair()
-    assert result.ledger.max_imbalance() == 0
+    assert max_imbalance(result.ledger) == 0
     for counts in result.ledger.operator_counts:
         assert np.all(counts == 3)
     assert np.all(result.ledger.generator_counts == 3)
