@@ -24,7 +24,6 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -290,16 +289,10 @@ def cmd_analyze_uniform(args) -> int:
         print("# t\tprobability")
         for t in range(args.M, args.t + 1, args.M):
             value = uniform_equal_probability(args.M, t)
-            print(f"{t}\t{_probability_str(value)}")
+            print(f"{t}\t{format_float(value)}")
         return 0
-    print(_probability_str(uniform_equal_probability(args.M, args.t)))
+    print(format_float(uniform_equal_probability(args.M, args.t)))
     return 0
-
-
-def _probability_str(value) -> str:
-    if isinstance(value, Fraction):
-        return format_float(float(value))
-    return format_float(value)
 
 
 def _build_parser() -> argparse.ArgumentParser:

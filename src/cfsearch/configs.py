@@ -61,7 +61,7 @@ CONFIG_KEYS: dict[str, Key] = {
     "train.lr_weights": Key(float, "in (0, inf)", 0.001, "descent stepsize of the weights"),
     "train.lr_gamma": Key(float, "in (0, inf)", 0.002, "proximal stepsize of the scale factors"),
     "train.lr_decay": Key(float, "in (0, 1]", 1.0, "per-epoch factor of both stepsizes"),
-    "train.perceptual_features": Key(int, "in [1, inf)", 16, "width of the perceptual projection"),
+    "train.perceptual_features": Key(int, "in [1, 1024]", 16, "width of the perceptual projection"),
     # Independent of the run seed: the feature map is a fixed measuring stick.
     "train.perceptual_seed": Key(int, "in [0, inf)", 90210, "seed of the perceptual projection"),
     "search.finetune_epochs": Key(int, "in [0, inf)", 10, "fine-tuning epochs of the genome"),

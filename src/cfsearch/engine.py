@@ -25,19 +25,19 @@ gradient's arithmetic.
 ancestor, which would otherwise train nothing without a word.
 
 Since the walk costs Python time per node, each layer op is one node:
-``conv1d`` and ``dwconv1d`` add their optional bias into the output
-buffer, then, on request, apply ``tanh`` and add a residual ``skip`` in
-place; ``channel_rms_norm`` normalizes and scales by ``gamma`` in one
-step; ``mixture_mean`` sums a list of tensors and scales the sum by one
-over its length; and ``pooled_linear`` is a site mean, a matmul and a
-bias add.  Each fused op does the same float operations in the same
-order as the chain of elementary ops it replaces, so its forward and
-gradients are bit-identical to that chain; the elementary ops (sums,
-means, ``tanh``, ``softplus`` and the like) live with the tests, which
-check every fused op against them.  The layer ops treat batch
-rows independently, so ``concat_rows`` can stack the inputs of several
-passes into one batch, whose backward hands each input its own rows of
-the gradient.
+``conv1d`` and ``dwconv1d`` add their required bias into the output
+buffer, then, on request, apply ``tanh`` and add a residual ``skip`` of
+the output's shape in place; ``channel_rms_norm`` normalizes and scales
+by ``gamma`` in one step; ``mixture_mean`` sums a list of tensors and
+scales the sum by one over its length; and ``pooled_linear`` is a site
+mean, a matmul and a bias add.  Each fused op does the same float
+operations in the same order as the chain of elementary ops it replaces,
+so its forward and gradients are bit-identical to that chain; the
+elementary ops (sums, means, ``tanh``, ``softplus`` and the like) live
+with the tests, which check every fused op against them.  The layer ops
+treat batch rows independently, so ``concat_rows`` can stack the inputs
+of several passes into one batch, whose backward hands each input its
+own rows of the gradient.
 
 Gradients accumulate: a second backward pass, or a second use of the
 same tensor, adds into a leaf's ``grad`` rather than replacing it.  A
@@ -55,11 +55,12 @@ them combine arrays of one layout, and a pointwise conv reads a
 site-major input's columns without a copy.  Every op accepts any memory
 layout.
 
-Only the operations the program runs are implemented.  Everything
-is float64 and single-threaded per evaluation, so identical inputs give
-bit-identical outputs within one numpy and BLAS build and one version of
-this code.  Across builds, or after a change to the order of the
-arithmetic here, results agree only to rounding.
+Only the operations the program runs are implemented, as it calls them:
+no skip needs a channel adapter, and every resampling factor exceeds 1.
+Everything is float64 and single-threaded per evaluation, so identical
+inputs give bit-identical outputs within one numpy and BLAS build and
+one version of this code.  Across builds, or after a change to the order
+of the arithmetic here, results agree only to rounding.
 """
 
 from __future__ import annotations
@@ -247,15 +248,14 @@ def _columns(x: Array, kernel: int) -> Array:
 
 
 def _conv_output(
-    y: Array, bias: Tensor | None, tanh: bool, skip: Tensor | None
+    y: Array, bias: Tensor, tanh: bool, skip: Tensor | None
 ) -> tuple[Array, Array | None]:
     """A conv's output ``y`` plus ``bias``, then ``tanh``, then ``skip``; and the ``tanh`` output.
 
     Each step works in place on ``y``, except that the ``tanh`` output is
     kept apart when a ``skip`` follows, since its gradient needs it.
     """
-    if bias is not None:
-        y += bias.data[:, None]
+    y += bias.data[:, None]
     act = np.tanh(y, out=y) if tanh else None
     if skip is not None:
         if act is None:
@@ -270,15 +270,13 @@ def _conv_node(
     x: Tensor,
     w: Tensor,
     backward,
-    bias: Tensor | None,
+    bias: Tensor,
     tanh: bool,
     skip: Tensor | None,
 ) -> Tensor:
     """One node for a conv's output ``y``: plus ``bias``, then ``tanh``, then ``skip``."""
     y, act = _conv_output(y, bias, tanh, skip)
-    parents = [x, w]
-    if bias is not None:
-        parents.append(bias)
+    parents = [x, w, bias]
     if skip is not None:
         parents.append(skip)
 
@@ -287,8 +285,7 @@ def _conv_node(
         if act is not None:
             g = g * (1.0 - act * act)
         grads = list(backward(g))
-        if bias is not None:
-            grads.append(np.add.reduce(g, axis=(0, 2)) if bias.requires_grad else None)
+        grads.append(np.add.reduce(g, axis=(0, 2)) if bias.requires_grad else None)
         if skip is not None:
             grads.append(g_skip)
         return grads
@@ -300,7 +297,7 @@ def conv1d(
     x: Tensor,
     w: Tensor,
     *,
-    bias: Tensor | None = None,
+    bias: Tensor,
     tanh: bool = False,
     skip: Tensor | None = None,
 ) -> Tensor:
@@ -334,7 +331,7 @@ def conv1d(
     trainable = (
         x.requires_grad
         or w.requires_grad
-        or (bias is not None and bias.requires_grad)
+        or bias.requires_grad
         or (skip is not None and skip.requires_grad)
     )
     if sites == 1:
@@ -380,7 +377,7 @@ def dwconv1d(
     x: Tensor,
     w: Tensor,
     *,
-    bias: Tensor | None = None,
+    bias: Tensor,
     tanh: bool = False,
     skip: Tensor | None = None,
 ) -> Tensor:
@@ -481,37 +478,12 @@ def pooled_linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     return Tensor._make(y, (x, w, bias), backward)
 
 
-def adapt_channels(x: Tensor, target: int) -> Tensor:
-    """Truncate or zero-pad the channel axis to ``target`` channels.
-
-    Parameter-free skip-path adapter: carries the leading channels and
-    fills any missing ones with zeros.
-    """
-    channels = x.data.shape[1]
-    if channels == target:
-        return x
-    if channels > target:
-        y = x.data[:, :target]
-
-        def backward(g: Array):
-            gx = np.zeros_like(x.data)
-            gx[:, :target] = g
-            return (gx,)
-
-        return Tensor._make(y.copy(), (x,), backward)
-    padding = target - channels
-    y = np.pad(x.data, ((0, 0), (0, padding), (0, 0)))
-    return Tensor._make(y, (x,), lambda g: (g[:, :channels].copy(),))
-
-
 def upsample_repeat(x: Tensor, factor: int) -> Tensor:
     """Repeat each site ``factor`` times along the last axis.
 
     Works on the (channels, sites, batch) view in both directions, so the
     output and the input's gradient are views of site-major memory.
     """
-    if factor == 1:
-        return x
     y = np.repeat(x.data.transpose(1, 2, 0), factor, axis=1).transpose(2, 0, 1)
 
     def backward(g: Array):
@@ -528,8 +500,6 @@ def downsample_mean(x: Tensor, factor: int) -> Tensor:
     Works on the (channels, sites, batch) view in both directions, like
     ``upsample_repeat``.
     """
-    if factor == 1:
-        return x
     b, c, s = x.data.shape
     if s % factor != 0:
         raise ShapeError(f"cannot pool {s} sites by factor {factor}")

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .configs import CONFIG_KEYS, MUTATION_DIRECTIONAL, RG_REFRESH_ON_ELITE_CHANGE, check_fields
-from .configs import MUTATION_RANDOM, RG_REFRESH_ONCE  # noqa: F401  (re-exported)
 from .configs import section_values
 from .costs import CostReport, satisfies_constraints
 from .errors import ConfigError, GenomeError, InfeasibleError
@@ -314,7 +313,6 @@ def shrink_channels(
     table = normalize_rg(RGTable(rg=np.zeros((num_choices, num_layers))))
     anchor: ArchitectureGenome | None = None  # the elite the table was measured on
     history: list[GenerationRow] = []
-    generations_run = 0
 
     def consider(genome: ArchitectureGenome, fitness: float) -> None:
         nonlocal best_genome, best_fitness
@@ -330,10 +328,10 @@ def shrink_channels(
                 consider(member, fitness)
         return oracle.genome_evaluations - before
 
+    # ``eval_budget`` >= 1, so the first member is scored and the best is set.
     score_population()
 
     for generation in range(cfg.generations):
-        generations_run = generation + 1
         ranked = sorted(
             (
                 (member, oracle.evaluate(member).fitness)
@@ -342,8 +340,6 @@ def shrink_channels(
             ),
             key=lambda item: (-item[1], item[0].sort_key()),
         )
-        if not ranked:
-            break
         fitnesses = [fitness for _, fitness in ranked]
         fraction = draw_accepts / draw_attempts if draw_attempts else 1.0
         history.append(
@@ -403,17 +399,13 @@ def shrink_channels(
                 if fitness is not None:
                     consider(probe, fitness)
 
-    if best_genome is None:
-        raise InfeasibleError(
-            "evaluation budget allowed no population member to be scored"
-        )
     return ShrinkResult(
         best_genome=best_genome,
         best_fitness=best_fitness,
         best_cost=oracle.cost(best_genome),
         history=tuple(history),
         oracle_calls=spent(),
-        generations_run=generations_run,
+        generations_run=len(history),
         rg_table=table if cfg.mutation == MUTATION_DIRECTIONAL else None,
     )
 

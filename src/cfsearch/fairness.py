@@ -1,4 +1,4 @@
-"""Fair training schedule bookkeeping and its uniform-sampling baseline.
+"""Fair training schedule bookkeeping, and the odds uniform sampling balances.
 
 Fairness here is an exact counting property over a training run: after
 any whole number of epochs every (path, layer, operator) triple has been
@@ -8,9 +8,10 @@ been updated exactly as often as the discriminator it trains against.
 property by construction because each path cycle walks one permutation
 of the operator candidates per layer.
 
-The uniform baseline draws one operator per layer per step instead and
-so only balances in expectation.  ``uniform_equal_probability`` gives the
-exact probability that t uniform draws over M operators spread evenly:
+Uniform sampling, which draws one operator per layer per step instead,
+only balances in expectation; no command trains with it.
+``uniform_equal_probability`` gives the exact probability that t uniform
+draws over M operators spread evenly:
 
     g(M, t) = t! / ((t/M)!^M * M^t)   when M divides t, else 0.
 
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -105,15 +105,6 @@ class FairnessLedger:
 
     def record_discriminator_update(self, path_index: int) -> None:
         self.discriminator_counts[path_index] += 1
-
-    def record_uniform_step(self, path_index: int, operator_picks: Sequence[int]) -> None:
-        """Count one uniform-baseline step: a single operator per layer."""
-        counts = self.operator_counts[path_index]
-        for l, m in enumerate(operator_picks):
-            counts[l, m] += 1
-        self.generator_counts[path_index] += 1
-        self.discriminator_counts[path_index] += 1
-        self.trials += 1
 
     def violations(self) -> list[str]:
         """Every failed fairness equality, as human-readable strings.
@@ -239,26 +230,6 @@ class FairnessLedger:
             discriminator_counts=discriminator_counts,
             trials=trials,
         )
-
-
-def record_uniform_baseline(
-    ledger: FairnessLedger, spec: SupernetSpec, steps: int, rng
-) -> None:
-    """Simulate ``steps`` of the uniform baseline into the ledger.
-
-    Paths are drawn without replacement inside windows of ``num_paths``
-    steps (the controlled comparison holds path exposure fixed); within a
-    step each layer samples exactly one operator uniformly at random.
-    """
-    gen = as_rng(rng)
-    window: list[int] = []
-    for _ in range(steps):
-        if not window:
-            window = [int(p) for p in gen.permutation(spec.num_paths)]
-        p = window.pop(0)
-        path = spec.paths[p]
-        picks = [int(gen.integers(0, layer.num_operators)) for layer in path.layers]
-        ledger.record_uniform_step(p, picks)
 
 
 def uniform_equal_probability(num_operators: int, trials: int) -> Fraction | float:

@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .engine import Tensor, adapt_channels, conv1d, downsample_mean, dwconv1d
+from .engine import Tensor, conv1d, downsample_mean, dwconv1d
 from .engine import channel_rms_norm, concat_rows, mixture_mean, pooled_linear, upsample_repeat
 from .errors import ConfigError, InvariantError, ShapeError
 from .space import ArchitectureGenome, SupernetSpec, require_valid
@@ -293,10 +293,13 @@ def _resample(x: Tensor, factors: tuple[int, int]) -> Tensor:
 
 
 def _block_core(weights: SupernetWeights, p: int, l: int, m: int, x: Tensor) -> Tensor:
-    """Run one operator block (without normalization) on full-width input."""
+    """Run one operator block (without normalization) on full-width input.
+
+    A residual adds ``x`` as it is: its transform outputs ``max_width`` channels too.
+    """
     h = x
     for dense, w, b, tanh, residual in weights.block_plan(p, l, m):
-        skip = adapt_channels(x, w.data.shape[0]) if residual else None
+        skip = x if residual else None
         if dense:
             h = conv1d(h, w, bias=b, tanh=tanh, skip=skip)
         else:

@@ -83,8 +83,6 @@ def _now() -> str:
 
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return format_float(value)
     return str(value)

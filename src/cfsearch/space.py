@@ -200,9 +200,10 @@ class SupernetSpec:
         if not self.channel_choices:
             raise ConfigError("spec needs at least one channel choice")
         chans = list(self.channel_choices)
-        if chans != sorted(set(chans)) or any(c < 1 for c in chans):
+        # The widest choice sizes every weight and activation.
+        if chans != sorted(set(chans)) or any(not 1 <= c <= 1024 for c in chans):
             raise ConfigError(
-                f"channel_choices must be strictly increasing positive ints, got {chans}"
+                f"channel_choices must be strictly increasing ints in [1, 1024], got {chans}"
             )
         if self.input_channels < 1 or self.input_sites < 1:
             raise ConfigError("input_channels and input_sites must be positive")
@@ -272,60 +273,22 @@ class ArchitectureGenome:
         return (self.path_index, self.operator_assignment, self.channel_assignment)
 
     def to_record(self) -> str:
-        """Serialize as ``path:<i>;ops:<i,..>;ch:<i,..>``."""
+        """Serialize as ``path:<i>;ops:<i,..>;ch:<i,..>``; the program never parses it back."""
         return (
             f"path:{self.path_index}"
             f";ops:{','.join(str(i) for i in self.operator_assignment)}"
             f";ch:{','.join(str(i) for i in self.channel_assignment)}"
         )
 
-    @staticmethod
-    def from_record(record: str) -> "ArchitectureGenome":
-        """Parse ``to_record``'s form; any other, missing or repeated field raises."""
-        fields: dict[str, str] = {}
-        for part in record.strip().split(";"):
-            if ":" not in part:
-                raise GenomeError(f"malformed genome record segment {part!r}")
-            key, value = part.split(":", 1)
-            if key not in _RECORD_FIELDS:
-                raise GenomeError(f"unknown genome record field {key!r} in {record!r}")
-            if key in fields:
-                raise GenomeError(f"repeated genome record field {key!r} in {record!r}")
-            fields[key] = value
-        for key in _RECORD_FIELDS:
-            if key not in fields:
-                raise GenomeError(f"genome record missing {key!r} field: {record!r}")
-        try:
-            path = int(fields["path"])
-            ops = tuple(int(v) for v in fields["ops"].split(",") if v != "")
-            ch = tuple(int(v) for v in fields["ch"].split(",") if v != "")
-        except ValueError as exc:
-            raise GenomeError(f"non-integer value in genome record {record!r}") from exc
-        return ArchitectureGenome(path, ops, ch)
 
-
-_RECORD_FIELDS = ("path", "ops", "ch")
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    reason: str | None = None
-
-
-_VALID = ValidationResult(True, None)
-
-
-def validate_genome(spec: SupernetSpec, genome: ArchitectureGenome) -> ValidationResult:
-    """Check a genome against a spec; reports the first violated constraint.
+def validate_genome(spec: SupernetSpec, genome: ArchitectureGenome) -> str | None:
+    """The first constraint ``genome`` violates in ``spec``, or None if it is valid.
 
     Checks run in a fixed documented order: path index range, assignment
     lengths, operator index ranges, channel index ranges.
     """
     if not 0 <= genome.path_index < spec.num_paths:
-        return ValidationResult(
-            False, f"path_index {genome.path_index} outside [0, {spec.num_paths})"
-        )
+        return f"path_index {genome.path_index} outside [0, {spec.num_paths})"
     path = spec.paths[genome.path_index]
     length = path.num_layers
     for name, assignment in (
@@ -333,19 +296,17 @@ def validate_genome(spec: SupernetSpec, genome: ArchitectureGenome) -> Validatio
         ("channel_assignment", genome.channel_assignment),
     ):
         if len(assignment) != length:
-            return ValidationResult(
-                False, f"{name} length {len(assignment)} != layer count {length}"
-            )
+            return f"{name} length {len(assignment)} != layer count {length}"
     layers = path.layers
     for l, idx in enumerate(genome.operator_assignment):
         n = len(layers[l].operator_candidates)
         if not 0 <= idx < n:
-            return ValidationResult(False, f"operator index {idx} at layer {l} outside [0, {n})")
+            return f"operator index {idx} at layer {l} outside [0, {n})"
     n = len(spec.channel_choices)
     for l, idx in enumerate(genome.channel_assignment):
         if not 0 <= idx < n:
-            return ValidationResult(False, f"channel index {idx} at layer {l} outside [0, {n})")
-    return _VALID
+            return f"channel index {idx} at layer {l} outside [0, {n})"
+    return None
 
 
 def require_valid(spec: SupernetSpec, genome: ArchitectureGenome) -> None:
@@ -357,9 +318,9 @@ def require_valid(spec: SupernetSpec, genome: ArchitectureGenome) -> None:
     """
     if genome in spec.valid_genomes:
         return
-    verdict = validate_genome(spec, genome)
-    if not verdict.ok:
-        raise GenomeError(verdict.reason or "invalid genome")
+    reason = validate_genome(spec, genome)
+    if reason is not None:
+        raise GenomeError(reason)
     spec.valid_genomes.add(genome)
 
 
@@ -367,14 +328,20 @@ def operator_specialization_count(num_operators: int, num_layers: int) -> int:
     """Closed-form count of layerwise specializations: (M!)**(L-1).
 
     Raises if arguments are non-positive or the result would leave the
-    signed 64-bit range the call-count bookkeeping assumes.
+    signed 64-bit range the call-count bookkeeping assumes, which is
+    decided before any big integer is computed.
     """
     if num_operators < 1 or num_layers < 1:
         raise ConfigError(
             f"need num_operators >= 1 and num_layers >= 1, "
             f"got ({num_operators}, {num_layers})"
         )
-    count = math.factorial(num_operators) ** (num_layers - 1)
+    if num_operators == 1 or num_layers == 1:
+        return 1
+    # Here M! >= 2, so the count is out of range for L > 63, and 21! > 2**63.
+    count = _COUNT_LIMIT
+    if num_operators <= 20 and num_layers <= 63:
+        count = math.factorial(num_operators) ** (num_layers - 1)
     if count >= _COUNT_LIMIT:
         raise EnumerationTooLargeError(
             f"specialization count (M={num_operators}, L={num_layers}) exceeds "

@@ -29,19 +29,16 @@ from .engine import Tensor
 GAMMA_INIT = 0.5
 
 
-def prox_l1(value, threshold: float):
-    """Soft-thresholding operator, elementwise over arrays or scalars."""
+def prox_l1(value, threshold: float) -> np.ndarray:
+    """Soft-thresholding operator, elementwise over an array."""
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     arr = np.asarray(value, dtype=np.float64)
-    out = np.where(
+    return np.where(
         arr > threshold,
         arr - threshold,
         np.where(arr < -threshold, arr + threshold, 0.0),
     )
-    if np.isscalar(value) or getattr(value, "ndim", 1) == 0:
-        return float(out)
-    return out
 
 
 def l1_value(gammas: Sequence[Tensor]) -> float:
@@ -60,7 +57,7 @@ def prox_step(gammas: Sequence[Tensor], stepsize: float, sparsity_weight: float)
     for gamma in gammas:
         grad = 0.0 if gamma.grad is None else gamma.grad
         inner = gamma.data - stepsize * grad
-        gamma.data = np.asarray(prox_l1(inner, threshold), dtype=np.float64)
+        gamma.data = prox_l1(inner, threshold)
 
 
 def active_channel_mask(gamma: np.ndarray, width: int) -> np.ndarray:

@@ -23,12 +23,10 @@ def child_seed(root_seed: int, tag: str) -> int:
     return int.from_bytes(digest[:8], "little") & 0x7FFFFFFFFFFFFFFF
 
 
-def as_rng(seed_or_rng: int | np.random.Generator | None) -> np.random.Generator:
-    """Accept an integer seed, a ready Generator, or None for fresh entropy."""
+def as_rng(seed_or_rng: int | np.random.Generator) -> np.random.Generator:
+    """Accept an integer seed or a ready Generator."""
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
-    if seed_or_rng is None:
-        return np.random.default_rng()
     return np.random.default_rng(int(seed_or_rng))
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from cfsearch import cli, pipeline
 from cfsearch.cli import load_config, main
-from cfsearch.configs import CONFIG_KEYS, default_config, default_toy_spec
+from cfsearch.configs import CONFIG_KEYS, config_value, default_config, default_toy_spec
 from cfsearch.errors import ConfigError
 from cfsearch.evolution import EvoConfig
 from cfsearch.fairness import FairnessLedger, plan_epoch
@@ -216,6 +216,8 @@ def test_malformed_evolution_value_exits_2_naming_the_key(
         ("lr_weights", float("inf")),
         ("lr_decay", 0),
         ("lr_gamma", 0),
+        ("perceptual_features", 1025),
+        ("perceptual_features", 1000000000),  # a 14.9 GiB projection
     ],
 )
 def test_malformed_train_value_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, key, value):
@@ -231,6 +233,17 @@ def test_malformed_train_value_exits_2_naming_the_key(tmp_path, capsys, monkeypa
     assert code == 2
     assert err.startswith("config error:") and f"train.{key}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value, ok", [(1, True), (1024, True), (0, False), (1025, False)])
+def test_perceptual_features_are_bounded_to_1_through_1024(value, ok):
+    # The width sizes the perceptual projection, so an unbounded one could ask for GiBs.
+    key = "train.perceptual_features"
+    if ok:
+        assert config_value(key, value) == value
+    else:
+        with pytest.raises(ConfigError, match=r"train\.perceptual_features must be in \[1, 1024\]"):
+            config_value(key, value)
 
 
 _YAML_SCALAR = st.one_of(
@@ -566,6 +579,8 @@ def set_space_value(space, where, value):
         (("paths",), [5], "paths"),
         (("paths", 0, "operators"), 7, "operators"),
         (("channel_choices",), "abc", "channel_choices"),
+        (("channel_choices",), [4, 1025], "channel_choices must be strictly increasing ints in"),
+        (("channel_choices",), [4, 200000], "channel_choices"),  # 894 GiB of weights
         (("input_sites",), "abc", "input_sites"),
         (("paths", 0, "recursion_choices"), [["x"]], "recursion_choices"),
         (("discriminators",), [5], "discriminators"),
@@ -588,8 +603,9 @@ def set_space_value(space, where, value):
         ),
     ],
     ids=[
-        "path-entry", "operators", "channel_choices", "input_sites", "recursion", "discriminator",
-        "space-foo", "path-bogus", "discriminator-foo", "discriminators", "matched-discriminator",
+        "path-entry", "operators", "channel_choices", "channel-wide", "channel-huge",
+        "input_sites", "recursion", "discriminator", "space-foo", "path-bogus",
+        "discriminator-foo", "discriminators", "matched-discriminator",
     ],
 )
 def test_malformed_space_value_exits_2_naming_the_key(tmp_path, capsys, where, value, key):

@@ -11,7 +11,7 @@ import yaml
 from cfsearch import cli
 from cfsearch.configs import CONFIG_KEYS, default_config, default_toy_spec
 from cfsearch.pipeline import run_pipeline
-from cfsearch.space import ArchitectureGenome, require_valid, spec_from_dict
+from cfsearch.space import enumerate_genomes, spec_from_dict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -93,11 +93,7 @@ def test_readme_run_all_sample_is_what_a_default_run_prints():
     assert float(shown["fine-tuned fitness"]) == pytest.approx(result.final_fitness, rel=1e-9)
 
 
-def test_readme_genome_records_parse_and_fit_the_default_space():
+def test_readme_genome_records_name_genomes_of_the_default_space():
     records = re.findall(r"\bpath:\d[\w,:;]*", README)
     assert len(records) >= 3
-    spec = default_toy_spec()
-    for record in records:
-        genome = ArchitectureGenome.from_record(record)
-        require_valid(spec, genome)
-        assert genome.to_record() == record
+    assert set(records) <= {g.to_record() for g in enumerate_genomes(default_toy_spec())}

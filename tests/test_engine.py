@@ -9,7 +9,6 @@ import pytest
 from cfsearch.engine import (
     Tensor,
     _columns,
-    adapt_channels,
     channel_rms_norm,
     concat_rows,
     conv1d,
@@ -92,7 +91,7 @@ def test_mean_axis_gradients():
 
 # (sites, kernel): one site, taps that reach no site, several live taps, k = 1.
 CONV_SHAPES = [(1, 3), (2, 5), (4, 3), (6, 1)]
-# Each shape without and with a bias.
+# Each shape with a frozen and with a trainable ("-bias") bias.
 CONV_CASES = [
     pytest.param(sites, kernel, with_bias, id=f"{sites}-{kernel}" + ("-bias" if with_bias else ""))
     for sites, kernel in CONV_SHAPES
@@ -128,11 +127,14 @@ def dwconv1d_reference(x, w):
 
 
 def bias_leaf(with_bias, channels, seed):
-    return leaf((channels,), seed, scale=0.5) if with_bias else None
+    """A bias that takes part in the gradient check only ``with_bias``."""
+    b = leaf((channels,), seed, scale=0.5)
+    b.requires_grad = with_bias
+    return b
 
 
 def plus_bias(y, bias):
-    return y if bias is None else y + bias.data[:, None]
+    return y + bias.data[:, None]
 
 
 @pytest.mark.parametrize("sites, kernel, with_bias", CONV_CASES)
@@ -142,16 +144,17 @@ def test_conv1d_gradients(sites, kernel, with_bias):
     b = bias_leaf(with_bias, 4, 27)
     expected = plus_bias(conv1d_reference(x.data, w.data), b)
     assert np.allclose(conv1d(x, w, bias=b).data, expected, rtol=1e-12, atol=1e-12)
-    leaves = [x, w] if b is None else [x, w, b]
+    leaves = [x, w, b] if with_bias else [x, w]
     assert_grads_match(lambda: mean_all(square(conv1d(x, w, bias=b))), leaves)
 
 
 def test_conv1d_single_site():
     x = leaf((2, 3, 1), 10)
     w = leaf((2, 3, 3), 11)
-    y = conv1d(x, w)
+    b = leaf((2,), 105)
+    y = conv1d(x, w, bias=b)
     assert y.shape == (2, 2, 1)
-    assert_grads_match(lambda: sum_all(square(conv1d(x, w))), [x, w])
+    assert_grads_match(lambda: sum_all(square(conv1d(x, w, bias=b))), [x, w, b])
 
 
 def conv1d_reference_grads(x, w, g):
@@ -215,7 +218,7 @@ def test_conv1d_matches_its_reference_at_real_shapes_with_any_parents_frozen(bat
 def test_conv1d_taps_that_read_only_padding_get_a_zero_weight_gradient(sites, kernel):
     x = leaf((16, 12, sites), 95)
     w = leaf((12, 12, kernel), 96)
-    mean_all(square(conv1d(x, w))).backward()
+    mean_all(square(conv1d(x, w, bias=Tensor(np.zeros(12))))).backward()
     live = {kernel // 2 + shift for shift in range(1 - sites, sites)}
     for k in range(kernel):
         if k not in live:
@@ -282,7 +285,7 @@ def test_dwconv1d_gradients(sites, kernel, with_bias):
     b = bias_leaf(with_bias, 4, 28)
     expected = plus_bias(dwconv1d_reference(x.data, w.data), b)
     assert np.allclose(dwconv1d(x, w, bias=b).data, expected, rtol=1e-12, atol=1e-12)
-    leaves = [x, w] if b is None else [x, w, b]
+    leaves = [x, w, b] if with_bias else [x, w]
     assert_grads_match(lambda: mean_all(square(dwconv1d(x, w, bias=b))), leaves)
 
 
@@ -299,28 +302,11 @@ def test_biased_conv_is_one_graph_node():
 def test_conv_shape_errors():
     x = Tensor(np.zeros((2, 3, 4)))
     with pytest.raises(ShapeError):
-        conv1d(x, Tensor(np.zeros((4, 3, 2))))  # even kernel
+        conv1d(x, Tensor(np.zeros((4, 3, 2))), bias=Tensor(np.zeros(4)))  # even kernel
     with pytest.raises(ShapeError):
-        conv1d(x, Tensor(np.zeros((4, 5, 3))))  # channel mismatch
+        conv1d(x, Tensor(np.zeros((4, 5, 3))), bias=Tensor(np.zeros(4)))  # channel mismatch
     with pytest.raises(ShapeError):
-        dwconv1d(x, Tensor(np.zeros((5, 3))))
-
-
-def test_adapt_channels_gradients():
-    x = leaf((2, 3, 4), 14)
-    assert_grads_match(lambda: sum_all(square(adapt_channels(x, 5))), [x])
-    assert_grads_match(lambda: sum_all(square(adapt_channels(x, 2))), [x])
-    same = adapt_channels(x, 3)
-    assert np.array_equal(same.data, x.data)
-
-
-def test_adapt_channels_values():
-    x = Tensor(np.arange(6.0).reshape(1, 2, 3))
-    padded = adapt_channels(x, 4)
-    assert padded.shape == (1, 4, 3)
-    assert np.all(padded.data[:, 2:] == 0)
-    cut = adapt_channels(x, 1)
-    assert np.array_equal(cut.data, x.data[:, :1])
+        dwconv1d(x, Tensor(np.zeros((5, 3))), bias=Tensor(np.zeros(5)))
 
 
 def test_resampling_gradients_and_shapes():
@@ -392,19 +378,15 @@ def test_rms_norm_is_one_graph_node():
 def conv1d_case(sites, kernel, with_bias):
     x = leaf((2, 3, sites), 41)
     w = leaf((4, 3, kernel), 42, scale=0.5)
-    if not with_bias:
-        return lambda: conv1d(x, w), [x, w]
-    b = leaf((4,), 43)
-    return lambda: conv1d(x, w, bias=b), [x, w, b]
+    b = bias_leaf(with_bias, 4, 43)
+    return lambda: conv1d(x, w, bias=b), [x, w, b] if with_bias else [x, w]
 
 
 def dwconv1d_case(sites, kernel, with_bias):
     x = leaf((2, 4, sites), 44)
     w = leaf((4, kernel), 45, scale=0.5)
-    if not with_bias:
-        return lambda: dwconv1d(x, w), [x, w]
-    b = leaf((4,), 46)
-    return lambda: dwconv1d(x, w, bias=b), [x, w, b]
+    b = bias_leaf(with_bias, 4, 46)
+    return lambda: dwconv1d(x, w, bias=b), [x, w, b] if with_bias else [x, w]
 
 
 def rms_norm_case(keep):
@@ -500,16 +482,18 @@ def test_whole_network_gradient_against_finite_differences():
     x = leaf((2, 3, 4), 21)
     w1 = leaf((5, 3, 3), 22, scale=0.4)
     w2 = leaf((5, 3), 23, scale=0.4)
+    b1 = leaf((5,), 106, scale=0.1)
+    b2 = leaf((5,), 107, scale=0.1)
     gamma = leaf((5, 1), 24, offset=1.0, scale=0.1)
     norm_gamma = leaf((5,), 34, offset=1.0, scale=0.1)
 
     def build():
-        h = channel_rms_norm(conv1d(x, w1), norm_gamma)
-        h = tanh(dwconv1d(h, w2) * gamma)
+        h = channel_rms_norm(conv1d(x, w1, bias=b1), norm_gamma)
+        h = tanh(dwconv1d(h, w2, bias=b2) * gamma)
         h = downsample_mean(upsample_repeat(h, 2), 2)
-        return mean_all(square(adapt_channels(h, 4)))
+        return mean_all(square(h))
 
-    assert_grads_match(build, [x, w1, w2, gamma, norm_gamma], tol=1e-5)
+    assert_grads_match(build, [x, w1, b1, w2, b2, gamma, norm_gamma], tol=1e-5)
 
 
 # Fused ops against the chains of reference ops they replace, at 1 site and at 5.
@@ -609,7 +593,7 @@ def test_fused_ops_are_one_graph_node():
     b = leaf((4,), 76)
     s = leaf((2, 4, 4), 77)
     assert conv1d(x, w, bias=b, tanh=True, skip=s)._parents == (x, w, b, s)
-    assert conv1d(x, w, tanh=True)._parents == (x, w)
+    assert conv1d(x, w, bias=b, tanh=True)._parents == (x, w, b)
     dw = leaf((3, 3), 78)
     c = leaf((3,), 79)
     t = leaf((2, 3, 4), 80)
@@ -629,10 +613,10 @@ def frozen_conv_case(sites, with_bias, act, with_skip, depthwise=False):
     x = leaf((3, 4, sites), 86)
     w = leaf((4, 3), 87, scale=0.5) if depthwise else leaf((5, 4, 3), 87, scale=0.5)
     out_channels = w.data.shape[0]
-    b = leaf((out_channels,), 88) if with_bias else None
+    b = bias_leaf(with_bias, out_channels, 88)
     s = leaf((3, out_channels, sites), 89) if with_skip else None
     op = dwconv1d if depthwise else conv1d
-    leaves = [t for t in (x, w, b, s) if t is not None]
+    leaves = [t for t in (x, w, b, s) if t is not None and t.requires_grad]
     return (lambda: op(x, w, bias=b, tanh=act, skip=s)), leaves
 
 
@@ -727,8 +711,10 @@ def test_resampling_keeps_site_major_memory_and_matches_the_reference(factor):
 
     w3 = leaf((12, 12, 3), 102, scale=0.3)
     w1 = leaf((12, 12, 1), 103, scale=0.3)
+    zero = Tensor(np.zeros(12))
     probe = np.random.default_rng(104).normal(size=(16, 12, 4))
-    y = downsample_mean(conv1d(conv1d(upsample_repeat(x, factor), w3), w1), factor)
+    y = conv1d(conv1d(upsample_repeat(x, factor), w3, bias=zero), w1, bias=zero)
+    y = downsample_mean(y, factor)
     sum_all(y * Tensor(probe)).backward()
 
     u = np.repeat(x.data, factor, axis=2)

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
+from cfsearch.configs import MUTATION_RANDOM, RG_REFRESH_ONCE
 from cfsearch.errors import ConfigError, GenomeError, InfeasibleError
 from cfsearch.evolution import (
-    MUTATION_RANDOM,
-    RG_REFRESH_ONCE,
     EvoConfig,
     RGTable,
     compute_rg,

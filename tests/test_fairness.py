@@ -12,7 +12,6 @@ from cfsearch.fairness import (
     EXACT_PROBABILITY_LIMIT,
     FairnessLedger,
     plan_epoch,
-    record_uniform_baseline,
     uniform_equal_probability,
     uniform_equal_probability_log,
 )
@@ -51,16 +50,6 @@ def test_epoch_plan_is_a_permutation_schedule():
     for p in plan.path_order:
         for layer_order in plan.operator_orders[p]:
             assert sorted(layer_order) == [0, 1, 2]
-
-
-def test_uniform_baseline_goes_unfair():
-    spec = build_spec(n_paths=1, n_layers=2, n_operators=3)
-    ledger = FairnessLedger.for_spec(spec)
-    record_uniform_baseline(ledger, spec, steps=31, rng=np.random.default_rng(0))
-    # 31 single-operator steps over 3 operators cannot balance every layer.
-    assert not ledger.is_fair()
-    assert max_imbalance(ledger) > 0
-    assert ledger.operator_counts[0].sum() == 31 * 2
 
 
 def test_violation_messages_name_the_site():

@@ -178,9 +178,10 @@ def test_the_gan_oracle_validates_each_new_genome_once(monkeypatch, run):
         assert len(checked) == genome_space_size(spec)
     else:
         run_search(oracle, EvoConfig.from_mapping(config["evolution"]), as_rng(3))
-    scored = {ArchitectureGenome.from_record(record) for record, _ in oracle.cache_snapshot()}
+    scored = {record for record, _ in oracle.cache_snapshot()}
     assert len(checked) == len(set(checked))
-    assert scored <= set(checked) == spec.valid_genomes
+    assert scored <= {g.to_record() for g in checked}
+    assert set(checked) == spec.valid_genomes
 
 
 def test_direct_calls_still_refuse_an_invalid_genome():
@@ -456,7 +457,8 @@ def test_trail_resume_from_the_last_chain_matches_a_full_walk(default_supernet, 
     if run == "shrink_channels":  # the misses of one search, in the order it made them
         oracle = GanOracle(weights, ds)
         run_search(oracle, EvoConfig.from_mapping(config["evolution"]), as_rng(3))
-        genomes = [ArchitectureGenome.from_record(record) for record, _ in oracle.cache_snapshot()]
+        by_record = {genome.to_record(): genome for genome in genomes}
+        genomes = [by_record[record] for record, _ in oracle.cache_snapshot()]
     views = [subnet_view(weights, genome) for genome in genomes]
     run_in_lockstep(views, Tensor(ds.val_x), StageTrail(), FullWalkTrail())
 
@@ -756,7 +758,7 @@ def test_equal_genomes_built_separately_share_one_cache_entry():
     other = ArchitectureGenome(1, (1, 1), (0, 2))
     same = [
         ArchitectureGenome(0, (0, 1), (1, 2)),
-        ArchitectureGenome.from_record(first.to_record()),
+        next(genome for genome in enumerate_genomes(spec) if genome == first),
         replace(maximal_genome(spec, 0), operator_assignment=(0, 1), channel_assignment=(1, 2)),
     ]
     result = oracle.evaluate(first)

@@ -53,7 +53,7 @@ def test_genome_file_round_trip(tmp_path):
     text = format_genome_file(genome, fitness=-0.25, cost=cost)
     target = tmp_path / "genome.txt"
     target.write_text(text)
-    assert ArchitectureGenome.from_record(text.splitlines()[-1]) == genome
+    assert text.splitlines()[-1] == genome.to_record()
     assert f"# params {cost.params}" in text
     assert "# fitness -0.25" in text
 
@@ -131,7 +131,7 @@ def test_write_run_report_artifacts_and_hashes(tmp_path):
         content = (out / name).read_text()
         assert "2026-01-01" not in content
     record = (out / "genome.txt").read_text().splitlines()[-1]
-    assert ArchitectureGenome.from_record(record) == genome
+    assert record == genome.to_record()
 
 
 def test_write_run_report_incomplete_status(tmp_path):

@@ -1,8 +1,9 @@
 """`src/` holds only what the program runs.
 
-Every module-level function and class in ``src/cfsearch`` must be referenced
-somewhere other than its own definition, in ``src/`` or in ``perfbench/``;
-a name only tests use belongs under ``tests/``.  References are read from
+Every module-level function and class in ``src/cfsearch``, and every method
+and property of such a class but the dunders, must be referenced somewhere
+other than its own definition, in ``src/`` or in ``perfbench/``; a name only
+tests use belongs under ``tests/``.  References are read from
 the syntax tree with docstrings removed, so a name a docstring mentions
 does not count.  A name, an attribute and a string constant all count,
 since the benchmark's tracer wraps functions by their names as strings.
@@ -17,9 +18,6 @@ PACKAGE = ROOT / "src" / "cfsearch"
 
 # Kept with no caller in the program, one reason each.
 ALLOWED_UNREFERENCED = {
-    # The uniform-sampling baseline that a comparison of the fair schedule
-    # against uniform sampling trains with.
-    "record_uniform_baseline",
     # The verification oracles the README documents: tabular landscapes with
     # exhaustively known optima.
     "TabularOracle",
@@ -58,16 +56,22 @@ def references(tree: ast.AST) -> Counter:
     return found
 
 
-def test_every_module_level_function_and_class_in_src_has_a_caller():
-    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    trees = {path: parse_without_docstrings(path) for path in sources}
+def package_trees_and_references() -> tuple[list[ast.Module], Counter]:
+    """The syntax trees of ``src/cfsearch``, and the references in it and ``perfbench/``."""
     total: Counter = Counter()
-    for tree in trees.values():
+    trees = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        tree = parse_without_docstrings(path)
         total.update(references(tree))
+        if path.parent == PACKAGE:
+            trees.append(tree)
+    return trees, total
+
+
+def test_every_module_level_function_and_class_in_src_has_a_caller():
+    trees, total = package_trees_and_references()
     unreferenced = set()
-    for path, tree in trees.items():
-        if path.parent != PACKAGE:
-            continue
+    for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if total[node.name] == references(node)[node.name]:
@@ -75,6 +79,25 @@ def test_every_module_level_function_and_class_in_src_has_a_caller():
     assert not unreferenced - ALLOWED_UNREFERENCED, "defined in src/ but used only by tests"
     # An entry that gained a caller, or was deleted, leaves the list.
     assert ALLOWED_UNREFERENCED <= unreferenced
+
+
+def test_every_method_and_property_of_a_class_in_src_has_a_caller():
+    # Dunders are called by Python itself.  A name counts wherever it is
+    # used, so a method shares its references with any attribute of its name.
+    trees, total = package_trees_and_references()
+    unreferenced = set()
+    for tree in trees:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                if total[node.name] == references(node)[node.name]:
+                    unreferenced.add(f"{cls.name}.{node.name}")
+    assert not unreferenced, "defined in src/ but used only by tests"
 
 
 def test_the_package_binds_only_its_version():

@@ -90,6 +90,30 @@ def test_specialization_count_overflow_guard():
         operator_specialization_count(2, 0)
 
 
+def test_specialization_count_decides_its_range_before_big_integers(monkeypatch):
+    # Refuse M! past M = 20 and a power of it past 2**63, so a count that
+    # needed either would fail here instead of taking seconds or memory.
+    class Factorial(int):
+        def __pow__(self, exponent):
+            assert exponent < 64, "a power that leaves the 64-bit range"
+            return int(self) ** exponent
+
+    factorial = math.factorial
+
+    def small_factorial(n):
+        assert n <= 20, "a factorial past 20!"
+        return Factorial(factorial(n))
+
+    monkeypatch.setattr(math, "factorial", small_factorial)
+    assert operator_specialization_count(10**6, 1) == 1
+    assert operator_specialization_count(1, 10**12) == 1
+    assert operator_specialization_count(20, 2) == factorial(20)
+    assert operator_specialization_count(2, 63) == 2**62
+    for m, l in ((21, 2), (10**6, 2), (2, 64), (2, 10**9), (3, 10**12)):
+        with pytest.raises(EnumerationTooLargeError):
+            operator_specialization_count(m, l)
+
+
 def test_enumeration_cap_refuses_large_spaces():
     with pytest.raises(EnumerationTooLargeError):
         enumerate_specializations(3, 9, cap=1000)
@@ -97,7 +121,7 @@ def test_enumeration_cap_refuses_large_spaces():
 
 def test_a_genome_keeps_the_dataclass_hash_and_replace_takes_a_new_one():
     g = ArchitectureGenome(2, (1, 0, 1), (3, 2, 0))
-    same = ArchitectureGenome.from_record(g.to_record())
+    same = ArchitectureGenome(2, (1, 0, 1), (3, 2, 0))
     assert same is not g and same == g
     assert hash(same) == hash(g) == hash((2, (1, 0, 1), (3, 2, 0))) == vars(g)["_hash"]
     edited = replace(g, channel_assignment=(0, 2, 0))
@@ -125,10 +149,18 @@ def test_require_valid_checks_a_valid_genome_once_per_spec(monkeypatch):
     assert checked[-1] == good and len(checked) == 5  # another spec checks it again
 
 
-def test_genome_record_round_trip():
+def test_genome_record_form():
     g = ArchitectureGenome(2, (1, 0, 1), (3, 2, 0))
     assert g.to_record() == "path:2;ops:1,0,1;ch:3,2,0"
-    assert ArchitectureGenome.from_record(g.to_record()) == g
+
+
+# Every record of two small spaces, one and two layers deep, so that each
+# malformed record below is a near miss of a real one.
+SMALL_SPACE_RECORDS = {
+    g.to_record()
+    for n_layers in (1, 2)
+    for g in enumerate_genomes(build_spec(n_paths=2, n_layers=n_layers, channels=(2, 3)))
+}
 
 
 @pytest.mark.parametrize(
@@ -148,37 +180,35 @@ def test_genome_record_round_trip():
         "path:0;ops:1;ch:0;ch:1",
     ],
 )
-def test_malformed_records_raise(bad):
-    with pytest.raises(GenomeError):
-        ArchitectureGenome.from_record(bad)
+def test_malformed_records_name_no_genome(bad):
+    assert {"path:0;ops:1;ch:0", "path:0;ops:1,0;ch:0,0", "path:1;ops:0;ch:1"} <= SMALL_SPACE_RECORDS
+    assert bad not in SMALL_SPACE_RECORDS
 
 
 @pytest.mark.parametrize(
-    "record, field",
-    [
-        ("path:0;ops:1;ch:0;rec:0", "unknown genome record field 'rec'"),
-        ("path:0;ops:1;ch:0;foo:9", "unknown genome record field 'foo'"),
-        ("path:0;path:1;ops:1;ch:0", "repeated genome record field 'path'"),
-    ],
+    "choices, ok",
+    [((1,), True), ((4, 1024), True), ((0, 4), False), ((4, 1025), False)],
 )
-def test_unknown_or_repeated_record_field_is_named(record, field):
-    with pytest.raises(GenomeError, match=field):
-        ArchitectureGenome.from_record(record)
+def test_channel_choices_are_bounded_to_1_through_1024(choices, ok):
+    # The widest choice sizes every weight, so an unbounded one could ask for GiBs.
+    if ok:
+        assert build_spec(channels=choices).channel_choices == choices
+    else:
+        with pytest.raises(ConfigError, match=r"channel_choices .* ints in \[1, 1024\]"):
+            build_spec(channels=choices)
 
 
 def test_validation_reports_first_violation_in_order():
     spec = build_spec(n_paths=2, n_layers=2, n_operators=2, channels=(2, 3))
     out_of_range = ArchitectureGenome(5, (0, 0), (0, 0))
-    assert "path_index" in validate_genome(spec, out_of_range).reason
+    assert "path_index" in validate_genome(spec, out_of_range)
     short = ArchitectureGenome(0, (0,), (0, 0))
-    assert "operator_assignment length" in validate_genome(spec, short).reason
+    assert "operator_assignment length" in validate_genome(spec, short)
     bad_op = ArchitectureGenome(0, (0, 7), (0, 0))
-    assert "operator index 7" in validate_genome(spec, bad_op).reason
+    assert "operator index 7" in validate_genome(spec, bad_op)
     bad_ch = ArchitectureGenome(0, (0, 0), (0, 9))
-    assert "channel index 9" in validate_genome(spec, bad_ch).reason
-    ok = ArchitectureGenome(0, (0, 0), (0, 0))
-    verdict = validate_genome(spec, ok)
-    assert verdict.ok and verdict.reason is None
+    assert "channel index 9" in validate_genome(spec, bad_ch)
+    assert validate_genome(spec, ArchitectureGenome(0, (0, 0), (0, 0))) is None
 
 
 def test_require_valid_raises_genome_error():
@@ -196,7 +226,7 @@ def test_enumeration_is_complete_sorted_and_distinct():
     assert keys == sorted(keys)
     assert len({g.to_record() for g in genomes}) == len(genomes)
     for g in genomes:
-        assert validate_genome(spec, g).ok
+        assert validate_genome(spec, g) is None
 
 
 def test_space_size_manual_product():
@@ -223,38 +253,22 @@ def test_extreme_genomes_are_valid():
         assert bottom.channel_assignment == (0, 0, 0)
 
 
-@given(
-    path=st.integers(0, 4),
-    ops=st.lists(st.integers(0, 9), min_size=1, max_size=6),
-    ch=st.lists(st.integers(0, 9), min_size=1, max_size=6),
+_GENOME = st.builds(
+    ArchitectureGenome,
+    st.integers(0, 12),
+    st.lists(st.integers(0, 12), min_size=1, max_size=4).map(tuple),
+    st.lists(st.integers(0, 12), min_size=1, max_size=4).map(tuple),
 )
-def test_record_round_trip_property(path, ops, ch):
-    g = ArchitectureGenome(path, tuple(ops), tuple(ch))
-    assert ArchitectureGenome.from_record(g.to_record()) == g
+
+
+@given(_GENOME, _GENOME)
+def test_records_name_genomes_one_to_one_property(g, h):
+    assert (g.to_record() == h.to_record()) == (g == h)
 
 
 @given(st.integers(1, 4), st.integers(1, 4))
 def test_count_formula_property(m, l):
     assert operator_specialization_count(m, l) == math.factorial(m) ** (l - 1)
-
-
-_RECORD_FIELD = st.builds(
-    "{}:{}".format,
-    st.sampled_from(["path", "ops", "ch", "rec", "x"]),
-    st.one_of(
-        st.text(max_size=8),
-        st.lists(st.integers(-3, 10**30).map(str), max_size=4).map(",".join),
-    ),
-)
-
-
-@given(st.one_of(st.text(), st.lists(_RECORD_FIELD, max_size=6).map(";".join)))
-def test_genome_record_parser_raises_only_package_errors(record):
-    try:
-        genome = ArchitectureGenome.from_record(record)
-    except CfSearchError:
-        return
-    assert ArchitectureGenome.from_record(genome.to_record()) == genome
 
 
 GEOMETRY_SPECS = {

@@ -41,13 +41,6 @@ def test_prox_rejects_negative_threshold():
         prox_l1(1.0, -0.1)
 
 
-def test_prox_scalar_in_scalar_out():
-    out = prox_l1(1.5, 0.5)
-    assert isinstance(out, float)
-    arr = prox_l1(np.array([1.5, -1.5]), 0.5)
-    assert isinstance(arr, np.ndarray)
-
-
 @given(
     st.floats(-100, 100, allow_nan=False),
     st.floats(0, 50, allow_nan=False),
