@@ -52,6 +52,40 @@ CHECKPOINT_VERSION = 1
 DISCRIMINATOR_WIDTH = 8
 
 
+def _tensor_table(spec: SupernetSpec) -> Iterator[tuple[str, tuple[int, ...], float | None]]:
+    """(name, shape, std) of every supernet tensor, in declaration order.
+
+    ``std`` is the scale of the tensor's normal draw, or None for a
+    constant: a scale factor or a bias.
+    """
+    full = spec.max_width
+
+    def conv(name: str, dst: int, src: int, kernel: int):
+        yield name, (dst, src, kernel), 1.0 / np.sqrt(src * kernel)
+        yield name[:-1] + "b", (dst,), None
+
+    for p, path in enumerate(spec.paths):
+        yield from conv(f"g/p{p}/stem/w", full, spec.input_channels, 3)
+        for l, layer in enumerate(path.layers):
+            for m, op in enumerate(layer.operator_candidates):
+                for u, unit in enumerate(op.units):
+                    prefix = f"g/p{p}/l{l}/op{m}/u{u}/"
+                    src, dst = unit.widths(full, full)
+                    if unit.kind == "conv":
+                        yield from conv(prefix + "w", dst, src, unit.kernel)
+                    elif unit.kind == "dwconv":
+                        yield prefix + "w", (src, unit.kernel), 1.0 / np.sqrt(unit.kernel)
+                        yield prefix + "b", (src,), None
+            yield f"g/p{p}/l{l}/gamma", (full,), None
+        yield from conv(f"g/p{p}/head/w", spec.input_channels, full, 1)
+    width = DISCRIMINATOR_WIDTH
+    for d in range(spec.num_paths):
+        yield from conv(f"d/{d}/c1/w", width, spec.input_channels, 3)
+        yield from conv(f"d/{d}/c2/w", width, width, 3)
+        yield f"d/{d}/out/w", (width, 1), 1.0 / np.sqrt(width)
+        yield f"d/{d}/out/b", (1,), None
+
+
 class SupernetWeights:
     """Every tensor of the supernet, in declaration order; frozen outside ``train_only``."""
 
@@ -66,45 +100,20 @@ class SupernetWeights:
 
     @staticmethod
     def create(spec: SupernetSpec, seed: int) -> "SupernetWeights":
-        """Initialize weights from a seed; scale factors start at 0.5.
+        """Initialize weights from a seed; scale factors start at 0.5, biases at 0.
 
         Draws happen in declaration order from a single stream, so a
         given (spec, seed) pair always produces the same bytes.
         """
         rng = np.random.default_rng(seed)
         w = SupernetWeights(spec)
-        full = spec.max_width
-
-        def conv_param(name: str, dst: int, src: int, kernel: int):
-            scale = 1.0 / np.sqrt(src * kernel)
-            w._add(name, rng.normal(0.0, scale, size=(dst, src, kernel)))
-            w._add(name[:-1] + "b", np.zeros(dst))
-
-        for p, path in enumerate(spec.paths):
-            conv_param(f"g/p{p}/stem/w", full, spec.input_channels, 3)
-            for l, layer in enumerate(path.layers):
-                for m, op in enumerate(layer.operator_candidates):
-                    for u, unit in enumerate(op.units):
-                        if unit.kind == "residual":
-                            continue
-                        prefix = f"g/p{p}/l{l}/op{m}/u{u}/"
-                        src, dst = unit.widths(full, full)
-                        if unit.kind == "conv":
-                            conv_param(prefix + "w", dst, src, unit.kernel)
-                        elif unit.kind == "dwconv":
-                            w._add(
-                                prefix + "w",
-                                rng.normal(0.0, 1.0 / np.sqrt(unit.kernel), (src, unit.kernel)),
-                            )
-                            w._add(prefix + "b", np.zeros(src))
-                w._add(f"g/p{p}/l{l}/gamma", np.full(full, GAMMA_INIT))
-            conv_param(f"g/p{p}/head/w", spec.input_channels, full, 1)
-        width = DISCRIMINATOR_WIDTH
-        for d in range(spec.num_paths):
-            conv_param(f"d/{d}/c1/w", width, spec.input_channels, 3)
-            conv_param(f"d/{d}/c2/w", width, width, 3)
-            w._add(f"d/{d}/out/w", rng.normal(0.0, 1.0 / np.sqrt(width), (width, 1)))
-            w._add(f"d/{d}/out/b", np.zeros(1))
+        for name, shape, std in _tensor_table(spec):
+            if std is not None:
+                w._add(name, rng.normal(0.0, std, size=shape))
+            elif name.endswith("/gamma"):
+                w._add(name, np.full(shape, GAMMA_INIT))
+            else:
+                w._add(name, np.zeros(shape))
         return w
 
     def _add(self, name: str, data: np.ndarray) -> None:
@@ -263,17 +272,16 @@ class SupernetWeights:
             dims = struct.unpack_from(f"<{rank}I", blob, offset)
             offset += 4 * rank
             entries.append((name, tuple(dims)))
-        weights = SupernetWeights.create(spec, seed=0)
-        expected = [(n, t.data.shape) for n, t in weights.tensors.items()]
-        if expected != entries:
+        if [(name, shape) for name, shape, _ in _tensor_table(spec)] != entries:
             raise ConfigError(
                 f"checkpoint {path} does not match the spec: tensor table differs"
             )
+        weights = SupernetWeights(spec)
         for name, dims in entries:
             size = int(np.prod(dims)) if dims else 1
             data = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(dims)
             offset += 8 * size
-            weights.tensors[name].data = data.astype(np.float64).copy()
+            weights._add(name, data.astype(np.float64).copy())
         if offset != len(blob):
             raise ConfigError(f"checkpoint {path} has {len(blob) - offset} trailing bytes")
         return weights
@@ -427,9 +435,9 @@ class GeneratorView:
     """A callable sub-generator borrowing supernet weights.
 
     ``operator_assignment`` of None means the uniform mixture of all
-    candidates per layer (the full-supernet form used for path scoring
-    and for discriminator updates).  ``channel_widths`` are the active
-    output widths per layer; the widest width skips masking entirely.
+    candidates per layer (the full-supernet form used for path scoring).
+    ``channel_widths`` are the active output widths per layer; the widest
+    width skips masking entirely.
 
     A forward runs 3L stages in order, then the head: the stem, then per
     layer ``l`` its block core (the resample into the layer and the

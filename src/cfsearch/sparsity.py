@@ -50,14 +50,14 @@ def prox_step(gammas: Sequence[Tensor], stepsize: float, sparsity_weight: float)
     """One proximal gradient update of every factor vector in ``gammas``.
 
     Each vector descends its own ``.grad``, the smooth-loss gradient (none
-    counts as zero), by ``stepsize``; the L1 part is folded in exactly by
-    soft thresholding at ``stepsize * sparsity_weight``.
+    counts as zero), by ``stepsize`` and clears it; the L1 part is folded
+    in exactly by soft thresholding at ``stepsize * sparsity_weight``.
     """
     threshold = sparsity_weight * stepsize
     for gamma in gammas:
         grad = 0.0 if gamma.grad is None else gamma.grad
-        inner = gamma.data - stepsize * grad
-        gamma.data = prox_l1(inner, threshold)
+        gamma.data = prox_l1(gamma.data - stepsize * grad, threshold)
+        gamma.grad = None
 
 
 def active_channel_mask(gamma: np.ndarray, width: int) -> np.ndarray:

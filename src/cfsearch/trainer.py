@@ -2,12 +2,13 @@
 
 One epoch works through every path in a random order.  A path's cycle
 sums gradients over M single-operator sub-networks (one per candidate,
-drawn as a per-layer permutation so each candidate trains exactly once),
-applies a single generator descent step, then updates the path's channel
-scale factors by one proximal step on the smooth loss, and finally takes
-one ascent-equivalent step on the path's own discriminator.  The cycle
-structure is what makes the fairness ledger counts exact rather than
-statistical.
+drawn as a per-layer permutation so each candidate trains exactly once)
+in one pass and one backward walk.  That walk feeds a single generator
+descent step, one proximal step on the path's channel scale factors,
+which take no descent step, and one ascent-equivalent step on the path's
+own discriminator, which scores the pass's outputs as its fakes.  The
+cycle structure is what makes the fairness ledger counts exact rather
+than statistical.
 
 The M sub-networks run as one stacked pass: the path's stem runs once,
 each sub-network runs its own layers on the stem's output, and their
@@ -15,17 +16,17 @@ outputs are stacked along the batch for one head, one frozen
 discriminator, one loss node and one backward walk.  The loss is the sum
 of the M sub-networks' losses, each with its own batch's sizes, so the
 step applies what M separate passes would accumulate, up to rounding.
-The discriminator step likewise scores real and fake samples stacked in
+The discriminator step scores the real batch and the M stacked fakes in
 one batch.
 
 Each step computes only the gradients it applies: inside
-``SupernetWeights.train_only``, the generator passes train the path's
-``g/p{p}/`` weights without its scale factors, the proximal pass trains
-the path's scale factors (``weights.gamma_tensors(p)``) alone, and the
-discriminator step trains the path's ``d/{p}/`` weights alone.
-Fine-tuning trains the same generator and discriminator sets.  Every
-tensor is frozen outside the step that trains it, so no pass builds a
-graph or computes a gradient that no step applies.
+``SupernetWeights.train_only``, the stacked pass trains the path's
+``g/p{p}/`` weights with its scale factors, and the discriminator step
+trains the path's ``d/{p}/`` weights alone.  Fine-tuning trains the
+generator without its scale factors, then the discriminator on the
+generator's output from before its step.  Every tensor is frozen outside
+the step that trains it, so no pass builds a graph or computes a
+gradient that no step applies.
 
 The training objective combines an adversarial term with reconstruction
 (mean absolute error), a perceptual proxy (squared distance between
@@ -49,8 +50,7 @@ from .engine import Tensor, mean, sigmoid
 from .errors import ConfigError, NonFiniteLossError, ShapeError
 from .fairness import FairnessLedger, plan_epoch
 from .metrics import MomentReference, gaussian_moments, moment_distance, moment_reference, psnr
-from .network import DiscriminatorView, StageTrail, SupernetWeights, mixed_view
-from .network import stacked_forward, subnet_view
+from .network import DiscriminatorView, StageTrail, SupernetWeights, stacked_forward, subnet_view
 from .space import ArchitectureGenome, SupernetSpec, maximal_genome
 from .sparsity import l1_value, prox_step
 from .util import child_seed
@@ -308,8 +308,10 @@ def _discriminator_step(
 ) -> float:
     """One descent step of ``disc``'s own ``d/{p}/`` weights on constant samples; its loss.
 
-    ``fake`` must come from a frozen generator.  A non-finite loss raises
-    ``NonFiniteLossError`` naming ``context``.
+    Only the samples' values are read, so ``fake`` may be the output of a
+    generator pass that has since taken its step; no gradient reaches the
+    generator.  A non-finite loss raises ``NonFiniteLossError`` naming
+    ``context``.
     """
     weights, prefix = disc.weights, f"d/{disc.disc_index}/"
     with weights.train_only(t for _, t in weights.named(prefix)):
@@ -396,8 +398,8 @@ def pretrain_supernet(
                 subnet_view(weights, replace(widest, operator_assignment=assignment))
                 for assignment in assignments
             ]
-            generator = (t for _, t in weights.named(f"g/p{p}/", include_gamma=False))
-            with weights.train_only(generator):
+            generator = [w for _, w in weights.named(f"g/p{p}/", include_gamma=False)]
+            with weights.train_only(generator + gammas):
                 out = stacked_forward(views, x)
                 cycle = total_loss(out, y, disc(out), gammas, cfg)
                 for assignment, block in zip(assignments, cycle.blocks):
@@ -405,26 +407,14 @@ def pretrain_supernet(
                         block["total"], f"epoch {t} path {p} operators {assignment}", block
                     )
                 cycle.smooth.backward()
+                # The proximal step consumes the scale factors' gradients,
+                # so the SGD step moves the other generator weights alone.
+                prox_step(gammas, cfg.lr_gamma * cfg.lr_decay**t, cfg.lambda_sparsity)
                 weights.sgd_step(f"g/p{p}/", alpha)
             ledger.record_generator_cycle(p)
 
-            # One proximal step on the scale factors, from the full-path
-            # mixture loss.
-            mixed = mixed_view(weights, p)
-            with weights.train_only(gammas):
-                out = mixed(x)
-                bundle = total_loss(out, y, disc(out), gammas, cfg)
-                _check_finite(
-                    bundle.components["total"], f"epoch {t} path {p} mixture", bundle.components
-                )
-                bundle.smooth.backward()
-                prox_step(gammas, cfg.lr_gamma * cfg.lr_decay**t, cfg.lambda_sparsity)
-
-            # Discriminator step on the refreshed mixture output, which the
-            # frozen generator gives no graph.
-            d_value = _discriminator_step(
-                disc, y, mixed(x), alpha, f"epoch {t} path {p} discriminator"
-            )
+            # The discriminator learns from the M * B fakes of that same pass.
+            d_value = _discriminator_step(disc, y, out, alpha, f"epoch {t} path {p} discriminator")
             ledger.record_discriminator_update(p)
 
             n = len(cycle.blocks)
@@ -503,14 +493,13 @@ def finetune_genome(
         batch_idx = rng_data.choice(dataset.n_train, size=cfg.batch_size, replace=False)
         x = Tensor(dataset.train_x[batch_idx])
         y = Tensor(dataset.train_y[batch_idx])
+        lr = cfg.lr_weights * cfg.lr_decay**t
         with weights.train_only(generator):
             out = gen(x)
             bundle = total_loss(out, y, disc(out), (), cfg)
             _check_finite(bundle.components["total"], f"fine-tune epoch {t}", bundle.components)
             bundle.smooth.backward()
-            weights.sgd_step(f"g/p{p}/", cfg.lr_weights * cfg.lr_decay**t)
-        d_value = _discriminator_step(
-            disc, y, gen(x), cfg.lr_weights * cfg.lr_decay**t, f"fine-tune epoch {t} discriminator"
-        )
+            weights.sgd_step(f"g/p{p}/", lr)
+        d_value = _discriminator_step(disc, y, out, lr, f"fine-tune epoch {t} discriminator")
         rows.append({"epoch": t, "loss_total": bundle.components["total"], "d_loss": d_value})
     return rows

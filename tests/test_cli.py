@@ -12,7 +12,7 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
-from cfsearch import cli, pipeline
+from cfsearch import cli, pipeline, trainer
 from cfsearch.cli import load_config, main
 from cfsearch.configs import CONFIG_KEYS, config_value, default_config, default_toy_spec
 from cfsearch.errors import ConfigError
@@ -472,18 +472,31 @@ def test_non_finite_fitness_exits_4(pretrained, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "lr_weights, finetune_epochs, message",
+    "epochs, lr_weights, finetune_epochs, poison_discriminator, message",
     [
-        (0.5, 3, "non-finite loss during fine-tune epoch 2 discriminator: d_loss=nan"),
-        (100, 1, "non-finite fitness nan for fine-tuned genome path:"),
+        (2, 0.5, 3, True, "non-finite loss during fine-tune epoch 2 discriminator: d_loss=nan"),
+        (3, 0.5, 5, False, "non-finite fitness nan for fine-tuned genome path:"),
     ],
     ids=["discriminator-loss", "fitness"],
 )
 def test_non_finite_fine_tuning_exits_4_with_an_incomplete_report(
-    tmp_path, capsys, lr_weights, finetune_epochs, message
+    tmp_path, capsys, monkeypatch, epochs, lr_weights, finetune_epochs, poison_discriminator,
+    message,
 ):
+    if poison_discriminator:
+        # The discriminator scores the fakes whose generator loss was just
+        # found finite, so only its own weights can make its loss NaN:
+        # poison them before its third fine-tuning step.
+        step = trainer._discriminator_step
+
+        def poisoned(disc, real, fake, lr, context):
+            if context == "fine-tune epoch 2 discriminator":
+                disc.weights[f"d/{disc.disc_index}/out/b"].data[:] = np.nan
+            return step(disc, real, fake, lr, context)
+
+        monkeypatch.setattr(trainer, "_discriminator_step", poisoned)
     overlay = {
-        "train": {"epochs": 2, "lr_weights": lr_weights},
+        "train": {"epochs": epochs, "lr_weights": lr_weights},
         "search": {"finetune_epochs": finetune_epochs},
     }
     config, out = write_config(tmp_path, overlay), tmp_path / "run"
@@ -504,7 +517,7 @@ def test_diverging_run_exits_4_quietly_with_an_incomplete_report(tmp_path, capsy
         warnings.simplefilter("always")
         assert main([command, "--config", config, "--out", str(out)]) == 4
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
-    assert "non-finite loss during epoch 2" in capsys.readouterr().err
+    assert "non-finite loss during epoch 4" in capsys.readouterr().err
     assert json.loads((out / "manifest.json").read_text())["status"] == "incomplete"
 
 

@@ -17,7 +17,7 @@ from cfsearch.evolution import (
 )
 from cfsearch.oracles import TabularOracle, build_landscape, shipped_landscape
 from cfsearch.pipeline import joint_search_baseline
-from cfsearch.space import ArchitectureGenome, genome_space_size
+from cfsearch.space import ArchitectureGenome
 
 from conftest import build_spec
 

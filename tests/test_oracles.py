@@ -420,16 +420,16 @@ def default_supernet():
 
 # sha256 of the ``repr`` of every joint-sweep fitness, in canonical order, and
 # of every path score, on the default supernet (config seed 7) and on the
-# supernet of the benchmark's super-resolution config; recorded before the
-# per-miss bookkeeping of the forward-only path was cut.
+# supernet of the benchmark's super-resolution config; re-recorded when a fair
+# cycle's scale factors and discriminator began learning from its stacked pass.
 SWEEP_GOLDEN = {
     None: (
-        "aaab4c60113ca5d4cf4c4035468fec7e55b3a91f65b3147a3138a44eed0ff093",
-        "c56237d87f090ed8480429fd85dc901629a739cb9b3e91699eda3ee1bcfcf934",
+        "dbf84dd3f321e5474dc6209d98df1890e65c7e93e3283adb7a70adf72d7f9480",
+        "83a4b21e40dd009477ba95b43c33db08c1d8ec879bc368c4d89e1a398d300d3e",
     ),
     SUPER_RESOLUTION_YAML: (
-        "32dd50738b5a7ce96630c638643377da62fbc969745a309b28e5c83fda6a342b",
-        "5a05dad8eef145e21b99645db14c9f08d37f22ef5a65e4b037b3863b509992c7",
+        "1abc5f0cd7cea87a0313ddb4cfe6656ad269d60c8945cee9aa4fbfee36c31501",
+        "6d620576c14df6806c5dd2706fdf3ad092b84252cbd95f8ee79264ec5b7943b2",
     ),
 }
 

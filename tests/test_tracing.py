@@ -85,10 +85,10 @@ def test_benchmark_tracer_times_the_losses_and_backward_of_pretraining():
     finally:
         tracer.restore()
 
-    # Per path: one loss over the stacked sub-networks, one over the mixture and
-    # one discriminator loss, each with its own backward walk.
-    assert tracer.calls["trainer.loss"] == 3 * spec.num_paths
-    assert tracer.calls["engine.backward"] == 3 * spec.num_paths
+    # Per path: one loss over the stacked sub-networks and one discriminator
+    # loss, each with its own backward walk.
+    assert tracer.calls["trainer.loss"] == 2 * spec.num_paths
+    assert tracer.calls["engine.backward"] == 2 * spec.num_paths
     assert tracer.seconds["trainer.loss"] > 0
     assert tracer.seconds["engine.backward"] > 0
     assert tracer.calls["trainer.pretrain"] == 1

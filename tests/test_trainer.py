@@ -12,7 +12,7 @@ from cfsearch.metrics import gaussian_moments, moment_distance
 from cfsearch.network import DiscriminatorView, SupernetWeights, mixed_view
 from cfsearch.network import stacked_forward, subnet_view
 from cfsearch.space import ArchitectureGenome, maximal_genome, spec_from_dict
-from cfsearch.sparsity import GAMMA_INIT, l1_value, prox_step
+from cfsearch.sparsity import GAMMA_INIT, l1_value, prox_l1, prox_step
 from cfsearch.trainer import (
     TASK_SUPER_RESOLUTION,
     TASK_TRANSLATION,
@@ -29,6 +29,7 @@ from cfsearch.trainer import (
     score_outputs,
     total_loss,
 )
+from cfsearch.util import child_seed
 
 from conftest import build_spec, max_imbalance
 from reference_ops import (
@@ -615,7 +616,7 @@ def test_discriminator_step_scores_real_and_fake_in_one_pass_like_two(task):
         assert_relatively_close(stacked_grads[name], grad)
 
 
-def test_a_default_pretraining_epoch_walks_backward_three_times_per_path(monkeypatch):
+def test_a_default_pretraining_epoch_walks_backward_twice_per_path(monkeypatch):
     spec, dataset, train_cfg = pipeline.prepare(cli.load_config(None))
     walks = []
     backward = engine.Tensor.backward
@@ -626,7 +627,96 @@ def test_a_default_pretraining_epoch_walks_backward_three_times_per_path(monkeyp
 
     monkeypatch.setattr(engine.Tensor, "backward", counted)
     result = pretrain_supernet(spec, dataset, replace(train_cfg, epochs=1), seed=0)
-    # The stacked sub-networks, the mixture and the discriminator.
-    assert len(walks) == 3 * spec.num_paths
+    # The stacked sub-networks, then the discriminator.
+    assert len(walks) == 2 * spec.num_paths
     assert result.ledger.is_fair()
     assert len(result.metrics) == spec.num_paths
+
+
+def test_a_cycle_takes_one_proximal_step_on_the_scale_factors_gradient_of_its_stacked_loss(
+    monkeypatch,
+):
+    spec = translation_spec()
+    ds = quick_dataset()
+    cfg = quick_cfg(epochs=1, lr_weights=0.05, lr_gamma=0.3, lambda_sparsity=0.2)
+    passes, targets, steps = [], [], []
+    forward, loss, step = trainer.stacked_forward, trainer.total_loss, trainer.prox_step
+
+    def recorded_forward(views, x):
+        assignments = [view.operator_assignment for view in views]
+        passes.append((views[0].weights.clone(), views[0].path_index, assignments, x))
+        return forward(views, x)
+
+    def recorded_loss(output, target, d_scores, gammas, cfg):
+        targets.append(target)
+        return loss(output, target, d_scores, gammas, cfg)
+
+    def recorded_step(gammas, stepsize, sparsity_weight):
+        steps.append([(g.data.copy(), g.grad.copy()) for g in gammas])
+        step(gammas, stepsize, sparsity_weight)
+
+    monkeypatch.setattr(trainer, "stacked_forward", recorded_forward)
+    monkeypatch.setattr(trainer, "total_loss", recorded_loss)
+    monkeypatch.setattr(trainer, "prox_step", recorded_step)
+    result = pretrain_supernet(spec, ds, cfg, seed=3)
+
+    assert len(passes) == len(targets) == len(steps) == spec.num_paths
+    for (before, p, assignments, x), y, recorded in zip(passes, targets, steps):
+        # The gradient of the stacked loss, at the weights the cycle began with.
+        views = [
+            subnet_view(before, replace(maximal_genome(spec, p), operator_assignment=a))
+            for a in assignments
+        ]
+        gammas = before.gamma_tensors(p)
+        with before.train_only(gammas):
+            out = forward(views, x)
+            loss(out, y, DiscriminatorView(before, p)(out), gammas, cfg).smooth.backward()
+            expected_grads = [g.grad.copy() for g in gammas]
+        for (data, grad), start, expected, after in zip(
+            recorded, gammas, expected_grads, result.weights.gamma_tensors(p)
+        ):
+            assert np.array_equal(data, start.data)
+            assert np.array_equal(grad, expected) and np.any(grad != 0.0)
+            # One proximal step and no SGD step: each path's factors move
+            # only in the path's own cycle of the one epoch.
+            proximal = prox_l1(start.data - 0.3 * grad, 0.3 * 0.2)
+            assert np.array_equal(after.data, proximal)
+            assert not np.array_equal(after.data, start.data)
+
+
+def test_the_discriminator_steps_on_the_fakes_of_the_generator_pass_before_its_step(monkeypatch):
+    spec = translation_spec()
+    ds = quick_dataset()
+    cfg = quick_cfg(epochs=2)
+    outputs, fakes = [], []
+    loss, step = trainer.total_loss, trainer._discriminator_step
+
+    def recorded_loss(output, target, d_scores, gammas, cfg):
+        outputs.append((output.data.copy(), target))
+        return loss(output, target, d_scores, gammas, cfg)
+
+    def recorded_step(disc, real, fake, lr, context):
+        fakes.append((fake.data.copy(), real))
+        return step(disc, real, fake, lr, context)
+
+    monkeypatch.setattr(trainer, "total_loss", recorded_loss)
+    monkeypatch.setattr(trainer, "_discriminator_step", recorded_step)
+    pre = pretrain_supernet(spec, ds, cfg, seed=3)
+    # Pretraining: the M * B rows of the cycle's stacked pass.
+    assert len(fakes) == len(outputs) == cfg.epochs * spec.num_paths
+    for (fake, real), (out, target) in zip(fakes, outputs):
+        assert fake.shape[0] == spec.paths[0].num_operators * cfg.batch_size
+        assert np.array_equal(fake, out) and real is target
+
+    # Fine-tuning: the output the generator's loss scored, before its step.
+    outputs.clear()
+    fakes.clear()
+    genome = ArchitectureGenome(1, (0, 1), (1, 0))
+    weights = pre.weights.clone()
+    finetune_genome(weights, genome, ds, cfg, epochs=3, seed=5)
+    assert len(fakes) == len(outputs) == 3
+    for (fake, real), (out, target) in zip(fakes, outputs):
+        assert np.array_equal(fake, out) and real is target
+    rng = np.random.default_rng(child_seed(5, "finetune"))
+    x = Tensor(ds.train_x[rng.choice(ds.n_train, size=cfg.batch_size, replace=False)])
+    assert np.array_equal(fakes[0][0], subnet_view(pre.weights, genome)(x).data)
