@@ -55,15 +55,12 @@ CONFIG_KEYS: dict[str, Key] = {
     "dataset.val_fraction": Key(float, "in (0, 1)", 0.25, "share held out for validation"),
     "train.epochs": Key(int, "in [1, inf)", 30, "fair pretraining epochs"),
     "train.batch_size": Key(int, "in [1, inf)", 16, "samples per step"),
-    "train.lambda_recon": Key(float, "in [0, inf)", 10.0, "weight of the reconstruction loss"),
-    "train.lambda_perceptual": Key(float, "in [0, inf)", 100.0, "weight of the perceptual loss"),
+    "train.lambda_recon": Key(float, "in [0, inf)", 10.0, "weight of the mean absolute error"),
+    "train.lambda_mse": Key(float, "in [0, inf)", 100.0, "weight of the mean squared error"),
     "train.lambda_sparsity": Key(float, "in [0, inf)", 1e-3, "weight of the scale factors' L1"),
     "train.lr_weights": Key(float, "in (0, inf)", 0.001, "descent stepsize of the weights"),
     "train.lr_gamma": Key(float, "in (0, inf)", 0.002, "proximal stepsize of the scale factors"),
     "train.lr_decay": Key(float, "in (0, 1]", 1.0, "per-epoch factor of both stepsizes"),
-    "train.perceptual_features": Key(int, "in [1, 1024]", 16, "width of the perceptual projection"),
-    # Independent of the run seed: the feature map is a fixed measuring stick.
-    "train.perceptual_seed": Key(int, "in [0, inf)", 90210, "seed of the perceptual projection"),
     "search.finetune_epochs": Key(int, "in [0, inf)", 10, "fine-tuning epochs of the genome"),
     "evolution.population": Key(int, "even in [2, inf)", 12, "genomes per generation"),
     "evolution.elites": Key(int, "in [1, inf)", 4, "survivors, at most population // 2"),

@@ -34,7 +34,7 @@ PRETRAIN_COLUMNS = (
     "loss_total",
     "loss_gan",
     "loss_recon",
-    "loss_perceptual",
+    "loss_mse",
     "loss_sparsity",
     "d_loss",
     "gamma_zero_fraction",

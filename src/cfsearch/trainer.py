@@ -29,10 +29,9 @@ the step that trains it, so no pass builds a graph or computes a
 gradient that no step applies.
 
 The training objective combines an adversarial term with reconstruction
-(mean absolute error), a perceptual proxy (squared distance between
-fixed random linear features), and an L1 sparsity value over the scale
-factors that ``total_loss`` is given (fine-tuning gives none); the
-sparsity term is reported in the total but enters optimization only
+(mean absolute error), mean squared error, and an L1 sparsity value over
+the scale factors that ``total_loss`` is given (fine-tuning gives none);
+the sparsity term is reported in the total but enters optimization only
 through the proximal update.  The smooth part of the loss, and the
 discriminator's loss, are each one graph node.
 """
@@ -63,13 +62,11 @@ class TrainConfig:
     epochs: int = CONFIG_KEYS["train.epochs"].default
     batch_size: int = CONFIG_KEYS["train.batch_size"].default
     lambda_recon: float = CONFIG_KEYS["train.lambda_recon"].default
-    lambda_perceptual: float = CONFIG_KEYS["train.lambda_perceptual"].default
+    lambda_mse: float = CONFIG_KEYS["train.lambda_mse"].default
     lambda_sparsity: float = CONFIG_KEYS["train.lambda_sparsity"].default
     lr_weights: float = CONFIG_KEYS["train.lr_weights"].default
     lr_gamma: float = CONFIG_KEYS["train.lr_gamma"].default
     lr_decay: float = CONFIG_KEYS["train.lr_decay"].default
-    perceptual_features: int = CONFIG_KEYS["train.perceptual_features"].default
-    perceptual_seed: int = CONFIG_KEYS["train.perceptual_seed"].default
 
     def __post_init__(self) -> None:
         check_fields(self, "train")
@@ -157,19 +154,6 @@ def make_dataset(task: str, samples: int, val_fraction: float, seed: int) -> Toy
 
 # -- loss --------------------------------------------------------------------
 
-_PROJECTION_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
-
-
-def perceptual_projection(dim: int, features: int, seed: int) -> np.ndarray:
-    """The frozen random linear feature map, cached per (dim, F, seed)."""
-    key = (dim, features, seed)
-    cached = _PROJECTION_CACHE.get(key)
-    if cached is None:
-        rng = np.random.default_rng(seed)
-        cached = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, features))
-        _PROJECTION_CACHE[key] = cached
-    return cached
-
 
 @dataclass
 class LossBundle:
@@ -205,11 +189,10 @@ def total_loss(
     target is a constant.  On one block its forward and backward do the
     same float operations in the same order as the chain of elementary
     ops they replace, ``mean(softplus(-d_scores)) + lambda_recon *
-    mean(|output - target|) + lambda_perceptual * mean((output @ P -
-    target @ P)**2)`` with the frozen projection ``P``, so results are
-    bit-identical to that chain.  Each block's ``total`` adds the L1
-    value of ``gammas``, weighted by ``lambda_sparsity``, and records no
-    graph.
+    mean(|output - target|) + lambda_mse * mean((output - target)**2)``,
+    so results are bit-identical to that chain.  Each block's ``total``
+    adds the L1 value of ``gammas``, weighted by ``lambda_sparsity``, and
+    records no graph.
     """
     out_shape = output.data.shape
     batch = target.data.shape[0]
@@ -219,32 +202,27 @@ def total_loss(
             f"{target.data.shape}"
         )
     blocks = out_shape[0] // batch
-    dim = out_shape[1] * out_shape[2]
-    projection = perceptual_projection(dim, cfg.perceptual_features, cfg.perceptual_seed)
     neg_scores = -d_scores.data.reshape(blocks, batch, -1)
     softplus = np.logaddexp(0.0, neg_scores)
     diff = output.data.reshape(blocks, *target.data.shape) - target.data
     abs_diff = np.abs(diff)
-    features = output.data.reshape(blocks * batch, dim) @ projection
-    target_features = target.data.reshape(batch, dim) @ projection
-    feature_diff = features.reshape(blocks, batch, -1) - target_features
-    squared = feature_diff * feature_diff
+    squared = diff * diff
     sparsity_value = l1_value(gammas)
     smooth_values = []
     block_components = []
     for m in range(blocks):
         adversarial = mean(softplus[m])
         reconstruction = mean(abs_diff[m])
-        perceptual = mean(squared[m])
+        mse = mean(squared[m])
         smooth_m = (
             adversarial + reconstruction * cfg.lambda_recon
-        ) + perceptual * cfg.lambda_perceptual
+        ) + mse * cfg.lambda_mse
         smooth_values.append(smooth_m)
         block_components.append(
             {
                 "gan": float(adversarial),
                 "recon": float(reconstruction),
-                "perceptual": float(perceptual),
+                "mse": float(mse),
                 "sparsity": sparsity_value,
                 "total": float(smooth_m + cfg.lambda_sparsity * sparsity_value),
             }
@@ -254,11 +232,10 @@ def total_loss(
     def backward(g: np.ndarray):
         g_output = g_scores = None
         if output.requires_grad:
-            g_features = g * cfg.lambda_perceptual / squared[0].size * 2.0 * feature_diff
-            g_recon = g * cfg.lambda_recon / abs_diff[0].size * np.sign(diff)
-            g_output = (g_features.reshape(blocks * batch, -1) @ projection.T).reshape(
-                out_shape
-            ) + g_recon.reshape(out_shape)
+            size = diff[0].size
+            g_mse = g * cfg.lambda_mse / size * 2.0 * diff
+            g_recon = g * cfg.lambda_recon / size * np.sign(diff)
+            g_output = (g_mse + g_recon).reshape(out_shape)
         if d_scores.requires_grad:
             g_scores = -(g / softplus[0].size * sigmoid(neg_scores)).reshape(d_scores.data.shape)
         return g_output, g_scores
@@ -425,7 +402,7 @@ def pretrain_supernet(
                     "loss_total": cycle.components["total"] / n,
                     "loss_gan": cycle.components["gan"] / n,
                     "loss_recon": cycle.components["recon"] / n,
-                    "loss_perceptual": cycle.components["perceptual"] / n,
+                    "loss_mse": cycle.components["mse"] / n,
                     "loss_sparsity": cycle.components["sparsity"] / n,
                     "d_loss": d_value,
                     "gamma_zero_fraction": gamma_zero_stats(weights)[1],

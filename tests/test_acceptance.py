@@ -203,7 +203,7 @@ def test_criterion_4_sparsification(criterion):
                 batch_size=8,
                 lambda_sparsity=lam,
                 lambda_recon=10.0,
-                lambda_perceptual=1.0,
+                lambda_mse=1.0,
                 lr_weights=0.001,
                 lr_gamma=0.3,
             )

@@ -420,16 +420,16 @@ def default_supernet():
 
 # sha256 of the ``repr`` of every joint-sweep fitness, in canonical order, and
 # of every path score, on the default supernet (config seed 7) and on the
-# supernet of the benchmark's super-resolution config; re-recorded when a fair
-# cycle's scale factors and discriminator began learning from its stacked pass.
+# supernet of the benchmark's super-resolution config; re-recorded when the
+# random-projection loss term became plain squared error.
 SWEEP_GOLDEN = {
     None: (
-        "dbf84dd3f321e5474dc6209d98df1890e65c7e93e3283adb7a70adf72d7f9480",
-        "83a4b21e40dd009477ba95b43c33db08c1d8ec879bc368c4d89e1a398d300d3e",
+        "c755c9a560e424f53496239be7771baa58088fb40b72f1d93d5e2d792ff5ecf3",
+        "8d1184d71e5434cb565925a60588ea74a17057dba1265ed9c9ebd287ab1e79c6",
     ),
     SUPER_RESOLUTION_YAML: (
-        "1abc5f0cd7cea87a0313ddb4cfe6656ad269d60c8945cee9aa4fbfee36c31501",
-        "6d620576c14df6806c5dd2706fdf3ad092b84252cbd95f8ee79264ec5b7943b2",
+        "2420551cb1d35d8d4ccf58fb7fb9593268dbab2b7c2823726fd4e83c42aeaee2",
+        "fc06d6ac558ed736c8d4f96923cb04e03ae9cb927a9ec7c26f52b0f303f9db11",
     ),
 }
 

@@ -24,7 +24,6 @@ from cfsearch.trainer import (
     make_dataset,
     make_super_resolution_dataset,
     make_translation_dataset,
-    perceptual_projection,
     pretrain_supernet,
     score_outputs,
     total_loss,
@@ -36,10 +35,8 @@ from reference_ops import (
     absolute,
     add,
     finite_difference_gradient,
-    matmul,
     mean_all,
     neg,
-    reshape,
     softplus,
     square,
     sub,
@@ -109,15 +106,6 @@ def test_train_config_validation():
         TrainConfig(epochs=1, lambda_sparsity=-1.0)
 
 
-def test_perceptual_projection_frozen_and_cached():
-    a = perceptual_projection(8, 16, seed=42)
-    b = perceptual_projection(8, 16, seed=42)
-    assert a is b
-    assert a.shape == (8, 16)
-    c = perceptual_projection(8, 16, seed=43)
-    assert not np.array_equal(a, c)
-
-
 def test_total_loss_components_add_up():
     rng = np.random.default_rng(0)
     out = Tensor(rng.normal(size=(6, 2, 1)), requires_grad=True)
@@ -127,12 +115,12 @@ def test_total_loss_components_add_up():
     cfg = quick_cfg()
     bundle = total_loss(out, target, scores, gammas, cfg)
     c = bundle.components
-    assert set(c) == {"gan", "recon", "perceptual", "sparsity", "total"}
+    assert set(c) == {"gan", "recon", "mse", "sparsity", "total"}
     # Components are stored unweighted; the total applies the lambdas.
     assert c["total"] == pytest.approx(
         c["gan"]
         + cfg.lambda_recon * c["recon"]
-        + cfg.lambda_perceptual * c["perceptual"]
+        + cfg.lambda_mse * c["mse"]
         + cfg.lambda_sparsity * c["sparsity"]
     )
     assert c["sparsity"] == pytest.approx(l1_value(gammas))
@@ -140,6 +128,19 @@ def test_total_loss_components_add_up():
     assert bundle.smooth.item() == pytest.approx(
         c["total"] - cfg.lambda_sparsity * c["sparsity"]
     )
+
+
+def test_each_blocks_mse_component_is_its_mean_squared_error():
+    rng = np.random.default_rng(2)
+    target = Tensor(rng.normal(size=(4, 2, 3)))
+    out = Tensor(rng.normal(size=(8, 2, 3)), requires_grad=True)
+    scores = Tensor(rng.normal(size=(8, 1)))
+    bundle = total_loss(out, target, scores, [], quick_cfg())
+    errors = out.data.reshape(2, 4, 2, 3) - target.data
+    for block, error in zip(bundle.blocks, errors, strict=True):
+        assert block["mse"] == pytest.approx(np.mean(error**2), rel=1e-12)
+        assert block["recon"] == pytest.approx(np.mean(np.abs(error)), rel=1e-12)
+    assert bundle.components["mse"] == pytest.approx(np.sum(np.mean(errors**2, axis=(1, 2, 3))))
 
 
 def test_sparsity_component_scales_with_weight():
@@ -161,17 +162,10 @@ def total_loss_chain(output, target, d_scores, cfg):
     """The smooth loss as the chain of reference ops that ``total_loss`` fuses."""
     adversarial = mean_all(softplus(neg(d_scores)))
     reconstruction = mean_all(absolute(sub(output, target)))
-    batch = output.data.shape[0]
-    dim = output.data.shape[1] * output.data.shape[2]
-    projection = Tensor(
-        perceptual_projection(dim, cfg.perceptual_features, cfg.perceptual_seed)
-    )
-    f_out = matmul(reshape(output, batch, dim), projection)
-    f_ref = matmul(reshape(target, batch, dim), projection)
-    perceptual = mean_all(square(sub(f_out, f_ref)))
+    squared_error = mean_all(square(sub(output, target)))
     return add(
         add(adversarial, cfg.lambda_recon * reconstruction),
-        cfg.lambda_perceptual * perceptual,
+        cfg.lambda_mse * squared_error,
     )
 
 
@@ -305,7 +299,7 @@ def test_pretrain_is_fair_and_finite():
             "loss_total",
             "loss_gan",
             "loss_recon",
-            "loss_perceptual",
+            "loss_mse",
             "loss_sparsity",
             "d_loss",
             "gamma_zero_fraction",
