@@ -71,7 +71,9 @@ def load_config(path: str | None = None, seed: int | None = None) -> dict:
         import yaml  # only a run with a config file pays for the import
 
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            # PyYAML decodes a byte stream itself, so bytes that are not
+            # text raise its ``ReaderError``, a ``YAMLError``.
+            with open(path, "rb") as fh:
                 user = yaml.safe_load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -248,7 +250,7 @@ def cmd_verify_fairness(args) -> int:
     try:
         with open(args.ledger, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read ledger {args.ledger}: {exc}") from exc
     ledger = FairnessLedger.load(text)
     problems = ledger.violations()

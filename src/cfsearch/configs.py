@@ -57,9 +57,8 @@ CONFIG_KEYS: dict[str, Key] = {
     "train.batch_size": Key(int, "in [1, inf)", 16, "samples per step"),
     "train.lambda_recon": Key(float, "in [0, inf)", 10.0, "weight of the mean absolute error"),
     "train.lambda_mse": Key(float, "in [0, inf)", 100.0, "weight of the mean squared error"),
-    "train.lambda_sparsity": Key(float, "in [0, inf)", 1e-3, "weight of the scale factors' L1"),
     "train.lr_weights": Key(float, "in (0, inf)", 0.001, "descent stepsize of the weights"),
-    "train.lr_gamma": Key(float, "in (0, inf)", 0.002, "proximal stepsize of the scale factors"),
+    "train.lr_gamma": Key(float, "in (0, inf)", 0.002, "descent stepsize of the scale factors"),
     "train.lr_decay": Key(float, "in (0, 1]", 1.0, "per-epoch factor of both stepsizes"),
     "search.finetune_epochs": Key(int, "in [0, inf)", 10, "fine-tuning epochs of the genome"),
     "evolution.population": Key(int, "even in [2, inf)", 12, "genomes per generation"),

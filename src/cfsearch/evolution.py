@@ -92,7 +92,6 @@ class RGTable:
     rg: np.ndarray
     p_select: np.ndarray = field(default=None)  # type: ignore[assignment]
     cdf: np.ndarray = field(default=None)  # type: ignore[assignment]
-    baseline: str = ""
     staleness: int = 0
 
 
@@ -110,7 +109,7 @@ def compute_rg(baseline: ArchitectureGenome, oracle: FitnessOracle) -> RGTable:
     rg = np.zeros((spec.num_channel_choices, len(baseline.channel_assignment)))
     for l, j, replaced in _replacements(baseline, spec.num_channel_choices):
         rg[j, l] = oracle.evaluate(replaced).fitness - base_fitness
-    table = RGTable(rg=rg, baseline=baseline.to_record())
+    table = RGTable(rg=rg)
     return normalize_rg(table)
 
 

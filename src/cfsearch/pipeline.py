@@ -96,8 +96,6 @@ class SearchTrace:
 
 def search_path(oracle: FitnessOracle) -> tuple[int, list[StageRecord]]:
     """Stage 1: score every path once; highest wins, ties to lowest index."""
-    if oracle.spec.num_paths < 1:
-        raise ConfigError("search space has no paths")
     records = []
     best_path = None
     best_fitness = -np.inf
@@ -224,9 +222,9 @@ def run_pipeline(config: dict) -> PipelineResult:
 
     All randomness fans out from ``config['seed']`` through per-phase
     child seeds, so two runs with the same config agree bit for bit.
-    Fine-tuning happens on a clone, with no sparsity term; the pretrained
-    supernet survives unmodified for later inspection.  A non-finite
-    fine-tuned fitness raises ``InvariantError`` naming the genome.
+    Fine-tuning happens on a clone; the pretrained supernet survives
+    unmodified for later inspection.  A non-finite fine-tuned fitness
+    raises ``InvariantError`` naming the genome.
     """
     seed = int(config["seed"])
     spec, dataset, train_cfg = prepare(config)

@@ -35,9 +35,7 @@ PRETRAIN_COLUMNS = (
     "loss_gan",
     "loss_recon",
     "loss_mse",
-    "loss_sparsity",
     "d_loss",
-    "gamma_zero_fraction",
 )
 FINETUNE_COLUMNS = ("epoch", "loss_total", "d_loss")
 EVOLUTION_COLUMNS = (

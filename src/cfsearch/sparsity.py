@@ -1,18 +1,11 @@
-"""Channel scale factors and their L1 proximal update.
+"""Channel scale factors: their descent step and the channel masks they rank.
 
 Each layer owns a vector of per-channel scale factors that multiply the
 layer's normalized output; they are plain supernet tensors
-(``SupernetWeights.gamma_tensors``).  Sparsity is driven by proximal
-gradient descent: the smooth part of the loss supplies each factor's
-gradient, and the L1 penalty is applied exactly through soft thresholding,
-
-    prox(s, thr) = s - thr   if s >  thr
-                   0         if |s| <= thr
-                   s + thr   if s < -thr
-
-with thr = sparsity_weight * stepsize.  Entries inside the dead
-zone land on exactly 0.0, so "zero channel" is a crisp predicate rather
-than a tolerance.
+(``SupernetWeights.gamma_tensors``).  Pretraining moves them by plain
+gradient descent on the training loss, with a stepsize of their own, and
+a width-``w`` subnet keeps the ``w`` channels of each layer with largest
+|gamma|.
 """
 
 from __future__ import annotations
@@ -29,34 +22,16 @@ from .engine import Tensor
 GAMMA_INIT = 0.5
 
 
-def prox_l1(value, threshold: float) -> np.ndarray:
-    """Soft-thresholding operator, elementwise over an array."""
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    arr = np.asarray(value, dtype=np.float64)
-    return np.where(
-        arr > threshold,
-        arr - threshold,
-        np.where(arr < -threshold, arr + threshold, 0.0),
-    )
+def prox_step(gammas: Sequence[Tensor], stepsize: float) -> None:
+    """One descent step of every factor vector in ``gammas``.
 
-
-def l1_value(gammas: Sequence[Tensor]) -> float:
-    """Sum of |gamma| over every factor vector; 0.0 for none."""
-    return float(sum(np.add.reduce(np.abs(g.data), axis=None) for g in gammas))
-
-
-def prox_step(gammas: Sequence[Tensor], stepsize: float, sparsity_weight: float) -> None:
-    """One proximal gradient update of every factor vector in ``gammas``.
-
-    Each vector descends its own ``.grad``, the smooth-loss gradient (none
-    counts as zero), by ``stepsize`` and clears it; the L1 part is folded
-    in exactly by soft thresholding at ``stepsize * sparsity_weight``.
+    Each vector becomes ``gamma - stepsize * grad`` with its own
+    ``.grad``, the loss gradient (none counts as zero), which the step
+    then clears.
     """
-    threshold = sparsity_weight * stepsize
     for gamma in gammas:
-        grad = 0.0 if gamma.grad is None else gamma.grad
-        gamma.data = prox_l1(gamma.data - stepsize * grad, threshold)
+        if gamma.grad is not None:
+            gamma.data = gamma.data - stepsize * gamma.grad
         gamma.grad = None
 
 

@@ -4,11 +4,11 @@ One epoch works through every path in a random order.  A path's cycle
 sums gradients over M single-operator sub-networks (one per candidate,
 drawn as a per-layer permutation so each candidate trains exactly once)
 in one pass and one backward walk.  That walk feeds a single generator
-descent step, one proximal step on the path's channel scale factors,
-which take no descent step, and one ascent-equivalent step on the path's
-own discriminator, which scores the pass's outputs as its fakes.  The
-cycle structure is what makes the fairness ledger counts exact rather
-than statistical.
+descent step, one descent step of the path's channel scale factors at
+their own stepsize ``lr_gamma``, and one ascent-equivalent step on the
+path's own discriminator, which scores the pass's outputs as its fakes.
+The cycle structure is what makes the fairness ledger counts exact
+rather than statistical.
 
 The M sub-networks run as one stacked pass: the path's stem runs once,
 each sub-network runs its own layers on the stem's output, and their
@@ -29,18 +29,15 @@ the step that trains it, so no pass builds a graph or computes a
 gradient that no step applies.
 
 The training objective combines an adversarial term with reconstruction
-(mean absolute error), mean squared error, and an L1 sparsity value over
-the scale factors that ``total_loss`` is given (fine-tuning gives none);
-the sparsity term is reported in the total but enters optimization only
-through the proximal update.  The smooth part of the loss, and the
-discriminator's loss, are each one graph node.
+(mean absolute error) and mean squared error.  The generator's loss, and
+the discriminator's loss, are each one graph node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -51,7 +48,7 @@ from .fairness import FairnessLedger, plan_epoch
 from .metrics import MomentReference, gaussian_moments, moment_distance, moment_reference, psnr
 from .network import DiscriminatorView, StageTrail, SupernetWeights, stacked_forward, subnet_view
 from .space import ArchitectureGenome, SupernetSpec, maximal_genome
-from .sparsity import l1_value, prox_step
+from .sparsity import prox_step
 from .util import child_seed
 
 
@@ -63,7 +60,6 @@ class TrainConfig:
     batch_size: int = CONFIG_KEYS["train.batch_size"].default
     lambda_recon: float = CONFIG_KEYS["train.lambda_recon"].default
     lambda_mse: float = CONFIG_KEYS["train.lambda_mse"].default
-    lambda_sparsity: float = CONFIG_KEYS["train.lambda_sparsity"].default
     lr_weights: float = CONFIG_KEYS["train.lr_weights"].default
     lr_gamma: float = CONFIG_KEYS["train.lr_gamma"].default
     lr_decay: float = CONFIG_KEYS["train.lr_decay"].default
@@ -157,16 +153,14 @@ def make_dataset(task: str, samples: int, val_fraction: float, seed: int) -> Toy
 
 @dataclass
 class LossBundle:
-    """The smooth loss node and the component values.
+    """The loss node and the component values.
 
-    ``smooth`` omits the sparsity term: the L1 penalty is handled exactly
-    by the proximal update, so gradients flow only through the smooth
-    terms.  Each component set's ``total`` includes it and is what the
-    loss value means.  ``blocks`` holds each block's components and
-    ``components`` their sums over the blocks.
+    ``loss`` is the node gradients flow through; its value is
+    ``components["total"]``.  ``blocks`` holds each block's components
+    and ``components`` their sums over the blocks.
     """
 
-    smooth: Tensor
+    loss: Tensor
     components: dict[str, float]
     blocks: list[dict[str, float]]
 
@@ -175,7 +169,6 @@ def total_loss(
     output: Tensor,
     target: Tensor,
     d_scores: Tensor,
-    gammas: Sequence[Tensor],
     cfg: TrainConfig,
 ) -> LossBundle:
     """Combined training loss of one or more generator outputs for ``target``.
@@ -185,14 +178,12 @@ def total_loss(
     sum of the blocks' losses, each computed with the block's own sizes as
     if it ran alone, so each row's gradient is what a separate pass gives.
 
-    ``smooth`` is one graph node over ``output`` and ``d_scores``; the
+    ``loss`` is one graph node over ``output`` and ``d_scores``; the
     target is a constant.  On one block its forward and backward do the
     same float operations in the same order as the chain of elementary
     ops they replace, ``mean(softplus(-d_scores)) + lambda_recon *
     mean(|output - target|) + lambda_mse * mean((output - target)**2)``,
-    so results are bit-identical to that chain.  Each block's ``total``
-    adds the L1 value of ``gammas``, weighted by ``lambda_sparsity``, and
-    records no graph.
+    so results are bit-identical to that chain.
     """
     out_shape = output.data.shape
     batch = target.data.shape[0]
@@ -207,27 +198,22 @@ def total_loss(
     diff = output.data.reshape(blocks, *target.data.shape) - target.data
     abs_diff = np.abs(diff)
     squared = diff * diff
-    sparsity_value = l1_value(gammas)
-    smooth_values = []
+    values = []
     block_components = []
     for m in range(blocks):
         adversarial = mean(softplus[m])
         reconstruction = mean(abs_diff[m])
         mse = mean(squared[m])
-        smooth_m = (
-            adversarial + reconstruction * cfg.lambda_recon
-        ) + mse * cfg.lambda_mse
-        smooth_values.append(smooth_m)
+        value = (adversarial + reconstruction * cfg.lambda_recon) + mse * cfg.lambda_mse
+        values.append(value)
         block_components.append(
             {
                 "gan": float(adversarial),
                 "recon": float(reconstruction),
                 "mse": float(mse),
-                "sparsity": sparsity_value,
-                "total": float(smooth_m + cfg.lambda_sparsity * sparsity_value),
+                "total": float(value),
             }
         )
-    smooth_value = sum(smooth_values)
 
     def backward(g: np.ndarray):
         g_output = g_scores = None
@@ -240,11 +226,11 @@ def total_loss(
             g_scores = -(g / softplus[0].size * sigmoid(neg_scores)).reshape(d_scores.data.shape)
         return g_output, g_scores
 
-    smooth = Tensor._make(np.asarray(smooth_value), (output, d_scores), backward)
+    loss = Tensor._make(np.asarray(sum(values)), (output, d_scores), backward)
     components = {
         key: sum(c[key] for c in block_components) for key in block_components[0]
     }
-    return LossBundle(smooth=smooth, components=components, blocks=block_components)
+    return LossBundle(loss=loss, components=components, blocks=block_components)
 
 
 def _check_finite(value: float, context: str, components: Mapping[str, float]) -> None:
@@ -378,15 +364,15 @@ def pretrain_supernet(
             generator = [w for _, w in weights.named(f"g/p{p}/", include_gamma=False)]
             with weights.train_only(generator + gammas):
                 out = stacked_forward(views, x)
-                cycle = total_loss(out, y, disc(out), gammas, cfg)
+                cycle = total_loss(out, y, disc(out), cfg)
                 for assignment, block in zip(assignments, cycle.blocks):
                     _check_finite(
                         block["total"], f"epoch {t} path {p} operators {assignment}", block
                     )
-                cycle.smooth.backward()
-                # The proximal step consumes the scale factors' gradients,
-                # so the SGD step moves the other generator weights alone.
-                prox_step(gammas, cfg.lr_gamma * cfg.lr_decay**t, cfg.lambda_sparsity)
+                cycle.loss.backward()
+                # The factors' step consumes their gradients, so the SGD
+                # step moves the other generator weights alone.
+                prox_step(gammas, cfg.lr_gamma * cfg.lr_decay**t)
                 weights.sgd_step(f"g/p{p}/", alpha)
             ledger.record_generator_cycle(p)
 
@@ -403,9 +389,7 @@ def pretrain_supernet(
                     "loss_gan": cycle.components["gan"] / n,
                     "loss_recon": cycle.components["recon"] / n,
                     "loss_mse": cycle.components["mse"] / n,
-                    "loss_sparsity": cycle.components["sparsity"] / n,
                     "d_loss": d_value,
-                    "gamma_zero_fraction": gamma_zero_stats(weights)[1],
                 }
             )
     return PretrainResult(weights=weights, ledger=ledger, metrics=metrics)
@@ -453,12 +437,12 @@ def finetune_genome(
     epochs: int,
     seed: int,
 ) -> list[dict]:
-    """Adversarially fine-tune one subnet in place, with no sparsity term.
+    """Adversarially fine-tune one subnet in place.
 
     Operates on ``weights`` directly (callers clone the supernet first if
-    they need the original), keeps the scale factors frozen and out of
-    the loss, and returns per-epoch loss rows.  Any non-finite generator
-    or discriminator loss raises ``NonFiniteLossError``.
+    they need the original), keeps the scale factors frozen, and returns
+    per-epoch loss rows.  Any non-finite generator or discriminator loss
+    raises ``NonFiniteLossError``.
     """
     p = genome.path_index
     gen = subnet_view(weights, genome)
@@ -473,9 +457,9 @@ def finetune_genome(
         lr = cfg.lr_weights * cfg.lr_decay**t
         with weights.train_only(generator):
             out = gen(x)
-            bundle = total_loss(out, y, disc(out), (), cfg)
+            bundle = total_loss(out, y, disc(out), cfg)
             _check_finite(bundle.components["total"], f"fine-tune epoch {t}", bundle.components)
-            bundle.smooth.backward()
+            bundle.loss.backward()
             weights.sgd_step(f"g/p{p}/", lr)
         d_value = _discriminator_step(disc, y, out, lr, f"fine-tune epoch {t} discriminator")
         rows.append({"epoch": t, "loss_total": bundle.components["total"], "d_loss": d_value})

@@ -41,10 +41,8 @@ from cfsearch.space import (
     maximal_genome,
     operator_specialization_count,
 )
-from cfsearch.sparsity import prox_l1
 from cfsearch.trainer import (
     TrainConfig,
-    gamma_zero_stats,
     make_translation_dataset,
     pretrain_supernet,
 )
@@ -173,46 +171,6 @@ def test_criterion_3_specialization_count(criterion):
         assert operator_specialization_count(3, 3) == 36
         assert operator_specialization_count(3, 4) == 216
         assert time.time() - start < 60.0
-
-
-# -- 4: proximal sparsification ---------------------------------------------
-
-
-def test_criterion_4_sparsification(criterion):
-    with criterion(4, "shrinkage matches the closed form and stronger "
-                      "penalties never produce fewer zero factors"):
-        start = time.time()
-        grid = np.linspace(-5.0, 5.0, 1000)
-        for lam in (0.0, 0.1, 1.0, 2.5):
-            reference = np.sign(grid) * np.maximum(np.abs(grid) - lam, 0.0)
-            assert np.array_equal(prox_l1(grid, lam), reference)
-
-        spec = build_spec(
-            n_paths=1,
-            n_layers=2,
-            n_operators=2,
-            channels=(2, 4),
-            input_sites=1,
-            input_channels=2,
-        )
-        dataset = make_translation_dataset(samples=32, val_fraction=0.25, seed=11)
-        fractions = []
-        for lam in (0.0, 1e-3, 1e-2, 1e-1):
-            cfg = TrainConfig(
-                epochs=60,
-                batch_size=8,
-                lambda_sparsity=lam,
-                lambda_recon=10.0,
-                lambda_mse=1.0,
-                lr_weights=0.001,
-                lr_gamma=0.3,
-            )
-            result = pretrain_supernet(spec, dataset, cfg, seed=21)
-            _, fraction = gamma_zero_stats(result.weights)
-            fractions.append(fraction)
-        assert fractions == sorted(fractions)
-        assert fractions[-1] > 0.0
-        assert time.time() - start < 300.0
 
 
 # -- 5: gradient correctness ------------------------------------------------

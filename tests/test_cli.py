@@ -220,6 +220,9 @@ def test_malformed_evolution_value_exits_2_naming_the_key(
         ("lambda_perceptual", 100.0),
         ("perceptual_features", 16),
         ("perceptual_seed", 90210),
+        # The scale factors' L1 weight, gone with the penalty.
+        ("lambda_sparsity", 0.001),
+        ("lambda_sparsity", 0),
     ],
 )
 def test_malformed_train_value_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, key, value):
@@ -338,6 +341,28 @@ def test_verify_fairness_good_and_tampered(tmp_path, capsys):
 def test_verify_fairness_unreadable_exits_2(capsys):
     assert main(["verify-fairness", "/nonexistent/ledger.txt"]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+# Bytes behind a UTF-16 byte-order mark, and a byte that is never UTF-8.
+NOT_UTF8 = pytest.mark.parametrize("data", [b"\xff\xfe\x00bad", b"seed: 7\n\xff\n"])
+
+
+@NOT_UTF8
+def test_a_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys, data):
+    path = tmp_path / "binary.yaml"
+    path.write_bytes(data)
+    assert main(["enumerate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err
+
+
+@NOT_UTF8
+def test_a_ledger_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys, data):
+    path = tmp_path / "ledger.txt"
+    path.write_bytes(data)
+    assert main(["verify-fairness", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read ledger {path}:")
 
 
 def test_search_operator_prints_choice(tmp_path, capsys):

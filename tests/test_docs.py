@@ -93,6 +93,14 @@ def test_readme_run_all_sample_is_what_a_default_run_prints():
     assert float(shown["fine-tuned fitness"]) == pytest.approx(result.final_fitness, rel=1e-9)
 
 
+def test_readme_lists_exactly_the_acceptance_criteria_the_suite_defines():
+    source = (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    defined = sorted(int(n) for n in re.findall(r"^def test_criterion_(\d+)_", source, re.M))
+    reported = sorted(int(n) for n in re.findall(r"\bcriterion\((\d+),", source))
+    listed = [int(n) for n in re.findall(r"^- \*\*Criterion (\d+)\.\*\*", README, re.M)]
+    assert defined == reported == listed
+
+
 def test_readme_genome_records_name_genomes_of_the_default_space():
     records = re.findall(r"\bpath:\d[\w,:;]*", README)
     assert len(records) >= 3

@@ -66,7 +66,6 @@ def test_rg_own_choice_is_exactly_zero_without_a_call():
         assert table.rg[own, l] == 0.0
     # One baseline call plus (choices - 1) per layer.
     assert oracle.genome_evaluations == 1 + 2 * 3
-    assert table.baseline == baseline.to_record()
 
 
 def test_rg_values_are_single_replacement_gains():

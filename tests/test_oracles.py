@@ -424,12 +424,12 @@ def default_supernet():
 # random-projection loss term became plain squared error.
 SWEEP_GOLDEN = {
     None: (
-        "c755c9a560e424f53496239be7771baa58088fb40b72f1d93d5e2d792ff5ecf3",
-        "8d1184d71e5434cb565925a60588ea74a17057dba1265ed9c9ebd287ab1e79c6",
+        "dc343365e6a78d25ffba42174776e6cb571019935e478e360ff8262a130f4e3e",
+        "924513b49acc848be7a26878deb253a50edf864755a32c3cb4e2f9ac2bbcd1ec",
     ),
     SUPER_RESOLUTION_YAML: (
-        "2420551cb1d35d8d4ccf58fb7fb9593268dbab2b7c2823726fd4e83c42aeaee2",
-        "fc06d6ac558ed736c8d4f96923cb04e03ae9cb927a9ec7c26f52b0f303f9db11",
+        "53b11c3fd3052f55a19cdb265c1955f57453a29ced7667d85916be4d34bc31d4",
+        "bef1ea0abd6596fcb5790ea65c7644903fc99c619214602448d6bf89c7556c98",
     ),
 }
 

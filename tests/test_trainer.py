@@ -5,14 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cfsearch import cli, engine, pipeline, trainer
+from cfsearch import cli, engine, pipeline, reporting, trainer
 from cfsearch.engine import Tensor
 from cfsearch.errors import ConfigError, InvariantError, NonFiniteLossError, ShapeError
 from cfsearch.metrics import gaussian_moments, moment_distance
 from cfsearch.network import DiscriminatorView, SupernetWeights, mixed_view
 from cfsearch.network import stacked_forward, subnet_view
 from cfsearch.space import ArchitectureGenome, maximal_genome, spec_from_dict
-from cfsearch.sparsity import GAMMA_INIT, l1_value, prox_l1, prox_step
+from cfsearch.sparsity import prox_step
 from cfsearch.trainer import (
     TASK_SUPER_RESOLUTION,
     TASK_TRANSLATION,
@@ -47,11 +47,6 @@ def quick_cfg(**kwargs):
     merged = dict(epochs=3, batch_size=4)
     merged.update(kwargs)
     return TrainConfig(**merged)
-
-
-def scale_factors(*widths):
-    """Trainable factor vectors at ``GAMMA_INIT``, one per width."""
-    return [Tensor(np.full(w, GAMMA_INIT), requires_grad=True) for w in widths]
 
 
 def quick_dataset(seed=0):
@@ -103,7 +98,7 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(epochs=1, batch_size=0)
     with pytest.raises(ConfigError):
-        TrainConfig(epochs=1, lambda_sparsity=-1.0)
+        TrainConfig(epochs=1, lambda_recon=-1.0)
 
 
 def test_total_loss_components_add_up():
@@ -111,23 +106,16 @@ def test_total_loss_components_add_up():
     out = Tensor(rng.normal(size=(6, 2, 1)), requires_grad=True)
     target = Tensor(rng.normal(size=(6, 2, 1)))
     scores = Tensor(rng.normal(size=(6, 1)))
-    gammas = scale_factors(3, 3)
     cfg = quick_cfg()
-    bundle = total_loss(out, target, scores, gammas, cfg)
+    bundle = total_loss(out, target, scores, cfg)
     c = bundle.components
-    assert set(c) == {"gan", "recon", "mse", "sparsity", "total"}
+    assert set(c) == {"gan", "recon", "mse", "total"}
     # Components are stored unweighted; the total applies the lambdas.
     assert c["total"] == pytest.approx(
-        c["gan"]
-        + cfg.lambda_recon * c["recon"]
-        + cfg.lambda_mse * c["mse"]
-        + cfg.lambda_sparsity * c["sparsity"]
+        c["gan"] + cfg.lambda_recon * c["recon"] + cfg.lambda_mse * c["mse"]
     )
-    assert c["sparsity"] == pytest.approx(l1_value(gammas))
-    # The smooth part excludes the L1 term handled by the proximal update.
-    assert bundle.smooth.item() == pytest.approx(
-        c["total"] - cfg.lambda_sparsity * c["sparsity"]
-    )
+    # The total is the loss node's value.
+    assert bundle.loss.item() == c["total"]
 
 
 def test_each_blocks_mse_component_is_its_mean_squared_error():
@@ -135,7 +123,7 @@ def test_each_blocks_mse_component_is_its_mean_squared_error():
     target = Tensor(rng.normal(size=(4, 2, 3)))
     out = Tensor(rng.normal(size=(8, 2, 3)), requires_grad=True)
     scores = Tensor(rng.normal(size=(8, 1)))
-    bundle = total_loss(out, target, scores, [], quick_cfg())
+    bundle = total_loss(out, target, scores, quick_cfg())
     errors = out.data.reshape(2, 4, 2, 3) - target.data
     for block, error in zip(bundle.blocks, errors, strict=True):
         assert block["mse"] == pytest.approx(np.mean(error**2), rel=1e-12)
@@ -143,23 +131,8 @@ def test_each_blocks_mse_component_is_its_mean_squared_error():
     assert bundle.components["mse"] == pytest.approx(np.sum(np.mean(errors**2, axis=(1, 2, 3))))
 
 
-def test_sparsity_component_scales_with_weight():
-    rng = np.random.default_rng(1)
-    out = Tensor(rng.normal(size=(4, 2, 1)), requires_grad=True)
-    target = Tensor(rng.normal(size=(4, 2, 1)))
-    scores = Tensor(rng.normal(size=(4, 1)))
-    gammas = scale_factors(2)
-    zero = total_loss(out, target, scores, gammas, quick_cfg(lambda_sparsity=0.0))
-    # With a zero weight the L1 value is reported but does not enter the total.
-    assert zero.components["total"] == pytest.approx(zero.smooth.item())
-    half = total_loss(out, target, scores, gammas, quick_cfg(lambda_sparsity=0.5))
-    assert half.components["total"] - half.smooth.item() == pytest.approx(
-        0.5 * l1_value(gammas)
-    )
-
-
 def total_loss_chain(output, target, d_scores, cfg):
-    """The smooth loss as the chain of reference ops that ``total_loss`` fuses."""
+    """The loss as the chain of reference ops that ``total_loss`` fuses."""
     adversarial = mean_all(softplus(neg(d_scores)))
     reconstruction = mean_all(absolute(sub(output, target)))
     squared_error = mean_all(square(sub(output, target)))
@@ -202,25 +175,23 @@ def assert_matches_finite_differences(fn, tensors):
 
 def test_total_loss_smooth_gradient_matches_finite_differences():
     out, target, scores = loss_inputs(2)
-    gammas = scale_factors(3, 3)
     cfg = quick_cfg()
     assert_matches_finite_differences(
-        lambda: total_loss(out, target, scores, gammas, cfg).smooth, [out, scores]
+        lambda: total_loss(out, target, scores, cfg).loss, [out, scores]
     )
 
 
 @BIT_CASES
 def test_total_loss_is_one_node_bit_identical_to_its_chain(seed, batch):
     out, target, scores = loss_inputs(seed, batch)
-    gammas = scale_factors(3, 3)
     cfg = quick_cfg()
-    bundle = total_loss(out, target, scores, gammas, cfg)
-    assert bundle.smooth._parents == (out, scores)
+    bundle = total_loss(out, target, scores, cfg)
+    assert bundle.loss._parents == (out, scores)
     chain = total_loss_chain(out, target, scores, cfg)
-    assert np.array_equal(bundle.smooth.data, chain.data)
-    assert bundle.components["total"] == add(chain, cfg.lambda_sparsity * l1_value(gammas)).item()
+    assert np.array_equal(bundle.loss.data, chain.data)
+    assert bundle.components["total"] == chain.item()
     for fused, expected in zip(
-        grads_of(bundle.smooth, [out, scores]), grads_of(chain, [out, scores])
+        grads_of(bundle.loss, [out, scores]), grads_of(chain, [out, scores])
     ):
         assert np.array_equal(fused, expected)
 
@@ -300,11 +271,23 @@ def test_pretrain_is_fair_and_finite():
             "loss_gan",
             "loss_recon",
             "loss_mse",
-            "loss_sparsity",
             "d_loss",
-            "gamma_zero_fraction",
         ):
             assert np.isfinite(row[key])
+
+
+def test_training_rows_carry_exactly_the_columns_the_report_writes():
+    # The report writes only its listed columns, so a key computed for a
+    # row but not listed would be dropped without a word.
+    spec = translation_spec()
+    ds = quick_dataset()
+    pre = pretrain_supernet(spec, ds, quick_cfg(epochs=2), seed=3)
+    rows = finetune_genome(
+        pre.weights, ArchitectureGenome(0, (0, 0), (1, 1)), ds, quick_cfg(), epochs=2, seed=3
+    )
+    assert pre.metrics and rows
+    assert all(tuple(row) == reporting.PRETRAIN_COLUMNS for row in pre.metrics)
+    assert all(tuple(row) == reporting.FINETUNE_COLUMNS for row in rows)
 
 
 def test_pretrain_determinism():
@@ -377,61 +360,36 @@ def test_finetune_improves_or_moves_weights_in_place():
     assert moved and untouched
 
 
-def test_finetune_rows_do_not_depend_on_the_sparsity_weight():
-    spec = translation_spec()
-    ds = quick_dataset()
-    pre = pretrain_supernet(spec, ds, quick_cfg(), seed=3)
-    genome = ArchitectureGenome(1, (0, 1), (1, 0))
-    tuned = []
-    for lam in (0.0, 1e6):
-        weights = pre.weights.clone()
-        rows = finetune_genome(weights, genome, ds, quick_cfg(lambda_sparsity=lam), 3, 5)
-        tuned.append((rows, weights))
-    (rows0, weights0), (rows1, weights1) = tuned
-    assert rows0 == rows1
-    for name, tensor in weights0.tensors.items():
-        assert np.array_equal(tensor.data, weights1.tensors[name].data), name
-
-
 def test_pretraining_steps_the_scale_factors_by_the_decayed_rate(monkeypatch):
     spec = translation_spec()
     steps = []
 
-    def recorded(gammas, stepsize, sparsity_weight):
-        steps.append((gammas, stepsize, sparsity_weight))
-        prox_step(gammas, stepsize, sparsity_weight)
+    def recorded(gammas, stepsize):
+        steps.append((gammas, stepsize))
+        prox_step(gammas, stepsize)
 
     monkeypatch.setattr(trainer, "prox_step", recorded)
-    cfg = quick_cfg(epochs=3, lr_gamma=0.1, lr_decay=0.5, lambda_sparsity=0.01)
+    cfg = quick_cfg(epochs=3, lr_gamma=0.1, lr_decay=0.5)
     result = pretrain_supernet(spec, quick_dataset(), cfg, seed=3)
-    assert [eta for _, eta, _ in steps] == [
+    assert [eta for _, eta in steps] == [
         eta for eta in (0.1, 0.05, 0.025) for _ in range(spec.num_paths)
     ]
-    assert all(weight == 0.01 for _, _, weight in steps)
     # Each step moves one path's own factor tensors, every path once an epoch.
     owners = {id(g): p for p in range(spec.num_paths) for g in result.weights.gamma_tensors(p)}
-    paths = [[owners.get(id(g)) for g in gammas] for gammas, _, _ in steps]
+    paths = [[owners.get(id(g)) for g in gammas] for gammas, _ in steps]
     expected = [[p] * path.num_layers for p, path in enumerate(spec.paths) for _ in range(3)]
     assert sorted(paths) == expected
 
 
-def test_each_pretraining_row_counts_the_zero_scale_factors_of_every_path(monkeypatch):
+def test_gamma_zero_stats_counts_the_exact_zeros_of_every_path():
     spec = translation_spec()
-    steps = {}  # a path's first factor tensor -> proximal steps taken on that path
-    zeros = []
-
-    def zeroing(gammas, stepsize, sparsity_weight):
-        prox_step(gammas, stepsize, sparsity_weight)
-        k = steps[id(gammas[0])] = steps.get(id(gammas[0]), 0) + 1
-        gammas[0].data[:k] = 0.0  # k zeros on this path, the other paths' unchanged
-        zeros.append(sum(min(n, gammas[0].data.size) for n in steps.values()))
-
-    monkeypatch.setattr(trainer, "prox_step", zeroing)
-    result = pretrain_supernet(spec, quick_dataset(), quick_cfg(epochs=4), seed=3)
-    factors = sum(g.data.size for p in range(spec.num_paths) for g in result.weights.gamma_tensors(p))
-    rows = [row["gamma_zero_fraction"] for row in result.metrics]
-    assert rows == [n / factors for n in zeros] and rows[-1] > rows[0] > 0.0
-    assert rows[-1] == trainer.gamma_zero_stats(result.weights)[1]
+    weights = SupernetWeights.create(spec, seed=0)
+    gammas = [g for p in range(spec.num_paths) for g in weights.gamma_tensors(p)]
+    assert trainer.gamma_zero_stats(weights) == (0, 0.0)
+    gammas[0].data[:2] = 0.0
+    gammas[-1].data[:1] = 0.0
+    gammas[-1].data[1] = 1e-300  # tiny is not zero
+    assert trainer.gamma_zero_stats(weights) == (3, 3 / sum(g.data.size for g in gammas))
 
 
 def assert_frozen_without_gradients(weights):
@@ -531,15 +489,15 @@ def test_stacked_fair_cycle_matches_separate_sub_network_passes(task):
 
     with weights.train_only(t for _, t in generator):
         out = stacked_forward(views, x)
-        stacked = total_loss(out, y, disc(out), gammas, cfg)
-        stacked.smooth.backward()
+        stacked = total_loss(out, y, disc(out), cfg)
+        stacked.loss.backward()
         stacked_grads = gradients()
     outputs, blocks = [], []
     with weights.train_only(t for _, t in generator):
         for view in views:
             outputs.append(view(x))
-            bundle = total_loss(outputs[-1], y, disc(outputs[-1]), gammas, cfg)
-            bundle.smooth.backward()
+            bundle = total_loss(outputs[-1], y, disc(outputs[-1]), cfg)
+            bundle.loss.backward()
             blocks.append(bundle.components)
         separate_grads = gradients()
 
@@ -561,7 +519,7 @@ def test_total_loss_refuses_output_that_does_not_stack_target_blocks():
     out, target, scores = loss_inputs(0, batch=5)
     rows = Tensor(np.concatenate([out.data, out.data[:3]]))
     with pytest.raises(ShapeError):
-        total_loss(rows, target, Tensor(np.zeros((8, 1))), scale_factors(3, 3), quick_cfg())
+        total_loss(rows, target, Tensor(np.zeros((8, 1))), quick_cfg())
 
 
 def test_stacked_forward_refuses_views_of_different_paths():
@@ -632,7 +590,7 @@ def test_a_cycle_takes_one_proximal_step_on_the_scale_factors_gradient_of_its_st
 ):
     spec = translation_spec()
     ds = quick_dataset()
-    cfg = quick_cfg(epochs=1, lr_weights=0.05, lr_gamma=0.3, lambda_sparsity=0.2)
+    cfg = quick_cfg(epochs=1, lr_weights=0.05, lr_gamma=0.3)
     passes, targets, steps = [], [], []
     forward, loss, step = trainer.stacked_forward, trainer.total_loss, trainer.prox_step
 
@@ -641,13 +599,13 @@ def test_a_cycle_takes_one_proximal_step_on_the_scale_factors_gradient_of_its_st
         passes.append((views[0].weights.clone(), views[0].path_index, assignments, x))
         return forward(views, x)
 
-    def recorded_loss(output, target, d_scores, gammas, cfg):
+    def recorded_loss(output, target, d_scores, cfg):
         targets.append(target)
-        return loss(output, target, d_scores, gammas, cfg)
+        return loss(output, target, d_scores, cfg)
 
-    def recorded_step(gammas, stepsize, sparsity_weight):
+    def recorded_step(gammas, stepsize):
         steps.append([(g.data.copy(), g.grad.copy()) for g in gammas])
-        step(gammas, stepsize, sparsity_weight)
+        step(gammas, stepsize)
 
     monkeypatch.setattr(trainer, "stacked_forward", recorded_forward)
     monkeypatch.setattr(trainer, "total_loss", recorded_loss)
@@ -664,17 +622,16 @@ def test_a_cycle_takes_one_proximal_step_on_the_scale_factors_gradient_of_its_st
         gammas = before.gamma_tensors(p)
         with before.train_only(gammas):
             out = forward(views, x)
-            loss(out, y, DiscriminatorView(before, p)(out), gammas, cfg).smooth.backward()
+            loss(out, y, DiscriminatorView(before, p)(out), cfg).loss.backward()
             expected_grads = [g.grad.copy() for g in gammas]
         for (data, grad), start, expected, after in zip(
             recorded, gammas, expected_grads, result.weights.gamma_tensors(p)
         ):
             assert np.array_equal(data, start.data)
             assert np.array_equal(grad, expected) and np.any(grad != 0.0)
-            # One proximal step and no SGD step: each path's factors move
+            # One descent step and no SGD step: each path's factors move
             # only in the path's own cycle of the one epoch.
-            proximal = prox_l1(start.data - 0.3 * grad, 0.3 * 0.2)
-            assert np.array_equal(after.data, proximal)
+            assert np.array_equal(after.data, start.data - 0.3 * grad)
             assert not np.array_equal(after.data, start.data)
 
 
@@ -685,9 +642,9 @@ def test_the_discriminator_steps_on_the_fakes_of_the_generator_pass_before_its_s
     outputs, fakes = [], []
     loss, step = trainer.total_loss, trainer._discriminator_step
 
-    def recorded_loss(output, target, d_scores, gammas, cfg):
+    def recorded_loss(output, target, d_scores, cfg):
         outputs.append((output.data.copy(), target))
-        return loss(output, target, d_scores, gammas, cfg)
+        return loss(output, target, d_scores, cfg)
 
     def recorded_step(disc, real, fake, lr, context):
         fakes.append((fake.data.copy(), real))
